@@ -264,7 +264,7 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
         rng = np.random.default_rng([seed, zlib.crc32(spec.sensor_id.encode())])
         period_ms = seconds_to_ms(spec.period_s)
         start_ms = round(spec.start_s * 1000)
-        count = int(spec.duration_s * 1000) // period_ms
+        count = round(spec.duration_s * 1000) // period_ms
         points = []
         for k in range(1, count + 1):
             t_ms = start_ms + k * period_ms

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -127,9 +128,12 @@ class SensorStream:
     points: tuple[DataPoint, ...]
     modality_tag: str = ""
     period_hint_s: float | None = None
+    # the points' timestamps, in order, for bisection by the interval queries
+    _timestamps: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
+        timestamps: list[int] = []
         prev = None
         for p in self.points:
             if p.sensor_id != self.sensor_id:
@@ -142,6 +146,8 @@ class SensorStream:
                     f"{p.timestamp_ms} follows {prev} for sensor {self.sensor_id!r}"
                 )
             prev = p.timestamp_ms
+            timestamps.append(prev)
+        object.__setattr__(self, "_timestamps", timestamps)
         if self.period_hint_s is not None and self.period_hint_s <= 0:
             raise ValueError("period_hint_s must be positive when given")
 
@@ -153,24 +159,27 @@ class SensorStream:
         return modality_label(self.modality, self.modality_tag)
 
     def timestamps(self) -> list[int]:
-        return [p.timestamp_ms for p in self.points]
+        return list(self._timestamps)
 
     def values(self) -> list[float]:
         return [p.value for p in self.points]
 
-    def points_in(self, start_ms: int, end_ms: int) -> tuple[DataPoint, ...]:
-        """Points within the half-open interval ``]start_ms, end_ms]``."""
-        return tuple(p for p in self.points if start_ms < p.timestamp_ms <= end_ms)
+    def points_in(self, start_ms: float, end_ms: float) -> tuple[DataPoint, ...]:
+        """Points within the half-open interval ``]start_ms, end_ms]``.
 
-    def latest_in(self, start_ms: int, end_ms: int) -> DataPoint | None:
+        Bounds may be fractional milliseconds; the cost is logarithmic in
+        the stream length plus the number of points returned.
+        """
+        lo = bisect_right(self._timestamps, start_ms)
+        hi = bisect_right(self._timestamps, end_ms)
+        return self.points[lo:hi]
+
+    def latest_in(self, start_ms: float, end_ms: float) -> DataPoint | None:
         """Most recent point within ``]start_ms, end_ms]``, if any."""
-        hit = None
-        for p in self.points:
-            if p.timestamp_ms > end_ms:
-                break
-            if p.timestamp_ms > start_ms:
-                hit = p
-        return hit
+        hi = bisect_right(self._timestamps, end_ms)
+        if hi == 0 or self._timestamps[hi - 1] <= start_ms:
+            return None
+        return self.points[hi - 1]
 
 
 def merge_streams(a: SensorStream, b: SensorStream) -> SensorStream:

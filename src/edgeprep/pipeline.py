@@ -23,6 +23,8 @@ Operating modes:
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -191,11 +193,15 @@ class FeatureCache:
     """Memo table keyed by (feature id, window bounds, contributing sensors).
 
     Tracks hits, misses and every key ever computed; windows whose right
-    edge falls behind the eviction cutoff are dropped to bound memory.
+    edge falls behind the eviction cutoff are dropped to bound memory.  A
+    min-heap of ``(t_b, insertion seq, key)`` over the stored keys lets an
+    eviction touch only the keys it drops.
     """
 
     def __init__(self) -> None:
         self._store: dict[tuple, np.ndarray] = {}
+        self._by_t_b: list[tuple[int, int, tuple]] = []
+        self._seq = itertools.count()
         self.hits = 0
         self.misses = 0
         self.keys_seen: set[tuple] = set()
@@ -209,16 +215,21 @@ class FeatureCache:
     def insert(self, key: tuple, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=float).copy()
         value.setflags(write=False)
+        if key not in self._store:
+            heapq.heappush(self._by_t_b, (key[2], next(self._seq), key))
         self._store[key] = value
         self.misses += 1
         self.keys_seen.add(key)
         return value
 
     def evict_before(self, cutoff_ms: int) -> int:
-        stale = [k for k in self._store if k[2] < cutoff_ms]
-        for k in stale:
-            del self._store[k]
-        return len(stale)
+        """Drop every entry whose window ends before ``cutoff_ms``."""
+        heap = self._by_t_b
+        evicted = 0
+        while heap and heap[0][0] < cutoff_ms:
+            del self._store[heapq.heappop(heap)[2]]
+            evicted += 1
+        return evicted
 
     def __len__(self) -> int:
         return len(self._store)
@@ -689,11 +700,15 @@ class Pipeline:
         pred = AssociationPredicate(
             zone_of=self._pred.zone_of, temporal_tolerance_s=svc.gap_s
         )
+        tol_ms = pred.temporal_tolerance_s * 1000.0
         assoc_streams: list[SensorStream] = []
         for sid in sorted(selected):
             stream = self.streams[sid]
             zone = svc.zone if svc.zone is not None else self.specs[sid].zone
-            _, subset = associate(stream.points, pred, window, zone)
+            # only the points the temporal rule can keep: the cost stays
+            # with the window, not with the length of the stream
+            candidates = stream.points_in(window.t_a_ms - tol_ms, window.t_b_ms + tol_ms)
+            _, subset = associate(candidates, pred, window, zone)
             self.counters.points_processed += sum(
                 1 for p in subset if window.t_a_ms < p.timestamp_ms <= window.t_b_ms
             )

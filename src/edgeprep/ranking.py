@@ -120,13 +120,30 @@ def _weights(w, m: int) -> np.ndarray:
     return arr
 
 
-def euclidean_component(u, v, w=None) -> float:
-    """Weighted Euclidean distance ``sqrt(sum(w * (a - b)^2))``."""
+def _euclid(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(wt * (a - b) ** 2)))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
+    wa, wb = wt * a, wt * b
+    denom = math.sqrt(float(np.sum(wa**2)) * float(np.sum(wb**2)))
+    if denom == 0.0:
+        return 1.0
+    similarity = float(np.sum(np.abs(wa) * np.abs(wb))) / denom
+    return min(max(1.0 - similarity, 0.0), 1.0)
+
+
+def _checked_operands(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a, b = _as_vector(u), _as_vector(v)
     if a.shape != b.shape:
         raise ValueError("vectors must share dimensionality")
     wt = np.ones(len(a)) if w is None else _weights(w, len(a))
-    return float(np.sqrt(np.sum(wt * (a - b) ** 2)))
+    return a, b, wt
+
+
+def euclidean_component(u, v, w=None) -> float:
+    """Weighted Euclidean distance ``sqrt(sum(w * (a - b)^2))``."""
+    return _euclid(*_checked_operands(u, v, w))
 
 
 def cosine_component(u, v, w=None) -> float:
@@ -135,16 +152,7 @@ def cosine_component(u, v, w=None) -> float:
     ``1 - sum(|w a| |w b|) / sqrt(sum((w a)^2) sum((w b)^2))``; a zero-norm
     weighted vector is maximally dissimilar by convention (distance 1).
     """
-    a, b = _as_vector(u), _as_vector(v)
-    if a.shape != b.shape:
-        raise ValueError("vectors must share dimensionality")
-    wt = np.ones(len(a)) if w is None else _weights(w, len(a))
-    wa, wb = wt * a, wt * b
-    denom = math.sqrt(float(np.sum(wa**2)) * float(np.sum(wb**2)))
-    if denom == 0.0:
-        return 1.0
-    similarity = float(np.sum(np.abs(wa) * np.abs(wb))) / denom
-    return min(max(1.0 - similarity, 0.0), 1.0)
+    return _cosine(*_checked_operands(u, v, w))
 
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
@@ -182,10 +190,12 @@ def rank_and_select(
     if not 1 <= count <= len(cohort):
         raise ConfigError(f"count={count} out of range for cohort of {len(cohort)}")
     ordered = sorted(cohort, key=lambda s: s.sensor_id)
-    w = qos.weights
-    v = qos.utopia
-    d_ms = [euclidean_component(u, v, w) for u in ordered]
-    d_as = [cosine_component(u, v, w) for u in ordered]
+    # QosProfile has validated the weights and the utopia vector already
+    wt = np.array(qos.weights, dtype=float)
+    v = _as_vector(qos.utopia)
+    vectors = [np.array(u.as_tuple(), dtype=float) for u in ordered]
+    d_ms = [_euclid(a, v, wt) for a in vectors]
+    d_as = [_cosine(a, v, wt) for a in vectors]
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     records = tuple(
         SensorDistance(

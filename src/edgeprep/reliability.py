@@ -102,7 +102,13 @@ class ReliabilityState:
 
     ``lambda_history`` collects closed intervals as ``(start_ms, end_ms,
     lam)``; ``beta`` is the latest interval weight and ``beta_cumulative``
-    the weight over the whole recorded history.
+    the weight over the whole recorded history.  ``rate_integral`` is the
+    running sum of ``lam * length`` over ``lambda_history``, lengths in
+    units of the ``seconds_per_unit`` passed to :func:`close_interval`, and
+    added piece by piece in history order; it is the Poisson mean behind
+    ``beta_cumulative``.  It equals what :func:`cumulative_reliability`
+    integrates only while every close of one state uses the same
+    ``seconds_per_unit``.
     """
 
     sensor_id: str
@@ -112,6 +118,7 @@ class ReliabilityState:
     lambda_history: tuple[tuple[int, int, float], ...] = ()
     beta: float = 1.0
     beta_cumulative: float = 1.0
+    rate_integral: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_expected < 1:
@@ -141,20 +148,28 @@ def close_interval(
     mean; passing the expected sampling interval makes a fully consistent
     sensor land exactly on the distribution mode, keeping the weight
     monotone in q for any cadence.
+
+    The cumulative weight comes from the running ``rate_integral``, so a
+    close costs the same however long the history is.  Precondition:
+    ``seconds_per_unit`` is fixed for a state's lifetime (the pipeline
+    passes each sensor's constant granularity).  Under it,
+    ``beta_cumulative`` is bit for bit ``cumulative_reliability(
+    lambda_history, n_expected, lambda_history[0][0], t_end_ms,
+    seconds_per_unit)``, whose loop adds the same terms in the same order.
     """
     if t_end_ms <= state.interval_start_ms:
         raise ValueError("interval end must follow its start")
+    if seconds_per_unit <= 0:
+        raise ValueError("seconds_per_unit must be positive")
     length = (t_end_ms - state.interval_start_ms) / 1000.0 / seconds_per_unit
     lam = compute_lambda(state.q, state.n_expected)
-    history = state.lambda_history + ((state.interval_start_ms, t_end_ms, lam),)
-    beta = interval_reliability(state.q, state.n_expected, length)
-    beta_cum = cumulative_reliability(history, state.n_expected, history[0][0],
-                                      t_end_ms, seconds_per_unit)
+    rate_integral = state.rate_integral + lam * length
     return replace(
         state,
         interval_start_ms=t_end_ms,
         q=0,
-        lambda_history=history,
-        beta=beta,
-        beta_cumulative=beta_cum,
+        lambda_history=state.lambda_history + ((state.interval_start_ms, t_end_ms, lam),),
+        beta=interval_reliability(state.q, state.n_expected, length),
+        beta_cumulative=poisson_weight(rate_integral, state.n_expected),
+        rate_integral=rate_integral,
     )

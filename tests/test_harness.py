@@ -169,6 +169,13 @@ class TestGenerateSynthetic:
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert stream.values() == [3.0, 5.0, 7.0, 9.0, 11.0]
 
+    def test_duration_not_truncated_by_float_product(self):
+        # 1.001 * 1000 is 1000.9999999999999 in binary floating point
+        spec = GeneratorSpec(sensor_id="s1", period_s=0.001, duration_s=1.001)
+        stream = generate_synthetic([spec], seed=1)["s1"]
+        assert len(stream) == 1001
+        assert stream.timestamps()[-1] == 1001
+
 
 class TestScenarioConfigParsing:
     def test_yaml_round_trip(self, tmp_path):

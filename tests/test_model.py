@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgeprep.model import (
     ConfigError,
@@ -19,6 +21,13 @@ from conftest import make_spec
 
 def dp(t, v, sid="s1"):
     return DataPoint(timestamp_ms=t, value=v, sensor_id=sid)
+
+
+# query bounds on both sides of, and between, the generated timestamps
+bounds = st.one_of(
+    st.integers(min_value=-50, max_value=550),
+    st.floats(min_value=-50.0, max_value=550.0),
+)
 
 
 class TestDataPoint:
@@ -56,6 +65,20 @@ class TestSensorStream:
         assert [p.timestamp_ms for p in stream.points_in(10, 30)] == [20, 30]
         assert stream.latest_in(10, 30).timestamp_ms == 30
         assert stream.latest_in(30, 40) is None
+
+    @given(
+        timestamps=st.lists(st.integers(min_value=0, max_value=500),
+                            unique=True, max_size=40).map(sorted),
+        start=bounds,
+        end=bounds,
+    )
+    def test_bisected_queries_match_linear_scan(self, timestamps, start, end):
+        stream = SensorStream("s1", Modality.TEMPERATURE,
+                              tuple(dp(t, 0.0) for t in timestamps))
+        expected = tuple(p for p in stream.points if start < p.timestamp_ms <= end)
+        assert stream.points_in(start, end) == expected
+        assert stream.latest_in(start, end) == (expected[-1] if expected else None)
+        assert stream.timestamps() == timestamps
 
     def test_merge_preserves_order(self):
         a = SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0), dp(30, 3.0)))

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from edgeprep.model import ConfigError, DataPoint, Modality, QosProfile
+from edgeprep.model import ConfigError, DataPoint, Modality, QosProfile, SensorStream
 from edgeprep.pipeline import (
     AssociationPredicate,
     FeatureCache,
@@ -16,7 +20,14 @@ from edgeprep.pipeline import (
     form_window,
     window_ticks,
 )
-from edgeprep.harness import GeneratorSpec, generate_synthetic
+import edgeprep.pipeline as pipeline_module
+import edgeprep.reliability as reliability_module
+from edgeprep.harness import (
+    GeneratorSpec,
+    build_fault_scenario,
+    generate_synthetic,
+    run_scenario,
+)
 from conftest import make_spec
 
 
@@ -152,6 +163,34 @@ class TestComputeFeature:
         cache.evict_before(20_000)
         assert len(cache) == 0
         assert cache.keys_seen  # history of keys is retained for accounting
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), st.integers(min_value=0, max_value=30)),
+            st.tuples(st.just("evict"), st.integers(min_value=-5, max_value=35)),
+        ),
+        max_size=60,
+    ))
+    def test_heap_eviction_matches_full_scan(self, ops):
+        cache = FeatureCache()
+        reference: dict[tuple, float] = {}  # evicted by scanning every key
+        inserted = set()
+        for i, (op, t) in enumerate(ops):
+            if op == "insert":
+                # t_b values arrive out of order, and keys repeat
+                key = ("f", t - 3, t, ("s1",))
+                cache.insert(key, np.array([float(i)]))
+                reference[key] = float(i)
+                inserted.add(key)
+            else:
+                stale = [k for k in reference if k[2] < t]
+                for k in stale:
+                    del reference[k]
+                assert cache.evict_before(t) == len(stale)
+            assert len(cache) == len(reference)
+        for key in inserted:
+            value = cache.lookup(key)
+            assert (None if value is None else value[0]) == reference.get(key)
 
 
 class TestFeatureRegistry:
@@ -299,3 +338,50 @@ class TestPipeline:
         result = pipeline.run_cycle(5000)
         assert result.features["svc"].components["temperature_mean"] == pytest.approx(20.0)
         assert {r.sensor_id for r in result.trace} == {"t1"}
+
+
+class TestHorizonIndependence:
+    """Per-cycle work must not grow with elapsed time (counted, not timed)."""
+
+    def test_window_candidates_give_the_whole_stream_result(self, monkeypatch):
+        # samples every 3 s on a 1 s grid: the first ticks of a window
+        # interpolate from points that only the temporal tolerance keeps
+        cfg = build_fault_scenario(duration_s=300.0)
+        cfg = replace(cfg, generators=[replace(g, period_s=3.0) for g in cfg.generators])
+        windowed = run_scenario(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(SensorStream, "points_in",
+                          lambda self, start_ms, end_ms: self.points)
+            whole = run_scenario(cfg)
+        assert windowed.features == whole.features
+        assert windowed.trace == whole.trace
+        assert windowed.points_processed == whole.points_processed
+
+    def largest_associate_input(self, monkeypatch, duration_s):
+        calls = {"largest": 0, "closes": 0}
+        inner_associate = pipeline_module.associate
+        inner_close = pipeline_module.close_interval
+
+        def counting_associate(points, *args):
+            calls["largest"] = max(calls["largest"], len(points))
+            return inner_associate(points, *args)
+
+        def counting_close(*args, **kwargs):
+            calls["closes"] += 1
+            return inner_close(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("close_interval re-integrated the rate history")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_module, "associate", counting_associate)
+            patch.setattr(pipeline_module, "close_interval", counting_close)
+            patch.setattr(reliability_module, "cumulative_reliability", forbidden)
+            run_scenario(build_fault_scenario(duration_s=duration_s))
+        assert calls["closes"] > 0
+        return calls["largest"]
+
+    def test_window_input_and_reliability_close_do_not_grow(self, monkeypatch):
+        short = self.largest_associate_input(monkeypatch, 300.0)
+        long = self.largest_associate_input(monkeypatch, 2400.0)
+        assert 0 < short == long

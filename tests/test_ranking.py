@@ -315,3 +315,18 @@ class TestZeroDistanceCharacterization:
             assert rec.d_ma == 0.0
         else:
             assert rec.d_ma > 0.0
+
+
+class TestRankingMatchesComponents:
+    @given(cohort=st.lists(vec5, min_size=1, max_size=8),
+           w=weights5.filter(lambda w: sum(w) > 0))
+    def test_records_equal_public_components_bit_for_bit(self, cohort, w):
+        # rank_and_select skips the per-sensor validation the public
+        # component functions do; the distances must not change
+        states = [make_state(f"s{i}", *u) for i, u in enumerate(cohort)]
+        profile = qos(weights=w)
+        result = rank_and_select(states, profile)
+        for state in states:
+            rec = result.record_for(state.sensor_id)
+            assert rec.d_m == euclidean_component(state, profile.utopia, w)
+            assert rec.d_a == cosine_component(state, profile.utopia, w)

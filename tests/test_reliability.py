@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -148,6 +149,28 @@ class TestCloseInterval:
         assert state.beta_cumulative == pytest.approx(
             poisson_weight(0.5 * 2.0, 2), abs=1e-15
         )
+
+    @given(
+        n=st.integers(min_value=1, max_value=20),
+        start=st.integers(min_value=0, max_value=10**6),
+        seconds_per_unit=st.floats(min_value=0.001, max_value=10.0),
+        pieces=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=40),
+                      st.integers(min_value=1, max_value=60_000)),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_running_integral_matches_reference_bit_for_bit(
+        self, n, start, seconds_per_unit, pieces
+    ):
+        state = ReliabilityState("s1", n_expected=n, interval_start_ms=start)
+        t_ms = start
+        for q, length_ms in pieces:
+            state = replace(state, q=q)
+            t_ms += length_ms
+            state = close_interval(state, t_ms, seconds_per_unit)
+            assert state.beta_cumulative == cumulative_reliability(
+                state.lambda_history, n, start, t_ms, seconds_per_unit)
 
     def test_rejects_non_forward_close(self):
         state = ReliabilityState("s1", n_expected=2, interval_start_ms=5000)
