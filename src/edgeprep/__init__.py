@@ -6,28 +6,13 @@ consistency-based reliability), ranks and selects them against per-service
 QoS targets, fuses and interpolates the surviving streams, and emits
 per-service feature vectors through a unified pipeline that computes shared
 intermediate inferences exactly once.
+
+The top level holds the README's entry points; everything else is imported
+from its module (``edgeprep.model``, ``edgeprep.harness``, ...).
 """
 
-from .model import (
-    ATTRIBUTE_NAMES,
-    ConfigError,
-    DataPoint,
-    Direction,
-    Modality,
-    QosProfile,
-    SensorSpec,
-    SensorStateVector,
-    SensorStream,
-    StaticAttr,
-    UtopiaVector,
-    ValidationReport,
-    merge_streams,
-    validate_spec,
-)
+from .model import ConfigError
 from .voting import (
-    MembershipMatrix,
-    NormalizedMeasurements,
-    OptimalSet,
     VotingConfig,
     assign_accuracy,
     cumulative_scores,
@@ -35,64 +20,7 @@ from .voting import (
     normalize,
     select_optimal,
 )
-from .reliability import (
-    ReliabilityState,
-    close_interval,
-    compute_lambda,
-    cumulative_reliability,
-    interval_reliability,
-    record_observation,
-)
-from .ranking import (
-    RankingResult,
-    SensorDistance,
-    cosine_component,
-    direction_aware_distance,
-    euclidean_component,
-    rank_and_select,
-    scaling_coefficients,
-    static_score,
-    topsis_select,
-)
-from .fusion import (
-    AlignedGrid,
-    FusedStream,
-    KalmanConfig,
-    align,
-    interpolate,
-    kalman_fuse,
-    kalman_fuse_streams,
-)
-from .pipeline import (
-    AssociationPredicate,
-    CycleResult,
-    FeatureCache,
-    FeatureFunction,
-    FeatureVector,
-    Mode,
-    Pipeline,
-    ServiceSpec,
-    TraceRow,
-    WindowSpec,
-    associate,
-    build_feature_registry,
-    compute_feature,
-    form_window,
-    window_ticks,
-)
-from .harness import (
-    FaultKind,
-    FaultSpec,
-    GeneratorSpec,
-    ScenarioConfig,
-    ScenarioReport,
-    compare_modes,
-    generate_synthetic,
-    ingest_csv,
-    inject_faults,
-    load_scenario,
-    run_scenario,
-    write_streams_csv,
-)
+from .pipeline import Mode, Pipeline
+from .harness import compare_modes, load_scenario, run_scenario
 
 __version__ = "0.1.0"

@@ -20,10 +20,10 @@ import yaml
 
 from .harness import (
     Mode,
-    _parse_generator,
     compare_modes,
     generate_synthetic,
     load_scenario,
+    parse_synth_spec,
     render_report,
     run_scenario,
     write_streams_csv,
@@ -86,10 +86,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "synth":
         with open(args.spec, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-        duration = float(raw.get("duration_s", 60.0))
-        generators = [_parse_generator(g, duration) for g in raw.get("generators", ())]
-        streams = generate_synthetic(generators, int(raw.get("seed", 0)))
+            generators, seed = parse_synth_spec(yaml.safe_load(fh))
+        streams = generate_synthetic(generators, seed)
         write_streams_csv(streams, args.out)
         points = sum(len(s) for s in streams.values())
         sys.stdout.write(f"wrote {points} points for {len(streams)} sensors to {args.out}\n")

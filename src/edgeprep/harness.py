@@ -18,9 +18,11 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -28,6 +30,7 @@ import yaml
 from .fusion import KalmanConfig
 from .model import (
     ATTRIBUTE_NAMES,
+    STATIC_ATTRIBUTE_NAMES,
     ConfigError,
     DataPoint,
     Direction,
@@ -39,7 +42,7 @@ from .model import (
     UtopiaVector,
     seconds_to_ms,
 )
-from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
+from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow, WindowSpec
 from .voting import VotingConfig
 
 __all__ = [
@@ -56,6 +59,7 @@ __all__ = [
     "generate_synthetic",
     "load_scenario",
     "parse_scenario",
+    "parse_synth_spec",
     "run_scenario",
     "compare_modes",
     "render_report",
@@ -285,7 +289,6 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
         streams[spec.sensor_id] = SensorStream(
             sensor_id=spec.sensor_id, modality=modality,
             points=tuple(points), modality_tag=tag,
-            period_hint_s=spec.period_s,
         )
     return streams
 
@@ -325,142 +328,170 @@ class ScenarioConfig:
                 )
 
 
-def _parse_weights(raw) -> tuple[float, ...]:
-    if raw is None:
-        return (1.0,) * len(ATTRIBUTE_NAMES)
-    if isinstance(raw, Mapping):
-        unknown = set(raw) - set(ATTRIBUTE_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown weight attributes: {sorted(unknown)}")
-        return tuple(float(raw.get(name, 0.0)) for name in ATTRIBUTE_NAMES)
-    values = [float(v) for v in raw]
-    if len(values) != len(ATTRIBUTE_NAMES):
-        raise ConfigError(f"weights must have {len(ATTRIBUTE_NAMES)} entries")
-    return tuple(values)
+def _mapping(raw, path: str, known=None) -> Mapping:
+    """``raw`` if it is a mapping whose keys are all in ``known`` (if given)."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{path}: expected a mapping, got {raw!r}")
+    for key in raw if known is not None else ():
+        if key not in known:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    return raw
 
 
-def _parse_sensor(raw: Mapping) -> SensorSpec:
-    modality, tag = Modality.parse(str(raw["modality"]))
-    attrs = {}
-    for name, entry in (raw.get("static_attrs") or {}).items():
-        if isinstance(entry, Mapping):
-            direction = Direction(str(entry.get("direction", "cost")))
-            attrs[name] = StaticAttr(value=float(entry["value"]), direction=direction)
-        else:
-            attrs[name] = StaticAttr(value=float(entry))
-    return SensorSpec(
-        sensor_id=str(raw["sensor_id"]),
-        modality=modality,
-        modality_tag=tag,
-        zone=str(raw.get("zone", "default")),
-        static_attrs=attrs,
-    )
+def _items(read, value, path: str) -> list:
+    """Each entry of the list ``value`` read by ``read(entry, entry_path)``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_service(raw: Mapping) -> ServiceSpec:
-    window = raw.get("window")
-    if not isinstance(window, Mapping) or not {"k_l", "k_r", "delta_t_s"} <= set(window):
-        raise ConfigError(
-            f"service {raw.get('service_id')!r}: window requires explicit "
-            "k_l, k_r and delta_t_s"
-        )
-    utopia = raw.get("utopia")
-    qos = QosProfile(
-        service_id=str(raw["service_id"]),
-        utopia=UtopiaVector(tuple(float(v) for v in utopia)) if utopia else UtopiaVector(),
-        weights=_parse_weights(raw.get("weights")),
-        modality_needs=tuple(str(m) for m in raw.get("modalities", ())),
-        granularity_s=float(raw.get("granularity_s", 1.0)),
-        select_count=int(raw.get("select_count", 1)),
-        beta_source=str(raw.get("beta_source", "interval")),
-    )
-    return ServiceSpec(
-        qos=qos,
-        period_s=float(raw["period_s"]),
-        k_l=int(window["k_l"]),
-        k_r=int(window["k_r"]),
-        delta_t_s=float(window["delta_t_s"]),
-        features=tuple(str(f) for f in raw.get("features", ())),
-        max_gap_s=float(raw["max_gap_s"]) if "max_gap_s" in raw else None,
-        zone=str(raw["zone"]) if "zone" in raw else None,
-    )
+def _scalar(tp: type, value, path: str):
+    """``value`` read as ``tp``: int, float, str or an enum."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    try:
+        out = tp(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{path}: cannot read {value!r} as {tp.__name__}") from None
+    if tp is int and out != float(value):
+        raise ConfigError(f"{path}: {value!r} is not an integer")
+    return out
 
 
-def _instant_ms(seconds: float) -> int:
-    ms = round(float(seconds) * 1000.0)
-    if abs(ms - float(seconds) * 1000.0) > 1e-6 or ms < 0:
-        raise ConfigError(f"instant {seconds}s must be a nonnegative whole millisecond")
+def _reader(tp):
+    """``read(value, path)`` for a scalar, an enum, ``X | None`` or a tuple of
+    those; None for any other declared type."""
+    args = get_args(tp)
+    if type(None) in args:
+        read = _reader(next(a for a in args if a is not type(None)))
+        return read and (lambda v, path: None if v is None else read(v, path))
+    if get_origin(tp) is tuple:
+        item = _reader(args[0])
+        return item and (lambda v, path: tuple(_items(item, v, path)))
+    if tp in (int, float, str) or (isinstance(tp, type) and issubclass(tp, enum.Enum)):
+        return partial(_scalar, tp)
+    return None
+
+
+def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
+    """Build the config dataclass ``cls`` from the mapping ``raw`` at ``path``.
+
+    Keys are the init fields :func:`_reader` can read, and those of
+    ``derived``: ``{key: (field or fields, read(value, key_path))}``.  Fields
+    that ``derived`` or the caller's ``given`` set are not keys.  Absent keys
+    take the dataclass's defaults; anything else wrong raises ConfigError.
+    """
+    keys = {k: ((f,) if isinstance(f, str) else f, read)
+            for k, (f, read) in (derived or {}).items()}
+    taken = set(given).union(*(names for names, _ in keys.values()))
+    init = [f for f in fields(cls) if f.init]
+    hints = get_type_hints(cls)
+    for f in init:
+        if f.name not in taken and (read := _reader(hints[f.name])) is not None:
+            keys[f.name] = ((f.name,), read)
+    kwargs = dict(given)
+    for key, value in _mapping(raw, path, keys).items():
+        names, read = keys[key]
+        out = read(value, f"{path}.{key}")
+        kwargs.update(zip(names, out if len(names) > 1 else (out,)))
+    for f in init:
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            key = next((k for k, (names, _) in keys.items() if f.name in names), f.name)
+            raise ConfigError(f"{path}.{key}: required key is missing")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _instant_ms(value, path: str) -> int:
+    ms = round(_scalar(float, value, path) * 1000.0)
+    if abs(ms - float(value) * 1000.0) > 1e-6 or ms < 0:
+        raise ConfigError(f"{path}: instant {value}s must be a nonnegative whole millisecond")
     return int(ms)
 
 
-def _parse_fault(raw: Mapping) -> FaultSpec:
-    return FaultSpec(
-        sensor_id=str(raw["sensor_id"]),
-        kind=FaultKind(str(raw["kind"])),
-        start_ms=_instant_ms(float(raw["start_s"])),
-        end_ms=_instant_ms(float(raw["end_s"])),
-        value=float(raw.get("value", 0.0)),
-        slope_per_s=float(raw.get("slope_per_s", 0.0)),
-        magnitude=float(raw.get("magnitude", 0.0)),
-        rate=float(raw.get("rate", 0.0)),
-        probability=float(raw.get("probability", 0.0)),
-    )
+def _static_attrs(value, path: str) -> dict[str, StaticAttr]:
+    """``{name: {value, direction} | value}`` for the static attribute names."""
+    return {
+        name: _build(StaticAttr, entry if isinstance(entry, Mapping) else {"value": entry},
+                     f"{path}.{name}")
+        for name, entry in _mapping(value, path, STATIC_ATTRIBUTE_NAMES).items()
+    }
 
 
-def _parse_generator(raw: Mapping, default_duration_s: float) -> GeneratorSpec:
-    return GeneratorSpec(
-        sensor_id=str(raw["sensor_id"]),
-        modality=str(raw.get("modality", "other")),
-        base=str(raw.get("base", "constant")),
-        level=float(raw.get("level", 0.0)),
-        amplitude=float(raw.get("amplitude", 0.0)),
-        wavelength_s=float(raw.get("wavelength_s", 60.0)),
-        slope_per_s=float(raw.get("slope_per_s", 0.0)),
-        noise_std=float(raw.get("noise_std", 0.0)),
-        period_s=float(raw.get("period_s", 1.0)),
-        start_s=float(raw.get("start_s", 0.0)),
-        duration_s=float(raw.get("duration_s", default_duration_s)),
-    )
+def _weights(value, path: str) -> tuple[float, ...]:
+    """Weights as a list in attribute order, or by name with omitted ones 0."""
+    if not isinstance(value, Mapping):
+        return tuple(_items(partial(_scalar, float), value, path))
+    return tuple(_scalar(float, _mapping(value, path, ATTRIBUTE_NAMES).get(name, 0.0),
+                         f"{path}.{name}") for name in ATTRIBUTE_NAMES)
+
+
+_WINDOW = ("k_l", "k_r", "delta_t_s")
+_QOS_KEYS = {f.name for f in fields(QosProfile)} | {"modalities"}
+
+
+def _service(value, path: str) -> ServiceSpec:
+    """A service mapping holds its QoS profile's keys beside its own."""
+    qos_raw = {k: v for k, v in _mapping(value, path).items() if k in _QOS_KEYS}
+    qos = _build(QosProfile, qos_raw, path, {
+        "modalities": ("modality_needs", _reader(tuple[str, ...])),
+        "weights": ("weights", _weights),
+        "utopia": ("utopia", lambda v, p: _build(UtopiaVector, {"components": v}, p)),
+    })
+    return _build(ServiceSpec, {k: v for k, v in value.items() if k not in _QOS_KEYS}, path,
+                  {"window": (_WINDOW, lambda v, p: attrgetter(*_WINDOW)(
+                      _build(WindowSpec, v, p, t_i_ms=0)))}, qos=qos)
+
+
+def _generators(value, path: str, outer: Mapping) -> list[GeneratorSpec]:
+    """Generator specs, whose duration defaults to ``outer``'s ``duration_s``."""
+    horizon = {"duration_s": outer["duration_s"]} if "duration_s" in outer else {}
+    return _items(lambda g, p: _build(GeneratorSpec, {**horizon, **_mapping(g, p)}, p),
+                  value, path)
 
 
 def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig:
-    """Build a scenario from a parsed config document."""
-    duration_s = float(raw["duration_s"])
-    sensors = [_parse_sensor(s) for s in raw.get("sensors", ())]
-    services = [_parse_service(s) for s in raw.get("services", ())]
-    streams_raw = raw.get("streams") or {}
-    generators = [
-        _parse_generator(g, duration_s) for g in streams_raw.get("synthetic", ())
-    ]
-    csv_path = streams_raw.get("csv")
-    if csv_path is not None and base_dir is not None:
-        csv_path = str((base_dir / csv_path).resolve())
-    voting_raw = raw.get("voting") or {}
-    kalman_raw = raw.get("kalman") or {}
-    return ScenarioConfig(
-        sensors=sensors,
-        services=services,
-        duration_s=duration_s,
-        seed=int(raw.get("seed", 0)),
-        mode=Mode(str(raw.get("mode", "unified"))),
-        generators=generators,
-        csv_path=csv_path,
-        faults=[_parse_fault(f) for f in raw.get("faults", ())],
-        voting=VotingConfig(
-            p=int(voting_raw.get("p", 2)),
-            c=float(voting_raw.get("c", 2.0)),
-            k=int(voting_raw["k"]) if voting_raw.get("k") is not None else None,
-        ),
-        kalman=KalmanConfig(
-            process_noise=float(kalman_raw.get("process_noise", 1e-3)),
-            measurement_noise=float(kalman_raw.get("measurement_noise", 0.1)),
-            initial_variance=float(kalman_raw.get("initial_variance", 1.0)),
-            initial_state=str(kalman_raw.get("initial_state", "first_measurement")),
-        ),
-        reliability_interval_s=float(raw.get("reliability_interval_s", 10.0)),
-        cache_horizon_s=float(raw.get("cache_horizon_s", 600.0)),
-        presence_threshold=float(raw.get("presence_threshold", 0.4)),
-    )
+    """Build a scenario from a parsed config document.
+
+    Keys are the init fields of :class:`ScenarioConfig` and of the config
+    classes it holds, or stand for some (``streams``, ``modalities``,
+    ``window``, ``start_s``/``end_s``); any other key raises ConfigError.
+    """
+    raw = _mapping(raw, "scenario")
+
+    def streams(value, path: str) -> tuple[list[GeneratorSpec], str | None]:
+        _mapping(value, path, ("synthetic", "csv"))
+        csv_path = _reader(str | None)(value.get("csv"), f"{path}.csv")
+        if csv_path is not None and base_dir is not None:
+            csv_path = str((base_dir / csv_path).resolve())
+        return _generators(value.get("synthetic", []), f"{path}.synthetic", raw), csv_path
+
+    sensor = partial(_build, SensorSpec, derived={
+        "modality": (("modality", "modality_tag"), lambda v, p: Modality.parse(_scalar(str, v, p))),
+        "static_attrs": ("static_attrs", _static_attrs),
+    })
+    fault = partial(_build, FaultSpec, derived={
+        "start_s": ("start_ms", _instant_ms),
+        "end_s": ("end_ms", _instant_ms),
+    })
+    return _build(ScenarioConfig, raw, "scenario", {
+        "sensors": ("sensors", partial(_items, sensor)),
+        "services": ("services", partial(_items, _service)),
+        "faults": ("faults", partial(_items, fault)),
+        "voting": ("voting", partial(_build, VotingConfig)),
+        "kalman": ("kalman", partial(_build, KalmanConfig)),
+        "streams": (("generators", "csv_path"), streams),
+    })
+
+
+def parse_synth_spec(raw: Mapping) -> tuple[list[GeneratorSpec], int]:
+    """Generators and seed of a ``synth`` spec ``{seed, duration_s, generators}``;
+    ``duration_s`` is the generators' default duration."""
+    _mapping(raw, "spec", ("seed", "duration_s", "generators"))
+    seed = _scalar(int, raw.get("seed", ScenarioConfig.seed), "spec.seed")
+    return _generators(raw.get("generators", []), "spec.generators", raw), seed
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -468,8 +499,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{path}: config must be a mapping")
     return parse_scenario(raw, base_dir=path.parent)
 
 
@@ -532,15 +561,6 @@ def _trace_line(row: TraceRow) -> list:
     ]
 
 
-def build_streams_for(cfg: ScenarioConfig, seed: int) -> dict[str, SensorStream]:
-    """Materialize and fault-inject the scenario's streams."""
-    if cfg.csv_path is not None:
-        streams = ingest_csv(cfg.csv_path)
-    else:
-        streams = generate_synthetic(cfg.generators, seed)
-    return inject_faults(streams, cfg.faults, seed)
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: str | Path | None = None,
@@ -550,7 +570,11 @@ def run_scenario(
     """Execute the pipeline over the scenario horizon in one mode."""
     mode = cfg.mode if mode is None else mode
     seed = cfg.seed if seed is None else seed
-    streams = build_streams_for(cfg, seed)
+    if cfg.csv_path is not None:
+        streams = ingest_csv(cfg.csv_path)
+    else:
+        streams = generate_synthetic(cfg.generators, seed)
+    streams = inject_faults(streams, cfg.faults, seed)
     pipeline = Pipeline(
         cfg.sensors,
         cfg.services,
@@ -906,24 +930,19 @@ def _labelled_streams(seed: int, duration_s: float) -> dict[str, SensorStream]:
         "co2": (420.0, 800.0, 15.0),
     }
     sensor_ids = {"motion": ("m1", "m2", "m3"), "co2": ("c1", "c2", "c3")}
-    points: dict[str, list[DataPoint]] = {}
+    streams: dict[str, SensorStream] = {}
     horizon_ms = seconds_to_ms(duration_s)
     for modality, ids in sensor_ids.items():
         empty, busy, noise = levels[modality]
+        m, tag = Modality.parse(modality)
         for sid in ids:
             rng = np.random.default_rng([seed, zlib.crc32(sid.encode())])
             pts = []
             for t_ms in range(1000, horizon_ms + 1, 1000):
                 level = busy if _occupied(t_ms) else empty
                 pts.append(DataPoint(t_ms, float(level + noise * rng.standard_normal()), sid))
-            points[sid] = pts
-    streams = {}
-    for modality, ids in sensor_ids.items():
-        m, tag = Modality.parse(modality)
-        for sid in ids:
             streams[sid] = SensorStream(sensor_id=sid, modality=m,
-                                        points=tuple(points[sid]), modality_tag=tag,
-                                        period_hint_s=1.0)
+                                        points=tuple(pts), modality_tag=tag)
     return streams
 
 

@@ -18,7 +18,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -33,9 +33,6 @@ __all__ = [
     "SensorStateVector",
     "UtopiaVector",
     "QosProfile",
-    "ValidationReport",
-    "validate_spec",
-    "merge_streams",
 ]
 
 #: Fixed order of the five sensor attributes used by ranking and QoS weights.
@@ -127,7 +124,6 @@ class SensorStream:
     modality: Modality
     points: tuple[DataPoint, ...]
     modality_tag: str = ""
-    period_hint_s: float | None = None
     # the points' timestamps, in order, for bisection by the interval queries
     _timestamps: list[int] = field(init=False, repr=False, compare=False)
 
@@ -148,8 +144,6 @@ class SensorStream:
             prev = p.timestamp_ms
             timestamps.append(prev)
         object.__setattr__(self, "_timestamps", timestamps)
-        if self.period_hint_s is not None and self.period_hint_s <= 0:
-            raise ValueError("period_hint_s must be positive when given")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -182,26 +176,6 @@ class SensorStream:
         return self.points[hi - 1]
 
 
-def merge_streams(a: SensorStream, b: SensorStream) -> SensorStream:
-    """Merge two streams of the same sensor into one ordered stream.
-
-    Fails if the sensors differ or the union would violate the
-    strictly-increasing timestamp invariant (duplicate timestamps).
-    """
-    if a.sensor_id != b.sensor_id:
-        raise ValueError(f"cannot merge streams of {a.sensor_id!r} and {b.sensor_id!r}")
-    if a.modality_key != b.modality_key:
-        raise ValueError("cannot merge streams with different modalities")
-    merged = sorted(a.points + b.points, key=lambda p: p.timestamp_ms)
-    return SensorStream(
-        sensor_id=a.sensor_id,
-        modality=a.modality,
-        points=tuple(merged),
-        modality_tag=a.modality_tag,
-        period_hint_s=a.period_hint_s or b.period_hint_s,
-    )
-
-
 @dataclass(frozen=True)
 class StaticAttr:
     """Documented raw value of a static sensor attribute plus its direction."""
@@ -226,41 +200,6 @@ class SensorSpec:
     @property
     def modality_key(self) -> str:
         return modality_label(self.modality, self.modality_tag)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Report-style validation result: empty violations means valid."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_spec(spec: SensorSpec) -> ValidationReport:
-    """Check a sensor spec against the model invariants without mutating it."""
-    problems: list[str] = []
-    if not spec.sensor_id:
-        problems.append("sensor_id is empty")
-    if spec.modality is Modality.OTHER and not spec.modality_tag:
-        problems.append("modality tag is required for non-canonical modalities")
-    if not spec.zone:
-        problems.append("zone tag is empty")
-    for name in STATIC_ATTRIBUTE_NAMES:
-        attr = spec.static_attrs.get(name)
-        if attr is None:
-            problems.append(f"static attribute {name!r} is missing")
-            continue
-        if not math.isfinite(attr.value):
-            problems.append(f"static attribute {name!r} is not finite")
-        elif attr.value < 0:
-            problems.append(f"static attribute {name!r} is negative ({attr.value})")
-    for name in spec.static_attrs:
-        if name not in STATIC_ATTRIBUTE_NAMES:
-            problems.append(f"unknown static attribute {name!r}")
-    return ValidationReport(tuple(problems))
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -362,26 +301,3 @@ def seconds_to_ms(seconds: float) -> int:
         raise ConfigError(f"duration must be positive, got {seconds}s")
     return int(ms)
 
-
-def build_streams(points: Iterable[DataPoint], specs: Mapping[str, SensorSpec] | None = None,
-                  modalities: Mapping[str, str] | None = None) -> dict[str, SensorStream]:
-    """Group loose points into per-sensor streams, sorted and validated.
-
-    Modalities are resolved from ``specs`` when given, otherwise from the
-    ``modalities`` label map, otherwise default to ``OTHER``.
-    """
-    buckets: dict[str, list[DataPoint]] = {}
-    for p in points:
-        buckets.setdefault(p.sensor_id, []).append(p)
-    streams: dict[str, SensorStream] = {}
-    for sid in sorted(buckets):
-        pts = sorted(buckets[sid], key=lambda p: p.timestamp_ms)
-        if specs is not None and sid in specs:
-            modality, tag = specs[sid].modality, specs[sid].modality_tag
-        elif modalities is not None and sid in modalities:
-            modality, tag = Modality.parse(modalities[sid])
-        else:
-            modality, tag = Modality.OTHER, ""
-        streams[sid] = SensorStream(sensor_id=sid, modality=modality,
-                                    points=tuple(pts), modality_tag=tag)
-    return streams

@@ -107,10 +107,6 @@ class WindowSpec:
         object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
         object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
 
-    @property
-    def width_ms(self) -> int:
-        return self.t_b_ms - self.t_a_ms
-
     def contains(self, timestamp_ms: int, tolerance_ms: float = 0.0) -> bool:
         return self.t_a_ms - tolerance_ms < timestamp_ms <= self.t_b_ms + tolerance_ms
 
@@ -712,15 +708,7 @@ class Pipeline:
             self.counters.points_processed += sum(
                 1 for p in subset if window.t_a_ms < p.timestamp_ms <= window.t_b_ms
             )
-            assoc_streams.append(
-                SensorStream(
-                    sensor_id=sid,
-                    modality=stream.modality,
-                    points=subset,
-                    modality_tag=stream.modality_tag,
-                    period_hint_s=stream.period_hint_s,
-                )
-            )
+            assoc_streams.append(replace(stream, points=subset))
         grid = align(assoc_streams, ticks, svc.delta_t_s, svc.gap_s)
         fused = kalman_fuse_streams(grid, self.kalman)
         return WindowSeries(

@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (
     ATTRIBUTE_NAMES,
+    STATIC_ATTRIBUTE_NAMES,
     ConfigError,
     Direction,
     QosProfile,
@@ -92,7 +93,7 @@ def static_score(raw_theta: float, direction: Direction) -> float:
 def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
     """(resolution, response_time, range) scores for one sensor spec."""
     out = []
-    for name in ("resolution", "response_time", "range"):
+    for name in STATIC_ATTRIBUTE_NAMES:
         attr = spec.static_attrs.get(name)
         if attr is None:
             raise ConfigError(f"sensor {spec.sensor_id!r} lacks static attribute {name!r}")

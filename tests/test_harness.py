@@ -1,4 +1,8 @@
+import re
+from pathlib import Path
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +18,11 @@ from edgeprep.harness import (
     inject_faults,
     load_scenario,
     parse_scenario,
+    parse_synth_spec,
     run_scenario,
     write_streams_csv,
 )
-from edgeprep.model import ConfigError, DataPoint, Modality, SensorStream
+from edgeprep.model import ConfigError, DataPoint, Direction, Modality, SensorStream
 from edgeprep.pipeline import Mode
 
 
@@ -236,6 +241,157 @@ class TestScenarioConfigParsing:
                 generators=cfg.generators,
                 faults=cfg.faults,
             )
+
+
+def valid_scenario():
+    """A small scenario document that sets a key at every nesting level."""
+    return {
+        "duration_s": 20,
+        "voting": {"p": 2},
+        "kalman": {"process_noise": 0.001},
+        "sensors": [{
+            "sensor_id": "t1", "modality": "temperature", "zone": "lab",
+            "static_attrs": {"resolution": {"value": 0.5}, "response_time": 1.0,
+                             "range": {"value": 50, "direction": "benefit"}},
+        }],
+        "streams": {"synthetic": [{"sensor_id": "t1", "modality": "temperature", "level": 20}]},
+        "faults": [{"sensor_id": "t1", "kind": "drift", "slope_per_s": 0.5,
+                    "start_s": 0, "end_s": 10}],
+        "services": [{
+            "service_id": "svc", "period_s": 1, "modalities": ["temperature"],
+            "window": {"k_l": 2, "k_r": 0, "delta_t_s": 1.0}, "features": ["temperature_mean"],
+        }],
+    }
+
+
+def valid_synth_spec():
+    return {"seed": 1, "duration_s": 5, "generators": [{"sensor_id": "s1", "level": 2}]}
+
+
+# nesting level -> (parser, that level's mapping within the parser's document)
+LEVELS = {
+    "scenario": (parse_scenario, lambda doc: doc),
+    "sensor": (parse_scenario, lambda doc: doc["sensors"][0]),
+    "static attribute name": (parse_scenario, lambda doc: doc["sensors"][0]["static_attrs"]),
+    "static attribute entry": (
+        parse_scenario, lambda doc: doc["sensors"][0]["static_attrs"]["range"]),
+    "service": (parse_scenario, lambda doc: doc["services"][0]),
+    "window": (parse_scenario, lambda doc: doc["services"][0]["window"]),
+    "streams": (parse_scenario, lambda doc: doc["streams"]),
+    "generator": (parse_scenario, lambda doc: doc["streams"]["synthetic"][0]),
+    "fault": (parse_scenario, lambda doc: doc["faults"][0]),
+    "voting": (parse_scenario, lambda doc: doc["voting"]),
+    "kalman": (parse_scenario, lambda doc: doc["kalman"]),
+    "synth spec": (parse_synth_spec, lambda doc: doc),
+    "synth generator": (parse_synth_spec, lambda doc: doc["generators"][0]),
+}
+
+
+def parse_with(level, key, value):
+    """Parse the valid document for ``level`` with ``key`` set to ``value`` there."""
+    parse, locate = LEVELS[level]
+    doc = valid_scenario() if parse is parse_scenario else valid_synth_spec()
+    parse(doc)
+    if value is None:
+        del locate(doc)[key]
+    else:
+        locate(doc)[key] = value
+    return parse(doc)
+
+
+class TestStrictParsing:
+    def test_valid_documents_take_dataclass_defaults(self):
+        cfg = parse_scenario(valid_scenario())
+        assert cfg.voting.c == 2.0
+        assert cfg.kalman.measurement_noise == 0.1
+        assert cfg.services[0].qos.granularity_s == 1.0
+        assert cfg.services[0].qos.weights == (1.0,) * 5
+        assert cfg.sensors[0].static_attrs["resolution"].direction is Direction.COST
+        assert cfg.generators[0].duration_s == 20.0
+        assert cfg.faults[0].start_ms == 0
+        generators, seed = parse_synth_spec({"generators": [{"sensor_id": "s1"}]})
+        assert seed == 0
+        assert generators == [GeneratorSpec(sensor_id="s1")]
+
+    @pytest.mark.parametrize("level", sorted(LEVELS))
+    def test_unknown_key_at_every_level_is_named(self, level):
+        with pytest.raises(ConfigError, match=r"\.bogus_key: unknown key"):
+            parse_with(level, "bogus_key", 1)
+
+    @pytest.mark.parametrize("level, key", [
+        ("service", "granularity"),        # granularity_s misspelt
+        ("service", "k_l"),                # set by window only
+        ("service", "modality_needs"),     # set by modalities only
+        ("sensor", "modality_tag"),        # set by modality only
+        ("fault", "start_ms"),             # set by start_s only
+        ("scenario", "csv_path"),          # set by streams only
+        ("kalman", "per_source_noise"),    # not configurable from a scenario
+    ])
+    def test_fields_without_a_key_of_their_own_are_unknown(self, level, key):
+        with pytest.raises(ConfigError, match=re.escape(f".{key}: unknown key")):
+            parse_with(level, key, 1)
+
+    @pytest.mark.parametrize("level, key, value", [
+        ("service", "period_s", "abc"),
+        ("generator", "period_s", "abc"),
+        ("scenario", "seed", 1.5),
+        ("scenario", "mode", "fast"),
+        ("window", "k_l", True),
+        ("fault", "kind", "melt"),
+        ("fault", "start_s", 0.0001),
+        ("service", "features", "temperature_mean"),
+        ("static attribute entry", "direction", "sideways"),
+    ])
+    def test_unreadable_value_is_named(self, level, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f".{key}:")):
+            parse_with(level, key, value)
+
+    @pytest.mark.parametrize("level, key", [
+        ("sensor", "sensor_id"),
+        ("sensor", "zone"),
+        ("service", "period_s"),
+        ("service", "window"),
+        ("window", "k_r"),
+        ("fault", "end_s"),
+        ("scenario", "duration_s"),
+    ])
+    def test_missing_required_field_is_named(self, level, key):
+        with pytest.raises(ConfigError, match=re.escape(f".{key}: required key is missing")):
+            parse_with(level, key, None)
+
+    def test_value_the_dataclass_rejects_names_its_level(self):
+        with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):
+            parse_with("voting", "p", 3)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+class TestConfigsAndDocs:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_every_config_loads(self, path):
+        assert load_scenario(path).services
+
+    def test_readme_scenario_block_loads(self):
+        cfg = parse_scenario(yaml.safe_load(readme_block("## Scenario config", "yaml")))
+        assert cfg.services[0].max_gap_s == 2.0
+
+    def test_readme_quickstart_runs(self):
+        namespace = {}
+        exec(readme_block("## Library quickstart", "python"), namespace)
+        assert namespace["alphas"]["d"] < 0.01 < namespace["alphas"]["a"]
+
+    def test_two_service_config_is_the_shared_service_scenario(self):
+        assert load_scenario(ROOT / "configs" / "two_service.yaml") == (
+            build_shared_service_scenario())
 
 
 class TestRunScenario:

@@ -12,11 +12,8 @@ from edgeprep.model import (
     SensorStateVector,
     SensorStream,
     UtopiaVector,
-    merge_streams,
     seconds_to_ms,
-    validate_spec,
 )
-from conftest import make_spec
 
 
 def dp(t, v, sid="s1"):
@@ -80,24 +77,6 @@ class TestSensorStream:
         assert stream.latest_in(start, end) == (expected[-1] if expected else None)
         assert stream.timestamps() == timestamps
 
-    def test_merge_preserves_order(self):
-        a = SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0), dp(30, 3.0)))
-        b = SensorStream("s1", Modality.TEMPERATURE, (dp(20, 2.0),))
-        merged = merge_streams(a, b)
-        assert merged.timestamps() == [10, 20, 30]
-
-    def test_merge_rejects_duplicate_timestamps(self):
-        a = SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0),))
-        b = SensorStream("s1", Modality.TEMPERATURE, (dp(10, 2.0),))
-        with pytest.raises(ValueError):
-            merge_streams(a, b)
-
-    def test_merge_rejects_different_sensors(self):
-        a = SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0),))
-        b = SensorStream("s2", Modality.TEMPERATURE, (dp(20, 2.0, "s2"),))
-        with pytest.raises(ValueError):
-            merge_streams(a, b)
-
 
 class TestModality:
     def test_known_labels(self):
@@ -108,33 +87,6 @@ class TestModality:
         modality, tag = Modality.parse("particulates")
         assert modality is Modality.OTHER
         assert tag == "particulates"
-
-
-class TestValidateSpec:
-    def test_valid_spec_yields_empty_report(self):
-        report = validate_spec(make_spec("s1"))
-        assert report.ok
-        assert report.violations == ()
-
-    def test_negative_static_attr_is_one_violation(self):
-        spec = make_spec("s1", response=-2.0)
-        report = validate_spec(spec)
-        assert not report.ok
-        assert len(report.violations) == 1
-        assert "response_time" in report.violations[0]
-
-    def test_missing_modality_tag_is_flagged(self):
-        spec = make_spec("s1", modality=Modality.OTHER, tag="")
-        report = validate_spec(spec)
-        assert any("tag" in v for v in report.violations)
-
-    def test_missing_static_attr_is_flagged(self):
-        from edgeprep.model import SensorSpec
-
-        attrs = dict(make_spec("s1").static_attrs)
-        del attrs["range"]
-        report = validate_spec(SensorSpec("s1", Modality.TEMPERATURE, "room", attrs))
-        assert any("range" in v for v in report.violations)
 
 
 class TestQosProfile:

@@ -40,7 +40,6 @@ class TestFormWindow:
         w = form_window(100_000, k_l=2, k_r=1, delta_t_s=5.0)
         assert w.t_a_ms == 90_000
         assert w.t_b_ms == 105_000
-        assert w.width_ms == 15_000
 
     def test_causal_boundaries(self):
         assert form_window(100_000, 0, 2, 5.0).t_a_ms == 100_000

@@ -12,10 +12,11 @@ from edgeprep.ranking import (
     euclidean_component,
     rank_and_select,
     scaling_coefficients,
+    static_profile,
     static_score,
     topsis_select,
 )
-from conftest import make_state
+from conftest import make_spec, make_state
 
 
 def qos(weights=(1, 1, 1, 1, 1), count=1, service_id="svc"):
@@ -45,6 +46,14 @@ class TestStaticScore:
             static_score(-0.5, Direction.COST)
         with pytest.raises(ValueError):
             static_score(float("nan"), Direction.BENEFIT)
+
+    def test_profile_needs_every_static_attribute(self):
+        spec = make_spec("s1")
+        assert static_profile(spec) == pytest.approx(
+            (math.exp(-0.5), math.exp(-1.0), math.exp(-1.0 / 51.0)))
+        del spec.static_attrs["range"]
+        with pytest.raises(ConfigError, match="range"):
+            static_profile(spec)
 
 
 class TestEuclideanComponent:
