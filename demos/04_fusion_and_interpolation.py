@@ -9,16 +9,11 @@ drags the fused estimate away from the majority.
 import numpy as np
 
 from edgeprep.fusion import KalmanConfig, align, kalman_fuse_streams
-from edgeprep.model import DataPoint, Modality, SensorStream
-
-
-def stream(sid, pairs):
-    return SensorStream(sid, Modality.TEMPERATURE,
-                        tuple(DataPoint(t, v, sid) for t, v in pairs))
-
+from edgeprep.model import Modality, SensorStream
 
 print("-- alignment --")
-irregular = stream("s1", [(1000, 20.0), (2050, 20.4), (4000, 21.2)])
+irregular = SensorStream("s1", Modality.TEMPERATURE,
+                         timestamps_ms=(1000, 2050, 4000), values=(20.0, 20.4, 21.2))
 ticks = (1000, 2000, 3000, 4000)
 grid = align([irregular], ticks, delta_t_s=1.0, max_gap_s=2.5)
 for tick, value in zip(grid.ticks_ms, grid.values[0]):
@@ -37,7 +32,7 @@ from edgeprep.fusion import AlignedGrid
 grid = AlignedGrid(ticks_ms=ticks, sensor_ids=("a", "b", "c"),
                    values=np.array([healthy[s] for s in ("a", "b", "c")]))
 fused = kalman_fuse_streams(grid, KalmanConfig())
-print(f"  final fused value: {fused.values()[-1]:.3f} (all streams near 21.0)")
+print(f"  final fused value: {fused.values[-1]:.3f} (all streams near 21.0)")
 
 print("\n-- fusion, one faulty stream at +4 --")
 faulty = dict(healthy)
@@ -45,6 +40,6 @@ faulty["c"] = healthy["c"] + 4.0
 grid = AlignedGrid(ticks_ms=ticks, sensor_ids=("a", "b", "c"),
                    values=np.array([faulty[s] for s in ("a", "b", "c")]))
 fused = kalman_fuse_streams(grid, KalmanConfig())
-print(f"  final fused value: {fused.values()[-1]:.3f} "
+print(f"  final fused value: {fused.values[-1]:.3f} "
       "(dragged off the majority by the faulty stream)")
 print("\nthis pull is exactly why selection runs before fusion in the pipeline.")

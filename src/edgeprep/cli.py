@@ -18,6 +18,7 @@ from pathlib import Path
 
 import yaml
 
+from .model import ConfigError
 from .harness import (
     Mode,
     compare_modes,
@@ -62,7 +63,14 @@ def main(argv: list[str] | None = None) -> int:
     _add_compare(sub)
     _add_synth(sub)
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ConfigError, OSError) as exc:
+        sys.stderr.write(f"edgeprep: error: {exc}\n")
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         cfg = load_scenario(args.config)
         mode = Mode(args.mode) if args.mode else None
@@ -84,17 +92,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(f"{name}: wall clock {rep.wall_clock_s:.3f}s\n")
         return 0
 
-    if args.command == "synth":
-        with open(args.spec, encoding="utf-8") as fh:
-            generators, seed = parse_synth_spec(yaml.safe_load(fh))
-        streams = generate_synthetic(generators, seed)
-        write_streams_csv(streams, args.out)
-        points = sum(len(s) for s in streams.values())
-        sys.stdout.write(f"wrote {points} points for {len(streams)} sensors to {args.out}\n")
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # synth
+    with open(args.spec, encoding="utf-8") as fh:
+        generators, seed = parse_synth_spec(yaml.safe_load(fh))
+    streams = generate_synthetic(generators, seed)
+    write_streams_csv(streams, args.out)
+    points = sum(len(s) for s in streams.values())
+    sys.stdout.write(f"wrote {points} points for {len(streams)} sensors to {args.out}\n")
+    return 0
 
 
 if __name__ == "__main__":

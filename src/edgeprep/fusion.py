@@ -11,12 +11,13 @@ moving-average smoothers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import DataPoint, SensorStream
+from .model import SensorStream
 
 __all__ = [
     "KalmanConfig",
@@ -83,36 +84,27 @@ class AlignedGrid:
 
 @dataclass(frozen=True)
 class FusedStream:
-    """Single fused stream produced from several source streams."""
+    """Single fused series produced from several source streams."""
 
-    points: tuple[DataPoint, ...]
+    timestamps_ms: tuple[int, ...]
+    values: tuple[float, ...]
     source_ids: tuple[str, ...]
 
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
 
-    def timestamps(self) -> list[int]:
-        return [p.timestamp_ms for p in self.points]
+def interpolate(t0_ms: int, v0: float, t1_ms: int, v1: float, at_ms: int) -> float:
+    """Linear interpolant at ``at_ms`` between two samples of one stream.
 
-
-def interpolate(before: DataPoint, after: DataPoint, at_ms: int) -> DataPoint:
-    """Linear interpolant between two known points of one stream.
-
-    The target instant must lie inside ``[before, after]``; extrapolation is
+    The target instant must lie inside ``[t0_ms, t1_ms]``; extrapolation is
     refused.  Endpoints reproduce the endpoint values exactly.
     """
-    if before.sensor_id != after.sensor_id:
-        raise ValueError("interpolation requires points from the same sensor")
-    if before.timestamp_ms >= after.timestamp_ms:
-        raise ValueError("'before' must precede 'after'")
-    if not before.timestamp_ms <= at_ms <= after.timestamp_ms:
+    if t0_ms >= t1_ms:
+        raise ValueError("the first sample must precede the second")
+    if not t0_ms <= at_ms <= t1_ms:
         raise ValueError(
-            f"interpolation instant {at_ms} outside "
-            f"[{before.timestamp_ms}, {after.timestamp_ms}] (no extrapolation)"
+            f"interpolation instant {at_ms} outside [{t0_ms}, {t1_ms}] (no extrapolation)"
         )
-    slope = (before.value - after.value) / (before.timestamp_ms - after.timestamp_ms)
-    value = slope * (at_ms - after.timestamp_ms) + after.value
-    return DataPoint(timestamp_ms=at_ms, value=value, sensor_id=before.sensor_id)
+    slope = (v0 - v1) / (t0_ms - t1_ms)
+    return slope * (at_ms - t1_ms) + v1
 
 
 def align(
@@ -137,9 +129,9 @@ def align(
     gap_ms = max_gap_s * 1000.0
     values = np.full((len(ordered), len(ticks)), np.nan)
     for row, stream in enumerate(ordered):
-        ts = stream.timestamps()
+        ts, vs = stream.timestamps_ms, stream.values
         for col, tick in enumerate(ticks):
-            idx = _bisect(ts, tick)
+            idx = bisect_left(ts, tick)
             # nearest sample within half a tick spacing wins
             best = None
             for j in (idx - 1, idx):
@@ -148,31 +140,15 @@ def align(
                     if d <= half_ms and (best is None or d < best[0]):
                         best = (d, j)
             if best is not None:
-                values[row, col] = stream.points[best[1]].value
+                values[row, col] = vs[best[1]]
                 continue
-            prev_j, next_j = idx - 1, idx
-            if 0 <= prev_j and next_j < len(ts):
-                if tick - ts[prev_j] <= gap_ms and ts[next_j] - tick <= gap_ms:
-                    values[row, col] = interpolate(
-                        stream.points[prev_j], stream.points[next_j], tick
-                    ).value
+            if 0 < idx < len(ts) and tick - ts[idx - 1] <= gap_ms and ts[idx] - tick <= gap_ms:
+                values[row, col] = interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick)
     return AlignedGrid(
         ticks_ms=ticks,
         sensor_ids=tuple(s.sensor_id for s in ordered),
         values=values,
     )
-
-
-def _bisect(ts: list[int], tick: int) -> int:
-    """Index of the first timestamp >= tick."""
-    lo, hi = 0, len(ts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ts[mid] < tick:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class _ScalarKalman:
@@ -219,8 +195,8 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
     tick in ascending sensor-id order; ticks with no data are skipped.
     """
     cfg = cfg or KalmanConfig()
-    fused_id = "fused:" + "+".join(grid.sensor_ids)
-    points: list[DataPoint] = []
+    timestamps: list[int] = []
+    values: list[float] = []
     kf: _ScalarKalman | None = None
     for col, tick in enumerate(grid.ticks_ms):
         available = grid.column(col)
@@ -235,5 +211,7 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
         kf.predict()
         for sid, value in available:
             kf.update(value, cfg.noise_for(sid))
-        points.append(DataPoint(timestamp_ms=tick, value=kf.state, sensor_id=fused_id))
-    return FusedStream(points=tuple(points), source_ids=grid.sensor_ids)
+        timestamps.append(tick)
+        values.append(kf.state)
+    return FusedStream(timestamps_ms=tuple(timestamps), values=tuple(values),
+                       source_ids=grid.sensor_ids)

@@ -32,7 +32,6 @@ from .model import (
     ATTRIBUTE_NAMES,
     STATIC_ATTRIBUTE_NAMES,
     ConfigError,
-    DataPoint,
     Direction,
     Modality,
     QosProfile,
@@ -125,12 +124,10 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                 )
             prev_ts, prev_line = ts, lineno
         modality, tag = Modality.parse(modalities[sid])
-        points = tuple(
-            DataPoint(timestamp_ms=ts, value=value, sensor_id=sid)
-            for ts, value, _ in sorted(recs, key=lambda r: r[0])
-        )
+        ordered = sorted(recs, key=lambda r: r[0])
         streams[sid] = SensorStream(sensor_id=sid, modality=modality,
-                                    points=points, modality_tag=tag)
+                                    timestamps_ms=tuple(r[0] for r in ordered),
+                                    values=tuple(r[1] for r in ordered), modality_tag=tag)
     return streams
 
 
@@ -144,8 +141,8 @@ def write_streams_csv(streams: Mapping[str, SensorStream], path: str | Path) -> 
     records = []
     for sid in sorted(streams):
         stream = streams[sid]
-        for p in stream.points:
-            records.append((p.timestamp_ms, sid, stream.modality_key, p.value))
+        for ts, value in zip(stream.timestamps_ms, stream.values):
+            records.append((ts, sid, stream.modality_key, value))
     records.sort(key=lambda r: (r[0], r[1]))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -203,26 +200,24 @@ def inject_faults(
         if stream is None:
             raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
         rng = np.random.default_rng([seed, idx])
-        points: list[DataPoint] = []
-        for p in stream.points:
-            if not fault.active(p.timestamp_ms):
-                points.append(p)
-                continue
-            if fault.kind is FaultKind.STUCK_AT:
-                points.append(replace(p, value=fault.value))
-            elif fault.kind is FaultKind.DRIFT:
-                offset = fault.slope_per_s * (p.timestamp_ms - fault.start_ms) / 1000.0
-                points.append(replace(p, value=p.value + offset))
-            elif fault.kind is FaultKind.SPIKE:
-                value = p.value
-                if rng.random() < fault.rate:
-                    sign = 1.0 if rng.random() < 0.5 else -1.0
-                    value += sign * fault.magnitude
-                points.append(replace(p, value=value))
-            elif fault.kind is FaultKind.DROPOUT:
-                if rng.random() >= fault.probability:
-                    points.append(p)
-        out[fault.sensor_id] = replace(stream, points=tuple(points))
+        timestamps: list[int] = []
+        values: list[float] = []
+        for t_ms, value in zip(stream.timestamps_ms, stream.values):
+            if fault.active(t_ms):
+                if fault.kind is FaultKind.STUCK_AT:
+                    value = fault.value
+                elif fault.kind is FaultKind.DRIFT:
+                    value += fault.slope_per_s * (t_ms - fault.start_ms) / 1000.0
+                elif fault.kind is FaultKind.SPIKE:
+                    if rng.random() < fault.rate:
+                        sign = 1.0 if rng.random() < 0.5 else -1.0
+                        value += sign * fault.magnitude
+                elif rng.random() < fault.probability:  # dropout
+                    continue
+            timestamps.append(t_ms)
+            values.append(value)
+        out[fault.sensor_id] = replace(stream, timestamps_ms=tuple(timestamps),
+                                       values=tuple(values))
     return out
 
 
@@ -269,9 +264,9 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
         period_ms = seconds_to_ms(spec.period_s)
         start_ms = round(spec.start_s * 1000)
         count = round(spec.duration_s * 1000) // period_ms
-        points = []
-        for k in range(1, count + 1):
-            t_ms = start_ms + k * period_ms
+        timestamps = tuple(start_ms + k * period_ms for k in range(1, count + 1))
+        values = []
+        for t_ms in timestamps:
             elapsed_s = (t_ms - start_ms) / 1000.0
             if spec.base == "constant":
                 value = spec.level
@@ -283,12 +278,11 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
                 value = spec.level + spec.slope_per_s * elapsed_s
             if spec.noise_std > 0:
                 value += spec.noise_std * rng.standard_normal()
-            points.append(DataPoint(timestamp_ms=t_ms, value=float(value),
-                                    sensor_id=spec.sensor_id))
+            values.append(float(value))
         modality, tag = Modality.parse(spec.modality)
         streams[spec.sensor_id] = SensorStream(
             sensor_id=spec.sensor_id, modality=modality,
-            points=tuple(points), modality_tag=tag,
+            timestamps_ms=timestamps, values=tuple(values), modality_tag=tag,
         )
     return streams
 
@@ -787,7 +781,7 @@ def build_fault_scenario(
             sensor_id=f"t{i}",
             modality=Modality.TEMPERATURE,
             zone="room",
-            static_attrs=_default_static_attrs(resolution=0.5, response=1.0 + 0.1 * i,
+            static_attrs=_default_static_attrs(resolution=0.5, response=(10 + i) / 10,
                                                sensing_range=50.0),
         )
         for i in range(1, 8)
@@ -937,12 +931,13 @@ def _labelled_streams(seed: int, duration_s: float) -> dict[str, SensorStream]:
         m, tag = Modality.parse(modality)
         for sid in ids:
             rng = np.random.default_rng([seed, zlib.crc32(sid.encode())])
-            pts = []
-            for t_ms in range(1000, horizon_ms + 1, 1000):
-                level = busy if _occupied(t_ms) else empty
-                pts.append(DataPoint(t_ms, float(level + noise * rng.standard_normal()), sid))
-            streams[sid] = SensorStream(sensor_id=sid, modality=m,
-                                        points=tuple(pts), modality_tag=tag)
+            timestamps = tuple(range(1000, horizon_ms + 1, 1000))
+            values = tuple(
+                float((busy if _occupied(t_ms) else empty) + noise * rng.standard_normal())
+                for t_ms in timestamps
+            )
+            streams[sid] = SensorStream(sensor_id=sid, modality=m, timestamps_ms=timestamps,
+                                        values=values, modality_tag=tag)
     return streams
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "ConfigError",
     "Modality",
     "Direction",
-    "DataPoint",
     "SensorStream",
     "StaticAttr",
     "SensorSpec",
@@ -94,86 +93,78 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class DataPoint:
-    """One timestamped measurement from one sensor."""
-
-    timestamp_ms: int
-    value: float
-    sensor_id: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp_ms, int) or isinstance(self.timestamp_ms, bool):
-            raise ValueError("timestamp_ms must be an integer (epoch milliseconds)")
-        if self.timestamp_ms < 0:
-            raise ValueError("timestamp_ms must be >= 0")
-        _check_finite("value", self.value)
-        if not self.sensor_id:
-            raise ValueError("sensor_id must be non-empty")
-
-
 @dataclass(frozen=True)
 class SensorStream:
-    """A time-ordered sequence of points from a single sensor.
+    """A time-ordered series of measurements from a single sensor.
 
-    Points must be strictly increasing by timestamp; duplicate timestamps are
-    rejected at construction.
+    Two parallel columns: ``timestamps_ms`` (non-negative integers, strictly
+    increasing) and ``values`` (finite floats).  Both are validated once, at
+    construction; slices of a stream are streams and are not re-validated.
     """
 
     sensor_id: str
     modality: Modality
-    points: tuple[DataPoint, ...]
+    timestamps_ms: tuple[int, ...]
+    values: tuple[float, ...]
     modality_tag: str = ""
-    # the points' timestamps, in order, for bisection by the interval queries
-    _timestamps: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        timestamps: list[int] = []
-        prev = None
-        for p in self.points:
-            if p.sensor_id != self.sensor_id:
+        if not self.sensor_id:
+            raise ValueError("sensor_id must be non-empty")
+        timestamps = tuple(self.timestamps_ms)
+        values = tuple(float(v) for v in self.values)
+        if len(timestamps) != len(values):
+            raise ValueError(
+                f"{len(timestamps)} timestamps but {len(values)} values "
+                f"for sensor {self.sensor_id!r}"
+            )
+        prev = -1
+        for t in timestamps:
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise ValueError(f"timestamp {t!r} must be an integer (epoch milliseconds)")
+            if t <= prev:
                 raise ValueError(
-                    f"point sensor_id {p.sensor_id!r} does not match stream {self.sensor_id!r}"
+                    f"timestamps must be non-negative and strictly increasing; "
+                    f"{t} follows {prev} for sensor {self.sensor_id!r}"
                 )
-            if prev is not None and p.timestamp_ms <= prev:
-                raise ValueError(
-                    f"timestamps must be strictly increasing; "
-                    f"{p.timestamp_ms} follows {prev} for sensor {self.sensor_id!r}"
-                )
-            prev = p.timestamp_ms
-            timestamps.append(prev)
-        object.__setattr__(self, "_timestamps", timestamps)
+            prev = t
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"value {v!r} of sensor {self.sensor_id!r} is not finite")
+        object.__setattr__(self, "timestamps_ms", timestamps)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.timestamps_ms)
+
+    def __getitem__(self, index: slice) -> SensorStream:
+        """The samples at ``index``, a slice, as a stream of the same sensor."""
+        sub = object.__new__(SensorStream)
+        sub.__dict__.update(self.__dict__, timestamps_ms=self.timestamps_ms[index],
+                            values=self.values[index])
+        return sub
 
     @property
     def modality_key(self) -> str:
         return modality_label(self.modality, self.modality_tag)
 
-    def timestamps(self) -> list[int]:
-        return list(self._timestamps)
-
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
-
-    def points_in(self, start_ms: float, end_ms: float) -> tuple[DataPoint, ...]:
-        """Points within the half-open interval ``]start_ms, end_ms]``.
+    def points_in(self, start_ms: float, end_ms: float) -> SensorStream:
+        """The samples within the half-open interval ``]start_ms, end_ms]``.
 
         Bounds may be fractional milliseconds; the cost is logarithmic in
-        the stream length plus the number of points returned.
+        the stream length plus the number of samples returned.
         """
-        lo = bisect_right(self._timestamps, start_ms)
-        hi = bisect_right(self._timestamps, end_ms)
-        return self.points[lo:hi]
+        ts = self.timestamps_ms
+        return self[bisect_right(ts, start_ms):bisect_right(ts, end_ms)]
 
-    def latest_in(self, start_ms: float, end_ms: float) -> DataPoint | None:
-        """Most recent point within ``]start_ms, end_ms]``, if any."""
-        hi = bisect_right(self._timestamps, end_ms)
-        if hi == 0 or self._timestamps[hi - 1] <= start_ms:
+    def latest_in(self, start_ms: float, end_ms: float) -> tuple[int, float] | None:
+        """``(timestamp_ms, value)`` of the most recent sample within
+        ``]start_ms, end_ms]``, if any."""
+        ts = self.timestamps_ms
+        hi = bisect_right(ts, end_ms)
+        if hi == 0 or ts[hi - 1] <= start_ms:
             return None
-        return self.points[hi - 1]
+        return ts[hi - 1], self.values[hi - 1]
 
 
 @dataclass(frozen=True)

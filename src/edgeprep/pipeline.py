@@ -26,6 +26,7 @@ import enum
 import heapq
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -34,7 +35,6 @@ import numpy as np
 from .fusion import KalmanConfig, align, kalman_fuse_streams
 from .model import (
     ConfigError,
-    DataPoint,
     QosProfile,
     SensorSpec,
     SensorStateVector,
@@ -107,9 +107,6 @@ class WindowSpec:
         object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
         object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
 
-    def contains(self, timestamp_ms: int, tolerance_ms: float = 0.0) -> bool:
-        return self.t_a_ms - tolerance_ms < timestamp_ms <= self.t_b_ms + tolerance_ms
-
 
 def form_window(t_i_ms: int, k_l: int, k_r: int, delta_t_s: float) -> WindowSpec:
     """Anchor a window at ``t_i`` with the given shape."""
@@ -125,7 +122,7 @@ def window_ticks(window: WindowSpec) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AssociationPredicate:
-    """Binary temporal + spatial correlation rules for data points.
+    """Binary temporal + spatial correlation rules for a sensor's samples.
 
     ``zone_of`` must be total: it maps any sensor id to a zone tag (empty
     for unknown sensors).  The temporal rule is window containment with a
@@ -137,19 +134,23 @@ class AssociationPredicate:
 
 
 def associate(
-    points: Sequence[DataPoint],
+    points: SensorStream,
     pred: AssociationPredicate,
     window: WindowSpec,
     zone: str,
-) -> tuple[bool, tuple[DataPoint, ...]]:
-    """Points satisfying both rules, plus a flag (1 iff any survive)."""
+) -> tuple[bool, SensorStream]:
+    """Samples satisfying both rules, plus a flag (1 iff any survive).
+
+    The zone rule holds for all of one sensor's samples or for none; the
+    temporal rule keeps the bisected slice ``]t_a - tol, t_b + tol]``.
+    """
+    if pred.zone_of(points.sensor_id) != zone:
+        return False, points[:0]
+    ts = points.timestamps_ms
     tol_ms = pred.temporal_tolerance_s * 1000.0
-    subset = tuple(
-        p
-        for p in points
-        if window.contains(p.timestamp_ms, tol_ms) and pred.zone_of(p.sensor_id) == zone
-    )
-    return bool(subset), subset
+    subset = points[bisect_right(ts, window.t_a_ms - tol_ms):
+                    bisect_right(ts, window.t_b_ms + tol_ms)]
+    return len(subset) > 0, subset
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +612,9 @@ class Pipeline:
         present: list[tuple[str, float]] = []
         for spec in cohort:
             stream = self.streams.get(spec.sensor_id)
-            point = stream.latest_in(t_ms - gran, t_ms) if stream else None
-            if point is not None:
-                present.append((spec.sensor_id, point.value))
+            latest = stream.latest_in(t_ms - gran, t_ms) if stream else None
+            if latest is not None:
+                present.append((spec.sensor_id, latest[1]))
         self.counters.votes += 1
         in_optimal: set[str] = set()
         if len(present) == 1:
@@ -674,6 +675,7 @@ class Pipeline:
             ]
             count = min(svc.qos.select_count, len(vectors))
             result = rank_and_select(vectors, svc.qos, count)
+        rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
         rows = [
             TraceRow(
                 t_ms=t_ms,
@@ -682,7 +684,7 @@ class Pipeline:
                 d_m=rec.d_m,
                 d_a=rec.d_a,
                 d_ma=rec.d_ma,
-                rank=result.order.index(rec.sensor_id) + 1,
+                rank=rank_of[rec.sensor_id],
                 selected=rec.sensor_id in result.selected,
             )
             for rec in result.records
@@ -705,14 +707,15 @@ class Pipeline:
             # with the window, not with the length of the stream
             candidates = stream.points_in(window.t_a_ms - tol_ms, window.t_b_ms + tol_ms)
             _, subset = associate(candidates, pred, window, zone)
-            self.counters.points_processed += sum(
-                1 for p in subset if window.t_a_ms < p.timestamp_ms <= window.t_b_ms
+            ts = subset.timestamps_ms
+            self.counters.points_processed += (
+                bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
             )
-            assoc_streams.append(replace(stream, points=subset))
+            assoc_streams.append(subset)
         grid = align(assoc_streams, ticks, svc.delta_t_s, svc.gap_s)
         fused = kalman_fuse_streams(grid, self.kalman)
         return WindowSeries(
-            values=np.array(fused.values(), dtype=float),
+            values=np.array(fused.values, dtype=float),
             source_ids=tuple(sorted(selected)),
         )
 

@@ -24,7 +24,7 @@ from edgeprep.harness import (
     occupancy_quality_trial,
     run_scenario,
 )
-from edgeprep.model import DataPoint, QosProfile, SensorStateVector
+from edgeprep.model import QosProfile, SensorStateVector
 from edgeprep.pipeline import Mode
 from edgeprep.ranking import (
     cosine_component,
@@ -212,7 +212,7 @@ def test_c5_fusion_and_interpolation():
     values = np.full((3, len(ticks)), 21.5)
     grid = AlignedGrid(ticks_ms=ticks, sensor_ids=("a", "b", "c"), values=values)
     fused = kalman_fuse_streams(grid, KalmanConfig())
-    for v in fused.values()[4:]:
+    for v in fused.values[4:]:
         assert v == pytest.approx(21.5, abs=1e-9)
 
     # affine-signal interpolation is exact
@@ -224,10 +224,8 @@ def test_c5_fusion_and_interpolation():
         t2 = t1 + int(rng.integers(2, 10_000))
         target = int(rng.integers(t1 + 1, t2))
         line = lambda t: intercept + slope * (t / 1000.0)
-        got = interpolate(
-            DataPoint(t1, line(t1), "s"), DataPoint(t2, line(t2), "s"), target
-        )
-        assert got.value == pytest.approx(line(target), abs=1e-9)
+        got = interpolate(t1, line(t1), t2, line(t2), target)
+        assert got == pytest.approx(line(target), abs=1e-9)
 
     # one deviant stream pulls the fused estimate off the majority
     rows = np.array([
@@ -241,7 +239,7 @@ def test_c5_fusion_and_interpolation():
         values=rows,
     )
     drifted = kalman_fuse_streams(drift_grid, KalmanConfig())
-    final = drifted.values()[-1]
+    final = drifted.values[-1]
     assert final > 10.1
     assert final < 14.0
 

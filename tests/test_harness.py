@@ -22,14 +22,13 @@ from edgeprep.harness import (
     run_scenario,
     write_streams_csv,
 )
-from edgeprep.model import ConfigError, DataPoint, Direction, Modality, SensorStream
+from edgeprep.cli import main
+from edgeprep.model import ConfigError, Direction, Modality, SensorStream
 from edgeprep.pipeline import Mode
 
 
 def stream_of(sid, pairs, modality=Modality.TEMPERATURE):
-    return SensorStream(
-        sid, modality, tuple(DataPoint(t, v, sid) for t, v in pairs)
-    )
+    return SensorStream(sid, modality, tuple(t for t, _ in pairs), tuple(v for _, v in pairs))
 
 
 class TestIngestCsv:
@@ -44,7 +43,7 @@ class TestIngestCsv:
                                     "2000,s1,temperature,21.0\n")
         streams = ingest_csv(path)
         assert list(streams) == ["s1"]
-        assert streams["s1"].values() == [20.5, 21.0]
+        assert streams["s1"].values == (20.5, 21.0)
         assert streams["s1"].modality is Modality.TEMPERATURE
 
     def test_duplicate_timestamp_names_the_line(self, tmp_path):
@@ -96,8 +95,8 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("roundtrip") / "streams.csv"
         write_streams_csv(streams, path)
         back = ingest_csv(path)
-        assert back["s1"].timestamps() == [t for t, _ in pairs]
-        assert back["s1"].values() == [v for _, v in pairs]
+        assert back["s1"].timestamps_ms == tuple(t for t, _ in pairs)
+        assert back["s1"].values == tuple(v for _, v in pairs)
 
 
 class TestInjectFaults:
@@ -107,27 +106,25 @@ class TestInjectFaults:
     def test_stuck_at_replaces_only_inside_the_interval(self):
         fault = FaultSpec("s1", FaultKind.STUCK_AT, 3000, 6000, value=30.0)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
-        for p in out.points:
-            expected = 30.0 if 3000 < p.timestamp_ms <= 6000 else 20.0
-            assert p.value == expected
+        for t, v in zip(out.timestamps_ms, out.values):
+            assert v == (30.0 if 3000 < t <= 6000 else 20.0)
 
     def test_dropout_probability_one_removes_everything_in_interval(self):
         fault = FaultSpec("s1", FaultKind.DROPOUT, 3000, 6000, probability=1.0)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
-        assert [p.timestamp_ms for p in out.points] == [1000, 2000, 3000, 7000, 8000, 9000, 10_000]
+        assert out.timestamps_ms == (1000, 2000, 3000, 7000, 8000, 9000, 10_000)
 
     def test_drift_offset_grows_linearly(self):
         fault = FaultSpec("s1", FaultKind.DRIFT, 0, 10_000, slope_per_s=0.1)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
-        final = out.points[-1]
-        assert final.value == pytest.approx(20.0 + 0.1 * 10.0, abs=1e-12)
+        assert out.values[-1] == pytest.approx(20.0 + 0.1 * 10.0, abs=1e-12)
 
     def test_spike_is_deterministic_under_seed(self):
         fault = FaultSpec("s1", FaultKind.SPIKE, 0, 10_000, magnitude=5.0, rate=0.5)
         a = inject_faults(self.base(), [fault], seed=9)["s1"]
         b = inject_faults(self.base(), [fault], seed=9)["s1"]
-        assert a.values() == b.values()
-        deviations = {round(abs(v - 20.0), 9) for v in a.values()}
+        assert a.values == b.values
+        deviations = {round(abs(v - 20.0), 9) for v in a.values}
         assert deviations <= {0.0, 5.0}
         assert 5.0 in deviations
 
@@ -149,20 +146,20 @@ class TestGenerateSynthetic:
                              level=22.0, period_s=3.0, duration_s=30.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert len(stream) == 10
-        assert set(stream.values()) == {22.0}
+        assert set(stream.values) == {22.0}
 
     def test_degenerate_sinusoid_is_constant(self):
         spec = GeneratorSpec(sensor_id="s1", base="sinusoid", level=5.0, amplitude=0.0,
                              period_s=1.0, duration_s=10.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
-        assert all(v == pytest.approx(5.0, abs=1e-12) for v in stream.values())
+        assert all(v == pytest.approx(5.0, abs=1e-12) for v in stream.values)
 
     def test_same_seed_and_params_give_identical_streams(self):
         spec = GeneratorSpec(sensor_id="s1", base="constant", level=1.0, noise_std=0.5,
                              period_s=1.0, duration_s=20.0)
         a = generate_synthetic([spec], seed=4)["s1"]
         b = generate_synthetic([spec], seed=4)["s1"]
-        assert a.values() == b.values()
+        assert a.values == b.values
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,14 +169,14 @@ class TestGenerateSynthetic:
         spec = GeneratorSpec(sensor_id="s1", base="ramp", level=1.0, slope_per_s=2.0,
                              period_s=1.0, duration_s=5.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
-        assert stream.values() == [3.0, 5.0, 7.0, 9.0, 11.0]
+        assert stream.values == (3.0, 5.0, 7.0, 9.0, 11.0)
 
     def test_duration_not_truncated_by_float_product(self):
         # 1.001 * 1000 is 1000.9999999999999 in binary floating point
         spec = GeneratorSpec(sensor_id="s1", period_s=0.001, duration_s=1.001)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert len(stream) == 1001
-        assert stream.timestamps()[-1] == 1001
+        assert stream.timestamps_ms[-1] == 1001
 
 
 class TestScenarioConfigParsing:
@@ -392,6 +389,27 @@ class TestConfigsAndDocs:
     def test_two_service_config_is_the_shared_service_scenario(self):
         assert load_scenario(ROOT / "configs" / "two_service.yaml") == (
             build_shared_service_scenario())
+
+    def test_fault_config_is_the_fault_scenario(self):
+        assert load_scenario(ROOT / "configs" / "fault_scenario.yaml") == (
+            build_fault_scenario())
+
+
+class TestCli:
+    def test_unknown_key_is_a_one_line_error(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "two_service.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("granularity_s:", "granularity:", 1), encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edgeprep: error: scenario.services[0].granularity: unknown key")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_is_a_one_line_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.yaml")
+        assert main(["compare", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("edgeprep: error: ")
 
 
 class TestRunScenario:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from edgeprep.model import (
     ConfigError,
-    DataPoint,
     Modality,
     QosProfile,
     SensorStateVector,
@@ -16,8 +15,8 @@ from edgeprep.model import (
 )
 
 
-def dp(t, v, sid="s1"):
-    return DataPoint(timestamp_ms=t, value=v, sensor_id=sid)
+def stream_of(timestamps, values, sid="s1"):
+    return SensorStream(sid, Modality.TEMPERATURE, tuple(timestamps), tuple(values))
 
 
 # query bounds on both sides of, and between, the generated timestamps
@@ -27,40 +26,39 @@ bounds = st.one_of(
 )
 
 
-class TestDataPoint:
+class TestSensorStream:
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError):
-            dp(0, float("nan"))
+            stream_of([0], [float("nan")])
         with pytest.raises(ValueError):
-            dp(0, float("inf"))
+            stream_of([0], [float("inf")])
 
     def test_rejects_negative_or_non_integer_timestamps(self):
         with pytest.raises(ValueError):
-            dp(-1, 1.0)
+            stream_of([-1], [1.0])
         with pytest.raises(ValueError):
-            DataPoint(timestamp_ms=1.5, value=1.0, sensor_id="s1")
+            stream_of([1.5], [1.0])
+        with pytest.raises(ValueError):
+            stream_of([True], [1.0])
 
     def test_rejects_empty_sensor_id(self):
         with pytest.raises(ValueError):
-            dp(0, 1.0, sid="")
+            stream_of([0], [1.0], sid="")
 
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(ValueError):
+            stream_of([0, 10], [1.0])
 
-class TestSensorStream:
     def test_requires_strictly_increasing_timestamps(self):
         with pytest.raises(ValueError):
-            SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0), dp(10, 2.0)))
+            stream_of([10, 10], [1.0, 2.0])
         with pytest.raises(ValueError):
-            SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0), dp(5, 2.0)))
-
-    def test_requires_consistent_sensor_id(self):
-        with pytest.raises(ValueError):
-            SensorStream("s1", Modality.TEMPERATURE, (dp(10, 1.0, "s2"),))
+            stream_of([10, 5], [1.0, 2.0])
 
     def test_interval_queries_are_half_open(self):
-        stream = SensorStream("s1", Modality.TEMPERATURE,
-                              tuple(dp(t, float(t)) for t in (10, 20, 30)))
-        assert [p.timestamp_ms for p in stream.points_in(10, 30)] == [20, 30]
-        assert stream.latest_in(10, 30).timestamp_ms == 30
+        stream = stream_of([10, 20, 30], [10.0, 20.0, 30.0])
+        assert stream.points_in(10, 30) == stream_of([20, 30], [20.0, 30.0])
+        assert stream.latest_in(10, 30) == (30, 30.0)
         assert stream.latest_in(30, 40) is None
 
     @given(
@@ -70,12 +68,12 @@ class TestSensorStream:
         end=bounds,
     )
     def test_bisected_queries_match_linear_scan(self, timestamps, start, end):
-        stream = SensorStream("s1", Modality.TEMPERATURE,
-                              tuple(dp(t, 0.0) for t in timestamps))
-        expected = tuple(p for p in stream.points if start < p.timestamp_ms <= end)
-        assert stream.points_in(start, end) == expected
-        assert stream.latest_in(start, end) == (expected[-1] if expected else None)
-        assert stream.timestamps() == timestamps
+        stream = stream_of(timestamps, [float(t) for t in timestamps])
+        expected = [t for t in timestamps if start < t <= end]
+        assert stream.points_in(start, end) == stream_of(expected, [float(t) for t in expected])
+        assert stream.latest_in(start, end) == (
+            (expected[-1], float(expected[-1])) if expected else None
+        )
 
 
 class TestModality:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeprep.model import ConfigError, DataPoint, Modality, QosProfile, SensorStream
+from edgeprep.model import ConfigError, Modality, QosProfile, SensorStream
 from edgeprep.pipeline import (
     AssociationPredicate,
     FeatureCache,
@@ -31,8 +31,9 @@ from edgeprep.harness import (
 from conftest import make_spec
 
 
-def dp(t, v, sid="s1"):
-    return DataPoint(timestamp_ms=t, value=v, sensor_id=sid)
+def stream_of(timestamps, sid="s1"):
+    return SensorStream(sid, Modality.TEMPERATURE, tuple(timestamps),
+                        tuple(float(t) for t in timestamps))
 
 
 class TestFormWindow:
@@ -56,11 +57,11 @@ class TestFormWindow:
         assert window_ticks(w) == (8000, 9000, 10_000)
 
     def test_identical_parameters_give_identical_membership(self):
-        points = [dp(t, 1.0) for t in range(7000, 10_001, 500)]
+        stream = stream_of(range(7000, 10_001, 500))
         w1 = form_window(10_000, 3, 0, 1.0)
         w2 = form_window(10_000, 3, 0, 1.0)
-        in1 = [p for p in points if w1.contains(p.timestamp_ms)]
-        in2 = [p for p in points if w2.contains(p.timestamp_ms)]
+        in1 = stream.points_in(w1.t_a_ms, w1.t_b_ms)
+        in2 = stream.points_in(w2.t_a_ms, w2.t_b_ms)
         assert in1 == in2
 
 
@@ -69,34 +70,40 @@ class TestAssociate:
 
     def test_point_in_window_and_zone(self):
         w = form_window(10_000, 2, 0, 1.0)
-        flag, subset = associate([dp(9000, 1.0, "s1")], self.pred, w, "lab")
+        flag, subset = associate(stream_of([9000], "s1"), self.pred, w, "lab")
         assert flag
         assert len(subset) == 1
 
     def test_wrong_zone_is_excluded(self):
         w = form_window(10_000, 2, 0, 1.0)
-        flag, subset = associate([dp(9000, 1.0, "s2")], self.pred, w, "lab")
+        flag, subset = associate(stream_of([9000], "s2"), self.pred, w, "lab")
         assert not flag
-        assert subset == ()
+        assert len(subset) == 0
 
     def test_empty_point_set(self):
         w = form_window(10_000, 2, 0, 1.0)
-        assert associate([], self.pred, w, "lab") == (False, ())
+        assert associate(stream_of([]), self.pred, w, "lab") == (False, stream_of([]))
 
     def test_window_boundaries_are_half_open(self):
         w = form_window(10_000, 2, 0, 1.0)
-        pts = [dp(8000, 1.0, "s1"), dp(8001, 2.0, "s1"), dp(10_000, 3.0, "s1"),
-               dp(10_001, 4.0, "s1")]
+        pts = stream_of([8000, 8001, 10_000, 10_001], "s1")
         _, subset = associate(pts, self.pred, w, "lab")
-        assert [p.timestamp_ms for p in subset] == [8001, 10_000]
+        assert subset.timestamps_ms == (8001, 10_000)
+
+    def test_tolerance_widens_both_edges(self):
+        w = form_window(10_000, 2, 0, 1.0)
+        pred = replace(self.pred, temporal_tolerance_s=0.5)
+        pts = stream_of([7500, 7501, 10_500, 10_501], "s1")
+        _, subset = associate(pts, pred, w, "lab")
+        assert subset.timestamps_ms == (7501, 10_500)
 
     def test_enlarging_the_window_never_removes_points(self):
-        pts = [dp(t, float(t), "s1") for t in range(6000, 12_001, 500)]
+        pts = stream_of(range(6000, 12_001, 500), "s1")
         small = form_window(10_000, 2, 0, 1.0)
         big = form_window(10_000, 4, 1, 1.0)
         _, inner = associate(pts, self.pred, small, "lab")
         _, outer = associate(pts, self.pred, big, "lab")
-        assert set(inner) <= set(outer)
+        assert set(inner.timestamps_ms) <= set(outer.timestamps_ms)
 
 
 class TestComputeFeature:
@@ -254,6 +261,26 @@ class TestPipeline:
         rows = {r.sensor_id: r for r in result.trace}
         assert rows["t1"].selected and rows["t1"].rank == 1
 
+    def test_trace_ranks_follow_the_distance_order(self):
+        sensors = [make_spec(sid) for sid in ("a", "b", "c")]
+        streams = synth_streams({"a": ("temperature", 28.0), "b": ("temperature", 20.0),
+                                 "c": ("temperature", 20.0)})
+        pipeline = Pipeline(sensors, [simple_service()], streams)
+        for t_ms in range(1000, 5001, 1000):
+            result = pipeline.run_cycle(t_ms)
+        rows = sorted(result.trace, key=lambda r: r.rank)
+        assert [(r.sensor_id, r.rank, r.selected) for r in rows] == [
+            ("b", 1, True), ("c", 2, False), ("a", 3, False)]
+        assert [r.d_ma for r in rows] == sorted(r.d_ma for r in rows)
+
+    def test_points_processed_counts_the_window_not_the_tolerance(self):
+        # window ]3 s, 5 s] with a 2 s tolerance: six samples are aligned,
+        # the two inside the window are counted
+        pipeline = Pipeline([make_spec("t1")], [simple_service()],
+                            synth_streams({"t1": ("temperature", 20.0)}))
+        pipeline.run_cycle(5000)
+        assert pipeline.counters.points_processed == 2
+
     def test_service_error_does_not_break_others(self):
         sensors = [make_spec("t1")]
         ok = simple_service("ok", ("temperature",))
@@ -349,8 +376,7 @@ class TestHorizonIndependence:
         cfg = replace(cfg, generators=[replace(g, period_s=3.0) for g in cfg.generators])
         windowed = run_scenario(cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(SensorStream, "points_in",
-                          lambda self, start_ms, end_ms: self.points)
+            patch.setattr(SensorStream, "points_in", lambda self, s, e: self)
             whole = run_scenario(cfg)
         assert windowed.features == whole.features
         assert windowed.trace == whole.trace
