@@ -7,10 +7,12 @@ per-service mode shows identical feature vectors with strictly fewer
 feature-function invocations when results are shared.
 """
 
-from edgeprep.harness import build_shared_service_scenario, run_scenario
+from pathlib import Path
+
+from edgeprep.harness import load_scenario, run_scenario
 from edgeprep.pipeline import Mode
 
-cfg = build_shared_service_scenario(seed=7, duration_s=60.0)
+cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "two_service.yaml")
 
 unified = run_scenario(cfg, mode=Mode.UNIFIED)
 per_service = run_scenario(cfg, mode=Mode.PER_SERVICE)

@@ -5,11 +5,23 @@ sticks at 30 degrees between 60 s and 180 s; sensor t7 drifts away between
 90 s and 210 s.  With accuracy-priority weights the selection abandons the
 faulty sensors almost immediately; the reliability-priority run reacts as
 soon as their consistency weights collapse.  The static baseline never
-reacts at all.
+reacts at all.  The scenario is configs/fault_scenario.yaml; the
+reliability-priority run swaps in its own service weights.
 """
 
-from edgeprep.harness import build_fault_scenario, run_scenario
+from pathlib import Path
+
+import yaml
+
+from edgeprep.harness import parse_scenario, run_scenario
 from edgeprep.pipeline import Mode
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "fault_scenario.yaml"
+raw = yaml.safe_load(CONFIG.read_text(encoding="utf-8"))
+accuracy_first = parse_scenario(raw)
+raw["services"][0]["weights"] = {"accuracy": 0, "reliability": 1, "resolution": 0.02,
+                                 "response_time": 0.02, "range": 0.02}
+reliability_first = parse_scenario(raw)
 
 
 def describe(title, report):
@@ -23,12 +35,10 @@ def describe(title, report):
     print()
 
 
-describe("accuracy-priority selection",
-         run_scenario(build_fault_scenario(priority="accuracy")))
-describe("reliability-priority selection",
-         run_scenario(build_fault_scenario(priority="reliability")))
+describe("accuracy-priority selection", run_scenario(accuracy_first))
+describe("reliability-priority selection", run_scenario(reliability_first))
 
-static = run_scenario(build_fault_scenario(), mode=Mode.TOPSIS_BASELINE)
+static = run_scenario(accuracy_first, mode=Mode.TOPSIS_BASELINE)
 chosen = {row.sensor_id for row in static.trace if row.selected}
 print(f"static baseline: selects {sorted(chosen)} on every single cycle,")
 print("fault windows included; it has no notion of the changing scores.")

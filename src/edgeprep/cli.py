@@ -18,7 +18,6 @@ from pathlib import Path
 
 import yaml
 
-from .model import ConfigError
 from .harness import (
     Mode,
     compare_modes,
@@ -65,8 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, OSError) as exc:
-        sys.stderr.write(f"edgeprep: error: {exc}\n")
+    except (ValueError, OSError, yaml.YAMLError) as exc:
+        # ValueError covers ConfigError and malformed input CSV rows; a YAML
+        # error spans several lines
+        sys.stderr.write(f"edgeprep: error: {' '.join(str(exc).split())}\n")
         return 2
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,31 +34,20 @@ __all__ = [
 class KalmanConfig:
     """Scalar Kalman filter parameters.
 
-    ``measurement_noise`` applies to every source unless overridden per
-    sensor id in ``per_source_noise``.  ``initial_state`` is either
-    ``"first_measurement"`` or ``"mean"``.
+    ``measurement_noise`` applies to every source.  ``initial_state`` is
+    either ``"first_measurement"`` or ``"mean"``.
     """
 
     process_noise: float = 1e-3
     measurement_noise: float = 0.1
     initial_variance: float = 1.0
     initial_state: str = "first_measurement"
-    per_source_noise: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.process_noise <= 0 or self.measurement_noise <= 0 or self.initial_variance <= 0:
             raise ValueError("process_noise, measurement_noise and initial_variance must be > 0")
         if self.initial_state not in ("first_measurement", "mean"):
             raise ValueError("initial_state must be 'first_measurement' or 'mean'")
-        if self.per_source_noise is not None:
-            bad = {k: v for k, v in self.per_source_noise.items() if v <= 0}
-            if bad:
-                raise ValueError(f"per-source noise must be > 0: {bad}")
-
-    def noise_for(self, sensor_id: str) -> float:
-        if self.per_source_noise and sensor_id in self.per_source_noise:
-            return float(self.per_source_noise[sensor_id])
-        return self.measurement_noise
 
 
 @dataclass(frozen=True)
@@ -162,9 +151,8 @@ class _ScalarKalman:
     def predict(self) -> None:
         self.variance += self.cfg.process_noise
 
-    def update(self, measurement: float, noise: float | None = None) -> None:
-        r = self.cfg.measurement_noise if noise is None else noise
-        gain = self.variance / (self.variance + r)
+    def update(self, measurement: float) -> None:
+        gain = self.variance / (self.variance + self.cfg.measurement_noise)
         self.state += gain * (measurement - self.state)
         self.variance *= 1.0 - gain
 
@@ -209,8 +197,8 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
                 start = sum(v for _, v in available) / len(available)
             kf = _ScalarKalman(cfg, start)
         kf.predict()
-        for sid, value in available:
-            kf.update(value, cfg.noise_for(sid))
+        for _, value in available:
+            kf.update(value)
         timestamps.append(tick)
         values.append(kf.state)
     return FusedStream(timestamps_ms=tuple(timestamps), values=tuple(values),

@@ -32,7 +32,6 @@ from .model import (
     ATTRIBUTE_NAMES,
     STATIC_ATTRIBUTE_NAMES,
     ConfigError,
-    Direction,
     Modality,
     QosProfile,
     SensorSpec,
@@ -62,9 +61,6 @@ __all__ = [
     "run_scenario",
     "compare_modes",
     "render_report",
-    "build_fault_scenario",
-    "build_shared_service_scenario",
-    "occupancy_quality_trial",
 ]
 
 CSV_HEADER = ("timestamp_ms", "sensor_id", "modality", "value")
@@ -744,261 +740,3 @@ def compare_modes(
         (out_dir / "comparison.txt").write_text(comparison.summary(), encoding="utf-8")
     return comparison
 
-
-# ---------------------------------------------------------------------------
-# Canned scenarios
-# ---------------------------------------------------------------------------
-
-def _default_static_attrs(resolution: float = 0.5, response: float = 1.0,
-                          sensing_range: float = 50.0) -> dict[str, StaticAttr]:
-    return {
-        "resolution": StaticAttr(resolution, Direction.COST),
-        "response_time": StaticAttr(response, Direction.COST),
-        "range": StaticAttr(sensing_range, Direction.BENEFIT),
-    }
-
-
-def build_fault_scenario(
-    priority: str = "accuracy",
-    mode: Mode = Mode.UNIFIED,
-    seed: int = 7,
-    duration_s: float = 240.0,
-) -> ScenarioConfig:
-    """Seven redundant temperature sensors, two of them faulty.
-
-    Sensor 3 sticks at a far-off constant and sensor 7 drifts away inside
-    their fault windows; one monitoring service keeps selecting the best
-    sensor under either accuracy-priority or reliability-priority weights.
-    """
-    if priority == "accuracy":
-        weights = (1.0, 0.0, 0.02, 0.02, 0.02)
-    elif priority == "reliability":
-        weights = (0.0, 1.0, 0.02, 0.02, 0.02)
-    else:
-        raise ConfigError(f"unknown priority {priority!r}")
-    sensors = [
-        SensorSpec(
-            sensor_id=f"t{i}",
-            modality=Modality.TEMPERATURE,
-            zone="room",
-            static_attrs=_default_static_attrs(resolution=0.5, response=(10 + i) / 10,
-                                               sensing_range=50.0),
-        )
-        for i in range(1, 8)
-    ]
-    generators = [
-        GeneratorSpec(
-            sensor_id=f"t{i}",
-            modality="temperature",
-            base="sinusoid",
-            level=22.0,
-            amplitude=0.8,
-            wavelength_s=duration_s,
-            noise_std=0.05,
-            period_s=1.0,
-            duration_s=duration_s,
-        )
-        for i in range(1, 8)
-    ]
-    faults = [
-        FaultSpec(sensor_id="t3", kind=FaultKind.STUCK_AT, value=30.0,
-                  start_ms=60_000, end_ms=180_000),
-        FaultSpec(sensor_id="t7", kind=FaultKind.DRIFT, slope_per_s=0.5,
-                  start_ms=90_000, end_ms=210_000),
-    ]
-    service = ServiceSpec(
-        qos=QosProfile(
-            service_id="climate",
-            weights=weights,
-            modality_needs=("temperature",),
-            granularity_s=1.0,
-            select_count=1,
-            beta_source="interval",
-        ),
-        period_s=1.0,
-        k_l=5,
-        k_r=0,
-        delta_t_s=1.0,
-        features=("temperature_mean",),
-    )
-    return ScenarioConfig(
-        sensors=sensors,
-        services=[service],
-        duration_s=duration_s,
-        seed=seed,
-        mode=mode,
-        generators=generators,
-        faults=faults,
-        reliability_interval_s=2.0,
-    )
-
-
-def build_shared_service_scenario(seed: int = 7, duration_s: float = 60.0) -> ScenarioConfig:
-    """Two services with 5 s and 1 s periods sharing sensors and features.
-
-    Both consume the shared presence inference and temperature statistics on
-    identical window shapes, so unified preprocessing can serve one result
-    to both.
-    """
-    sensors = (
-        [
-            SensorSpec(f"m{i}", Modality.MOTION, "room",
-                       _default_static_attrs(0.1, 0.2, 8.0))
-            for i in (1, 2, 3)
-        ]
-        + [
-            SensorSpec(f"t{i}", Modality.TEMPERATURE, "room",
-                       _default_static_attrs(0.5, 1.0, 60.0))
-            for i in (1, 2)
-        ]
-        + [
-            SensorSpec(f"c{i}", Modality.CO2, "room",
-                       _default_static_attrs(5.0, 20.0, 5000.0))
-            for i in (1, 2)
-        ]
-    )
-    generators = (
-        [
-            GeneratorSpec(sensor_id=f"m{i}", modality="motion", base="constant",
-                          level=0.6, noise_std=0.08, period_s=1.0,
-                          duration_s=duration_s)
-            for i in (1, 2, 3)
-        ]
-        + [
-            GeneratorSpec(sensor_id=f"t{i}", modality="temperature", base="sinusoid",
-                          level=22.0, amplitude=0.5, wavelength_s=duration_s,
-                          noise_std=0.05, period_s=1.0, duration_s=duration_s)
-            for i in (1, 2)
-        ]
-        + [
-            GeneratorSpec(sensor_id=f"c{i}", modality="co2", base="constant",
-                          level=520.0, noise_std=8.0, period_s=1.0,
-                          duration_s=duration_s)
-            for i in (1, 2)
-        ]
-    )
-    occupancy = ServiceSpec(
-        qos=QosProfile(
-            service_id="occupancy",
-            modality_needs=("motion", "temperature"),
-            granularity_s=1.0,
-            select_count=1,
-        ),
-        period_s=5.0,
-        k_l=5,
-        k_r=0,
-        delta_t_s=1.0,
-        features=("motion_mean", "temperature_mean", "presence"),
-    )
-    airquality = ServiceSpec(
-        qos=QosProfile(
-            service_id="airquality",
-            modality_needs=("co2", "motion", "temperature"),
-            granularity_s=1.0,
-            select_count=1,
-        ),
-        period_s=1.0,
-        k_l=5,
-        k_r=0,
-        delta_t_s=1.0,
-        features=("co2_mean", "temperature_mean", "presence"),
-    )
-    return ScenarioConfig(
-        sensors=sensors,
-        services=[occupancy, airquality],
-        duration_s=duration_s,
-        seed=seed,
-        generators=generators,
-        reliability_interval_s=5.0,
-    )
-
-
-def _occupied(t_ms: int, block_s: float = 30.0) -> bool:
-    return (t_ms // seconds_to_ms(block_s)) % 2 == 1
-
-
-def _labelled_streams(seed: int, duration_s: float) -> dict[str, SensorStream]:
-    """Synthetic occupancy-driven motion and CO2 streams (1 Hz)."""
-    levels = {
-        "motion": (0.05, 0.8, 0.05),  # empty level, occupied level, noise
-        "co2": (420.0, 800.0, 15.0),
-    }
-    sensor_ids = {"motion": ("m1", "m2", "m3"), "co2": ("c1", "c2", "c3")}
-    streams: dict[str, SensorStream] = {}
-    horizon_ms = seconds_to_ms(duration_s)
-    for modality, ids in sensor_ids.items():
-        empty, busy, noise = levels[modality]
-        m, tag = Modality.parse(modality)
-        for sid in ids:
-            rng = np.random.default_rng([seed, zlib.crc32(sid.encode())])
-            timestamps = tuple(range(1000, horizon_ms + 1, 1000))
-            values = tuple(
-                float((busy if _occupied(t_ms) else empty) + noise * rng.standard_normal())
-                for t_ms in timestamps
-            )
-            streams[sid] = SensorStream(sensor_id=sid, modality=m, timestamps_ms=timestamps,
-                                        values=values, modality_tag=tag)
-    return streams
-
-
-def occupancy_quality_trial(
-    seed: int,
-    duration_s: float = 180.0,
-    motion_threshold: float = 0.4,
-    co2_threshold: float = 600.0,
-) -> tuple[float, float]:
-    """Downstream-quality probe: selection-fused vs all-sensor naive fusion.
-
-    Builds labelled occupancy data with one CO2 sensor stuck at a high
-    value, runs the pipeline in unified (selection) mode and in
-    no-selection mode, and classifies each activation with a fixed
-    two-threshold rule (motion level OR CO2 level).  Returns
-    ``(selected_accuracy, naive_accuracy)`` against the ground-truth labels.
-    """
-    sensors = [
-        SensorSpec(f"m{i}", Modality.MOTION, "room", _default_static_attrs(0.1, 0.2, 8.0))
-        for i in (1, 2, 3)
-    ] + [
-        SensorSpec(f"c{i}", Modality.CO2, "room", _default_static_attrs(5.0, 20.0, 5000.0))
-        for i in (1, 2, 3)
-    ]
-    service = ServiceSpec(
-        qos=QosProfile(
-            service_id="occupancy",
-            weights=(1.0, 0.2, 0.02, 0.02, 0.02),
-            modality_needs=("co2", "motion"),
-            granularity_s=1.0,
-            select_count=1,
-        ),
-        period_s=1.0,
-        k_l=3,
-        k_r=0,
-        delta_t_s=1.0,
-        features=("motion_mean", "co2_mean"),
-    )
-    faults = [
-        FaultSpec(sensor_id="c3", kind=FaultKind.STUCK_AT, value=1200.0,
-                  start_ms=0, end_ms=seconds_to_ms(duration_s)),
-    ]
-    base_streams = _labelled_streams(seed, duration_s)
-
-    def run(mode: Mode) -> float:
-        streams = inject_faults(base_streams, faults, seed)
-        pipeline = Pipeline(sensors, [service], streams, mode=mode,
-                            reliability_interval_s=2.0)
-        horizon_ms = seconds_to_ms(duration_s)
-        hits = total = 0
-        for t_ms in range(pipeline.tick_ms, horizon_ms + 1, pipeline.tick_ms):
-            result = pipeline.run_cycle(t_ms)
-            fv = result.features.get("occupancy")
-            if fv is None or fv.missing:
-                continue
-            predicted = (
-                fv.components["motion_mean"] > motion_threshold
-                or fv.components["co2_mean"] > co2_threshold
-            )
-            hits += int(predicted == _occupied(t_ms))
-            total += 1
-        return hits / total if total else 0.0
-
-    return run(Mode.UNIFIED), run(Mode.NO_SELECTION_FUSED)

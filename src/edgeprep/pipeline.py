@@ -100,9 +100,9 @@ class WindowSpec:
 
     def __post_init__(self) -> None:
         if self.k_l < 0 or self.k_r < 0:
-            raise ValueError("k_l and k_r must be >= 0")
+            raise ConfigError("k_l and k_r must be >= 0")
         if self.k_l == 0 and self.k_r == 0:
-            raise ValueError("degenerate window: k_l and k_r are both 0")
+            raise ConfigError("degenerate window: k_l and k_r are both 0")
         delta_ms = seconds_to_ms(self.delta_t_s)
         object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
         object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
@@ -285,7 +285,7 @@ def _stat_feature(fid: str, modality: str, stat: str) -> FeatureFunction:
     return FeatureFunction(fid=fid, modalities=(modality,), kind="raw_stat", compute=compute)
 
 
-def _presence_feature(threshold: float, modality: str = "motion") -> FeatureFunction:
+def _presence_feature(threshold: float) -> FeatureFunction:
     """Presence detection stand-in: thresholded mean fused motion level.
 
     Illustrative heuristic only, not a calibrated detector; it exists to
@@ -293,12 +293,12 @@ def _presence_feature(threshold: float, modality: str = "motion") -> FeatureFunc
     """
 
     def compute(data: Mapping[str, WindowSeries]) -> np.ndarray:
-        level = float(np.mean(data[modality].values))
+        level = float(np.mean(data["motion"].values))
         return np.array([1.0 if level > threshold else 0.0])
 
     return FeatureFunction(
         fid="presence",
-        modalities=(modality,),
+        modalities=("motion",),
         kind="low_level_inference",
         compute=compute,
     )
@@ -307,7 +307,6 @@ def _presence_feature(threshold: float, modality: str = "motion") -> FeatureFunc
 def build_feature_registry(
     feature_ids: Sequence[str],
     presence_threshold: float = 0.4,
-    presence_modality: str = "motion",
 ) -> dict[str, FeatureFunction]:
     """Resolve feature ids like ``temperature_mean`` or ``presence``.
 
@@ -319,7 +318,7 @@ def build_feature_registry(
         if fid in registry:
             continue
         if fid == "presence":
-            registry[fid] = _presence_feature(presence_threshold, presence_modality)
+            registry[fid] = _presence_feature(presence_threshold)
             continue
         modality, _, stat = fid.rpartition("_")
         if not modality or stat not in _STATS:
@@ -346,12 +345,12 @@ class ServiceSpec:
     zone: str | None = None
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ConfigError("service period must be positive")
+        seconds_to_ms(self.period_s)
+        form_window(0, self.k_l, self.k_r, self.delta_t_s)
         if not self.features:
             raise ConfigError("service must declare at least one feature")
-        if self.k_l < 0 or self.k_r < 0 or (self.k_l == 0 and self.k_r == 0):
-            raise ConfigError("window needs k_l, k_r >= 0 and not both zero")
+        if self.max_gap_s is not None and not self.max_gap_s >= 0:
+            raise ConfigError(f"max_gap_s must be >= 0, got {self.max_gap_s}")
         object.__setattr__(self, "features", tuple(self.features))
 
     @property
@@ -411,12 +410,10 @@ class _SensorDyn:
 
     __slots__ = ("alpha", "alpha_t_ms", "rel")
 
-    def __init__(self, sensor_id: str, n_expected: int, start_ms: int):
+    def __init__(self, sensor_id: str, n_expected: int):
         self.alpha = 1.0
-        self.alpha_t_ms = start_ms
-        self.rel = ReliabilityState(
-            sensor_id=sensor_id, n_expected=n_expected, interval_start_ms=start_ms
-        )
+        self.alpha_t_ms = 0
+        self.rel = ReliabilityState(sensor_id=sensor_id, n_expected=n_expected)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +440,10 @@ class Pipeline:
         reliability_interval_s: float = 10.0,
         cache_horizon_s: float = 600.0,
         presence_threshold: float = 0.4,
-        registry: Mapping[str, FeatureFunction] | None = None,
-        start_ms: int = 0,
     ):
         self.mode = mode
         self.voting = voting or VotingConfig()
         self.kalman = kalman or KalmanConfig()
-        self.start_ms = start_ms
         self.reliability_interval_ms = seconds_to_ms(reliability_interval_s)
         self.cache_horizon_ms = seconds_to_ms(cache_horizon_s)
         self.counters = Counters()
@@ -471,10 +465,9 @@ class Pipeline:
                 raise ConfigError(f"duplicate service id {svc.service_id!r}")
             seen.add(svc.service_id)
 
-        if registry is None:
-            all_features = [fid for svc in self.services for fid in svc.features]
-            registry = build_feature_registry(all_features, presence_threshold)
-        self.registry = dict(registry)
+        self.registry = build_feature_registry(
+            [fid for svc in self.services for fid in svc.features], presence_threshold
+        )
         for svc in self.services:
             for fid in svc.features:
                 fn = self.registry.get(fid)
@@ -513,9 +506,7 @@ class Pipeline:
                 1, self.reliability_interval_ms // self._granularity_ms[mk]
             )
             for spec in cohort:
-                self._dyn[spec.sensor_id] = _SensorDyn(
-                    spec.sensor_id, int(n_expected), start_ms
-                )
+                self._dyn[spec.sensor_id] = _SensorDyn(spec.sensor_id, int(n_expected))
                 self._sensor_granularity_s[spec.sensor_id] = (
                     self._granularity_ms[mk] / 1000.0
                 )
@@ -537,7 +528,7 @@ class Pipeline:
                     if not live:
                         continue
                     vectors = [
-                        self._state_vector(spec.sensor_id, start_ms, "interval")
+                        self._state_vector(spec.sensor_id, 0, "interval")
                         for spec in live
                     ]
                     count = min(svc.qos.select_count, len(vectors))
@@ -604,7 +595,7 @@ class Pipeline:
     # -- cohort maintenance --------------------------------------------------
 
     def _due(self, t_ms: int, step_ms: int) -> bool:
-        return t_ms > self.start_ms and (t_ms - self.start_ms) % step_ms == 0
+        return t_ms > 0 and t_ms % step_ms == 0
 
     def _vote(self, mk: str, t_ms: int) -> None:
         cohort = self._cohorts[mk]
@@ -654,7 +645,7 @@ class Pipeline:
         for svc in self.services:
             period_ms = seconds_to_ms(svc.period_s)
             warmup = svc.k_l * seconds_to_ms(svc.delta_t_s)
-            if self._due(t_ms, period_ms) and t_ms - self.start_ms >= warmup:
+            if self._due(t_ms, period_ms) and t_ms >= warmup:
                 due.append(svc)
         return due
 

@@ -1,5 +1,9 @@
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+
+from edgeprep.harness import parse_scenario
 from edgeprep.model import (
     Direction,
     Modality,
@@ -33,3 +37,22 @@ def make_state(sid, alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.5, kappa=0.5, t_ms
 @pytest.fixture
 def qos_all_ones():
     return QosProfile(service_id="svc")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: weights of a service that ranks sensors by consistency first
+RELIABILITY_FIRST = {"accuracy": 0, "reliability": 1, "resolution": 0.02,
+                     "response_time": 0.02, "range": 0.02}
+
+
+def load_config(name, duration_s=None, weights=None):
+    """``configs/<name>.yaml`` as a scenario, with its horizon and every
+    service's weights replaced when given."""
+    path = CONFIGS / f"{name}.yaml"
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    if duration_s is not None:
+        raw["duration_s"] = duration_s
+    for service in raw["services"] if weights is not None else ():
+        service["weights"] = weights
+    return parse_scenario(raw, base_dir=path.parent)

@@ -11,6 +11,7 @@ counting for the unified-preprocessing claims.
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,14 @@ from scipy import stats
 
 from edgeprep.fusion import AlignedGrid, KalmanConfig, interpolate, kalman_fuse_streams
 from edgeprep.harness import (
-    build_fault_scenario,
-    build_shared_service_scenario,
-    occupancy_quality_trial,
+    FaultKind,
+    FaultSpec,
+    ScenarioConfig,
     run_scenario,
+    write_streams_csv,
 )
-from edgeprep.model import QosProfile, SensorStateVector
-from edgeprep.pipeline import Mode
+from edgeprep.model import Modality, QosProfile, SensorStateVector, SensorStream
+from edgeprep.pipeline import Mode, ServiceSpec
 from edgeprep.ranking import (
     cosine_component,
     direction_aware_distance,
@@ -48,6 +50,7 @@ from edgeprep.voting import (
     normalize,
     select_optimal,
 )
+from conftest import RELIABILITY_FIRST, load_config, make_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -249,15 +252,15 @@ def test_c5_fusion_and_interpolation():
 def test_c6_fault_avoidance_and_static_baseline():
     started = time.perf_counter()
 
-    for priority in ("accuracy", "reliability"):
-        cfg = build_fault_scenario(priority=priority)
+    for priority, weights in (("accuracy", None), ("reliability", RELIABILITY_FIRST)):
+        cfg = load_config("fault_scenario", weights=weights)
         report = run_scenario(cfg)
         for sensor_id in ("t3", "t7"):
             rate = report.avoidance_rate(sensor_id)
             assert rate is not None
             assert rate >= 0.95, f"{priority}: {sensor_id} avoided only {rate:.3f}"
 
-    topsis_report = run_scenario(build_fault_scenario(), mode=Mode.TOPSIS_BASELINE)
+    topsis_report = run_scenario(load_config("fault_scenario"), mode=Mode.TOPSIS_BASELINE)
     selected_per_tick = {}
     for row in topsis_report.trace:
         if row.selected:
@@ -271,7 +274,7 @@ def test_c6_fault_avoidance_and_static_baseline():
 
 
 def test_c7_unified_preprocessing_counts():
-    cfg = build_shared_service_scenario()
+    cfg = load_config("two_service")
     unified = run_scenario(cfg, mode=Mode.UNIFIED)
     per_service = run_scenario(cfg, mode=Mode.PER_SERVICE)
 
@@ -292,12 +295,76 @@ def test_c7_unified_preprocessing_counts():
     )
 
 
-def test_c8_downstream_quality_with_corrupted_sensor():
+def occupied(t_ms: int) -> bool:
+    """Ground truth of the c8 room: empty and occupied in turn, 30 s each."""
+    return (t_ms // 30_000) % 2 == 1
+
+
+def labelled_streams(seed: int, duration_s: int) -> dict[str, SensorStream]:
+    """Occupancy-driven 1 Hz streams from three motion and three CO2 sensors."""
+    levels = {  # empty level, occupied level, noise
+        Modality.MOTION: (0.05, 0.8, 0.05),
+        Modality.CO2: (420.0, 800.0, 15.0),
+    }
+    timestamps = tuple(range(1000, duration_s * 1000 + 1, 1000))
+    streams = {}
+    for modality, prefix in ((Modality.MOTION, "m"), (Modality.CO2, "c")):
+        empty, busy, noise = levels[modality]
+        for sid in (f"{prefix}{i}" for i in (1, 2, 3)):
+            rng = np.random.default_rng([seed, zlib.crc32(sid.encode())])
+            values = tuple(
+                float((busy if occupied(t_ms) else empty) + noise * rng.standard_normal())
+                for t_ms in timestamps
+            )
+            streams[sid] = SensorStream(sid, modality, timestamps, values)
+    return streams
+
+
+def occupancy_accuracy(csv_path: Path, seed: int, mode: Mode, duration_s: int = 180) -> float:
+    """Accuracy of a motion-or-CO2 threshold rule on the occupancy service's
+    features, with sensor c3 stuck at a high CO2 level throughout."""
+    sensors = [
+        make_spec(f"m{i}", Modality.MOTION, resolution=0.1, response=0.2, sensing_range=8.0)
+        for i in (1, 2, 3)
+    ] + [
+        make_spec(f"c{i}", Modality.CO2, resolution=5.0, response=20.0, sensing_range=5000.0)
+        for i in (1, 2, 3)
+    ]
+    service = ServiceSpec(
+        qos=QosProfile(
+            service_id="occupancy",
+            weights=(1.0, 0.2, 0.02, 0.02, 0.02),
+            modality_needs=("co2", "motion"),
+            granularity_s=1.0,
+            select_count=1,
+        ),
+        period_s=1.0,
+        k_l=3,
+        k_r=0,
+        delta_t_s=1.0,
+        features=("motion_mean", "co2_mean"),
+    )
+    stuck = FaultSpec(sensor_id="c3", kind=FaultKind.STUCK_AT, value=1200.0,
+                      start_ms=0, end_ms=duration_s * 1000)
+    cfg = ScenarioConfig(sensors=sensors, services=[service], duration_s=duration_s,
+                         seed=seed, mode=mode, csv_path=str(csv_path), faults=[stuck],
+                         reliability_interval_s=2.0)
+    hits = [
+        (fv.components["motion_mean"] > 0.4 or fv.components["co2_mean"] > 600.0)
+        == occupied(fv.t_ms)
+        for fv in run_scenario(cfg).features
+        if not fv.missing
+    ]
+    return sum(hits) / len(hits) if hits else 0.0
+
+
+def test_c8_downstream_quality_with_corrupted_sensor(tmp_path):
     selected_acc, naive_acc = [], []
     for seed in range(20):
-        sel, naive = occupancy_quality_trial(seed=seed)
-        selected_acc.append(sel)
-        naive_acc.append(naive)
+        csv_path = tmp_path / f"occupancy-{seed}.csv"
+        write_streams_csv(labelled_streams(seed, 180), csv_path)
+        selected_acc.append(occupancy_accuracy(csv_path, seed, Mode.UNIFIED))
+        naive_acc.append(occupancy_accuracy(csv_path, seed, Mode.NO_SELECTION_FUSED))
     mean_selected = float(np.mean(selected_acc))
     mean_naive = float(np.mean(naive_acc))
     assert mean_selected >= mean_naive

@@ -124,8 +124,6 @@ class TestKalmanFuse:
             KalmanConfig(process_noise=0.0)
         with pytest.raises(ValueError):
             KalmanConfig(initial_state="median")
-        with pytest.raises(ValueError):
-            KalmanConfig(per_source_noise={"s1": 0.0})
 
 
 class TestKalmanFuseStreams:

@@ -10,8 +10,6 @@ from edgeprep.harness import (
     FaultKind,
     FaultSpec,
     GeneratorSpec,
-    build_fault_scenario,
-    build_shared_service_scenario,
     compare_modes,
     generate_synthetic,
     ingest_csv,
@@ -25,6 +23,7 @@ from edgeprep.harness import (
 from edgeprep.cli import main
 from edgeprep.model import ConfigError, Direction, Modality, SensorStream
 from edgeprep.pipeline import Mode
+from conftest import load_config
 
 
 def stream_of(sid, pairs, modality=Modality.TEMPERATURE):
@@ -229,7 +228,7 @@ class TestScenarioConfigParsing:
             parse_scenario(raw)
 
     def test_fault_beyond_horizon_rejected(self):
-        cfg = build_fault_scenario()
+        cfg = load_config("fault_scenario")
         with pytest.raises(ConfigError):
             type(cfg)(
                 sensors=cfg.sensors,
@@ -322,7 +321,6 @@ class TestStrictParsing:
         ("sensor", "modality_tag"),        # set by modality only
         ("fault", "start_ms"),             # set by start_s only
         ("scenario", "csv_path"),          # set by streams only
-        ("kalman", "per_source_noise"),    # not configurable from a scenario
     ])
     def test_fields_without_a_key_of_their_own_are_unknown(self, level, key):
         with pytest.raises(ConfigError, match=re.escape(f".{key}: unknown key")):
@@ -360,6 +358,11 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):
             parse_with("voting", "p", 3)
 
+    @pytest.mark.parametrize("key, value", [("period_s", 0.0001), ("max_gap_s", -1.0)])
+    def test_service_the_cycle_cannot_run_is_named(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape("scenario.services[0]: ")):
+            parse_with("service", key, value)
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -386,14 +389,6 @@ class TestConfigsAndDocs:
         exec(readme_block("## Library quickstart", "python"), namespace)
         assert namespace["alphas"]["d"] < 0.01 < namespace["alphas"]["a"]
 
-    def test_two_service_config_is_the_shared_service_scenario(self):
-        assert load_scenario(ROOT / "configs" / "two_service.yaml") == (
-            build_shared_service_scenario())
-
-    def test_fault_config_is_the_fault_scenario(self):
-        assert load_scenario(ROOT / "configs" / "fault_scenario.yaml") == (
-            build_fault_scenario())
-
 
 class TestCli:
     def test_unknown_key_is_a_one_line_error(self, tmp_path, capsys):
@@ -411,10 +406,32 @@ class TestCli:
         assert main(["compare", "--config", missing, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("edgeprep: error: ")
 
+    def test_yaml_syntax_error_is_a_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: 7\nduration_s: [\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edgeprep: error: ")
+        assert err.count("\n") == 1
+
+    def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "streams.csv").write_text(
+            "timestamp_ms,sensor_id,modality,value\n1000,t1,temperature,abc\n",
+            encoding="utf-8")
+        doc = valid_scenario()
+        doc["streams"] = {"csv": "streams.csv"}
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edgeprep: error: ")
+        assert ":2: malformed row" in err
+        assert err.count("\n") == 1
+
 
 class TestRunScenario:
     def test_deterministic_at_the_library_level(self):
-        cfg = build_shared_service_scenario(duration_s=20.0)
+        cfg = load_config("two_service", duration_s=20)
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         assert a.features == b.features
@@ -422,7 +439,7 @@ class TestRunScenario:
         assert a.points_processed == b.points_processed
 
     def test_writes_expected_artifacts(self, tmp_path):
-        cfg = build_shared_service_scenario(duration_s=20.0)
+        cfg = load_config("two_service", duration_s=20)
         report = run_scenario(cfg, out_dir=tmp_path)
         assert (tmp_path / "selection_trace.csv").exists()
         assert (tmp_path / "report.txt").exists()
@@ -434,7 +451,7 @@ class TestRunScenario:
         assert "wall" not in text  # timings never enter artifacts
 
     def test_starved_service_is_reported_and_run_continues(self):
-        cfg = build_shared_service_scenario(duration_s=20.0)
+        cfg = load_config("two_service", duration_s=20)
         starved = cfg.services[0]
         qos = starved.qos
         from dataclasses import replace
@@ -448,7 +465,7 @@ class TestRunScenario:
 
 class TestCompareModes:
     def test_counts_and_verdict(self, tmp_path):
-        cfg = build_shared_service_scenario(duration_s=20.0)
+        cfg = load_config("two_service", duration_s=20)
         comparison = compare_modes(cfg, out_dir=tmp_path)
         assert comparison.features_identical is True
         uni = comparison.reports["unified"]
@@ -460,7 +477,7 @@ class TestCompareModes:
         assert (tmp_path / "unified" / "report.txt").exists()
 
     def test_single_service_has_nothing_to_share(self):
-        cfg = build_fault_scenario()
+        cfg = load_config("fault_scenario")
         cfg.faults = []
         comparison = compare_modes(cfg, modes=(Mode.UNIFIED, Mode.PER_SERVICE))
         uni = comparison.reports["unified"]

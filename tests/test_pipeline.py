@@ -22,13 +22,8 @@ from edgeprep.pipeline import (
 )
 import edgeprep.pipeline as pipeline_module
 import edgeprep.reliability as reliability_module
-from edgeprep.harness import (
-    GeneratorSpec,
-    build_fault_scenario,
-    generate_synthetic,
-    run_scenario,
-)
-from conftest import make_spec
+from edgeprep.harness import GeneratorSpec, generate_synthetic, run_scenario
+from conftest import load_config, make_spec
 
 
 def stream_of(timestamps, sid="s1"):
@@ -345,6 +340,17 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             Pipeline(sensors, [bad], streams)
 
+    @pytest.mark.parametrize("field, value", [
+        ("period_s", 0.0),
+        ("period_s", 0.0001),  # not a whole millisecond
+        ("delta_t_s", 0.0),
+        ("k_l", 0),            # with k_r = 0
+        ("max_gap_s", -1.0),
+    ])
+    def test_service_the_cycle_cannot_run_is_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            replace(simple_service(), **{field: value})
+
     def test_alpha_tracks_voted_outliers(self):
         sensors = [make_spec(f"t{i}") for i in (1, 2, 3)]
         streams = synth_streams({"t1": ("temperature", 20.0),
@@ -372,7 +378,7 @@ class TestHorizonIndependence:
     def test_window_candidates_give_the_whole_stream_result(self, monkeypatch):
         # samples every 3 s on a 1 s grid: the first ticks of a window
         # interpolate from points that only the temporal tolerance keeps
-        cfg = build_fault_scenario(duration_s=300.0)
+        cfg = load_config("fault_scenario", duration_s=300)
         cfg = replace(cfg, generators=[replace(g, period_s=3.0) for g in cfg.generators])
         windowed = run_scenario(cfg)
         with monkeypatch.context() as patch:
@@ -402,7 +408,7 @@ class TestHorizonIndependence:
             patch.setattr(pipeline_module, "associate", counting_associate)
             patch.setattr(pipeline_module, "close_interval", counting_close)
             patch.setattr(reliability_module, "cumulative_reliability", forbidden)
-            run_scenario(build_fault_scenario(duration_s=duration_s))
+            run_scenario(load_config("fault_scenario", duration_s=duration_s))
         assert calls["closes"] > 0
         return calls["largest"]
 
