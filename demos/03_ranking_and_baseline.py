@@ -7,15 +7,19 @@ ever sees the attribute snapshot, its choice cannot react to the dynamic
 scores changing.
 """
 
-from edgeprep.model import QosProfile, SensorStateVector
+import numpy as np
+
+from edgeprep.model import QosProfile
 from edgeprep.ranking import rank_and_select, topsis_select
 
-cohort = [
-    #                    alpha beta  gamma eps   kappa
-    SensorStateVector("accurate_but_flaky", 0, 0.98, 0.30, 0.8, 0.7, 0.9),
-    SensorStateVector("steady_but_coarse", 0, 0.75, 0.95, 0.5, 0.6, 0.8),
-    SensorStateVector("balanced", 0, 0.85, 0.80, 0.7, 0.7, 0.8),
-]
+# a cohort is its ascending sensor ids plus one attribute row per id
+sensor_ids = ("accurate_but_flaky", "balanced", "steady_but_coarse")
+states = np.array([
+    # alpha beta  gamma eps  kappa
+    [0.98, 0.30, 0.8, 0.7, 0.9],
+    [0.85, 0.80, 0.7, 0.7, 0.8],
+    [0.75, 0.95, 0.5, 0.6, 0.8],
+])
 
 
 def show(title, result):
@@ -31,10 +35,12 @@ def show(title, result):
 accuracy_first = QosProfile(service_id="svc", weights=(5, 0.5, 1, 1, 1))
 reliability_first = QosProfile(service_id="svc", weights=(0.5, 5, 1, 1, 1))
 
-show("accuracy-priority weights", rank_and_select(cohort, accuracy_first, 1))
-show("reliability-priority weights", rank_and_select(cohort, reliability_first, 1))
+show("accuracy-priority weights",
+     rank_and_select(sensor_ids, states, accuracy_first, 1))
+show("reliability-priority weights",
+     rank_and_select(sensor_ids, states, reliability_first, 1))
 show("TOPSIS baseline (same snapshot, accuracy weights)",
-     topsis_select(cohort, accuracy_first, 1))
+     topsis_select(sensor_ids, states, accuracy_first, 1))
 
 print("swap the weights and the adaptive ranking swaps its choice;")
 print("the baseline would keep re-ranking the same frozen snapshot forever.")

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``     execute one scenario in one mode and write its artifacts
-* ``compare`` execute every mode on identical inputs and compare counts
+* ``compare`` execute every mode on identical inputs and compare counts;
+  exits 1 when any mode failed
 * ``synth``   materialize synthetic streams from a generator spec into CSV
 
 Output files are fully determined by the config and seed; wall-clock
@@ -91,7 +92,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         for name in sorted(comparison.reports):
             rep = comparison.reports[name]
             sys.stdout.write(f"{name}: wall clock {rep.wall_clock_s:.3f}s\n")
-        return 0
+        return 1 if comparison.failures else 0
 
     # synth
     with open(args.spec, encoding="utf-8") as fh:

@@ -453,6 +453,9 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
 
     def streams(value, path: str) -> tuple[list[GeneratorSpec], str | None]:
         _mapping(value, path, ("synthetic", "csv"))
+        if "synthetic" in value and "csv" in value:
+            # one source per scenario: a run would read the CSV and drop the generators
+            raise ConfigError(f"{path}: give synthetic generators or a csv path, not both")
         csv_path = _reader(str | None)(value.get("csv"), f"{path}.csv")
         if csv_path is not None and base_dir is not None:
             csv_path = str((base_dir / csv_path).resolve())

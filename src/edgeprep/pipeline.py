@@ -37,7 +37,6 @@ from .model import (
     ConfigError,
     QosProfile,
     SensorSpec,
-    SensorStateVector,
     SensorStream,
     seconds_to_ms,
 )
@@ -527,13 +526,9 @@ class Pipeline:
                     live = self._live_cohort(svc, mk)
                     if not live:
                         continue
-                    vectors = [
-                        self._state_vector(spec.sensor_id, 0, "interval")
-                        for spec in live
-                    ]
-                    count = min(svc.qos.select_count, len(vectors))
+                    count = min(svc.qos.select_count, len(live))
                     self._topsis[(svc.service_id, mk)] = topsis_select(
-                        vectors, svc.qos, count
+                        live, self._cohort_rows(live, "interval"), svc.qos, count
                     )
 
         periods = [seconds_to_ms(svc.period_s) for svc in self.services]
@@ -542,30 +537,23 @@ class Pipeline:
 
     # -- state assembly ----------------------------------------------------
 
-    def _state_vector(self, sensor_id: str, t_ms: int, beta_source: str) -> SensorStateVector:
-        dyn = self._dyn[sensor_id]
-        gamma, epsilon, kappa = self._static[sensor_id]
-        beta = dyn.rel.beta if beta_source == "interval" else dyn.rel.beta_cumulative
-        return SensorStateVector(
-            sensor_id=sensor_id,
-            t_ms=t_ms,
-            alpha=dyn.alpha,
-            beta=beta,
-            gamma=gamma,
-            epsilon=epsilon,
-            kappa=kappa,
-        )
+    def _cohort_rows(self, ids: Sequence[str], beta_source: str) -> np.ndarray:
+        """The ``(n, 5)`` state matrix of a cohort, one row per id."""
+        rows = []
+        for sid in ids:
+            dyn = self._dyn[sid]
+            beta = dyn.rel.beta if beta_source == "interval" else dyn.rel.beta_cumulative
+            rows.append((dyn.alpha, beta) + self._static[sid])
+        return np.array(rows, dtype=float)
 
-    def _live_cohort(self, svc: ServiceSpec, mk: str) -> list[SensorSpec]:
-        cohort = self._cohorts.get(mk, [])
-        live = [
-            spec
-            for spec in cohort
+    def _live_cohort(self, svc: ServiceSpec, mk: str) -> tuple[str, ...]:
+        """Ascending ids of the cohort's sensors with data in the service's zone."""
+        return tuple(
+            spec.sensor_id
+            for spec in self._cohorts.get(mk, [])
             if spec.sensor_id in self.streams and len(self.streams[spec.sensor_id]) > 0
-        ]
-        if svc.zone is not None:
-            live = [spec for spec in live if spec.zone == svc.zone]
-        return live
+            and (svc.zone is None or spec.zone == svc.zone)
+        )
 
     def _cache_for(self, svc: ServiceSpec) -> FeatureCache:
         if self.mode is Mode.PER_SERVICE:
@@ -650,22 +638,19 @@ class Pipeline:
         return due
 
     def _select(
-        self, svc: ServiceSpec, mk: str, t_ms: int, live: list[SensorSpec]
+        self, svc: ServiceSpec, mk: str, t_ms: int, live: tuple[str, ...]
     ) -> tuple[tuple[str, ...], list[TraceRow]]:
-        ids = tuple(spec.sensor_id for spec in live)
         if self.mode is Mode.NO_SELECTION_FUSED:
-            return ids, []
+            return live, []
         if self.mode is Mode.TOPSIS_BASELINE:
             result = self._topsis.get((svc.service_id, mk))
             if result is None:
-                return ids, []
+                return live, []
         else:
-            vectors = [
-                self._state_vector(spec.sensor_id, t_ms, svc.qos.beta_source)
-                for spec in live
-            ]
-            count = min(svc.qos.select_count, len(vectors))
-            result = rank_and_select(vectors, svc.qos, count)
+            count = min(svc.qos.select_count, len(live))
+            result = rank_and_select(
+                live, self._cohort_rows(live, svc.qos.beta_source), svc.qos, count
+            )
         rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
         rows = [
             TraceRow(

@@ -1,6 +1,7 @@
 """Multi-criteria sensor ranking against a per-service utopia vector.
 
-Each sensor is a five-attribute vector in [0, 1]; a service declares an
+Each sensor is a five-attribute vector in [0, 1], and a cohort is ranked
+as one ``(n, 5)`` matrix with one row per sensor id; a service declares an
 ideal (utopia) vector plus attribute weights.  Sensors are ordered by a
 direction-aware distance that combines a weighted Euclidean magnitude term
 with a weighted cosine angular term, each rescaled by the inverse cohort
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .model import (
     ATTRIBUTE_NAMES,
@@ -121,17 +123,23 @@ def _weights(w, m: int) -> np.ndarray:
     return arr
 
 
-def _euclid(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(wt * (a - b) ** 2)))
+def _row_distances(
+    states: np.ndarray, v: np.ndarray, wt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean and cosine components of every row of ``states`` to ``v``.
 
-
-def _cosine(a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> float:
-    wa, wb = wt * a, wt * b
-    denom = math.sqrt(float(np.sum(wa**2)) * float(np.sum(wb**2)))
-    if denom == 0.0:
-        return 1.0
-    similarity = float(np.sum(np.abs(wa) * np.abs(wb))) / denom
-    return min(max(1.0 - similarity, 0.0), 1.0)
+    One row-wise pass; each row's sums are the ones the 1-D formula takes,
+    so a single-row matrix and a cohort give the same bits for that row.
+    """
+    d_m = np.sqrt((wt * (states - v) ** 2).sum(axis=1))
+    wa, wb = wt * states, wt * v
+    denom = np.sqrt((wa**2).sum(axis=1) * (wb**2).sum())
+    zero = denom == 0.0
+    similarity = (np.abs(wa) * np.abs(wb)).sum(axis=1) / np.where(zero, 1.0, denom)
+    d_a = np.minimum(np.maximum(1.0 - similarity, 0.0), 1.0)
+    # a zero-norm weighted vector is maximally dissimilar
+    d_a[zero] = 1.0
+    return d_m, d_a
 
 
 def _checked_operands(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,12 +147,13 @@ def _checked_operands(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if a.shape != b.shape:
         raise ValueError("vectors must share dimensionality")
     wt = np.ones(len(a)) if w is None else _weights(w, len(a))
-    return a, b, wt
+    return a[np.newaxis, :], b, wt
 
 
 def euclidean_component(u, v, w=None) -> float:
     """Weighted Euclidean distance ``sqrt(sum(w * (a - b)^2))``."""
-    return _euclid(*_checked_operands(u, v, w))
+    d_m, _ = _row_distances(*_checked_operands(u, v, w))
+    return float(d_m[0])
 
 
 def cosine_component(u, v, w=None) -> float:
@@ -153,7 +162,8 @@ def cosine_component(u, v, w=None) -> float:
     ``1 - sum(|w a| |w b|) / sqrt(sum((w a)^2) sum((w b)^2))``; a zero-norm
     weighted vector is maximally dissimilar by convention (distance 1).
     """
-    return _cosine(*_checked_operands(u, v, w))
+    _, d_a = _row_distances(*_checked_operands(u, v, w))
+    return float(d_a[0])
 
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
@@ -175,70 +185,94 @@ def direction_aware_distance(d_m: float, d_a: float, xi_m: float = 1.0, xi_a: fl
     return math.hypot(xi_m * d_m, xi_a * d_a)
 
 
+def _checked_cohort(
+    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile, count: int | None
+) -> tuple[np.ndarray, int]:
+    """The cohort's ``(n, 5)`` state matrix and the number to select.
+
+    ``sensor_ids`` must be strictly ascending (one row per id, in that
+    order) and every state entry must lie in [0, 1].
+    """
+    n = len(sensor_ids)
+    if n == 0:
+        raise ValueError("cohort must be non-empty")
+    matrix = np.asarray(states, dtype=float)
+    if matrix.shape != (n, len(ATTRIBUTE_NAMES)):
+        raise ValueError(
+            f"states must have shape ({n}, {len(ATTRIBUTE_NAMES)}) for {n} sensor ids, "
+            f"got {matrix.shape}"
+        )
+    if any(a >= b for a, b in zip(sensor_ids, sensor_ids[1:])):
+        raise ValueError("sensor ids must be strictly ascending")
+    # NaN fails both comparisons
+    if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        raise ValueError("state entries must lie in [0, 1]")
+    count = qos.select_count if count is None else count
+    if not 1 <= count <= n:
+        raise ConfigError(f"count={count} out of range for cohort of {n}")
+    return matrix, count
+
+
+def _ranked(records: tuple[SensorDistance, ...], xi_m: float, xi_a: float,
+            count: int) -> RankingResult:
+    """Order records by ascending ``d_ma``, ties by ascending sensor id."""
+    by_distance = sorted(records, key=lambda r: (r.d_ma, r.sensor_id))
+    order = tuple(r.sensor_id for r in by_distance)
+    return RankingResult(records=records, xi_m=xi_m, xi_a=xi_a, order=order,
+                         selected=order[:count])
+
+
 def rank_and_select(
-    cohort: Sequence[SensorStateVector],
+    sensor_ids: Sequence[str],
+    states: ArrayLike,
     qos: QosProfile,
     count: int | None = None,
 ) -> RankingResult:
     """Order a cohort by direction-aware distance to the service utopia.
 
-    Ties break by ascending sensor id; ``selected`` is the leading ``count``
-    ids (default: the profile's select_count).
+    ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
+    :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
+    ``sensor_ids``.  Ties break by ascending sensor id; ``selected`` is the
+    leading ``count`` ids (default: the profile's select_count).
     """
-    if not cohort:
-        raise ValueError("cohort must be non-empty")
-    count = qos.select_count if count is None else count
-    if not 1 <= count <= len(cohort):
-        raise ConfigError(f"count={count} out of range for cohort of {len(cohort)}")
-    ordered = sorted(cohort, key=lambda s: s.sensor_id)
+    matrix, count = _checked_cohort(sensor_ids, states, qos, count)
     # QosProfile has validated the weights and the utopia vector already
     wt = np.array(qos.weights, dtype=float)
-    v = _as_vector(qos.utopia)
-    vectors = [np.array(u.as_tuple(), dtype=float) for u in ordered]
-    d_ms = [_euclid(a, v, wt) for a in vectors]
-    d_as = [_cosine(a, v, wt) for a in vectors]
+    v = np.array(qos.utopia.as_tuple(), dtype=float)
+    d_m, d_a = _row_distances(matrix, v, wt)
+    d_ms, d_as = d_m.tolist(), d_a.tolist()
+    # Python's left-to-right sum and math.hypot per sensor: np.sum and
+    # np.hypot round differently in the last bit
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     records = tuple(
         SensorDistance(
-            sensor_id=u.sensor_id,
-            d_m=d_m,
-            d_a=d_a,
-            d_ma=direction_aware_distance(d_m, d_a, xi_m, xi_a),
+            sensor_id=sid,
+            d_m=dm,
+            d_a=da,
+            d_ma=direction_aware_distance(dm, da, xi_m, xi_a),
         )
-        for u, d_m, d_a in zip(ordered, d_ms, d_as)
+        for sid, dm, da in zip(sensor_ids, d_ms, d_as)
     )
-    by_distance = sorted(records, key=lambda r: (r.d_ma, r.sensor_id))
-    order = tuple(r.sensor_id for r in by_distance)
-    return RankingResult(
-        records=records,
-        xi_m=xi_m,
-        xi_a=xi_a,
-        order=order,
-        selected=order[:count],
-    )
+    return _ranked(records, xi_m, xi_a, count)
 
 
 def topsis_select(
-    cohort: Sequence[SensorStateVector],
+    sensor_ids: Sequence[str],
+    states: ArrayLike,
     qos: QosProfile,
     count: int | None = None,
 ) -> RankingResult:
     """Conventional TOPSIS ordering of the same attribute matrix.
 
-    Vector (root-sum-square) column normalization, weighting, ideal and
-    anti-ideal rows, closeness coefficient ``d- / (d+ + d-)``; the order is
-    descending closeness.  All five attributes are benefit criteria here
-    (ideal = column max).  The method sees only the attribute snapshot it is
-    given; it has no notion of per-interval updates, which is exactly what
-    makes it a static baseline.
+    Takes the cohort as :func:`rank_and_select` does.  Vector
+    (root-sum-square) column normalization, weighting, ideal and anti-ideal
+    rows, closeness coefficient ``d- / (d+ + d-)``; the order is descending
+    closeness.  All five attributes are benefit criteria here (ideal =
+    column max).  The method sees only the attribute snapshot it is given;
+    it has no notion of per-interval updates, which is exactly what makes it
+    a static baseline.
     """
-    if not cohort:
-        raise ValueError("cohort must be non-empty")
-    count = qos.select_count if count is None else count
-    if not 1 <= count <= len(cohort):
-        raise ConfigError(f"count={count} out of range for cohort of {len(cohort)}")
-    ordered = sorted(cohort, key=lambda s: s.sensor_id)
-    matrix = np.array([u.as_tuple() for u in ordered], dtype=float)
+    matrix, count = _checked_cohort(sensor_ids, states, qos, count)
     w = _weights(qos.weights, len(ATTRIBUTE_NAMES))
 
     norms = np.sqrt((matrix**2).sum(axis=0))
@@ -248,25 +282,17 @@ def topsis_select(
     anti = weighted.min(axis=0)
     d_plus = np.sqrt(((weighted - ideal) ** 2).sum(axis=1))
     d_minus = np.sqrt(((weighted - anti) ** 2).sum(axis=1))
-    closeness = np.ones(len(ordered))
+    closeness = np.ones(len(sensor_ids))
     span = d_plus + d_minus
     np.divide(d_minus, span, out=closeness, where=span > 0)
 
     records = tuple(
         SensorDistance(
-            sensor_id=u.sensor_id,
+            sensor_id=sid,
             d_m=float(dp),
             d_a=float(dm),
             d_ma=float(1.0 - c),
         )
-        for u, dp, dm, c in zip(ordered, d_plus, d_minus, closeness)
+        for sid, dp, dm, c in zip(sensor_ids, d_plus, d_minus, closeness)
     )
-    by_distance = sorted(records, key=lambda r: (r.d_ma, r.sensor_id))
-    order = tuple(r.sensor_id for r in by_distance)
-    return RankingResult(
-        records=records,
-        xi_m=1.0,
-        xi_a=1.0,
-        order=order,
-        selected=order[:count],
-    )
+    return _ranked(records, 1.0, 1.0, count)

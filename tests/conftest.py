@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -32,6 +33,13 @@ def make_spec(sid, modality=Modality.TEMPERATURE, zone="room",
 def make_state(sid, alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.5, kappa=0.5, t_ms=0):
     return SensorStateVector(sensor_id=sid, t_ms=t_ms, alpha=alpha, beta=beta,
                              gamma=gamma, epsilon=epsilon, kappa=kappa)
+
+
+def cohort_of(*states):
+    """``(sensor_ids, states)`` for the ranking functions, rows in the given
+    order."""
+    return (tuple(s.sensor_id for s in states),
+            np.array([s.as_tuple() for s in states], dtype=float))
 
 
 @pytest.fixture

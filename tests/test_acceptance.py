@@ -26,7 +26,7 @@ from edgeprep.harness import (
     run_scenario,
     write_streams_csv,
 )
-from edgeprep.model import Modality, QosProfile, SensorStateVector, SensorStream
+from edgeprep.model import Modality, QosProfile, SensorStream
 from edgeprep.pipeline import Mode, ServiceSpec
 from edgeprep.ranking import (
     cosine_component,
@@ -148,10 +148,10 @@ def test_c3_poisson_reliability():
 
 
 def test_c4_ranking_properties():
-    utopia_state = SensorStateVector("u", 0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    other = SensorStateVector("v", 0, 0.5, 0.4, 0.3, 0.2, 0.1)
+    utopia_state = (1.0, 1.0, 1.0, 1.0, 1.0)
+    other = (0.5, 0.4, 0.3, 0.2, 0.1)
     qos = QosProfile(service_id="svc", weights=(1, 1, 1, 1, 1))
-    result = rank_and_select([utopia_state, other], qos, 1)
+    result = rank_and_select(("u", "v"), np.array([utopia_state, other]), qos, 1)
     assert result.record_for("u").d_ma == 0.0
     assert result.record_for("v").d_ma > 0.0
     assert result.order[0] == "u"

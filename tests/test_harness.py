@@ -363,6 +363,11 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=re.escape("scenario.services[0]: ")):
             parse_with("service", key, value)
 
+    def test_streams_name_one_source(self):
+        # a run would read the CSV alone and silently drop the generators
+        with pytest.raises(ConfigError, match=re.escape("scenario.streams: ") + ".*not both"):
+            parse_with("streams", "csv", "streams.csv")
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -414,7 +419,9 @@ class TestCli:
         assert err.startswith("edgeprep: error: ")
         assert err.count("\n") == 1
 
-    def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
+    @staticmethod
+    def malformed_csv_config(tmp_path):
+        """A scenario whose ``streams.csv`` has a malformed row on line 2."""
         (tmp_path / "streams.csv").write_text(
             "timestamp_ms,sensor_id,modality,value\n1000,t1,temperature,abc\n",
             encoding="utf-8")
@@ -422,11 +429,26 @@ class TestCli:
         doc["streams"] = {"csv": "streams.csv"}
         config = tmp_path / "scenario.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return config
+
+    def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
+        config = self.malformed_csv_config(tmp_path)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("edgeprep: error: ")
         assert ":2: malformed row" in err
         assert err.count("\n") == 1
+
+    def test_compare_exits_1_when_a_mode_fails(self, tmp_path, capsys):
+        config = self.malformed_csv_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out
+        failed = [line for line in stdout.splitlines() if ": FAILED (" in line]
+        assert len(failed) == 4
+        assert all(":2: malformed row" in line for line in failed)
+        # no mode ran, so stdout is the summary alone
+        assert (out / "comparison.txt").read_text(encoding="utf-8") == stdout
 
 
 class TestRunScenario:

@@ -371,6 +371,41 @@ class TestPipeline:
         assert result.features["svc"].components["temperature_mean"] == pytest.approx(20.0)
         assert {r.sensor_id for r in result.trace} == {"t1"}
 
+    def test_ranking_is_called_once_per_activation_and_modality(self, monkeypatch):
+        # the benchmark's tracer wraps the module-level rank_and_select and
+        # counts len(args[0]) as the sensors scored; a bypass or a keyword
+        # call would silently change its figures
+        sensors = [make_spec("t1", zone="lab"), make_spec("t2", zone="lab"),
+                   make_spec("t3", zone="hall"), make_spec("t4", zone="lab"),
+                   make_spec("m1", Modality.MOTION, zone="lab"),
+                   make_spec("m2", Modality.MOTION, zone="lab")]
+        streams = synth_streams({"t1": ("temperature", 20.0), "t2": ("temperature", 21.0),
+                                 "t3": ("temperature", 22.0), "m1": ("motion", 0.5),
+                                 "m2": ("motion", 0.6)})  # t4 has no stream
+        services = [simple_service("all", ("motion", "temperature"),
+                                   features=("temperature_mean", "motion_mean")),
+                    simple_service("lab", ("temperature",), period_s=2.0, zone="lab")]
+        live = {("all", "motion"): ("m1", "m2"), ("all", "temperature"): ("t1", "t2", "t3"),
+                ("lab", "temperature"): ("t1", "t2")}
+        calls = []
+        inner = pipeline_module.rank_and_select
+
+        def counting(*args, **kwargs):
+            calls.append((args[2].service_id, tuple(args[0]), len(args[0])))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "rank_and_select", counting)
+        pipeline = Pipeline(sensors, services, streams, mode=Mode.UNIFIED)
+        expected = []
+        for t_ms in range(1000, 10_001, 1000):
+            for svc in pipeline.activations_due(t_ms):
+                for mk in svc.qos.modality_needs:
+                    ids = live[(svc.service_id, mk)]
+                    expected.append((svc.service_id, ids, len(ids)))
+            pipeline.run_cycle(t_ms)
+        assert len(expected) == 9 * 2 + 5  # "all" from t = 2 s, "lab" every 2 s
+        assert calls == expected
+
 
 class TestHorizonIndependence:
     """Per-cycle work must not grow with elapsed time (counted, not timed)."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from edgeprep.model import ConfigError, Direction, QosProfile
@@ -16,7 +16,7 @@ from edgeprep.ranking import (
     static_score,
     topsis_select,
 )
-from conftest import make_spec, make_state
+from conftest import cohort_of, make_spec, make_state
 
 
 def qos(weights=(1, 1, 1, 1, 1), count=1, service_id="svc"):
@@ -120,17 +120,17 @@ class TestDirectionAwareDistance:
 
 class TestRankAndSelect:
     def test_singleton_cohort(self):
-        result = rank_and_select([make_state("only")], qos())
+        result = rank_and_select(*cohort_of(make_state("only")), qos())
         assert result.order == ("only",)
         assert result.selected == ("only",)
 
     def test_utopia_sensor_ranks_first(self):
         cohort = [
-            make_state("mid", 0.5, 0.5, 0.5, 0.5, 0.5),
             make_state("ideal", 1, 1, 1, 1, 1),
             make_state("low", 0.2, 0.3, 0.1, 0.4, 0.2),
+            make_state("mid", 0.5, 0.5, 0.5, 0.5, 0.5),
         ]
-        result = rank_and_select(cohort, qos())
+        result = rank_and_select(*cohort_of(*cohort), qos())
         assert result.order[0] == "ideal"
         assert result.record_for("ideal").d_ma == 0.0
 
@@ -140,7 +140,7 @@ class TestRankAndSelect:
             make_state("u2", 0.5, 0.4, 0.6, 0.5, 0.45),
             make_state("u3", 0.1, 0.3, 0.2, 0.1, 0.15),
         ]
-        result = rank_and_select(cohort, qos(count=1))
+        result = rank_and_select(*cohort_of(*cohort), qos(count=1))
         # brute-force evaluation of the distance formulas
         dms, das = [], []
         for u in cohort:
@@ -158,16 +158,16 @@ class TestRankAndSelect:
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
-            rank_and_select([], qos())
+            rank_and_select((), np.empty((0, 5)), qos())
 
     def test_count_out_of_range(self):
         with pytest.raises(ConfigError):
-            rank_and_select([make_state("a")], qos(), count=2)
+            rank_and_select(*cohort_of(make_state("a")), qos(), count=2)
 
     def test_repeated_calls_are_bit_identical(self):
         cohort = [make_state(f"s{i}", *np.random.default_rng(i).random(5)) for i in range(5)]
-        a = rank_and_select(cohort, qos(weights=(2, 1, 0.5, 0.25, 1)))
-        b = rank_and_select(cohort, qos(weights=(2, 1, 0.5, 0.25, 1)))
+        a = rank_and_select(*cohort_of(*cohort), qos(weights=(2, 1, 0.5, 0.25, 1)))
+        b = rank_and_select(*cohort_of(*cohort), qos(weights=(2, 1, 0.5, 0.25, 1)))
         assert a == b
 
     def test_duplication_leaves_component_distances_unchanged(self):
@@ -175,10 +175,10 @@ class TestRankAndSelect:
             make_state("a", 0.9, 0.8, 0.7, 0.6, 0.5),
             make_state("b", 0.4, 0.3, 0.2, 0.1, 0.2),
         ]
-        base = rank_and_select(cohort, qos())
+        base = rank_and_select(*cohort_of(*cohort), qos())
         worst = base.order[-1]
         dup = make_state("zz", *[s for s in cohort if s.sensor_id == worst][0].as_tuple())
-        extended = rank_and_select(cohort + [dup], qos())
+        extended = rank_and_select(*cohort_of(*cohort, dup), qos())
         for rec in base.records:
             after = extended.record_for(rec.sensor_id)
             assert after.d_m == rec.d_m
@@ -211,7 +211,7 @@ class TestRankAndSelect:
         for scale in (0.25, 0.5, 1.0, 2.0):
             w = base_w.copy()
             w[4] *= scale
-            result = rank_and_select(cohort, qos(weights=tuple(w)))
+            result = rank_and_select(*cohort_of(*cohort), qos(weights=tuple(w)))
             above = result.order.index("s0") < result.order.index("s1")
             if prev_above is True:
                 assert above, f"s0 dropped below s1 when scaling weight by {scale}"
@@ -236,10 +236,10 @@ class TestRankAndSelect:
                    0.13618008450338565, 0.4859997089612143)
         cohort = [make_state(f"s{i}", *matrix[i]) for i in range(3)]
         profile = qos(weights=weights)
-        base = rank_and_select(cohort, profile)
+        base = rank_and_select(*cohort_of(*cohort), profile)
         worst = base.order[-1]
         dup_vals = matrix[int(worst[1:])]
-        extended = rank_and_select(cohort + [make_state("zdup", *dup_vals)], profile)
+        extended = rank_and_select(*cohort_of(*cohort, make_state("zdup", *dup_vals)), profile)
         first_original = next(sid for sid in extended.order if sid != "zdup")
         assert first_original == base.order[0]
 
@@ -268,7 +268,7 @@ class TestTopsis:
         ]
         weights = (0.7, 0.3, 0.1, 0.1, 0.1)
         cohort = [make_state(f"s{i}", *row) for i, row in enumerate(matrix)]
-        result = topsis_select(cohort, qos(weights=weights))
+        result = topsis_select(*cohort_of(*cohort), qos(weights=weights))
         d_plus, d_minus, closeness = self.brute_force(matrix, weights)
         assert result.selected == ("s0",)  # dominant on the heavy attribute
         for rec, dp_, dm_, c in zip(result.records, d_plus, d_minus, closeness):
@@ -277,13 +277,13 @@ class TestTopsis:
             assert rec.d_ma == pytest.approx(1.0 - c, abs=1e-12)
 
     def test_identical_rows_tie_break_by_id(self):
-        cohort = [make_state(sid, 0.5, 0.5, 0.5, 0.5, 0.5) for sid in ("b", "a", "c")]
-        result = topsis_select(cohort, qos())
+        cohort = [make_state(sid, 0.5, 0.5, 0.5, 0.5, 0.5) for sid in ("a", "b", "c")]
+        result = topsis_select(*cohort_of(*cohort), qos())
         assert result.order == ("a", "b", "c")
         assert all(rec.d_ma == 0.0 for rec in result.records)
 
     def test_singleton_closeness_is_one(self):
-        result = topsis_select([make_state("solo", 0.4, 0.4, 0.4, 0.4, 0.4)], qos())
+        result = topsis_select(*cohort_of(make_state("solo", 0.4, 0.4, 0.4, 0.4, 0.4)), qos())
         assert result.selected == ("solo",)
         assert result.records[0].d_ma == 0.0
 
@@ -318,7 +318,7 @@ class TestZeroDistanceCharacterization:
     def test_distance_zero_iff_utopia(self, u):
         state = make_state("s", *u)
         profile = qos(weights=(1, 1, 1, 1, 1))
-        result = rank_and_select([state, make_state("t", *([0.3] * 5))], profile)
+        result = rank_and_select(*cohort_of(state, make_state("t", *([0.3] * 5))), profile)
         rec = result.record_for("s")
         if u == (1.0, 1.0, 1.0, 1.0, 1.0):
             assert rec.d_ma == 0.0
@@ -326,16 +326,78 @@ class TestZeroDistanceCharacterization:
             assert rec.d_ma > 0.0
 
 
+#: cohorts of every size from 1 to 120, so that sums over more than eight
+#: values (where numpy's pairwise summation departs from Python's
+#: left-to-right sum) are drawn as often as small ones
+cohorts = st.integers(min_value=1, max_value=120).flatmap(
+    lambda n: st.lists(vec5, min_size=n, max_size=n))
+
+
+def one_row_components(a, v, w):
+    """The two components from 1-D sums over one sensor's attributes."""
+    a, v, w = np.asarray(a, dtype=float), np.asarray(v, dtype=float), np.asarray(w, dtype=float)
+    d_m = float(np.sqrt(np.sum(w * (a - v) ** 2)))
+    wa, wv = w * a, w * v
+    denom = math.sqrt(float(np.sum(wa**2)) * float(np.sum(wv**2)))
+    if denom == 0.0:
+        return d_m, 1.0
+    return d_m, min(max(1.0 - float(np.sum(np.abs(wa) * np.abs(wv))) / denom, 0.0), 1.0)
+
+
 class TestRankingMatchesComponents:
-    @given(cohort=st.lists(vec5, min_size=1, max_size=8),
-           w=weights5.filter(lambda w: sum(w) > 0))
+    # shrinking a failing 120-row cohort takes minutes; the unshrunk
+    # example is reported instead
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(cohort=cohorts, w=weights5.filter(lambda w: sum(w) > 0))
     def test_records_equal_public_components_bit_for_bit(self, cohort, w):
-        # rank_and_select skips the per-sensor validation the public
-        # component functions do; the distances must not change
-        states = [make_state(f"s{i}", *u) for i, u in enumerate(cohort)]
+        # the row-wise ranking gives the bits of the per-sensor public
+        # functions and of 1-D sums per sensor; the cohort means use Python's
+        # left-to-right sum and the combination math.hypot
+        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
         profile = qos(weights=w)
-        result = rank_and_select(states, profile)
-        for state in states:
-            rec = result.record_for(state.sensor_id)
-            assert rec.d_m == euclidean_component(state, profile.utopia, w)
-            assert rec.d_a == cosine_component(state, profile.utopia, w)
+        result = rank_and_select(ids, np.array(cohort), profile)
+        d_ms = [euclidean_component(u, profile.utopia, w) for u in cohort]
+        d_as = [cosine_component(u, profile.utopia, w) for u in cohort]
+        assert list(zip(d_ms, d_as)) == [
+            one_row_components(u, profile.utopia.as_tuple(), w) for u in cohort]
+        xi_m, xi_a = scaling_coefficients(d_ms, d_as)
+        n = len(cohort)
+        assert (xi_m, xi_a) == (n / sum(d_ms) if sum(d_ms) > 0 else 1.0,
+                                n / sum(d_as) if sum(d_as) > 0 else 1.0)
+        assert (result.xi_m, result.xi_a) == (xi_m, xi_a)
+        d_mas = [direction_aware_distance(dm, da, xi_m, xi_a) for dm, da in zip(d_ms, d_as)]
+        assert d_mas == [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
+        assert [(r.sensor_id, r.d_m, r.d_a, r.d_ma) for r in result.records] == list(
+            zip(ids, d_ms, d_as, d_mas))
+        assert result.order == tuple(
+            sid for _, sid in sorted(zip(d_mas, ids)))
+
+
+@pytest.mark.parametrize("rank", [rank_and_select, topsis_select])
+class TestCohortValidation:
+    rows = [[0.5, 0.5, 0.5, 0.5, 0.5], [0.2, 0.4, 0.6, 0.8, 1.0], [0.0, 0.1, 0.2, 0.3, 0.4]]
+
+    def test_valid_cohort_is_accepted(self, rank):
+        assert rank(("a", "b", "c"), self.rows, qos()).order
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.2, -0.1])
+    def test_entry_outside_the_unit_interval_is_rejected(self, rank, bad):
+        rows = np.array(self.rows)
+        rows[1, 3] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rank(("a", "b", "c"), rows, qos())
+
+    @pytest.mark.parametrize("ids", [("a", "c", "b"), ("a", "a", "c"), ("c", "b", "a")])
+    def test_ids_not_strictly_ascending_are_rejected(self, rank, ids):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            rank(ids, self.rows, qos())
+
+    @pytest.mark.parametrize("ids, states", [
+        (("a", "b", "c"), np.full((3, 4), 0.5)),           # four attributes
+        (("a", "b", "c", "d"), np.full((3, 5), 0.5)),      # more ids than rows
+        (("a", "b"), np.full((3, 5), 0.5)),                # more rows than ids
+        (("a",), np.full(5, 0.5)),                         # one flat vector
+    ])
+    def test_shape_must_be_one_row_of_five_per_id(self, rank, ids, states):
+        with pytest.raises(ValueError, match="shape"):
+            rank(ids, states, qos())
