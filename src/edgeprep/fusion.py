@@ -34,20 +34,17 @@ __all__ = [
 class KalmanConfig:
     """Scalar Kalman filter parameters.
 
-    ``measurement_noise`` applies to every source.  ``initial_state`` is
-    either ``"first_measurement"`` or ``"mean"``.
+    ``measurement_noise`` applies to every source; the state starts at the
+    first measurement.
     """
 
     process_noise: float = 1e-3
     measurement_noise: float = 0.1
     initial_variance: float = 1.0
-    initial_state: str = "first_measurement"
 
     def __post_init__(self) -> None:
         if self.process_noise <= 0 or self.measurement_noise <= 0 or self.initial_variance <= 0:
             raise ValueError("process_noise, measurement_noise and initial_variance must be > 0")
-        if self.initial_state not in ("first_measurement", "mean"):
-            raise ValueError("initial_state must be 'first_measurement' or 'mean'")
 
 
 @dataclass(frozen=True)
@@ -168,8 +165,7 @@ def kalman_fuse(measurements: Sequence[float], cfg: KalmanConfig | None = None) 
     values = [float(v) for v in measurements]
     if not values:
         raise ValueError("kalman_fuse requires at least one measurement")
-    start = values[0] if cfg.initial_state == "first_measurement" else sum(values) / len(values)
-    kf = _ScalarKalman(cfg, start)
+    kf = _ScalarKalman(cfg, values[0])
     for v in values:
         kf.predict()
         kf.update(v)
@@ -191,11 +187,7 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
         if not available:
             continue
         if kf is None:
-            if cfg.initial_state == "first_measurement":
-                start = available[0][1]
-            else:
-                start = sum(v for _, v in available) / len(available)
-            kf = _ScalarKalman(cfg, start)
+            kf = _ScalarKalman(cfg, available[0][1])
         kf.predict()
         for _, value in available:
             kf.update(value)

@@ -300,8 +300,6 @@ class ScenarioConfig:
     voting: VotingConfig = field(default_factory=VotingConfig)
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
     reliability_interval_s: float = 10.0
-    cache_horizon_s: float = 600.0
-    presence_threshold: float = 0.4
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -576,8 +574,6 @@ def run_scenario(
         kalman=cfg.kalman,
         mode=mode,
         reliability_interval_s=cfg.reliability_interval_s,
-        cache_horizon_s=cfg.cache_horizon_s,
-        presence_threshold=cfg.presence_threshold,
     )
     horizon_ms = seconds_to_ms(cfg.duration_s)
     features: list[FeatureVector] = []

@@ -166,23 +166,16 @@ class WindowSeries:
 
 @dataclass(frozen=True)
 class FeatureFunction:
-    """A pure mapping from windowed modality data to a real vector.
+    """One statistic of one modality: ``compute`` maps the fused window
+    values to one float.
 
     Purity is a contract: identical inputs must produce identical outputs,
     which is what makes cross-service memoization sound.
     """
 
     fid: str
-    modalities: tuple[str, ...]
-    kind: str  # "raw_stat" | "low_level_inference"
-    compute: Callable[[Mapping[str, "WindowSeries"]], np.ndarray]
-    outputs: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("raw_stat", "low_level_inference"):
-            raise ConfigError(f"unknown feature kind {self.kind!r}")
-        if not self.outputs:
-            object.__setattr__(self, "outputs", (self.fid,))
+    modality: str
+    compute: Callable[[np.ndarray], float]
 
 
 class FeatureCache:
@@ -195,22 +188,20 @@ class FeatureCache:
     """
 
     def __init__(self) -> None:
-        self._store: dict[tuple, np.ndarray] = {}
+        self._store: dict[tuple, float] = {}
         self._by_t_b: list[tuple[int, int, tuple]] = []
         self._seq = itertools.count()
         self.hits = 0
         self.misses = 0
         self.keys_seen: set[tuple] = set()
 
-    def lookup(self, key: tuple) -> np.ndarray | None:
+    def lookup(self, key: tuple) -> float | None:
         value = self._store.get(key)
         if value is not None:
             self.hits += 1
         return value
 
-    def insert(self, key: tuple, value: np.ndarray) -> np.ndarray:
-        value = np.asarray(value, dtype=float).copy()
-        value.setflags(write=False)
+    def insert(self, key: tuple, value: float) -> float:
         if key not in self._store:
             heapq.heappush(self._by_t_b, (key[2], next(self._seq), key))
         self._store[key] = value
@@ -236,93 +227,63 @@ def compute_feature(
     window: WindowSpec,
     data: Mapping[str, WindowSeries],
     cache: FeatureCache,
-) -> np.ndarray | None:
+) -> float | None:
     """Evaluate a feature over a window, memoized.
 
-    Returns ``None`` (a missing-feature marker) when a required modality has
-    no usable data in the window; consumers decide whether to drop or fill.
+    Returns ``None`` (a missing-feature marker) when its modality has no
+    usable data in the window; consumers decide whether to drop or fill.
     A cache hit performs no recomputation.
     """
-    for mk in fn.modalities:
-        series = data.get(mk)
-        if series is None or series.values.size == 0:
-            return None
-    contributing: list[str] = []
-    for mk in fn.modalities:
-        contributing.extend(data[mk].source_ids)
-    key = (fn.fid, window.t_a_ms, window.t_b_ms, tuple(sorted(set(contributing))))
+    series = data.get(fn.modality)
+    if series is None or series.values.size == 0:
+        return None
+    key = (fn.fid, window.t_a_ms, window.t_b_ms, series.source_ids)
     cached = cache.lookup(key)
     if cached is not None:
         return cached
-    result = np.atleast_1d(np.asarray(fn.compute(data), dtype=float))
-    if len(result) != len(fn.outputs):
-        raise ConfigError(
-            f"feature {fn.fid!r} produced {len(result)} values for "
-            f"{len(fn.outputs)} declared outputs"
-        )
-    return cache.insert(key, result)
+    return cache.insert(key, float(fn.compute(series.values)))
 
 
-_STATS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda v: float(np.mean(v)),
-    "std": lambda v: float(np.std(v)),
-    "min": lambda v: float(np.min(v)),
-    "max": lambda v: float(np.max(v)),
-    "median": lambda v: float(np.median(v)),
-    "range": lambda v: float(np.max(v) - np.min(v)),
-    "last": lambda v: float(v[-1]),
-    "count": lambda v: float(v.size),
-}
+#: mean fused motion level above which ``presence`` reports 1.0
+PRESENCE_THRESHOLD = 0.4
 
 
-def _stat_feature(fid: str, modality: str, stat: str) -> FeatureFunction:
-    stat_fn = _STATS[stat]
-
-    def compute(data: Mapping[str, WindowSeries]) -> np.ndarray:
-        return np.array([stat_fn(data[modality].values)])
-
-    return FeatureFunction(fid=fid, modalities=(modality,), kind="raw_stat", compute=compute)
-
-
-def _presence_feature(threshold: float) -> FeatureFunction:
+def _presence(values: np.ndarray) -> float:
     """Presence detection stand-in: thresholded mean fused motion level.
 
     Illustrative heuristic only, not a calibrated detector; it exists to
     give collocated services a shared low-level inference to reuse.
     """
-
-    def compute(data: Mapping[str, WindowSeries]) -> np.ndarray:
-        level = float(np.mean(data["motion"].values))
-        return np.array([1.0 if level > threshold else 0.0])
-
-    return FeatureFunction(
-        fid="presence",
-        modalities=("motion",),
-        kind="low_level_inference",
-        compute=compute,
-    )
+    return 1.0 if np.mean(values) > PRESENCE_THRESHOLD else 0.0
 
 
-def build_feature_registry(
-    feature_ids: Sequence[str],
-    presence_threshold: float = 0.4,
-) -> dict[str, FeatureFunction]:
+_STATS: dict[str, Callable[[np.ndarray], float]] = {
+    "mean": np.mean,
+    "std": np.std,
+    "min": np.min,
+    "max": np.max,
+    "median": np.median,
+    "range": lambda v: np.max(v) - np.min(v),
+    "last": lambda v: v[-1],
+    "count": lambda v: v.size,
+}
+
+
+def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunction]:
     """Resolve feature ids like ``temperature_mean`` or ``presence``.
 
     Stat features follow the pattern ``<modality>_<stat>`` with stats drawn
-    from mean/std/min/max/median/range/last/count.
+    from mean/std/min/max/median/range/last/count; ``presence`` reads motion.
     """
     registry: dict[str, FeatureFunction] = {}
     for fid in feature_ids:
-        if fid in registry:
-            continue
         if fid == "presence":
-            registry[fid] = _presence_feature(presence_threshold)
+            registry[fid] = FeatureFunction(fid, "motion", _presence)
             continue
         modality, _, stat = fid.rpartition("_")
         if not modality or stat not in _STATS:
             raise ConfigError(f"cannot resolve feature id {fid!r}")
-        registry[fid] = _stat_feature(fid, modality, stat)
+        registry[fid] = FeatureFunction(fid, modality, _STATS[stat])
     return registry
 
 
@@ -351,6 +312,12 @@ class ServiceSpec:
         if self.max_gap_s is not None and not self.max_gap_s >= 0:
             raise ConfigError(f"max_gap_s must be >= 0, got {self.max_gap_s}")
         object.__setattr__(self, "features", tuple(self.features))
+        for fid, fn in build_feature_registry(self.features).items():
+            if fn.modality not in self.qos.modality_needs:
+                raise ConfigError(
+                    f"feature {fid!r} needs modality {fn.modality!r} "
+                    f"outside the declared needs"
+                )
 
     @property
     def service_id(self) -> str:
@@ -407,11 +374,10 @@ class ServiceDataError(RuntimeError):
 class _SensorDyn:
     """Mutable per-sensor dynamic state, owned by the pipeline."""
 
-    __slots__ = ("alpha", "alpha_t_ms", "rel")
+    __slots__ = ("alpha", "rel")
 
     def __init__(self, sensor_id: str, n_expected: int):
         self.alpha = 1.0
-        self.alpha_t_ms = 0
         self.rel = ReliabilityState(sensor_id=sensor_id, n_expected=n_expected)
 
 
@@ -437,14 +403,11 @@ class Pipeline:
         kalman: KalmanConfig | None = None,
         mode: Mode = Mode.UNIFIED,
         reliability_interval_s: float = 10.0,
-        cache_horizon_s: float = 600.0,
-        presence_threshold: float = 0.4,
     ):
         self.mode = mode
         self.voting = voting or VotingConfig()
         self.kalman = kalman or KalmanConfig()
         self.reliability_interval_ms = seconds_to_ms(reliability_interval_s)
-        self.cache_horizon_ms = seconds_to_ms(cache_horizon_s)
         self.counters = Counters()
 
         self.specs: dict[str, SensorSpec] = {}
@@ -465,19 +428,8 @@ class Pipeline:
             seen.add(svc.service_id)
 
         self.registry = build_feature_registry(
-            [fid for svc in self.services for fid in svc.features], presence_threshold
+            [fid for svc in self.services for fid in svc.features]
         )
-        for svc in self.services:
-            for fid in svc.features:
-                fn = self.registry.get(fid)
-                if fn is None:
-                    raise ConfigError(f"service {svc.service_id!r}: unknown feature {fid!r}")
-                for mk in fn.modalities:
-                    if mk not in svc.qos.modality_needs:
-                        raise ConfigError(
-                            f"service {svc.service_id!r}: feature {fid!r} needs "
-                            f"modality {mk!r} outside the declared needs"
-                        )
 
         # cohorts: modality key -> specs, restricted to modalities in use
         needed = {mk for svc in self.services for mk in svc.qos.modality_needs}
@@ -599,8 +551,7 @@ class Pipeline:
         if len(present) == 1:
             # voting formulas are undefined for a single reporter
             sid, _ = present[0]
-            dyn = self._dyn[sid]
-            dyn.alpha, dyn.alpha_t_ms = 1.0, t_ms
+            self._dyn[sid].alpha = 1.0
             in_optimal.add(sid)
         elif len(present) >= 2:
             cfg = self.voting
@@ -612,8 +563,7 @@ class Pipeline:
             optimal = select_optimal(scores, present, cfg)
             in_optimal.update(optimal.sensor_ids)
             for sid, alpha in assign_accuracy(present, optimal, self.kalman).items():
-                dyn = self._dyn[sid]
-                dyn.alpha, dyn.alpha_t_ms = alpha, t_ms
+                self._dyn[sid].alpha = alpha
         for spec in cohort:
             dyn = self._dyn[spec.sensor_id]
             dyn.rel = record_observation(dyn.rel, spec.sensor_id in in_optimal)
@@ -714,13 +664,11 @@ class Pipeline:
         components: dict[str, float] = {}
         missing: list[str] = []
         for fid in svc.features:
-            fn = self.registry[fid]
-            out = compute_feature(fn, window, data, cache)
-            if out is None:
-                missing.extend(fn.outputs)
-                continue
-            for name, value in zip(fn.outputs, out):
-                components[name] = float(value)
+            value = compute_feature(self.registry[fid], window, data, cache)
+            if value is None:
+                missing.append(fid)
+            else:
+                components[fid] = value
         sensors_used = sorted({sid for sel in selected_by_mk.values() for sid in sel})
         provenance = tuple(sensors_used) + tuple(svc.features)
         result.features[svc.service_id] = FeatureVector(
@@ -749,6 +697,7 @@ class Pipeline:
                 self._activate(svc, t_ms, result)
             except ServiceDataError as exc:
                 result.errors[svc.service_id] = str(exc)
+        # every later window ends at or after its own, later, cycle time
         for cache in self.caches():
-            cache.evict_before(t_ms - self.cache_horizon_ms)
+            cache.evict_before(t_ms)
         return result

@@ -93,7 +93,6 @@ class TestKalmanFuse:
 
     def test_single_measurement_identity(self):
         assert kalman_fuse([42.0]) == 42.0
-        assert kalman_fuse([42.0], KalmanConfig(initial_state="mean")) == 42.0
 
     def test_against_brute_force_filter_iteration(self):
         cfg = KalmanConfig(process_noise=1e-3, measurement_noise=0.1, initial_variance=1.0)
@@ -122,8 +121,6 @@ class TestKalmanFuse:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             KalmanConfig(process_noise=0.0)
-        with pytest.raises(ValueError):
-            KalmanConfig(initial_state="median")
 
 
 class TestKalmanFuseStreams:

@@ -321,10 +321,24 @@ class TestStrictParsing:
         ("sensor", "modality_tag"),        # set by modality only
         ("fault", "start_ms"),             # set by start_s only
         ("scenario", "csv_path"),          # set by streams only
+        ("scenario", "cache_horizon_s"),   # the cache evicts at the cycle time
+        ("scenario", "presence_threshold"),  # fixed at PRESENCE_THRESHOLD
+        ("kalman", "initial_state"),       # the filter starts at the first measurement
     ])
     def test_fields_without_a_key_of_their_own_are_unknown(self, level, key):
         with pytest.raises(ConfigError, match=re.escape(f".{key}: unknown key")):
             parse_with(level, key, 1)
+
+    @pytest.mark.parametrize("features, message", [
+        (["sound_level"], "cannot resolve feature id 'sound_level'"),
+        (["presence"], "feature 'presence' needs modality 'motion' outside the declared needs"),
+    ])
+    def test_bad_feature_id_names_its_service(self, features, message):
+        doc = valid_scenario()
+        doc["services"].append({**doc["services"][0], "service_id": "other",
+                                "features": features})
+        with pytest.raises(ConfigError, match=re.escape(f"scenario.services[1]: {message}")):
+            parse_scenario(doc)
 
     @pytest.mark.parametrize("level, key, value", [
         ("service", "period_s", "abc"),

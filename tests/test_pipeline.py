@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeprep.model import ConfigError, Modality, QosProfile, SensorStream
@@ -103,12 +103,11 @@ class TestAssociate:
 
 class TestComputeFeature:
     def make_fn(self, counter):
-        def compute(data):
+        def compute(values):
             counter["calls"] += 1
-            return np.array([float(np.mean(data["temperature"].values))])
+            return float(np.mean(values))
 
-        return FeatureFunction(fid="temperature_mean", modalities=("temperature",),
-                               kind="raw_stat", compute=compute)
+        return FeatureFunction(fid="temperature_mean", modality="temperature", compute=compute)
 
     def data(self, values=(7.0, 7.0, 7.0), sources=("s1",)):
         return {"temperature": WindowSeries(np.array(values), tuple(sources))}
@@ -122,7 +121,7 @@ class TestComputeFeature:
         second = compute_feature(fn, w, self.data(), cache)
         assert counter["calls"] == 1
         assert cache.misses == 1 and cache.hits == 1
-        assert np.array_equal(first, second)
+        assert first == second == 7.0
 
     def test_fresh_cache_recomputes_identically(self):
         counter = {"calls": 0}
@@ -131,12 +130,12 @@ class TestComputeFeature:
         first = compute_feature(fn, w, self.data(), FeatureCache())
         second = compute_feature(fn, w, self.data(), FeatureCache())
         assert counter["calls"] == 2
-        assert np.array_equal(first, second)
+        assert first == second
 
     def test_mean_over_constant_window(self):
         fn = self.make_fn({"calls": 0})
         got = compute_feature(fn, form_window(10_000, 3, 0, 1.0), self.data(), FeatureCache())
-        assert got.tolist() == [7.0]
+        assert got == 7.0
 
     def test_missing_modality_marker(self):
         fn = self.make_fn({"calls": 0})
@@ -180,7 +179,7 @@ class TestComputeFeature:
             if op == "insert":
                 # t_b values arrive out of order, and keys repeat
                 key = ("f", t - 3, t, ("s1",))
-                cache.insert(key, np.array([float(i)]))
+                cache.insert(key, float(i))
                 reference[key] = float(i)
                 inserted.add(key)
             else:
@@ -190,24 +189,23 @@ class TestComputeFeature:
                 assert cache.evict_before(t) == len(stale)
             assert len(cache) == len(reference)
         for key in inserted:
-            value = cache.lookup(key)
-            assert (None if value is None else value[0]) == reference.get(key)
+            assert cache.lookup(key) == reference.get(key)
 
 
 class TestFeatureRegistry:
     def test_stat_features_resolve(self):
         registry = build_feature_registry(["temperature_mean", "co2_max", "motion_std"])
         assert set(registry) == {"temperature_mean", "co2_max", "motion_std"}
-        assert registry["co2_max"].modalities == ("co2",)
+        assert registry["co2_max"].modality == "co2"
+        assert registry["co2_max"].compute(np.array([400.0, 650.0, 500.0])) == 650.0
 
     def test_presence_is_a_low_level_inference(self):
-        registry = build_feature_registry(["presence"], presence_threshold=0.4)
-        fn = registry["presence"]
-        assert fn.kind == "low_level_inference"
-        high = {"motion": WindowSeries(np.array([0.8, 0.9]), ("m1",))}
-        low = {"motion": WindowSeries(np.array([0.1, 0.2]), ("m1",))}
-        assert fn.compute(high).tolist() == [1.0]
-        assert fn.compute(low).tolist() == [0.0]
+        fn = build_feature_registry(["presence"])["presence"]
+        assert fn.modality == "motion"
+        assert fn.compute(np.array([0.8, 0.9])) == 1.0
+        assert fn.compute(np.array([0.1, 0.2])) == 0.0
+        # a mean level at the threshold is not presence
+        assert fn.compute(np.array([pipeline_module.PRESENCE_THRESHOLD] * 2)) == 0.0
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(ConfigError):
@@ -216,8 +214,8 @@ class TestFeatureRegistry:
     def test_purity_contract(self):
         registry = build_feature_registry(["temperature_std"])
         fn = registry["temperature_std"]
-        data = {"temperature": WindowSeries(np.array([1.0, 2.0, 4.0]), ("s1",))}
-        assert np.array_equal(fn.compute(data), fn.compute(data))
+        values = np.array([1.0, 2.0, 4.0])
+        assert fn.compute(values) == fn.compute(values)
 
 
 def simple_service(service_id="svc", modalities=("temperature",), period_s=1.0,
@@ -333,12 +331,13 @@ class TestPipeline:
             Pipeline(sensors, [simple_service()], streams)
 
     def test_feature_outside_declared_needs_rejected(self):
-        sensors = [make_spec("t1")]
-        bad = simple_service(modalities=("temperature",),
-                             features=("temperature_mean", "presence"))
-        streams = synth_streams({"t1": ("temperature", 20.0)})
-        with pytest.raises(ConfigError):
-            Pipeline(sensors, [bad], streams)
+        with pytest.raises(ConfigError, match="'presence' needs modality 'motion' outside"):
+            simple_service(modalities=("temperature",),
+                           features=("temperature_mean", "presence"))
+
+    def test_unknown_feature_id_rejected(self):
+        with pytest.raises(ConfigError, match="cannot resolve feature id 'sound_level'"):
+            simple_service(features=("temperature_mean", "sound_level"))
 
     @pytest.mark.parametrize("field, value", [
         ("period_s", 0.0),
@@ -451,3 +450,75 @@ class TestHorizonIndependence:
         short = self.largest_associate_input(monkeypatch, 300.0)
         long = self.largest_associate_input(monkeypatch, 2400.0)
         assert 0 < short == long
+
+
+#: feature id -> the modality it reads; services draw from this shared pool
+SHARED_FEATURES = {"temperature_mean": "temperature", "temperature_max": "temperature",
+                   "motion_mean": "motion", "presence": "motion"}
+
+
+@st.composite
+def service_mixes(draw):
+    """One to three services over a temperature and a motion cohort that
+    draw feature ids from one pool, with any window a cycle can run."""
+    services = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        features = tuple(draw(st.lists(st.sampled_from(sorted(SHARED_FEATURES)),
+                                       min_size=1, max_size=3, unique=True)))
+        k_l = draw(st.integers(min_value=0, max_value=3))
+        services.append(ServiceSpec(
+            qos=QosProfile(service_id=f"s{i}",
+                           modality_needs=tuple(sorted({SHARED_FEATURES[f] for f in features}))),
+            period_s=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+            k_l=k_l,
+            k_r=draw(st.integers(min_value=0 if k_l else 1, max_value=2)),
+            delta_t_s=draw(st.sampled_from([0.5, 1.0, 2.0])),
+            features=features,
+        ))
+    return services
+
+
+def coinciding_windows():
+    """Two services whose windows coincide one 0.5 s cycle apart, so the
+    second reads the first's entry if the eviction kept it."""
+    return [ServiceSpec(qos=QosProfile(service_id=sid, modality_needs=("temperature",),
+                                       select_count=2),
+                        period_s=0.5, k_l=k_l, k_r=k_r, delta_t_s=0.5,
+                        features=("temperature_mean",))
+            for sid, k_l, k_r in (("a", 1, 1), ("b", 2, 0))]
+
+
+class TestCacheEviction:
+    """Evicting at the cycle time drops only windows no later cycle can ask for."""
+
+    sensors = [make_spec("t1"), make_spec("t2"), make_spec("m1", Modality.MOTION),
+               make_spec("m2", Modality.MOTION)]
+    streams = generate_synthetic(
+        [GeneratorSpec(sensor_id=sid, modality=modality, level=level, noise_std=0.1,
+                       period_s=1.0, duration_s=16.0)
+         for sid, modality, level in (("t1", "temperature", 20.0), ("t2", "temperature", 20.5),
+                                      ("m1", "motion", 0.4), ("m2", "motion", 0.45))],
+        seed=3,
+    )
+
+    def run(self, services, mode, evicts=True):
+        pipeline = Pipeline(self.sensors, services, self.streams, mode=mode)
+        outputs = []
+        for t_ms in range(pipeline.tick_ms, 16_001, pipeline.tick_ms):
+            result = pipeline.run_cycle(t_ms)
+            outputs.append((result.features, result.errors))
+            for cache in pipeline.caches() if evicts else ():
+                assert all(key[2] >= t_ms for key in cache._store)
+        counts = (pipeline.cache_hits, pipeline.feature_invocations,
+                  pipeline.distinct_feature_keys)
+        return outputs, counts
+
+    @settings(max_examples=30, deadline=None)
+    @given(services=service_mixes(), mode=st.sampled_from([Mode.UNIFIED, Mode.PER_SERVICE]))
+    @example(services=coinciding_windows(), mode=Mode.UNIFIED)
+    def test_eviction_loses_no_hit(self, services, mode):
+        evicting = self.run(services, mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FeatureCache, "evict_before", lambda self, cutoff_ms: 0)
+            keeping = self.run(services, mode, evicts=False)
+        assert evicting == keeping
