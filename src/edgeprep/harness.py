@@ -37,7 +37,6 @@ from .model import (
     SensorSpec,
     SensorStream,
     StaticAttr,
-    UtopiaVector,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow, WindowSpec
@@ -426,7 +425,6 @@ def _service(value, path: str) -> ServiceSpec:
     qos = _build(QosProfile, qos_raw, path, {
         "modalities": ("modality_needs", _reader(tuple[str, ...])),
         "weights": ("weights", _weights),
-        "utopia": ("utopia", lambda v, p: _build(UtopiaVector, {"components": v}, p)),
     })
     return _build(ServiceSpec, {k: v for k, v in value.items() if k not in _QOS_KEYS}, path,
                   {"window": (_WINDOW, lambda v, p: attrgetter(*_WINDOW)(
@@ -508,7 +506,6 @@ class ScenarioReport:
     activations: int
     feature_invocations: int
     cache_hits: int
-    cache_misses: int
     distinct_feature_keys: int
     points_processed: int
     selection_counts: dict[str, int]
@@ -608,7 +605,6 @@ def run_scenario(
         activations=len(features),
         feature_invocations=pipeline.feature_invocations,
         cache_hits=pipeline.cache_hits,
-        cache_misses=pipeline.feature_invocations,
         distinct_feature_keys=pipeline.distinct_feature_keys,
         points_processed=pipeline.counters.points_processed,
         selection_counts=selection_counts,

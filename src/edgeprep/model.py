@@ -1,14 +1,14 @@
 """Core domain types shared by every other module.
 
-Streams, sensor descriptions, dynamic sensor state vectors and service QoS
-profiles.  All types are immutable value objects after construction and can
-be shared freely across threads.
+Streams, sensor descriptions and service QoS profiles.  All types are
+immutable value objects after construction and can be shared freely across
+threads.
 
 Conventions used throughout the package:
 
 * timestamps are integer epoch-milliseconds, so window arithmetic is exact;
 * durations and sampling intervals are float seconds;
-* attribute vectors hold exactly five components, in the fixed order
+* an attribute vector is a plain row of five floats, in the fixed order
   (accuracy, reliability, resolution, response_time, range), each in [0, 1].
 """
 
@@ -29,8 +29,6 @@ __all__ = [
     "SensorStream",
     "StaticAttr",
     "SensorSpec",
-    "SensorStateVector",
-    "UtopiaVector",
     "QosProfile",
 ]
 
@@ -84,13 +82,6 @@ class Direction(enum.Enum):
 
     COST = "cost"
     BENEFIT = "benefit"
-
-
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -193,68 +184,19 @@ class SensorSpec:
         return modality_label(self.modality, self.modality_tag)
 
 
-def _check_unit(name: str, value: float) -> float:
-    value = _check_finite(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class SensorStateVector:
-    """Dynamic five-attribute state of one sensor at one instant.
-
-    ``alpha`` (accuracy) and ``beta`` (reliability) are refreshed from live
-    data; the remaining three are normalized static scores.  All five lie in
-    [0, 1].
-    """
-
-    sensor_id: str
-    t_ms: int
-    alpha: float
-    beta: float
-    gamma: float
-    epsilon: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "epsilon", "kappa"):
-            _check_unit(name, getattr(self, name))
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.epsilon, self.kappa)
-
-
-@dataclass(frozen=True)
-class UtopiaVector:
-    """Ideal attribute targets a service ranks real sensors against."""
-
-    components: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
-
-    def __post_init__(self) -> None:
-        comps = tuple(float(c) for c in self.components)
-        if len(comps) != len(ATTRIBUTE_NAMES):
-            raise ValueError(f"utopia vector needs {len(ATTRIBUTE_NAMES)} components")
-        for c in comps:
-            _check_unit("utopia component", c)
-        object.__setattr__(self, "components", comps)
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return self.components
-
-
 @dataclass(frozen=True)
 class QosProfile:
     """Per-service quality-of-service declaration.
 
-    ``weights`` follow the attribute order of :data:`ATTRIBUTE_NAMES`;
-    ``granularity_s`` is the expected inter-sample interval of the data the
-    service consumes; ``beta_source`` chooses between the latest-interval and
-    the cumulative reliability score.
+    ``utopia`` (the ideal attribute row the service ranks sensors against,
+    each entry in [0, 1]) and ``weights`` follow the attribute order of
+    :data:`ATTRIBUTE_NAMES`; ``granularity_s`` is the expected inter-sample
+    interval of the data the service consumes; ``beta_source`` chooses
+    between the latest-interval and the cumulative reliability score.
     """
 
     service_id: str
-    utopia: UtopiaVector = UtopiaVector()
+    utopia: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
     weights: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
     modality_needs: tuple[str, ...] = ()
     granularity_s: float = 1.0
@@ -271,7 +213,14 @@ class QosProfile:
             raise ConfigError("weights must be finite and >= 0")
         if sum(weights) <= 0:
             raise ConfigError("weights must not all be zero")
+        utopia = tuple(float(u) for u in self.utopia)
+        if len(utopia) != len(ATTRIBUTE_NAMES):
+            raise ConfigError(f"utopia needs {len(ATTRIBUTE_NAMES)} entries")
+        # NaN fails both comparisons
+        if not all(0.0 <= u <= 1.0 for u in utopia):
+            raise ConfigError(f"utopia entries must lie in [0, 1], got {utopia}")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "utopia", utopia)
         object.__setattr__(
             self, "modality_needs", tuple(sorted(set(self.modality_needs)))
         )

@@ -28,7 +28,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .voting import (
 __all__ = [
     "Mode",
     "WindowSpec",
-    "form_window",
     "window_ticks",
     "AssociationPredicate",
     "associate",
@@ -105,11 +104,6 @@ class WindowSpec:
         delta_ms = seconds_to_ms(self.delta_t_s)
         object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
         object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
-
-
-def form_window(t_i_ms: int, k_l: int, k_r: int, delta_t_s: float) -> WindowSpec:
-    """Anchor a window at ``t_i`` with the given shape."""
-    return WindowSpec(t_i_ms=t_i_ms, k_l=k_l, k_r=k_r, delta_t_s=delta_t_s)
 
 
 def window_ticks(window: WindowSpec) -> tuple[int, ...]:
@@ -181,10 +175,10 @@ class FeatureFunction:
 class FeatureCache:
     """Memo table keyed by (feature id, window bounds, contributing sensors).
 
-    Tracks hits, misses and every key ever computed; windows whose right
-    edge falls behind the eviction cutoff are dropped to bound memory.  A
-    min-heap of ``(t_b, insertion seq, key)`` over the stored keys lets an
-    eviction touch only the keys it drops.
+    Tracks hits and misses; windows whose right edge falls behind the
+    eviction cutoff are dropped to bound memory.  A min-heap of ``(t_b,
+    insertion seq, key)`` over the stored keys lets an eviction touch only
+    the keys it drops.  Iterating yields the stored keys.
     """
 
     def __init__(self) -> None:
@@ -193,7 +187,6 @@ class FeatureCache:
         self._seq = itertools.count()
         self.hits = 0
         self.misses = 0
-        self.keys_seen: set[tuple] = set()
 
     def lookup(self, key: tuple) -> float | None:
         value = self._store.get(key)
@@ -206,20 +199,24 @@ class FeatureCache:
             heapq.heappush(self._by_t_b, (key[2], next(self._seq), key))
         self._store[key] = value
         self.misses += 1
-        self.keys_seen.add(key)
         return value
 
-    def evict_before(self, cutoff_ms: int) -> int:
-        """Drop every entry whose window ends before ``cutoff_ms``."""
+    def evict_before(self, cutoff_ms: int) -> list[tuple]:
+        """Drop every entry whose window ends before ``cutoff_ms``; returns
+        the dropped keys."""
         heap = self._by_t_b
-        evicted = 0
+        evicted = []
         while heap and heap[0][0] < cutoff_ms:
-            del self._store[heapq.heappop(heap)[2]]
-            evicted += 1
+            key = heapq.heappop(heap)[2]
+            del self._store[key]
+            evicted.append(key)
         return evicted
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._store)
 
 
 def compute_feature(
@@ -301,16 +298,13 @@ class ServiceSpec:
     k_r: int
     delta_t_s: float
     features: tuple[str, ...]
-    max_gap_s: float | None = None
     zone: str | None = None
 
     def __post_init__(self) -> None:
         seconds_to_ms(self.period_s)
-        form_window(0, self.k_l, self.k_r, self.delta_t_s)
+        WindowSpec(0, self.k_l, self.k_r, self.delta_t_s)
         if not self.features:
             raise ConfigError("service must declare at least one feature")
-        if self.max_gap_s is not None and not self.max_gap_s >= 0:
-            raise ConfigError(f"max_gap_s must be >= 0, got {self.max_gap_s}")
         object.__setattr__(self, "features", tuple(self.features))
         for fid, fn in build_feature_registry(self.features).items():
             if fn.modality not in self.qos.modality_needs:
@@ -325,7 +319,9 @@ class ServiceSpec:
 
     @property
     def gap_s(self) -> float:
-        return self.max_gap_s if self.max_gap_s is not None else 2.0 * self.delta_t_s
+        """How far from a grid tick the samples bracketing it may sit: two
+        grid steps."""
+        return 2.0 * self.delta_t_s
 
 
 @dataclass(frozen=True)
@@ -470,12 +466,28 @@ class Pipeline:
         self._service_caches: dict[str, FeatureCache] = {
             svc.service_id: FeatureCache() for svc in self.services
         }
+        # keys evicted so far; none can recur while cycle times increase
+        self._retired_keys = 0
+        self._last_t_ms: int | None = None
+
+        # (service id, modality key) -> ascending ids of the cohort's sensors
+        # with data, in the service's zone; streams and zones are fixed
+        self._live: dict[tuple[str, str], tuple[str, ...]] = {
+            (svc.service_id, mk): tuple(
+                spec.sensor_id
+                for spec in self._cohorts.get(mk, [])
+                if len(self.streams.get(spec.sensor_id, ())) > 0
+                and (svc.zone is None or spec.zone == svc.zone)
+            )
+            for svc in self.services
+            for mk in svc.qos.modality_needs
+        }
 
         self._topsis: dict[tuple[str, str], RankingResult] = {}
         if mode is Mode.TOPSIS_BASELINE:
             for svc in self.services:
                 for mk in svc.qos.modality_needs:
-                    live = self._live_cohort(svc, mk)
+                    live = self._live[(svc.service_id, mk)]
                     if not live:
                         continue
                     count = min(svc.qos.select_count, len(live))
@@ -498,15 +510,6 @@ class Pipeline:
             rows.append((dyn.alpha, beta) + self._static[sid])
         return np.array(rows, dtype=float)
 
-    def _live_cohort(self, svc: ServiceSpec, mk: str) -> tuple[str, ...]:
-        """Ascending ids of the cohort's sensors with data in the service's zone."""
-        return tuple(
-            spec.sensor_id
-            for spec in self._cohorts.get(mk, [])
-            if spec.sensor_id in self.streams and len(self.streams[spec.sensor_id]) > 0
-            and (svc.zone is None or spec.zone == svc.zone)
-        )
-
     def _cache_for(self, svc: ServiceSpec) -> FeatureCache:
         if self.mode is Mode.PER_SERVICE:
             return self._service_caches[svc.service_id]
@@ -527,10 +530,7 @@ class Pipeline:
 
     @property
     def distinct_feature_keys(self) -> int:
-        keys: set[tuple] = set()
-        for c in self.caches():
-            keys.update(c.keys_seen)
-        return len(keys)
+        return self._retired_keys + len(set().union(*self.caches()))
 
     # -- cohort maintenance --------------------------------------------------
 
@@ -593,9 +593,7 @@ class Pipeline:
         if self.mode is Mode.NO_SELECTION_FUSED:
             return live, []
         if self.mode is Mode.TOPSIS_BASELINE:
-            result = self._topsis.get((svc.service_id, mk))
-            if result is None:
-                return live, []
+            result = self._topsis[(svc.service_id, mk)]
         else:
             count = min(svc.qos.select_count, len(live))
             result = rank_and_select(
@@ -646,11 +644,11 @@ class Pipeline:
         )
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
-        window = form_window(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)
+        window = WindowSpec(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)
         selected_by_mk: dict[str, tuple[str, ...]] = {}
         rows: list[TraceRow] = []
         for mk in svc.qos.modality_needs:
-            live = self._live_cohort(svc, mk)
+            live = self._live[(svc.service_id, mk)]
             if not live:
                 raise ServiceDataError(f"no live sensors for modality {mk!r}")
             selected, mk_rows = self._select(svc, mk, t_ms, live)
@@ -683,7 +681,13 @@ class Pipeline:
     # -- the cycle -----------------------------------------------------------
 
     def run_cycle(self, t_ms: int) -> CycleResult:
-        """Advance cohort state and serve every service due at ``t_ms``."""
+        """Advance cohort state and serve every service due at ``t_ms``.
+
+        Cycle times must increase from call to call.
+        """
+        if self._last_t_ms is not None and t_ms <= self._last_t_ms:
+            raise ValueError(f"cycle time {t_ms} does not follow {self._last_t_ms}")
+        self._last_t_ms = t_ms
         self.counters.cycles += 1
         if self.mode in (Mode.UNIFIED, Mode.PER_SERVICE):
             for mk in sorted(self._cohorts):
@@ -698,6 +702,7 @@ class Pipeline:
             except ServiceDataError as exc:
                 result.errors[svc.service_id] = str(exc)
         # every later window ends at or after its own, later, cycle time
-        for cache in self.caches():
-            cache.evict_before(t_ms)
+        self._retired_keys += len(
+            set().union(*(cache.evict_before(t_ms) for cache in self.caches()))
+        )
         return result

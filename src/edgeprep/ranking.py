@@ -25,8 +25,6 @@ from .model import (
     Direction,
     QosProfile,
     SensorSpec,
-    SensorStateVector,
-    UtopiaVector,
 )
 
 __all__ = [
@@ -34,8 +32,6 @@ __all__ = [
     "RankingResult",
     "static_score",
     "static_profile",
-    "euclidean_component",
-    "cosine_component",
     "scaling_coefficients",
     "direction_aware_distance",
     "rank_and_select",
@@ -103,33 +99,15 @@ def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def _as_vector(u) -> np.ndarray:
-    if isinstance(u, SensorStateVector):
-        return np.array(u.as_tuple(), dtype=float)
-    if isinstance(u, UtopiaVector):
-        return np.array(u.as_tuple(), dtype=float)
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("attribute vector must be one-dimensional")
-    return arr
-
-
-def _weights(w, m: int) -> np.ndarray:
-    arr = np.asarray(w, dtype=float)
-    if arr.shape != (m,):
-        raise ConfigError(f"weights must have {m} entries")
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise ConfigError("weights must be finite and >= 0")
-    return arr
-
-
 def _row_distances(
     states: np.ndarray, v: np.ndarray, wt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean and cosine components of every row of ``states`` to ``v``.
 
-    One row-wise pass; each row's sums are the ones the 1-D formula takes,
-    so a single-row matrix and a cohort give the same bits for that row.
+    ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
+    sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1].  One row-wise
+    pass; each row's sums are the ones the 1-D formula takes, so a
+    single-row matrix and a cohort give the same bits for that row.
     """
     d_m = np.sqrt((wt * (states - v) ** 2).sum(axis=1))
     wa, wb = wt * states, wt * v
@@ -140,30 +118,6 @@ def _row_distances(
     # a zero-norm weighted vector is maximally dissimilar
     d_a[zero] = 1.0
     return d_m, d_a
-
-
-def _checked_operands(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a, b = _as_vector(u), _as_vector(v)
-    if a.shape != b.shape:
-        raise ValueError("vectors must share dimensionality")
-    wt = np.ones(len(a)) if w is None else _weights(w, len(a))
-    return a[np.newaxis, :], b, wt
-
-
-def euclidean_component(u, v, w=None) -> float:
-    """Weighted Euclidean distance ``sqrt(sum(w * (a - b)^2))``."""
-    d_m, _ = _row_distances(*_checked_operands(u, v, w))
-    return float(d_m[0])
-
-
-def cosine_component(u, v, w=None) -> float:
-    """Angular dissimilarity of the weighted vectors, in [0, 1].
-
-    ``1 - sum(|w a| |w b|) / sqrt(sum((w a)^2) sum((w b)^2))``; a zero-norm
-    weighted vector is maximally dissimilar by convention (distance 1).
-    """
-    _, d_a = _row_distances(*_checked_operands(u, v, w))
-    return float(d_a[0])
 
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
@@ -236,10 +190,8 @@ def rank_and_select(
     leading ``count`` ids (default: the profile's select_count).
     """
     matrix, count = _checked_cohort(sensor_ids, states, qos, count)
-    # QosProfile has validated the weights and the utopia vector already
-    wt = np.array(qos.weights, dtype=float)
-    v = np.array(qos.utopia.as_tuple(), dtype=float)
-    d_m, d_a = _row_distances(matrix, v, wt)
+    # QosProfile has validated the weights and the utopia row already
+    d_m, d_a = _row_distances(matrix, np.array(qos.utopia), np.array(qos.weights))
     d_ms, d_as = d_m.tolist(), d_a.tolist()
     # Python's left-to-right sum and math.hypot per sensor: np.sum and
     # np.hypot round differently in the last bit
@@ -273,7 +225,7 @@ def topsis_select(
     a static baseline.
     """
     matrix, count = _checked_cohort(sensor_ids, states, qos, count)
-    w = _weights(qos.weights, len(ATTRIBUTE_NAMES))
+    w = np.array(qos.weights)
 
     norms = np.sqrt((matrix**2).sum(axis=0))
     normalized = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)

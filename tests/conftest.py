@@ -5,12 +5,12 @@ import pytest
 import yaml
 
 from edgeprep.harness import parse_scenario
+from edgeprep.ranking import rank_and_select
 from edgeprep.model import (
     Direction,
     Modality,
     QosProfile,
     SensorSpec,
-    SensorStateVector,
     StaticAttr,
 )
 
@@ -30,16 +30,24 @@ def make_spec(sid, modality=Modality.TEMPERATURE, zone="room",
     )
 
 
-def make_state(sid, alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.5, kappa=0.5, t_ms=0):
-    return SensorStateVector(sensor_id=sid, t_ms=t_ms, alpha=alpha, beta=beta,
-                             gamma=gamma, epsilon=epsilon, kappa=kappa)
+def make_state(sid, alpha=1.0, beta=1.0, gamma=0.5, epsilon=0.5, kappa=0.5):
+    """``(sensor_id, row)``: one sensor's attribute row in ATTRIBUTE_NAMES order."""
+    return sid, (float(alpha), float(beta), float(gamma), float(epsilon), float(kappa))
 
 
 def cohort_of(*states):
     """``(sensor_ids, states)`` for the ranking functions, rows in the given
     order."""
-    return (tuple(s.sensor_id for s in states),
-            np.array([s.as_tuple() for s in states], dtype=float))
+    return (tuple(sid for sid, _ in states),
+            np.array([row for _, row in states], dtype=float))
+
+
+def row_components(row, utopia=(1.0,) * 5, weights=(1.0,) * 5):
+    """``(d_m, d_a)`` of one attribute row ranked alone against ``utopia``
+    with ``weights``."""
+    qos = QosProfile(service_id="svc", utopia=tuple(utopia), weights=tuple(weights))
+    record = rank_and_select(("s",), np.array([row], dtype=float), qos).records[0]
+    return record.d_m, record.d_a
 
 
 @pytest.fixture

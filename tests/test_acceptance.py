@@ -28,13 +28,7 @@ from edgeprep.harness import (
 )
 from edgeprep.model import Modality, QosProfile, SensorStream
 from edgeprep.pipeline import Mode, ServiceSpec
-from edgeprep.ranking import (
-    cosine_component,
-    direction_aware_distance,
-    euclidean_component,
-    rank_and_select,
-    scaling_coefficients,
-)
+from edgeprep.ranking import direction_aware_distance, rank_and_select, scaling_coefficients
 from edgeprep.reliability import (
     compute_lambda,
     cumulative_reliability,
@@ -50,7 +44,7 @@ from edgeprep.voting import (
     normalize,
     select_optimal,
 )
-from conftest import RELIABILITY_FIRST, load_config, make_spec
+from conftest import RELIABILITY_FIRST, load_config, make_spec, row_components
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,6 +151,10 @@ def test_c4_ranking_properties():
     assert result.order[0] == "u"
     assert direction_aware_distance(3.0, 4.0, 1.0, 1.0) == 5.0
 
+    def d_m(a, b, weights):
+        """Magnitude component of ``a`` ranked alone against the utopia ``b``."""
+        return row_components(a, b, weights)[0]
+
     rng = np.random.default_rng(4)
     dims = 5
     for _ in range(1000):
@@ -166,12 +164,12 @@ def test_c4_ranking_properties():
 
         # metric axioms on the magnitude component
         i, j, k = rng.integers(0, n, size=3)
-        dij = euclidean_component(mat[i], mat[j], w)
-        dji = euclidean_component(mat[j], mat[i], w)
+        dij = d_m(mat[i], mat[j], w)
+        dji = d_m(mat[j], mat[i], w)
         assert dij == pytest.approx(dji, abs=1e-12)
-        assert euclidean_component(mat[i], mat[i], w) == 0.0
-        dik = euclidean_component(mat[i], mat[k], w)
-        dkj = euclidean_component(mat[k], mat[j], w)
+        assert d_m(mat[i], mat[i], w) == 0.0
+        dik = d_m(mat[i], mat[k], w)
+        dkj = d_m(mat[k], mat[j], w)
         assert dij <= dik + dkj + 1e-12
 
         # weight monotonicity: a sensor that dominates another on one
@@ -185,13 +183,12 @@ def test_c4_ranking_properties():
         for scale in (0.5, 1.0, 2.0, 8.0, 32.0):
             ws = w.copy()
             ws[attr] *= scale
-            assert euclidean_component(a, v, ws) <= euclidean_component(b, v, ws) + 1e-12
+            assert d_m(a, v, ws) <= d_m(b, v, ws) + 1e-12
 
         # the two readings of the scaling coefficient (cohort size vs
         # attribute count) rescale every sensor identically, so the
         # induced order never changes
-        dms = [euclidean_component(row, v, w) for row in mat]
-        das = [cosine_component(row, v, w) for row in mat]
+        dms, das = zip(*(row_components(row, v, w) for row in mat))
         xi_m_n, xi_a_n = scaling_coefficients(dms, das)
         sum_m, sum_a = sum(dms), sum(das)
         xi_m_d = dims / sum_m if sum_m > 0 else 1.0
@@ -284,7 +281,7 @@ def test_c7_unified_preprocessing_counts():
     per_service_lines = [_feature_line(fv) for fv in per_service.features]
     assert unified_lines == per_service_lines
     assert unified.feature_invocations < per_service.feature_invocations
-    assert unified.cache_misses == unified.distinct_feature_keys
+    assert unified.feature_invocations == unified.distinct_feature_keys
     assert unified.cache_hits > 0
 
     ok(

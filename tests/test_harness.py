@@ -1,6 +1,8 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from edgeprep.harness import (
 from edgeprep.cli import main
 from edgeprep.model import ConfigError, Direction, Modality, SensorStream
 from edgeprep.pipeline import Mode
+from edgeprep.ranking import rank_and_select
 from conftest import load_config
 
 
@@ -324,6 +327,7 @@ class TestStrictParsing:
         ("scenario", "cache_horizon_s"),   # the cache evicts at the cycle time
         ("scenario", "presence_threshold"),  # fixed at PRESENCE_THRESHOLD
         ("kalman", "initial_state"),       # the filter starts at the first measurement
+        ("service", "max_gap_s"),          # two grid steps, see ServiceSpec.gap_s
     ])
     def test_fields_without_a_key_of_their_own_are_unknown(self, level, key):
         with pytest.raises(ConfigError, match=re.escape(f".{key}: unknown key")):
@@ -372,10 +376,28 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):
             parse_with("voting", "p", 3)
 
-    @pytest.mark.parametrize("key, value", [("period_s", 0.0001), ("max_gap_s", -1.0)])
+    @pytest.mark.parametrize("key, value", [("period_s", 0.0001)])
     def test_service_the_cycle_cannot_run_is_named(self, key, value):
         with pytest.raises(ConfigError, match=re.escape("scenario.services[0]: ")):
             parse_with("service", key, value)
+
+    @pytest.mark.parametrize("utopia", [[1, 1, 1, 1], [1, 1, 1, 1, 2], [1, 1, float("nan"), 1, 1]],
+                             ids=["four", "above_one", "nan"])
+    def test_bad_utopia_names_its_service(self, utopia):
+        with pytest.raises(ConfigError, match=re.escape("scenario.services[0]: ") + ".*utopia"):
+            parse_with("service", "utopia", utopia)
+
+    def test_utopia_read_from_yaml_changes_the_pick(self, tmp_path):
+        # "full" sits on the default all-ones utopia, "half" on the one read
+        doc = valid_scenario()
+        doc["services"][0]["utopia"] = [0.5] * 5
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        read = load_scenario(path).services[0].qos
+        assert read.utopia == (0.5,) * 5
+        ids, rows = ("full", "half"), np.array([[1.0] * 5, [0.5] * 5])
+        assert rank_and_select(ids, rows, replace(read, utopia=(1.0,) * 5)).selected == ("full",)
+        assert rank_and_select(ids, rows, read).selected == ("half",)
 
     def test_streams_name_one_source(self):
         # a run would read the CSV alone and silently drop the generators
@@ -401,7 +423,7 @@ class TestConfigsAndDocs:
 
     def test_readme_scenario_block_loads(self):
         cfg = parse_scenario(yaml.safe_load(readme_block("## Scenario config", "yaml")))
-        assert cfg.services[0].max_gap_s == 2.0
+        assert cfg.services[0].qos.utopia == (1.0,) * 5
 
     def test_readme_quickstart_runs(self):
         namespace = {}

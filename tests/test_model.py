@@ -8,11 +8,10 @@ from edgeprep.model import (
     ConfigError,
     Modality,
     QosProfile,
-    SensorStateVector,
     SensorStream,
-    UtopiaVector,
     seconds_to_ms,
 )
+from conftest import row_components
 
 
 def stream_of(timestamps, values, sid="s1"):
@@ -107,14 +106,30 @@ class TestQosProfile:
 
 class TestBoundedVectors:
     def test_utopia_components_must_be_unit_range(self):
-        with pytest.raises(ValueError):
-            UtopiaVector((1.0, 1.0, 1.0, 1.0, 1.5))
+        with pytest.raises(ConfigError, match="utopia"):
+            QosProfile(service_id="svc", utopia=(1.0, 1.0, 1.0, 1.0, 1.5))
+
+    @pytest.mark.parametrize("utopia", [
+        (1.0, 1.0, 1.0, 1.0),             # four entries
+        (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),   # six entries
+        (1.0, -0.5, 1.0, 1.0, 1.0),       # below the unit interval
+        (1.0, 1.0, math.nan, 1.0, 1.0),
+    ], ids=["four", "six", "negative", "nan"])
+    def test_utopia_needs_five_entries_in_the_unit_interval(self, utopia):
+        with pytest.raises(ConfigError, match="utopia"):
+            QosProfile(service_id="svc", utopia=utopia)
 
     def test_state_vector_components_must_be_unit_range(self):
-        with pytest.raises(ValueError):
-            SensorStateVector("s1", 0, alpha=1.2, beta=1, gamma=1, epsilon=1, kappa=1)
-        with pytest.raises(ValueError):
-            SensorStateVector("s1", 0, alpha=math.nan, beta=1, gamma=1, epsilon=1, kappa=1)
+        # a state vector is a row of the cohort matrix the ranking checks
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            row_components((1.2, 1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            row_components((math.nan, 1.0, 1.0, 1.0, 1.0))
+
+    def test_utopia_is_a_plain_row(self):
+        qos = QosProfile(service_id="svc", utopia=[0, 0.5, 1, 1, 1])
+        assert qos.utopia == (0.0, 0.5, 1.0, 1.0, 1.0)
+        assert QosProfile(service_id="svc").utopia == (1.0,) * 5
 
 
 class TestDurations:

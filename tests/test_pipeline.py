@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -14,15 +15,15 @@ from edgeprep.pipeline import (
     Pipeline,
     ServiceSpec,
     WindowSeries,
+    WindowSpec,
     associate,
     build_feature_registry,
     compute_feature,
-    form_window,
     window_ticks,
 )
 import edgeprep.pipeline as pipeline_module
 import edgeprep.reliability as reliability_module
-from edgeprep.harness import GeneratorSpec, generate_synthetic, run_scenario
+from edgeprep.harness import GeneratorSpec, generate_synthetic, inject_faults, run_scenario
 from conftest import load_config, make_spec
 
 
@@ -33,28 +34,28 @@ def stream_of(timestamps, sid="s1"):
 
 class TestFormWindow:
     def test_direct_substitution(self):
-        w = form_window(100_000, k_l=2, k_r=1, delta_t_s=5.0)
+        w = WindowSpec(100_000, k_l=2, k_r=1, delta_t_s=5.0)
         assert w.t_a_ms == 90_000
         assert w.t_b_ms == 105_000
 
     def test_causal_boundaries(self):
-        assert form_window(100_000, 0, 2, 5.0).t_a_ms == 100_000
-        assert form_window(100_000, 2, 0, 5.0).t_b_ms == 100_000
+        assert WindowSpec(100_000, 0, 2, 5.0).t_a_ms == 100_000
+        assert WindowSpec(100_000, 2, 0, 5.0).t_b_ms == 100_000
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
-            form_window(100_000, 0, 0, 5.0)
+            WindowSpec(100_000, 0, 0, 5.0)
         with pytest.raises(ValueError):
-            form_window(100_000, 1, 1, 0.0)
+            WindowSpec(100_000, 1, 1, 0.0)
 
     def test_ticks_cover_the_half_open_window(self):
-        w = form_window(10_000, 3, 0, 1.0)
+        w = WindowSpec(10_000, 3, 0, 1.0)
         assert window_ticks(w) == (8000, 9000, 10_000)
 
     def test_identical_parameters_give_identical_membership(self):
         stream = stream_of(range(7000, 10_001, 500))
-        w1 = form_window(10_000, 3, 0, 1.0)
-        w2 = form_window(10_000, 3, 0, 1.0)
+        w1 = WindowSpec(10_000, 3, 0, 1.0)
+        w2 = WindowSpec(10_000, 3, 0, 1.0)
         in1 = stream.points_in(w1.t_a_ms, w1.t_b_ms)
         in2 = stream.points_in(w2.t_a_ms, w2.t_b_ms)
         assert in1 == in2
@@ -64,29 +65,29 @@ class TestAssociate:
     pred = AssociationPredicate(zone_of=lambda sid: {"s1": "lab", "s2": "hall"}.get(sid, ""))
 
     def test_point_in_window_and_zone(self):
-        w = form_window(10_000, 2, 0, 1.0)
+        w = WindowSpec(10_000, 2, 0, 1.0)
         flag, subset = associate(stream_of([9000], "s1"), self.pred, w, "lab")
         assert flag
         assert len(subset) == 1
 
     def test_wrong_zone_is_excluded(self):
-        w = form_window(10_000, 2, 0, 1.0)
+        w = WindowSpec(10_000, 2, 0, 1.0)
         flag, subset = associate(stream_of([9000], "s2"), self.pred, w, "lab")
         assert not flag
         assert len(subset) == 0
 
     def test_empty_point_set(self):
-        w = form_window(10_000, 2, 0, 1.0)
+        w = WindowSpec(10_000, 2, 0, 1.0)
         assert associate(stream_of([]), self.pred, w, "lab") == (False, stream_of([]))
 
     def test_window_boundaries_are_half_open(self):
-        w = form_window(10_000, 2, 0, 1.0)
+        w = WindowSpec(10_000, 2, 0, 1.0)
         pts = stream_of([8000, 8001, 10_000, 10_001], "s1")
         _, subset = associate(pts, self.pred, w, "lab")
         assert subset.timestamps_ms == (8001, 10_000)
 
     def test_tolerance_widens_both_edges(self):
-        w = form_window(10_000, 2, 0, 1.0)
+        w = WindowSpec(10_000, 2, 0, 1.0)
         pred = replace(self.pred, temporal_tolerance_s=0.5)
         pts = stream_of([7500, 7501, 10_500, 10_501], "s1")
         _, subset = associate(pts, pred, w, "lab")
@@ -94,8 +95,8 @@ class TestAssociate:
 
     def test_enlarging_the_window_never_removes_points(self):
         pts = stream_of(range(6000, 12_001, 500), "s1")
-        small = form_window(10_000, 2, 0, 1.0)
-        big = form_window(10_000, 4, 1, 1.0)
+        small = WindowSpec(10_000, 2, 0, 1.0)
+        big = WindowSpec(10_000, 4, 1, 1.0)
         _, inner = associate(pts, self.pred, small, "lab")
         _, outer = associate(pts, self.pred, big, "lab")
         assert set(inner.timestamps_ms) <= set(outer.timestamps_ms)
@@ -116,7 +117,7 @@ class TestComputeFeature:
         counter = {"calls": 0}
         fn = self.make_fn(counter)
         cache = FeatureCache()
-        w = form_window(10_000, 3, 0, 1.0)
+        w = WindowSpec(10_000, 3, 0, 1.0)
         first = compute_feature(fn, w, self.data(), cache)
         second = compute_feature(fn, w, self.data(), cache)
         assert counter["calls"] == 1
@@ -126,7 +127,7 @@ class TestComputeFeature:
     def test_fresh_cache_recomputes_identically(self):
         counter = {"calls": 0}
         fn = self.make_fn(counter)
-        w = form_window(10_000, 3, 0, 1.0)
+        w = WindowSpec(10_000, 3, 0, 1.0)
         first = compute_feature(fn, w, self.data(), FeatureCache())
         second = compute_feature(fn, w, self.data(), FeatureCache())
         assert counter["calls"] == 2
@@ -134,13 +135,13 @@ class TestComputeFeature:
 
     def test_mean_over_constant_window(self):
         fn = self.make_fn({"calls": 0})
-        got = compute_feature(fn, form_window(10_000, 3, 0, 1.0), self.data(), FeatureCache())
+        got = compute_feature(fn, WindowSpec(10_000, 3, 0, 1.0), self.data(), FeatureCache())
         assert got == 7.0
 
     def test_missing_modality_marker(self):
         fn = self.make_fn({"calls": 0})
         cache = FeatureCache()
-        w = form_window(10_000, 3, 0, 1.0)
+        w = WindowSpec(10_000, 3, 0, 1.0)
         assert compute_feature(fn, w, {}, cache) is None
         empty = {"temperature": WindowSeries(np.array([]), ("s1",))}
         assert compute_feature(fn, w, empty, cache) is None
@@ -150,7 +151,7 @@ class TestComputeFeature:
         counter = {"calls": 0}
         fn = self.make_fn(counter)
         cache = FeatureCache()
-        w = form_window(10_000, 3, 0, 1.0)
+        w = WindowSpec(10_000, 3, 0, 1.0)
         compute_feature(fn, w, self.data(sources=("s1",)), cache)
         compute_feature(fn, w, self.data(sources=("s2",)), cache)
         assert counter["calls"] == 2
@@ -158,11 +159,10 @@ class TestComputeFeature:
     def test_eviction_drops_old_windows(self):
         fn = self.make_fn({"calls": 0})
         cache = FeatureCache()
-        compute_feature(fn, form_window(10_000, 3, 0, 1.0), self.data(), cache)
+        compute_feature(fn, WindowSpec(10_000, 3, 0, 1.0), self.data(), cache)
         assert len(cache) == 1
-        cache.evict_before(20_000)
+        assert cache.evict_before(20_000) == [("temperature_mean", 7000, 10_000, ("s1",))]
         assert len(cache) == 0
-        assert cache.keys_seen  # history of keys is retained for accounting
 
     @given(st.lists(
         st.one_of(
@@ -186,7 +186,7 @@ class TestComputeFeature:
                 stale = [k for k in reference if k[2] < t]
                 for k in stale:
                     del reference[k]
-                assert cache.evict_before(t) == len(stale)
+                assert sorted(cache.evict_before(t)) == sorted(stale)
             assert len(cache) == len(reference)
         for key in inserted:
             assert cache.lookup(key) == reference.get(key)
@@ -344,7 +344,6 @@ class TestPipeline:
         ("period_s", 0.0001),  # not a whole millisecond
         ("delta_t_s", 0.0),
         ("k_l", 0),            # with k_r = 0
-        ("max_gap_s", -1.0),
     ])
     def test_service_the_cycle_cannot_run_is_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -360,6 +359,19 @@ class TestPipeline:
         alphas = {sid: pipeline._dyn[sid].alpha for sid in ("t1", "t2", "t3")}
         assert alphas["t1"] == 1.0 and alphas["t2"] == 1.0
         assert alphas["t3"] == pytest.approx(np.exp(-8.0), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_cycle_times_must_increase(self, mode):
+        # an evicted cache key may recur only on a clock that goes back
+        sensors = [make_spec("t1"), make_spec("t2")]
+        streams = synth_streams({"t1": ("temperature", 20.0), "t2": ("temperature", 21.0)})
+        pipeline = Pipeline(sensors, [simple_service()], streams, mode=mode)
+        pipeline.run_cycle(4000)
+        for t_ms in (4000, 3000):  # repeated, backwards
+            with pytest.raises(ValueError, match="cycle time .* does not follow 4000"):
+                pipeline.run_cycle(t_ms)
+        assert "svc" in pipeline.run_cycle(5000).features
+        assert pipeline.counters.cycles == 2
 
     def test_zone_scoping_limits_the_cohort(self):
         sensors = [make_spec("t1", zone="lab"), make_spec("t2", zone="hall")]
@@ -452,6 +464,30 @@ class TestHorizonIndependence:
         assert 0 < short == long
 
 
+class TestBoundedState:
+    def test_cache_and_key_accounting_do_not_grow_with_the_horizon(self):
+        # one 9600 s fault run, its cache and key-accounting state pickled
+        # after 2400 s and at the end
+        cfg = load_config("fault_scenario", duration_s=9600)
+        streams = inject_faults(generate_synthetic(cfg.generators, cfg.seed), cfg.faults, cfg.seed)
+        pipeline = Pipeline(cfg.sensors, cfg.services, streams, voting=cfg.voting,
+                            kalman=cfg.kalman, reliability_interval_s=cfg.reliability_interval_s)
+
+        def state():
+            return len(pickle.dumps(([(c._store, c._by_t_b) for c in pipeline.caches()],
+                                     pipeline._retired_keys)))
+
+        sizes, keys = {}, {}
+        for t_ms in range(pipeline.tick_ms, 9_600_001, pipeline.tick_ms):
+            pipeline.run_cycle(t_ms)
+            if t_ms in (2_400_000, 9_600_000):
+                sizes[t_ms], keys[t_ms] = state(), pipeline.distinct_feature_keys
+        assert sizes[9_600_000] <= sizes[2_400_000]
+        # one new window per second: the count still covers every key
+        assert keys[9_600_000] - keys[2_400_000] == 7200
+        assert keys[9_600_000] == pipeline.feature_invocations
+
+
 #: feature id -> the modality it reads; services draw from this shared pool
 SHARED_FEATURES = {"temperature_mean": "temperature", "temperature_max": "temperature",
                    "motion_mean": "motion", "presence": "motion"}
@@ -519,6 +555,6 @@ class TestCacheEviction:
     def test_eviction_loses_no_hit(self, services, mode):
         evicting = self.run(services, mode)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(FeatureCache, "evict_before", lambda self, cutoff_ms: 0)
+            patch.setattr(FeatureCache, "evict_before", lambda self, cutoff_ms: [])
             keeping = self.run(services, mode, evicts=False)
         assert evicting == keeping

@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from edgeprep.model import ConfigError, Direction, QosProfile
 from edgeprep.ranking import (
-    cosine_component,
     direction_aware_distance,
-    euclidean_component,
     rank_and_select,
     scaling_coefficients,
     static_profile,
     static_score,
     topsis_select,
 )
-from conftest import cohort_of, make_spec, make_state
+from conftest import cohort_of, make_spec, make_state, row_components
 
 
 def qos(weights=(1, 1, 1, 1, 1), count=1, service_id="svc"):
@@ -56,40 +54,49 @@ class TestStaticScore:
             static_profile(spec)
 
 
+def euclidean(u, v, w=(1.0,) * 5):
+    return row_components(u, v, w)[0]
+
+
+def cosine(u, v, w=(1.0,) * 5):
+    return row_components(u, v, w)[1]
+
+
 class TestEuclideanComponent:
     def test_identity(self):
-        u = make_state("a", 0.3, 0.4, 0.5, 0.6, 0.7)
-        assert euclidean_component(u, u) == 0.0
+        _, u = make_state("a", 0.3, 0.4, 0.5, 0.6, 0.7)
+        assert euclidean(u, u) == 0.0
 
     def test_unit_cube_diagonal(self):
-        assert euclidean_component([0, 0, 0, 0, 0], [1, 1, 1, 1, 1]) == pytest.approx(
+        assert euclidean([0, 0, 0, 0, 0], [1, 1, 1, 1, 1]) == pytest.approx(
             2.23606797749979, abs=1e-15
         )
 
     def test_single_axis_weighting(self):
-        got = euclidean_component([0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [4, 0, 0, 0, 0])
+        got = euclidean([0.5, 0, 0, 0, 0], [1.0, 0, 0, 0, 0], [4, 0, 0, 0, 0])
         assert got == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_negative_weight(self):
+        # the weights come from a QosProfile, which rejects them
         with pytest.raises(ConfigError):
-            euclidean_component([0] * 5, [1] * 5, [1, 1, -1, 1, 1])
+            euclidean([0] * 5, [1] * 5, [1, 1, -1, 1, 1])
 
 
 class TestCosineComponent:
     def test_parallel_vectors(self):
-        assert cosine_component([0.5] * 5, [1.0] * 5) == pytest.approx(0.0, abs=1e-12)
+        assert cosine([0.5] * 5, [1.0] * 5) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_axes(self):
-        assert cosine_component([1, 0, 0, 0, 0], [0, 1, 0, 0, 0]) == 1.0
+        assert cosine([1, 0, 0, 0, 0], [0, 1, 0, 0, 0]) == 1.0
 
     def test_zero_norm_convention(self):
-        assert cosine_component([0] * 5, [1] * 5) == 1.0
+        assert cosine([0] * 5, [1] * 5) == 1.0
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             u, v, w = rng.random(5), rng.random(5), rng.random(5)
-            assert 0.0 <= cosine_component(u, v, w) <= 1.0
+            assert 0.0 <= cosine(u, v, w) <= 1.0
 
 
 class TestScalingCoefficients:
@@ -143,8 +150,8 @@ class TestRankAndSelect:
         result = rank_and_select(*cohort_of(*cohort), qos(count=1))
         # brute-force evaluation of the distance formulas
         dms, das = [], []
-        for u in cohort:
-            vec = np.array(u.as_tuple())
+        for _, u in cohort:
+            vec = np.array(u)
             ones = np.ones(5)
             dms.append(math.sqrt(float(np.sum((vec - ones) ** 2))))
             denom = math.sqrt(float(np.sum(vec**2)) * 5.0)
@@ -177,7 +184,7 @@ class TestRankAndSelect:
         ]
         base = rank_and_select(*cohort_of(*cohort), qos())
         worst = base.order[-1]
-        dup = make_state("zz", *[s for s in cohort if s.sensor_id == worst][0].as_tuple())
+        dup = ("zz", dict(cohort)[worst])
         extended = rank_and_select(*cohort_of(*cohort, dup), qos())
         for rec in base.records:
             after = extended.record_for(rec.sensor_id)
@@ -290,27 +297,27 @@ class TestTopsis:
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 vec5 = st.tuples(unit, unit, unit, unit, unit)
-weights5 = st.tuples(*[st.floats(min_value=0.0, max_value=10.0, allow_nan=False)] * 5)
+#: weights a QosProfile accepts: finite, >= 0 and not all zero
+weights5 = st.tuples(*[st.floats(min_value=0.0, max_value=10.0, allow_nan=False)] * 5).filter(
+    lambda w: sum(w) > 0)
 
 
 class TestMetricAxioms:
     @given(u=vec5, v=vec5, w=weights5)
     def test_symmetry(self, u, v, w):
-        assert euclidean_component(u, v, w) == pytest.approx(
-            euclidean_component(v, u, w), abs=1e-12
-        )
+        assert euclidean(u, v, w) == pytest.approx(euclidean(v, u, w), abs=1e-12)
 
     @given(u=vec5, v=vec5, x=vec5, w=weights5)
     def test_triangle_inequality(self, u, v, x, w):
-        duv = euclidean_component(u, v, w)
-        dvx = euclidean_component(v, x, w)
-        dux = euclidean_component(u, x, w)
+        duv = euclidean(u, v, w)
+        dvx = euclidean(v, x, w)
+        dux = euclidean(u, x, w)
         assert dux <= duv + dvx + 1e-12
 
     @given(u=vec5, w=weights5)
     def test_identity_and_nonnegativity(self, u, w):
-        assert euclidean_component(u, u, w) == 0.0
-        assert euclidean_component(u, tuple(reversed(u)), w) >= 0.0
+        assert euclidean(u, u, w) == 0.0
+        assert euclidean(u, tuple(reversed(u)), w) >= 0.0
 
 
 class TestZeroDistanceCharacterization:
@@ -348,18 +355,16 @@ class TestRankingMatchesComponents:
     # shrinking a failing 120-row cohort takes minutes; the unshrunk
     # example is reported instead
     @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(cohort=cohorts, w=weights5.filter(lambda w: sum(w) > 0))
-    def test_records_equal_public_components_bit_for_bit(self, cohort, w):
-        # the row-wise ranking gives the bits of the per-sensor public
-        # functions and of 1-D sums per sensor; the cohort means use Python's
+    @given(cohort=cohorts, v=vec5, w=weights5)
+    def test_records_equal_public_components_bit_for_bit(self, cohort, v, w):
+        # the row-wise ranking of a cohort gives the bits of 1-D sums per
+        # sensor and of each row ranked alone; the cohort means use Python's
         # left-to-right sum and the combination math.hypot
         ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
-        profile = qos(weights=w)
+        profile = QosProfile(service_id="svc", utopia=v, weights=w)
         result = rank_and_select(ids, np.array(cohort), profile)
-        d_ms = [euclidean_component(u, profile.utopia, w) for u in cohort]
-        d_as = [cosine_component(u, profile.utopia, w) for u in cohort]
-        assert list(zip(d_ms, d_as)) == [
-            one_row_components(u, profile.utopia.as_tuple(), w) for u in cohort]
+        d_ms, d_as = zip(*(one_row_components(u, v, w) for u in cohort))
+        assert [row_components(u, v, w) for u in cohort] == list(zip(d_ms, d_as))
         xi_m, xi_a = scaling_coefficients(d_ms, d_as)
         n = len(cohort)
         assert (xi_m, xi_a) == (n / sum(d_ms) if sum(d_ms) > 0 else 1.0,
