@@ -2,7 +2,9 @@
 
 An occupancy service (5 s period) and an air-quality service (1 s period)
 share motion and temperature sensors, identical window shapes, and the
-presence inference.  Running the same scenario in unified mode and in
+presence inference.  In unified mode a cycle ranks each shared cohort and
+fuses each shared window once for both services, and computes each shared
+feature once.  Running the same scenario in unified mode and in
 per-service mode shows identical feature vectors with strictly fewer
 feature-function invocations when results are shared.
 """

@@ -58,15 +58,6 @@ class AlignedGrid:
     sensor_ids: tuple[str, ...]
     values: np.ndarray
 
-    def column(self, tick_index: int) -> list[tuple[str, float]]:
-        """Available (sensor_id, value) pairs at one tick, id-ascending."""
-        out = []
-        for row, sid in enumerate(self.sensor_ids):
-            v = self.values[row, tick_index]
-            if not math.isnan(v):
-                out.append((sid, float(v)))
-        return out
-
 
 @dataclass(frozen=True)
 class FusedStream:
@@ -113,27 +104,33 @@ def align(
     ticks = tuple(int(t) for t in ticks_ms)
     half_ms = delta_t_s * 1000.0 / 2.0
     gap_ms = max_gap_s * 1000.0
-    values = np.full((len(ordered), len(ticks)), np.nan)
-    for row, stream in enumerate(ordered):
+    rows: list[list[float]] = []
+    for stream in ordered:
         ts, vs = stream.timestamps_ms, stream.values
-        for col, tick in enumerate(ticks):
+        n = len(ts)
+        row = []
+        for tick in ticks:
             idx = bisect_left(ts, tick)
-            # nearest sample within half a tick spacing wins
-            best = None
-            for j in (idx - 1, idx):
-                if 0 <= j < len(ts):
-                    d = abs(ts[j] - tick)
-                    if d <= half_ms and (best is None or d < best[0]):
-                        best = (d, j)
-            if best is not None:
-                values[row, col] = vs[best[1]]
+            d_left = tick - ts[idx - 1] if idx > 0 else math.inf
+            d_right = ts[idx] - tick if idx < n else math.inf
+            # nearest sample within half a tick spacing wins, the earlier
+            # one on a tie
+            if d_left <= d_right:
+                if d_left <= half_ms:
+                    row.append(vs[idx - 1])
+                    continue
+            elif d_right <= half_ms:
+                row.append(vs[idx])
                 continue
-            if 0 < idx < len(ts) and tick - ts[idx - 1] <= gap_ms and ts[idx] - tick <= gap_ms:
-                values[row, col] = interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick)
+            if 0 < idx < n and d_left <= gap_ms and d_right <= gap_ms:
+                row.append(interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick))
+            else:
+                row.append(math.nan)
+        rows.append(row)
     return AlignedGrid(
         ticks_ms=ticks,
         sensor_ids=tuple(s.sensor_id for s in ordered),
-        values=values,
+        values=np.array(rows, dtype=float).reshape(len(ordered), len(ticks)),
     )
 
 
@@ -182,14 +179,14 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
     timestamps: list[int] = []
     values: list[float] = []
     kf: _ScalarKalman | None = None
-    for col, tick in enumerate(grid.ticks_ms):
-        available = grid.column(col)
+    for tick, column in zip(grid.ticks_ms, grid.values.T.tolist()):
+        available = [v for v in column if not math.isnan(v)]
         if not available:
             continue
         if kf is None:
-            kf = _ScalarKalman(cfg, available[0][1])
+            kf = _ScalarKalman(cfg, available[0])
         kf.predict()
-        for _, value in available:
+        for value in available:
             kf.update(value)
         timestamps.append(tick)
         values.append(kf.state)

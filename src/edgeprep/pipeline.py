@@ -4,16 +4,20 @@ One pipeline instance owns the whole cycle loop for a set of services
 sharing a sensor pool: per-cohort fuzzy voting keeps accuracy weights fresh,
 reliability intervals close on a fixed cadence, and each service activation
 ranks its cohorts, fuses the selected streams over the service window and
-emits a feature vector.  Shared intermediate features (including low-level
-inferences such as presence detection) are memoized by
-``(function, window bounds, contributing sensors)`` so that collocated
-services never trigger the same computation twice.
+emits a feature vector.  Collocated services share that work: within a
+cycle a cohort is ranked once per ranking profile (utopia, weights,
+reliability source) and a window is fused once per bounds, grid step and
+sources, and shared intermediate features (including low-level inferences
+such as presence detection) are memoized by ``(function, window bounds,
+contributing sensors)``.
 
 Operating modes:
 
-* ``unified`` - selection on, one feature cache shared by all services;
-* ``per_service`` - selection on, one private feature cache per service
-  (every service recomputes shared features, counts show the overhead);
+* ``unified`` - selection on, rankings, fused windows and one feature cache
+  shared by all services;
+* ``per_service`` - selection on, each service ranks, fuses and caches its
+  features on its own (every service recomputes shared work, counts show
+  the overhead);
 * ``topsis_baseline`` - selection fixed once from the static attribute
   snapshot by TOPSIS, dynamic scoring off;
 * ``no_selection_fused`` - selection off, every live sensor of a needed
@@ -458,9 +462,18 @@ class Pipeline:
                     self._granularity_ms[mk] / 1000.0
                 )
 
-        self._pred = AssociationPredicate(
-            zone_of=lambda sid: self.specs[sid].zone if sid in self.specs else "",
-        )
+        def zone_of(sid: str) -> str:
+            return self.specs[sid].zone if sid in self.specs else ""
+
+        self._preds: dict[str, AssociationPredicate] = {
+            svc.service_id: AssociationPredicate(zone_of, temporal_tolerance_s=svc.gap_s)
+            for svc in self.services
+        }
+        # (service, period, warm-up before its first full window), in ms
+        self._schedule: list[tuple[ServiceSpec, int, int]] = [
+            (svc, seconds_to_ms(svc.period_s), svc.k_l * seconds_to_ms(svc.delta_t_s))
+            for svc in self.services
+        ]
 
         self._shared_cache = FeatureCache()
         self._service_caches: dict[str, FeatureCache] = {
@@ -469,6 +482,9 @@ class Pipeline:
         # keys evicted so far; none can recur while cycle times increase
         self._retired_keys = 0
         self._last_t_ms: int | None = None
+        # this cycle's rankings and fused windows, keyed with the cache's
+        # scope (see _scope); cleared at the start of every cycle
+        self._cycle_memo: dict[tuple, object] = {}
 
         # (service id, modality key) -> ascending ids of the cohort's sensors
         # with data, in the service's zone; streams and zones are fixed
@@ -495,7 +511,7 @@ class Pipeline:
                         live, self._cohort_rows(live, "interval"), svc.qos, count
                     )
 
-        periods = [seconds_to_ms(svc.period_s) for svc in self.services]
+        periods = [period_ms for _, period_ms, _ in self._schedule]
         steps = periods + list(self._granularity_ms.values()) + [self.reliability_interval_ms]
         self.tick_ms = math.gcd(*steps) if steps else 1000
 
@@ -509,6 +525,11 @@ class Pipeline:
             beta = dyn.rel.beta if beta_source == "interval" else dyn.rel.beta_cumulative
             rows.append((dyn.alpha, beta) + self._static[sid])
         return np.array(rows, dtype=float)
+
+    def _scope(self, svc: ServiceSpec) -> str | None:
+        """Who may reuse a service's work: its own id in per-service mode,
+        every service (``None``) otherwise."""
+        return svc.service_id if self.mode is Mode.PER_SERVICE else None
 
     def _cache_for(self, svc: ServiceSpec) -> FeatureCache:
         if self.mode is Mode.PER_SERVICE:
@@ -579,26 +600,30 @@ class Pipeline:
     # -- service activation --------------------------------------------------
 
     def activations_due(self, t_ms: int) -> list[ServiceSpec]:
-        due = []
-        for svc in self.services:
-            period_ms = seconds_to_ms(svc.period_s)
-            warmup = svc.k_l * seconds_to_ms(svc.delta_t_s)
-            if self._due(t_ms, period_ms) and t_ms >= warmup:
-                due.append(svc)
-        return due
+        return [
+            svc for svc, period_ms, warmup_ms in self._schedule
+            if self._due(t_ms, period_ms) and t_ms >= warmup_ms
+        ]
 
     def _select(
         self, svc: ServiceSpec, mk: str, t_ms: int, live: tuple[str, ...]
     ) -> tuple[tuple[str, ...], list[TraceRow]]:
         if self.mode is Mode.NO_SELECTION_FUSED:
             return live, []
+        qos = svc.qos
         if self.mode is Mode.TOPSIS_BASELINE:
             result = self._topsis[(svc.service_id, mk)]
         else:
-            count = min(svc.qos.select_count, len(live))
-            result = rank_and_select(
-                live, self._cohort_rows(live, svc.qos.beta_source), svc.qos, count
-            )
+            # records and order do not depend on the count, so the whole
+            # order is ranked once and each service takes its prefix
+            key = ("rank", self._scope(svc), live, qos.utopia, qos.weights, qos.beta_source)
+            result = self._cycle_memo.get(key)
+            if result is None:
+                result = self._cycle_memo[key] = rank_and_select(
+                    live, self._cohort_rows(live, qos.beta_source), qos, len(live)
+                )
+        selected = result.order[:min(qos.select_count, len(live))]
+        chosen = set(selected)
         rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
         rows = [
             TraceRow(
@@ -609,22 +634,36 @@ class Pipeline:
                 d_a=rec.d_a,
                 d_ma=rec.d_ma,
                 rank=rank_of[rec.sensor_id],
-                selected=rec.sensor_id in result.selected,
+                selected=rec.sensor_id in chosen,
             )
             for rec in result.records
         ]
-        return result.selected, rows
+        return selected, rows
 
     def _window_series(
         self, svc: ServiceSpec, window: WindowSpec, selected: Sequence[str]
     ) -> WindowSeries:
-        ticks = window_ticks(window)
-        pred = AssociationPredicate(
-            zone_of=self._pred.zone_of, temporal_tolerance_s=svc.gap_s
-        )
+        # the sources fix the modality, and the grid step fixes the ticks
+        # and the gap; the zone rule keeps every sample of a live sensor
+        sources = tuple(sorted(selected))
+        key = ("fuse", self._scope(svc), window.t_a_ms, window.t_b_ms, svc.delta_t_s, sources)
+        fused = self._cycle_memo.get(key)
+        if fused is None:
+            fused = self._cycle_memo[key] = self._fuse(svc, window, sources)
+        series, points = fused
+        self.counters.points_processed += points
+        return series
+
+    def _fuse(
+        self, svc: ServiceSpec, window: WindowSpec, sources: tuple[str, ...]
+    ) -> tuple[WindowSeries, int]:
+        """The fused window of ``sources`` and its count of samples inside
+        ``]t_a, t_b]``."""
+        pred = self._preds[svc.service_id]
         tol_ms = pred.temporal_tolerance_s * 1000.0
+        points = 0
         assoc_streams: list[SensorStream] = []
-        for sid in sorted(selected):
+        for sid in sources:
             stream = self.streams[sid]
             zone = svc.zone if svc.zone is not None else self.specs[sid].zone
             # only the points the temporal rule can keep: the cost stays
@@ -632,16 +671,12 @@ class Pipeline:
             candidates = stream.points_in(window.t_a_ms - tol_ms, window.t_b_ms + tol_ms)
             _, subset = associate(candidates, pred, window, zone)
             ts = subset.timestamps_ms
-            self.counters.points_processed += (
-                bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
-            )
+            points += bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
             assoc_streams.append(subset)
-        grid = align(assoc_streams, ticks, svc.delta_t_s, svc.gap_s)
+        grid = align(assoc_streams, window_ticks(window), svc.delta_t_s, svc.gap_s)
         fused = kalman_fuse_streams(grid, self.kalman)
-        return WindowSeries(
-            values=np.array(fused.values, dtype=float),
-            source_ids=tuple(sorted(selected)),
-        )
+        series = WindowSeries(values=np.array(fused.values, dtype=float), source_ids=sources)
+        return series, points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         window = WindowSpec(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)
@@ -688,6 +723,7 @@ class Pipeline:
         if self._last_t_ms is not None and t_ms <= self._last_t_ms:
             raise ValueError(f"cycle time {t_ms} does not follow {self._last_t_ms}")
         self._last_t_ms = t_ms
+        self._cycle_memo.clear()
         self.counters.cycles += 1
         if self.mode in (Mode.UNIFIED, Mode.PER_SERVICE):
             for mk in sorted(self._cohorts):

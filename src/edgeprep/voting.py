@@ -139,19 +139,21 @@ def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasuremen
         raise ValueError("normalization needs at least 2 measurements")
     ids = tuple(sid for sid, _ in ordered)
     raw = np.array([v for _, v in ordered], dtype=float)
+    n = len(raw)
+    # np.add.reduce(x) / n is x.mean() without its wrapper, bit for bit
+    mean = float(np.add.reduce(raw) / n)
     # two-pass centering: the second pass removes the rounding residue the
     # first subtraction leaves when the offset dwarfs the spread
-    mean = float(raw.mean())
     deviations = raw - mean
-    correction = float(deviations.mean())
+    correction = float(np.add.reduce(deviations) / n)
     deviations -= correction
-    stdev = float(np.sqrt(np.sum(deviations**2) / (len(raw) - 1)))
+    stdev = math.sqrt(float(np.add.reduce(deviations**2)) / (n - 1))
     if stdev > 0:
-        values = deviations / stdev
+        values = (deviations / stdev).tolist()
     else:
-        values = np.zeros_like(raw)
+        values = [0.0] * n
     return NormalizedMeasurements(
-        values=tuple(float(v) for v in values),
+        values=tuple(values),
         mean=mean + correction,
         stdev=stdev,
         source_ids=ids,
@@ -165,15 +167,22 @@ def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = N
     diagonal is exactly 1.
     """
     cfg = cfg or VotingConfig()
-    x = np.asarray(norm.values, dtype=float)
+    p, c = cfg.p, cfg.c
+    x = [float(v) for v in norm.values]
     n = len(x)
-    entries = np.ones((n, n))
+    rows = [[1.0] * n for _ in range(n)]
     for i in range(n):
+        x_i, row_i = x[i], rows[i]
         for j in range(i + 1, n):
-            u = math.exp(-((x[i] - x[j]) ** cfg.p) / cfg.c)
-            entries[i, j] = u
-            entries[j, i] = u
-    return MembershipMatrix(n=n, entries=entries)
+            # float ** int calls libm pow; numpy's array ** squares exactly
+            # instead, which moves the last bit of some entries
+            try:
+                u = math.exp(-((x_i - x[j]) ** p) / c)
+            except OverflowError:
+                u = 0.0  # the power exceeds the float range: exp(-inf)
+            row_i[j] = u
+            rows[j][i] = u
+    return MembershipMatrix(n=n, entries=np.array(rows, dtype=float).reshape(n, n))
 
 
 def cumulative_scores(matrix: MembershipMatrix) -> tuple[float, ...]:

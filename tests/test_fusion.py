@@ -1,8 +1,9 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeprep.fusion import (
@@ -181,3 +182,102 @@ class TestKalmanFuseStreams:
             bounds = tick_values if prev is None else tick_values + [prev]
             assert min(bounds) - 1e-9 <= value <= max(bounds) + 1e-9
             prev = value
+
+
+def cell_reference_align(streams, ticks_ms, delta_t_s, max_gap_s):
+    """The per-cell alignment: both neighbours tried in turn, each cell
+    written into a NaN-filled array."""
+    ordered = sorted(streams, key=lambda s: s.sensor_id)
+    half_ms = delta_t_s * 1000.0 / 2.0
+    gap_ms = max_gap_s * 1000.0
+    values = np.full((len(ordered), len(ticks_ms)), np.nan)
+    for row, s in enumerate(ordered):
+        ts, vs = s.timestamps_ms, s.values
+        for col, tick in enumerate(ticks_ms):
+            idx = bisect_left(ts, tick)
+            best = None
+            for j in (idx - 1, idx):
+                if 0 <= j < len(ts):
+                    d = abs(ts[j] - tick)
+                    if d <= half_ms and (best is None or d < best[0]):
+                        best = (d, j)
+            if best is not None:
+                values[row, col] = vs[best[1]]
+                continue
+            if 0 < idx < len(ts) and tick - ts[idx - 1] <= gap_ms and ts[idx] - tick <= gap_ms:
+                values[row, col] = interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick)
+    return values
+
+
+def column_reference_fuse(ticks_ms, values, cfg):
+    """The per-column fusion: each tick's available cells read as numpy
+    scalars, then one predict and one update per cell."""
+    timestamps, fused = [], []
+    state = variance = None
+    for col, tick in enumerate(ticks_ms):
+        available = [float(values[row, col]) for row in range(values.shape[0])
+                     if not math.isnan(values[row, col])]
+        if not available:
+            continue
+        if state is None:
+            state, variance = available[0], cfg.initial_variance
+        variance += cfg.process_noise
+        for z in available:
+            gain = variance / (variance + cfg.measurement_noise)
+            state += gain * (z - state)
+            variance *= 1.0 - gain
+        timestamps.append(tick)
+        fused.append(state)
+    return tuple(timestamps), tuple(fused)
+
+
+@st.composite
+def irregular_streams(draw):
+    """Up to three streams on a grid step of 0.5 to 2 s, with samples on
+    quarter-step instants (so some sit exactly half a step from a tick) or
+    anywhere, and ticks that may run past either end of a stream."""
+    delta_ms = draw(st.sampled_from([500, 1000, 2000]))
+    horizon = 12 * delta_ms
+    instants = st.one_of(st.integers(0, 48).map(lambda q: q * delta_ms // 4),
+                         st.integers(0, horizon))
+    streams = []
+    for k in range(draw(st.integers(min_value=0, max_value=3))):
+        ts = sorted(set(draw(st.lists(instants, max_size=14))))
+        vs = draw(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                           min_size=len(ts), max_size=len(ts)))
+        streams.append(SensorStream(f"s{k}", Modality.TEMPERATURE, tuple(ts), tuple(vs)))
+    first = draw(st.integers(min_value=-2, max_value=10))
+    count = draw(st.integers(min_value=0, max_value=10))
+    ticks = tuple((first + i) * delta_ms for i in range(count) if first + i >= 0)
+    max_gap_s = draw(st.sampled_from([0.0, delta_ms / 2000, delta_ms / 1000,
+                                      2 * delta_ms / 1000, math.inf]))
+    return streams, ticks, delta_ms / 1000, max_gap_s
+
+
+class TestMatchesCellReference:
+    """``align`` and ``kalman_fuse_streams`` give the per-cell reference's
+    bits: ties, gaps beyond ``max_gap_s`` and an unbounded gap included."""
+
+    @settings(max_examples=300)
+    @given(irregular_streams())
+    def test_align_and_fusion_are_bit_identical(self, case):
+        streams, ticks, delta_t_s, max_gap_s = case
+        grid = align(streams, ticks, delta_t_s, max_gap_s)
+        expected = cell_reference_align(streams, ticks, delta_t_s, max_gap_s)
+        assert grid.values.shape == expected.shape
+        assert grid.values.tobytes() == expected.tobytes()
+        cfg = KalmanConfig()
+        fused = kalman_fuse_streams(grid, cfg)
+        timestamps, values = column_reference_fuse(ticks, expected, cfg)
+        assert fused.timestamps_ms == timestamps
+        assert [v.hex() for v in fused.values] == [v.hex() for v in values]
+
+    def test_a_tie_goes_to_the_earlier_sample(self):
+        s = stream("s1", [(1500, 1.0), (2500, 2.0)])
+        assert align([s], (2000,), 1.0, 0.0).values.tolist() == [[1.0]]
+
+    def test_an_unbounded_gap_still_needs_a_sample_on_each_side(self):
+        s = stream("s1", [(1000, 1.0), (9000, 9.0)])
+        grid = align([s], (0, 5000, 10_000), 1.0, math.inf)
+        assert math.isnan(grid.values[0, 0]) and math.isnan(grid.values[0, 2])
+        assert grid.values[0, 1] == 5.0

@@ -240,6 +240,20 @@ def synth_streams(spec_map, duration_s=20.0, seed=1):
     return generate_synthetic(gens, seed)
 
 
+def counted(monkeypatch, name):
+    """Patch ``edgeprep.pipeline.<name>`` to count its calls; returns the
+    list that collects one entry per call."""
+    calls = []
+    inner = getattr(pipeline_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, name, counting)
+    return calls
+
+
 class TestPipeline:
     def test_singleton_cohorts_bypass_voting(self):
         sensors = [make_spec("t1"), make_spec("m1", Modality.MOTION)]
@@ -382,10 +396,11 @@ class TestPipeline:
         assert result.features["svc"].components["temperature_mean"] == pytest.approx(20.0)
         assert {r.sensor_id for r in result.trace} == {"t1"}
 
-    def test_ranking_is_called_once_per_activation_and_modality(self, monkeypatch):
+    def test_ranking_is_called_once_per_cohort_and_profile_per_cycle(self, monkeypatch):
         # the benchmark's tracer wraps the module-level rank_and_select and
         # counts len(args[0]) as the sensors scored; a bypass or a keyword
-        # call would silently change its figures
+        # call would silently change its figures.  Zone scoping splits the
+        # temperature cohort, so both temperature cohorts are ranked.
         sensors = [make_spec("t1", zone="lab"), make_spec("t2", zone="lab"),
                    make_spec("t3", zone="hall"), make_spec("t4", zone="lab"),
                    make_spec("m1", Modality.MOTION, zone="lab"),
@@ -398,24 +413,102 @@ class TestPipeline:
                     simple_service("lab", ("temperature",), period_s=2.0, zone="lab")]
         live = {("all", "motion"): ("m1", "m2"), ("all", "temperature"): ("t1", "t2", "t3"),
                 ("lab", "temperature"): ("t1", "t2")}
-        calls = []
-        inner = pipeline_module.rank_and_select
-
-        def counting(*args, **kwargs):
-            calls.append((args[2].service_id, tuple(args[0]), len(args[0])))
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline_module, "rank_and_select", counting)
+        calls = counted(monkeypatch, "rank_and_select")
         pipeline = Pipeline(sensors, services, streams, mode=Mode.UNIFIED)
         expected = []
         for t_ms in range(1000, 10_001, 1000):
-            for svc in pipeline.activations_due(t_ms):
-                for mk in svc.qos.modality_needs:
-                    ids = live[(svc.service_id, mk)]
-                    expected.append((svc.service_id, ids, len(ids)))
+            cohorts = [live[(svc.service_id, mk)] for svc in pipeline.activations_due(t_ms)
+                       for mk in svc.qos.modality_needs]
+            expected.extend(dict.fromkeys(cohorts))
             pipeline.run_cycle(t_ms)
         assert len(expected) == 9 * 2 + 5  # "all" from t = 2 s, "lab" every 2 s
-        assert calls == expected
+        assert [tuple(args[0]) for args in calls] == expected
+
+
+def temperature_service(service_id, select_count=1, k_l=2, delta_t_s=1.0):
+    return ServiceSpec(
+        qos=QosProfile(service_id=service_id, modality_needs=("temperature",),
+                       select_count=select_count),
+        period_s=1.0, k_l=k_l, k_r=0, delta_t_s=delta_t_s,
+        features=("temperature_mean", "temperature_std"),
+    )
+
+
+class TestSharedWork:
+    """Within a cycle, services of one scope rank a cohort once per profile
+    and fuse a window once per bounds, grid step and sources."""
+
+    sensors = [make_spec(f"t{i}") for i in (1, 2, 3, 4)]
+    streams = generate_synthetic(
+        [GeneratorSpec(sensor_id=f"t{i}", modality="temperature", level=level,
+                       noise_std=0.3, period_s=0.7, duration_s=12.0)
+         for i, level in ((1, 20.0), (2, 20.4), (3, 21.0), (4, 26.0))],
+        seed=4,
+    )
+
+    def run(self, services, mode, cycles=range(1000, 10_001, 1000)):
+        pipeline = Pipeline(self.sensors, services, self.streams, mode=mode)
+        results = [pipeline.run_cycle(t_ms) for t_ms in cycles]
+        return pipeline, results
+
+    @pytest.mark.parametrize("mode, ranks_per_cycle", [(Mode.UNIFIED, 1),
+                                                       (Mode.PER_SERVICE, 2)])
+    def test_one_cohort_and_profile_is_ranked_once_whatever_the_count(
+            self, monkeypatch, mode, ranks_per_cycle):
+        services = [temperature_service("one"), temperature_service("three", select_count=3)]
+        with monkeypatch.context() as patch:
+            calls = counted(patch, "rank_and_select")
+            _, shared = self.run(services, mode)
+        # both services are due from t = 2 s
+        assert len(calls) == 9 * ranks_per_cycle
+        for svc in services:
+            _, alone = self.run([svc], mode)
+            for both, solo in zip(shared, alone):
+                assert both.features.get(svc.service_id) == solo.features.get(svc.service_id)
+                assert [r for r in both.trace if r.service_id == svc.service_id] == solo.trace
+        last = shared[-1].trace
+        assert sum(r.selected for r in last if r.service_id == "one") == 1
+        assert sum(r.selected for r in last if r.service_id == "three") == 3
+
+    @pytest.mark.parametrize("profile", [{"weights": (1.0, 0.5, 1.0, 1.0, 1.0)},
+                                         {"utopia": (1.0, 0.5, 1.0, 1.0, 1.0)},
+                                         {"beta_source": "cumulative"}])
+    def test_each_ranking_profile_ranks_apart(self, monkeypatch, profile):
+        other = temperature_service("other")
+        other = replace(other, qos=replace(other.qos, **profile))
+        with monkeypatch.context() as patch:
+            calls = counted(patch, "rank_and_select")
+            self.run([temperature_service("default"), other], Mode.UNIFIED, cycles=[4000])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode, fusions", [(Mode.UNIFIED, 1), (Mode.PER_SERVICE, 2)])
+    def test_equal_windows_and_sources_are_fused_once(self, monkeypatch, mode, fusions):
+        services = [temperature_service("a"), temperature_service("b")]
+        with monkeypatch.context() as patch:
+            calls = counted(patch, "align")
+            pipeline, _ = self.run(services, mode, cycles=[4000])
+        assert len(calls) == fusions
+        # every activation still counts the samples of its window
+        alone, _ = self.run(services[:1], mode, cycles=[4000])
+        assert pipeline.counters.points_processed == 2 * alone.counters.points_processed > 0
+
+    @pytest.mark.parametrize("mode", [Mode.UNIFIED, Mode.PER_SERVICE])
+    def test_equal_bounds_on_different_grids_are_fused_apart(self, monkeypatch, mode):
+        # ]2 s, 4 s] as 2 x 1 s and as 4 x 0.5 s
+        services = [temperature_service("coarse"),
+                    temperature_service("fine", k_l=4, delta_t_s=0.5)]
+        with monkeypatch.context() as patch:
+            calls = counted(patch, "align")
+            self.run(services, mode, cycles=[4000])
+        assert len(calls) == 2
+        assert sorted(len(args[1]) for args in calls) == [2, 4]
+
+    @pytest.mark.parametrize("mode", [Mode.UNIFIED, Mode.PER_SERVICE])
+    def test_points_processed_is_counted_per_activation(self, mode):
+        # both services of two_service.yaml read the same windows; 960 is
+        # the count from before fused windows were shared
+        report = run_scenario(load_config("two_service"), mode=mode)
+        assert report.points_processed == 960
 
 
 class TestHorizonIndependence:

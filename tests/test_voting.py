@@ -1,8 +1,9 @@
+import math
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, assume
+from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from edgeprep.fusion import KalmanConfig
@@ -278,3 +279,62 @@ class TestProperties:
             scores = cumulative_scores(membership_matrix(normalize(measurements)))
             outlier_score = scores[-1]  # s99 sorts last
             assert all(s > outlier_score for s in scores[:-1])
+
+
+def reference_normalize(measurements):
+    """Standardization through ``ndarray.mean`` and ``np.sqrt``, returning
+    ``(values, mean, stdev)``."""
+    raw = np.array([v for _, v in sorted(measurements)], dtype=float)
+    mean = float(raw.mean())
+    deviations = raw - mean
+    correction = float(deviations.mean())
+    deviations -= correction
+    stdev = float(np.sqrt(np.sum(deviations**2) / (len(raw) - 1)))
+    values = deviations / stdev if stdev > 0 else np.zeros_like(raw)
+    return tuple(float(v) for v in values), mean + correction, stdev
+
+
+def reference_membership(values, p, c):
+    """Each pair's degree through numpy float64 scalars."""
+    n = len(values)
+    entries = np.ones((n, n))
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            for j in range(i + 1, n):
+                u = math.exp(-((np.float64(values[i]) - np.float64(values[j])) ** p) / c)
+                entries[i, j] = entries[j, i] = u
+    return entries
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestMatchesNumpyScalarReference:
+    """The kernels on Python floats give the numpy-scalar versions' bits."""
+
+    @given(st.lists(finite_floats, min_size=2, max_size=130),
+           st.sampled_from([0.0, 1e6, -3e8]))
+    def test_normalize(self, values, offset):
+        # an offset that dwarfs the spread exercises the second centering pass
+        measurements = with_ids([v + offset for v in values])
+        got = normalize(measurements)
+        values_ref, mean_ref, stdev_ref = reference_normalize(measurements)
+        assert hexes(got.values) == hexes(values_ref)
+        assert hexes((got.mean, got.stdev)) == hexes((mean_ref, stdev_ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=130),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           p=st.sampled_from([2, 4, 6, 1000]),
+           c=st.floats(min_value=0.1, max_value=10.0))
+    def test_membership_matrix(self, n, seed, p, c):
+        # p = 1000 overflows float pow for pairs more than ~2 apart
+        rng = np.random.default_rng(seed)
+        norm = normalize(with_ids(rng.normal(20.0, 3.0, size=n)))
+        got = membership_matrix(norm, VotingConfig(p=p, c=c))
+        assert got.entries.tobytes() == reference_membership(norm.values, p, c).tobytes()
+
+    def test_an_overflowing_power_gives_zero_membership(self):
+        got = membership_matrix(norm_from([-2.0, 2.0]), VotingConfig(p=1000))
+        assert got.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
