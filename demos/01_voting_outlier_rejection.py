@@ -42,10 +42,10 @@ print("\ncumulative scores:")
 for sid, score in zip(norm.source_ids, scores):
     print(f"  {sid}: {score:.3f}")
 
-chosen = select_optimal(scores, readings, cfg)
+chosen = select_optimal(scores, norm, cfg)
 print(f"\ntop-{cfg.k} optimal set: {', '.join(chosen.sensor_ids)}")
 
-alphas = assign_accuracy(readings, chosen)
+alphas = assign_accuracy(norm, chosen)
 print("\naccuracy weights (1 = agrees with the fused consensus):")
 for sid, alpha in alphas.items():
     print(f"  {sid}: {alpha:.4f}")

@@ -90,7 +90,7 @@ def align(
     delta_t_s: float,
     max_gap_s: float,
 ) -> AlignedGrid:
-    """Resample streams onto ``ticks_ms``.
+    """Resample streams onto the ascending ``ticks_ms``.
 
     Per tick and stream: take the nearest real sample within half a tick
     spacing; otherwise interpolate between the bracketing samples when both
@@ -109,8 +109,12 @@ def align(
         ts, vs = stream.timestamps_ms, stream.values
         n = len(ts)
         row = []
+        # the ticks ascend, so one bisection finds the first tick's sample
+        # and a walk forward each later one's
+        idx = bisect_left(ts, ticks[0]) if ticks else 0
         for tick in ticks:
-            idx = bisect_left(ts, tick)
+            while idx < n and ts[idx] < tick:
+                idx += 1
             d_left = tick - ts[idx - 1] if idx > 0 else math.inf
             d_right = ts[idx] - tick if idx < n else math.inf
             # nearest sample within half a tick spacing wins, the earlier
@@ -134,23 +138,6 @@ def align(
     )
 
 
-class _ScalarKalman:
-    """Random-walk scalar Kalman filter (single-owner mutable state)."""
-
-    def __init__(self, cfg: KalmanConfig, initial_value: float):
-        self.cfg = cfg
-        self.state = float(initial_value)
-        self.variance = cfg.initial_variance
-
-    def predict(self) -> None:
-        self.variance += self.cfg.process_noise
-
-    def update(self, measurement: float) -> None:
-        gain = self.variance / (self.variance + self.cfg.measurement_noise)
-        self.state += gain * (measurement - self.state)
-        self.variance *= 1.0 - gain
-
-
 def kalman_fuse(measurements: Sequence[float], cfg: KalmanConfig | None = None) -> float:
     """Fuse a measurement sequence into one scalar estimate.
 
@@ -162,33 +149,40 @@ def kalman_fuse(measurements: Sequence[float], cfg: KalmanConfig | None = None) 
     values = [float(v) for v in measurements]
     if not values:
         raise ValueError("kalman_fuse requires at least one measurement")
-    kf = _ScalarKalman(cfg, values[0])
-    for v in values:
-        kf.predict()
-        kf.update(v)
-    return kf.state
+    q, r = cfg.process_noise, cfg.measurement_noise
+    state, variance = values[0], cfg.initial_variance
+    for z in values:
+        variance += q
+        gain = variance / (variance + r)
+        state += gain * (z - state)
+        variance *= 1.0 - gain
+    return state
 
 
 def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> FusedStream:
     """Fuse an aligned grid into a single stream.
 
     One predict step per tick, then one update per available source at that
-    tick in ascending sensor-id order; ticks with no data are skipped.
+    tick in ascending sensor-id order; ticks with no data are skipped.  The
+    state starts at the first available value.
     """
     cfg = cfg or KalmanConfig()
+    q, r = cfg.process_noise, cfg.measurement_noise
     timestamps: list[int] = []
     values: list[float] = []
-    kf: _ScalarKalman | None = None
+    state = variance = None
     for tick, column in zip(grid.ticks_ms, grid.values.T.tolist()):
         available = [v for v in column if not math.isnan(v)]
         if not available:
             continue
-        if kf is None:
-            kf = _ScalarKalman(cfg, available[0])
-        kf.predict()
-        for value in available:
-            kf.update(value)
+        if state is None:
+            state, variance = available[0], cfg.initial_variance
+        variance += q
+        for z in available:
+            gain = variance / (variance + r)
+            state += gain * (z - state)
+            variance *= 1.0 - gain
         timestamps.append(tick)
-        values.append(kf.state)
+        values.append(state)
     return FusedStream(timestamps_ms=tuple(timestamps), values=tuple(values),
                        source_ids=grid.sensor_ids)

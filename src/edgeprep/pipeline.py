@@ -32,7 +32,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -339,8 +339,7 @@ class FeatureVector:
     missing: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One sensor's ranking outcome within one service activation."""
 
     t_ms: int
@@ -517,14 +516,12 @@ class Pipeline:
 
     # -- state assembly ----------------------------------------------------
 
-    def _cohort_rows(self, ids: Sequence[str], beta_source: str) -> np.ndarray:
-        """The ``(n, 5)`` state matrix of a cohort, one row per id."""
-        rows = []
-        for sid in ids:
-            dyn = self._dyn[sid]
-            beta = dyn.rel.beta if beta_source == "interval" else dyn.rel.beta_cumulative
-            rows.append((dyn.alpha, beta) + self._static[sid])
-        return np.array(rows, dtype=float)
+    def _cohort_rows(self, ids: Sequence[str], beta_source: str) -> list[tuple[float, ...]]:
+        """The cohort's state rows, one tuple of five floats per id."""
+        dyn, static = self._dyn, self._static
+        if beta_source == "interval":
+            return [(dyn[sid].alpha, dyn[sid].rel.beta) + static[sid] for sid in ids]
+        return [(dyn[sid].alpha, dyn[sid].rel.beta_cumulative) + static[sid] for sid in ids]
 
     def _scope(self, svc: ServiceSpec) -> str | None:
         """Who may reuse a service's work: its own id in per-service mode,
@@ -568,12 +565,11 @@ class Pipeline:
             if latest is not None:
                 present.append((spec.sensor_id, latest[1]))
         self.counters.votes += 1
-        in_optimal: set[str] = set()
+        optimal_ids: tuple[str, ...] = ()
         if len(present) == 1:
             # voting formulas are undefined for a single reporter
-            sid, _ = present[0]
-            self._dyn[sid].alpha = 1.0
-            in_optimal.add(sid)
+            optimal_ids = (present[0][0],)
+            self._dyn[optimal_ids[0]].alpha = 1.0
         elif len(present) >= 2:
             cfg = self.voting
             if cfg.k is not None and cfg.k > len(present):
@@ -581,13 +577,14 @@ class Pipeline:
                 cfg = replace(cfg, k=len(present))
             norm = normalize(present)
             scores = cumulative_scores(membership_matrix(norm, cfg))
-            optimal = select_optimal(scores, present, cfg)
-            in_optimal.update(optimal.sensor_ids)
-            for sid, alpha in assign_accuracy(present, optimal, self.kalman).items():
+            optimal = select_optimal(scores, norm, cfg)
+            optimal_ids = optimal.sensor_ids
+            for sid, alpha in assign_accuracy(norm, optimal, self.kalman).items():
                 self._dyn[sid].alpha = alpha
-        for spec in cohort:
-            dyn = self._dyn[spec.sensor_id]
-            dyn.rel = record_observation(dyn.rel, spec.sensor_id in in_optimal)
+        # an observation outside the optimal set leaves the state as it is
+        for sid in optimal_ids:
+            dyn = self._dyn[sid]
+            dyn.rel = record_observation(dyn.rel, True)
 
     def _close_reliability(self, t_ms: int) -> None:
         # interval lengths are measured in expected-sample units so a fully
@@ -622,23 +619,14 @@ class Pipeline:
                 result = self._cycle_memo[key] = rank_and_select(
                     live, self._cohort_rows(live, qos.beta_source), qos, len(live)
                 )
-        selected = result.order[:min(qos.select_count, len(live))]
-        chosen = set(selected)
+        count = min(qos.select_count, len(live))
         rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
+        service_id = svc.service_id
         rows = [
-            TraceRow(
-                t_ms=t_ms,
-                service_id=svc.service_id,
-                sensor_id=rec.sensor_id,
-                d_m=rec.d_m,
-                d_a=rec.d_a,
-                d_ma=rec.d_ma,
-                rank=rank_of[rec.sensor_id],
-                selected=rec.sensor_id in chosen,
-            )
-            for rec in result.records
+            TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank_of[sid], rank_of[sid] <= count)
+            for sid, d_m, d_a, d_ma in result.records
         ]
-        return selected, rows
+        return result.order[:count], rows
 
     def _window_series(
         self, svc: ServiceSpec, window: WindowSpec, selected: Sequence[str]

@@ -11,9 +11,10 @@ attribute matrix is provided as a static baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -39,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SensorDistance:
+class SensorDistance(NamedTuple):
     """Distance record for one sensor.
 
     For the direction-aware ranking, ``d_m``/``d_a`` are the magnitude and
@@ -56,8 +56,7 @@ class SensorDistance:
     d_ma: float
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(NamedTuple):
     """Full cohort ordering plus the selected prefix."""
 
     records: tuple[SensorDistance, ...]
@@ -99,34 +98,17 @@ def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def _row_distances(
-    states: np.ndarray, v: np.ndarray, wt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean and cosine components of every row of ``states`` to ``v``.
-
-    ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
-    sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1].  One row-wise
-    pass; each row's sums are the ones the 1-D formula takes, so a
-    single-row matrix and a cohort give the same bits for that row.
-    """
-    d_m = np.sqrt((wt * (states - v) ** 2).sum(axis=1))
-    wa, wb = wt * states, wt * v
-    denom = np.sqrt((wa**2).sum(axis=1) * (wb**2).sum())
-    zero = denom == 0.0
-    similarity = (np.abs(wa) * np.abs(wb)).sum(axis=1) / np.where(zero, 1.0, denom)
-    d_a = np.minimum(np.maximum(1.0 - similarity, 0.0), 1.0)
-    # a zero-norm weighted vector is maximally dissimilar
-    d_a[zero] = 1.0
-    return d_m, d_a
-
-
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
     """Inverse cohort means of the two components (1 for an all-zero sum)."""
     if len(d_ms) != len(d_as) or not d_ms:
         raise ValueError("component sequences must be non-empty and parallel")
     count = len(d_ms)
-    sum_m = float(sum(d_ms))
-    sum_a = float(sum(d_as))
+    # left to right: the builtin sum compensates its rounding from Python
+    # 3.12 on, which would move the last bit of the coefficients
+    sum_m = sum_a = 0.0
+    for d_m, d_a in zip(d_ms, d_as):
+        sum_m += d_m
+        sum_a += d_a
     xi_m = count / sum_m if sum_m > 0 else 1.0
     xi_a = count / sum_a if sum_a > 0 else 1.0
     return xi_m, xi_a
@@ -141,39 +123,44 @@ def direction_aware_distance(d_m: float, d_a: float, xi_m: float = 1.0, xi_a: fl
 
 def _checked_cohort(
     sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile, count: int | None
-) -> tuple[np.ndarray, int]:
-    """The cohort's ``(n, 5)`` state matrix and the number to select.
+) -> tuple[list[tuple[float, ...]], int]:
+    """The cohort's rows, as tuples of five floats, and the number to select.
 
-    ``sensor_ids`` must be strictly ascending (one row per id, in that
-    order) and every state entry must lie in [0, 1].
+    ``sensor_ids`` must be strictly ascending, ``states`` must hold one row
+    of :data:`ATTRIBUTE_NAMES` entries per id, in that order, and every
+    entry must lie in [0, 1].
     """
     n = len(sensor_ids)
     if n == 0:
         raise ValueError("cohort must be non-empty")
-    matrix = np.asarray(states, dtype=float)
-    if matrix.shape != (n, len(ATTRIBUTE_NAMES)):
-        raise ValueError(
-            f"states must have shape ({n}, {len(ATTRIBUTE_NAMES)}) for {n} sensor ids, "
-            f"got {matrix.shape}"
-        )
-    if any(a >= b for a, b in zip(sensor_ids, sensor_ids[1:])):
+    width = len(ATTRIBUTE_NAMES)
+    try:
+        shape_ok = len(states) == n and set(map(len, states)) == {width}
+    except TypeError:  # a row that is a scalar: one flat vector
+        shape_ok = False
+    if not shape_ok:
+        raise ValueError(f"states must have shape ({n}, {width}) for {n} sensor ids")
+    if not all(map(operator.lt, sensor_ids, sensor_ids[1:])):
         raise ValueError("sensor ids must be strictly ascending")
-    # NaN fails both comparisons
-    if not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+    flat = list(map(float, itertools.chain.from_iterable(states)))
+    # min and max pass over a NaN that is not first in line
+    if any(map(math.isnan, flat)) or not (0.0 <= min(flat) and max(flat) <= 1.0):
         raise ValueError("state entries must lie in [0, 1]")
     count = qos.select_count if count is None else count
     if not 1 <= count <= n:
         raise ConfigError(f"count={count} out of range for cohort of {n}")
-    return matrix, count
+    rows = iter(flat)
+    return list(zip(*[rows] * width)), count
 
 
-def _ranked(records: tuple[SensorDistance, ...], xi_m: float, xi_a: float,
-            count: int) -> RankingResult:
-    """Order records by ascending ``d_ma``, ties by ascending sensor id."""
-    by_distance = sorted(records, key=lambda r: (r.d_ma, r.sensor_id))
-    order = tuple(r.sensor_id for r in by_distance)
-    return RankingResult(records=records, xi_m=xi_m, xi_a=xi_a, order=order,
-                         selected=order[:count])
+def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[float],
+            d_mas: Sequence[float], xi_m: float, xi_a: float, count: int) -> RankingResult:
+    """Records in id order, and the ids by ascending ``d_ma``, ties by
+    ascending id."""
+    records = tuple(map(SensorDistance, sensor_ids, d_ms, d_as, d_mas))
+    # the ids ascend, and a stable sort keeps equal distances in id order
+    order = tuple(sensor_ids[i] for i in sorted(range(len(d_mas)), key=d_mas.__getitem__))
+    return RankingResult(records, xi_m, xi_a, order, order[:count])
 
 
 def rank_and_select(
@@ -188,24 +175,37 @@ def rank_and_select(
     :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
     ``sensor_ids``.  Ties break by ascending sensor id; ``selected`` is the
     leading ``count`` ids (default: the profile's select_count).
+
+    Per sensor row ``a``, against utopia ``v`` with weights ``w``:
+    ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
+    sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1], and 1 when the
+    root is 0.  Each sum adds its five terms left to right, as numpy sums a
+    row of five, and squares are products, as numpy squares.
     """
-    matrix, count = _checked_cohort(sensor_ids, states, qos, count)
-    # QosProfile has validated the weights and the utopia row already
-    d_m, d_a = _row_distances(matrix, np.array(qos.utopia), np.array(qos.weights))
-    d_ms, d_as = d_m.tolist(), d_a.tolist()
-    # Python's left-to-right sum and math.hypot per sensor: np.sum and
-    # np.hypot round differently in the last bit
+    rows, count = _checked_cohort(sensor_ids, states, qos, count)
+    # QosProfile has validated both rows: every w, v and a is >= 0, so the
+    # absolute values in d_a are the products themselves
+    v0, v1, v2, v3, v4 = qos.utopia
+    w0, w1, w2, w3, w4 = qos.weights
+    b0, b1, b2, b3, b4 = w0 * v0, w1 * v1, w2 * v2, w3 * v3, w4 * v4
+    bb = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
+    sqrt = math.sqrt
+    d_ms: list[float] = []
+    d_as: list[float] = []
+    for a0, a1, a2, a3, a4 in rows:
+        t0, t1, t2, t3, t4 = a0 - v0, a1 - v1, a2 - v2, a3 - v3, a4 - v4
+        d_ms.append(sqrt(w0 * (t0 * t0) + w1 * (t1 * t1) + w2 * (t2 * t2)
+                         + w3 * (t3 * t3) + w4 * (t4 * t4)))
+        c0, c1, c2, c3, c4 = w0 * a0, w1 * a1, w2 * a2, w3 * a3, w4 * a4
+        denom = sqrt((c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4) * bb)
+        if denom == 0.0:
+            d_as.append(1.0)  # a zero-norm weighted vector is maximally dissimilar
+            continue
+        d_a = 1.0 - (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4) / denom
+        d_as.append(0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a)
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
-    records = tuple(
-        SensorDistance(
-            sensor_id=sid,
-            d_m=dm,
-            d_a=da,
-            d_ma=direction_aware_distance(dm, da, xi_m, xi_a),
-        )
-        for sid, dm, da in zip(sensor_ids, d_ms, d_as)
-    )
-    return _ranked(records, xi_m, xi_a, count)
+    d_mas = [math.hypot(xi_m * d_m, xi_a * d_a) for d_m, d_a in zip(d_ms, d_as)]
+    return _ranked(sensor_ids, d_ms, d_as, d_mas, xi_m, xi_a, count)
 
 
 def topsis_select(
@@ -224,7 +224,8 @@ def topsis_select(
     it has no notion of per-interval updates, which is exactly what makes it
     a static baseline.
     """
-    matrix, count = _checked_cohort(sensor_ids, states, qos, count)
+    rows, count = _checked_cohort(sensor_ids, states, qos, count)
+    matrix = np.array(rows)
     w = np.array(qos.weights)
 
     norms = np.sqrt((matrix**2).sum(axis=0))
@@ -237,14 +238,5 @@ def topsis_select(
     closeness = np.ones(len(sensor_ids))
     span = d_plus + d_minus
     np.divide(d_minus, span, out=closeness, where=span > 0)
-
-    records = tuple(
-        SensorDistance(
-            sensor_id=sid,
-            d_m=float(dp),
-            d_a=float(dm),
-            d_ma=float(1.0 - c),
-        )
-        for sid, dp, dm, c in zip(sensor_ids, d_plus, d_minus, closeness)
-    )
-    return _ranked(records, 1.0, 1.0, count)
+    return _ranked(sensor_ids, d_plus.tolist(), d_minus.tolist(), (1.0 - closeness).tolist(),
+                   1.0, 1.0, count)

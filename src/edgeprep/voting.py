@@ -7,15 +7,22 @@ extracts the top-k "optimal set", and assigns every sensor an accuracy
 weight ``exp(-|x_i - y|)``, where ``y`` is the Kalman-fused estimate over
 the optimal set on the raw measurement scale.
 
-Inputs are canonicalized to ascending sensor-id order so all outputs are
-independent of caller ordering, bit for bit.
+:func:`normalize` is the one step that orders and validates a vote's
+readings.  It puts them in ascending sensor-id order, so every output is
+independent of caller ordering bit for bit, and carries the raw values in
+that order; :func:`select_optimal` and :func:`assign_accuracy` take its
+result instead of the readings.  The kernels run on Python floats, and
+every sum goes through :func:`_sum`, which adds in numpy's order: the
+results are bit for bit those of the numpy versions the tests keep as
+references.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,37 +68,34 @@ def default_k(n: int) -> int:
     return math.ceil(n / 2)
 
 
-@dataclass(frozen=True)
-class NormalizedMeasurements:
+class NormalizedMeasurements(NamedTuple):
     """Standardized measurements with the statistics that produced them.
 
-    ``values[i]`` belongs to ``source_ids[i]``; ids ascend.
+    ``values[i]`` and the raw reading ``raw[i]`` belong to
+    ``source_ids[i]``; ids ascend.
     """
 
     values: tuple[float, ...]
     mean: float
     stdev: float
     source_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.source_ids):
-            raise ValueError("values and source_ids must be parallel")
+    raw: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class MembershipMatrix:
-    """Symmetric pairwise membership degrees with a unit diagonal."""
+class MembershipMatrix(NamedTuple):
+    """Symmetric pairwise membership degrees with a unit diagonal, as ``n``
+    rows of ``n`` floats."""
 
     n: int
-    entries: np.ndarray
+    rows: Sequence[Sequence[float]]
 
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}")
+    @property
+    def entries(self) -> np.ndarray:
+        """The rows as an ``(n, n)`` array."""
+        return np.array(self.rows, dtype=float).reshape(self.n, self.n)
 
 
-@dataclass(frozen=True)
-class OptimalSet:
+class OptimalSet(NamedTuple):
     """Top-k measurements by cumulative score, score-descending.
 
     Each member is ``(sensor_id, measurement, score)`` with the raw
@@ -100,13 +104,6 @@ class OptimalSet:
 
     members: tuple[tuple[str, float, float], ...]
     k: int
-
-    def __post_init__(self) -> None:
-        if len(self.members) != self.k:
-            raise ValueError("optimal set must contain exactly k members")
-        scores = [m[2] for m in self.members]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("members must be sorted by non-increasing score")
 
     @property
     def sensor_ids(self) -> tuple[str, ...]:
@@ -117,47 +114,72 @@ class OptimalSet:
         return tuple(m[1] for m in self.members)
 
 
-def _canonical(measurements: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
-    ordered = sorted(measurements, key=lambda sv: sv[0])
-    ids = [sid for sid, _ in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate sensor ids in voting cohort")
-    for sid, value in ordered:
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite measurement for sensor {sid!r}")
-    return ordered
+def _pairwise(xs: Sequence[float]) -> float:
+    """numpy's pairwise summation (``pairwise_sum`` in its loops):
+    sequential from -0.0 below 8 values; up to 128, eight accumulators
+    that take every eighth value, combined as a tree, then the rest in
+    turn; above that, two halves cut at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        res = -0.0
+        for x in xs:
+            res += x
+        return res
+    if n <= 128:
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+        it = iter(xs[8:m])
+        for a0, a1, a2, a3, a4, a5, a6, a7 in zip(it, it, it, it, it, it, it, it):
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in xs[m:]:
+            res += x
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(xs[:half]) + _pairwise(xs[half:])
+
+
+def _sum(xs: Sequence[float]) -> float:
+    """``np.add.reduce(xs)`` bit for bit: numpy adds the pairwise sum to
+    its identity 0.0, which turns a -0.0 sum into 0.0."""
+    return 0.0 + _pairwise(xs)
 
 
 def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasurements:
     """Standardize measurements to zero mean and unit sample deviation.
 
-    Uses the n-1 divisor.  When the deviation is zero (all values equal),
-    every standardized value is defined as 0.
+    Orders the ``(sensor_id, value)`` pairs by id and rejects duplicate ids
+    and non-finite values.  Uses the n-1 divisor.  When the deviation is
+    zero (all values equal), every standardized value is defined as 0.
     """
-    ordered = _canonical(measurements)
-    if len(ordered) < 2:
-        raise ValueError("normalization needs at least 2 measurements")
+    ordered = sorted(measurements, key=itemgetter(0))
+    n = len(ordered)
     ids = tuple(sid for sid, _ in ordered)
-    raw = np.array([v for _, v in ordered], dtype=float)
-    n = len(raw)
-    # np.add.reduce(x) / n is x.mean() without its wrapper, bit for bit
-    mean = float(np.add.reduce(raw) / n)
+    raw = tuple(float(v) for _, v in ordered)
+    if len(set(ids)) != n:
+        raise ValueError("duplicate sensor ids in voting cohort")
+    if not all(map(math.isfinite, raw)):
+        sid = next(sid for sid, v in zip(ids, raw) if not math.isfinite(v))
+        raise ValueError(f"non-finite measurement for sensor {sid!r}")
+    if n < 2:
+        raise ValueError("normalization needs at least 2 measurements")
+    mean = _sum(raw) / n
     # two-pass centering: the second pass removes the rounding residue the
     # first subtraction leaves when the offset dwarfs the spread
-    deviations = raw - mean
-    correction = float(np.add.reduce(deviations) / n)
-    deviations -= correction
-    stdev = math.sqrt(float(np.add.reduce(deviations**2)) / (n - 1))
-    if stdev > 0:
-        values = (deviations / stdev).tolist()
-    else:
-        values = [0.0] * n
-    return NormalizedMeasurements(
-        values=tuple(values),
-        mean=mean + correction,
-        stdev=stdev,
-        source_ids=ids,
-    )
+    deviations = [x - mean for x in raw]
+    correction = _sum(deviations) / n
+    deviations = [d - correction for d in deviations]
+    stdev = math.sqrt(_sum([d * d for d in deviations]) / (n - 1))
+    values = tuple(d / stdev for d in deviations) if stdev > 0 else (0.0,) * n
+    return NormalizedMeasurements(values, mean + correction, stdev, ids, raw)
 
 
 def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = None) -> MembershipMatrix:
@@ -182,44 +204,41 @@ def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = N
                 u = 0.0  # the power exceeds the float range: exp(-inf)
             row_i[j] = u
             rows[j][i] = u
-    return MembershipMatrix(n=n, entries=np.array(rows, dtype=float).reshape(n, n))
+    return MembershipMatrix(n, rows)
 
 
 def cumulative_scores(matrix: MembershipMatrix) -> tuple[float, ...]:
-    """Per-sensor cumulative membership: the row sums of the matrix."""
-    return tuple(float(s) for s in matrix.entries.sum(axis=1))
+    """Per-sensor cumulative membership: the row sums of the matrix, each
+    bit for bit numpy's."""
+    return tuple(map(_sum, matrix.rows))
 
 
 def select_optimal(
     scores: Sequence[float],
-    measurements: Sequence[tuple[str, float]],
+    norm: NormalizedMeasurements,
     cfg: VotingConfig | None = None,
 ) -> OptimalSet:
     """Keep the k measurements with the largest cumulative scores.
 
-    ``scores`` must be in canonical (ascending sensor-id) order, as produced
-    by the normalize -> membership -> cumulative chain; ``measurements`` are
-    re-sorted to the same order here.  Ties break by ascending sensor id for
-    reproducible traces.
+    ``scores`` are parallel to ``norm.source_ids``, as the normalize ->
+    membership -> cumulative chain produces them.  Ties break by ascending
+    sensor id for reproducible traces.
     """
     cfg = cfg or VotingConfig()
-    if len(scores) != len(measurements):
-        raise ValueError("scores and measurements must be parallel")
-    ordered = _canonical(measurements)
+    ids, raw = norm.source_ids, norm.raw
     n = len(scores)
+    if n != len(ids):
+        raise ValueError("scores and measurements must be parallel")
     k = cfg.k if cfg.k is not None else default_k(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for cohort of {n}")
-    ranked = sorted(
-        zip(ordered, scores),
-        key=lambda item: (-item[1], item[0][0]),
-    )
-    members = tuple((sid, float(value), float(score)) for (sid, value), score in ranked[:k])
-    return OptimalSet(members=members, k=k)
+    # ids ascend, and a stable sort keeps equal scores in index order
+    top = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
+    return OptimalSet(tuple((ids[i], raw[i], scores[i]) for i in top), k)
 
 
 def assign_accuracy(
-    measurements: Sequence[tuple[str, float]],
+    norm: NormalizedMeasurements,
     optimal: OptimalSet,
     kf_cfg: KalmanConfig | None = None,
 ) -> Mapping[str, float]:
@@ -233,7 +252,4 @@ def assign_accuracy(
     if not optimal.members:
         raise ValueError("optimal set must be non-empty")
     y = kalman_fuse(optimal.measurements, kf_cfg)
-    return {
-        sid: math.exp(-abs(value - y))
-        for sid, value in sorted(measurements, key=lambda sv: sv[0])
-    }
+    return {sid: math.exp(-abs(value - y)) for sid, value in zip(norm.source_ids, norm.raw)}

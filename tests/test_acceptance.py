@@ -54,11 +54,15 @@ def ok(criterion: str, detail: str) -> None:
 
 
 def norm_from(values):
+    """Readings that are already standardized: the raw values are the
+    standardized ones."""
+    values = tuple(float(v) for v in values)
     return NormalizedMeasurements(
-        values=tuple(float(v) for v in values),
+        values=values,
         mean=0.0,
         stdev=1.0,
         source_ids=tuple(f"x{i}" for i in range(1, len(values) + 1)),
+        raw=values,
     )
 
 
@@ -86,11 +90,11 @@ def test_c1_worked_example_golden_vectors():
     # full chain from the standardized input: ordering and top-3 selection
     normalized = (-2.16, 0.68, 0.63, 0.66, 0.18)
     cfg = VotingConfig(p=2, c=2, k=3)
-    chain_scores = cumulative_scores(membership_matrix(norm_from(normalized), cfg))
+    norm = norm_from(normalized)
+    chain_scores = cumulative_scores(membership_matrix(norm, cfg))
     order = sorted(range(5), key=lambda i: (-chain_scores[i], i))
     assert [f"x{i + 1}" for i in order] == ["x3", "x4", "x2", "x5", "x1"]
-    measurements = [(f"x{i}", v) for i, v in enumerate(normalized, start=1)]
-    chosen = select_optimal(chain_scores, measurements, cfg)
+    chosen = select_optimal(chain_scores, norm, cfg)
     assert set(chosen.sensor_ids) == {"x2", "x3", "x4"}
     assert chosen.sensor_ids == ("x3", "x4", "x2")
 

@@ -351,6 +351,34 @@ def one_row_components(a, v, w):
     return d_m, min(max(1.0 - float(np.sum(np.abs(wa) * np.abs(wv))) / denom, 0.0), 1.0)
 
 
+def left_to_right(xs):
+    """The sum of ``xs`` added in turn; the builtin ``sum`` compensates its
+    rounding from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def numpy_row_distances(states, v, wt):
+    """``(d_m, d_a)`` arrays of every row of ``states`` to ``v``, from the
+    numpy row-wise kernel ``rank_and_select`` once ran: ``d_m = sqrt(sum(w
+    (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) / sqrt(sum((w a)^2)
+    sum((w v)^2))``, clipped to [0, 1] and 1 for a zero root."""
+    d_m = np.sqrt((wt * (states - v) ** 2).sum(axis=1))
+    wa, wb = wt * states, wt * v
+    denom = np.sqrt((wa**2).sum(axis=1) * (wb**2).sum())
+    zero = denom == 0.0
+    similarity = (np.abs(wa) * np.abs(wb)).sum(axis=1) / np.where(zero, 1.0, denom)
+    d_a = np.minimum(np.maximum(1.0 - similarity, 0.0), 1.0)
+    d_a[zero] = 1.0
+    return d_m, d_a
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
 class TestRankingMatchesComponents:
     # shrinking a failing 120-row cohort takes minutes; the unshrunk
     # example is reported instead
@@ -367,8 +395,9 @@ class TestRankingMatchesComponents:
         assert [row_components(u, v, w) for u in cohort] == list(zip(d_ms, d_as))
         xi_m, xi_a = scaling_coefficients(d_ms, d_as)
         n = len(cohort)
-        assert (xi_m, xi_a) == (n / sum(d_ms) if sum(d_ms) > 0 else 1.0,
-                                n / sum(d_as) if sum(d_as) > 0 else 1.0)
+        sum_m, sum_a = left_to_right(d_ms), left_to_right(d_as)
+        assert (xi_m, xi_a) == (n / sum_m if sum_m > 0 else 1.0,
+                                n / sum_a if sum_a > 0 else 1.0)
         assert (result.xi_m, result.xi_a) == (xi_m, xi_a)
         d_mas = [direction_aware_distance(dm, da, xi_m, xi_a) for dm, da in zip(d_ms, d_as)]
         assert d_mas == [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
@@ -376,6 +405,19 @@ class TestRankingMatchesComponents:
             zip(ids, d_ms, d_as, d_mas))
         assert result.order == tuple(
             sid for _, sid in sorted(zip(d_mas, ids)))
+
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(cohort=cohorts, v=vec5, w=weights5)
+    def test_components_equal_the_numpy_kernel_bit_for_bit(self, cohort, v, w):
+        # the rows go in as tuples of Python floats, as the pipeline passes them
+        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
+        profile = QosProfile(service_id="svc", utopia=v, weights=w)
+        result = rank_and_select(ids, list(cohort), profile)
+        d_m, d_a = numpy_row_distances(np.array(cohort), np.array(profile.utopia),
+                                       np.array(profile.weights))
+        assert hexes(r.d_m for r in result.records) == hexes(d_m)
+        assert hexes(r.d_a for r in result.records) == hexes(d_a)
+        assert all(type(x) is float for r in result.records for x in r[1:])
 
 
 @pytest.mark.parametrize("rank", [rank_and_select, topsis_select])

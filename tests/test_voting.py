@@ -17,6 +17,7 @@ from edgeprep.voting import (
     select_optimal,
     MembershipMatrix,
     NormalizedMeasurements,
+    _sum,
 )
 
 # Worked example shared by several tests: one far-off reading among a tight
@@ -39,11 +40,15 @@ def with_ids(values, prefix="x"):
 
 
 def norm_from(values):
+    """Readings that are already standardized: the raw values are the
+    standardized ones."""
+    values = tuple(float(v) for v in values)
     return NormalizedMeasurements(
-        values=tuple(float(v) for v in values),
+        values=values,
         mean=0.0,
         stdev=1.0,
         source_ids=tuple(f"x{i}" for i in range(1, len(values) + 1)),
+        raw=values,
     )
 
 
@@ -132,43 +137,45 @@ class TestCumulativeScores:
 class TestSelectOptimal:
     def test_worked_example_selection(self):
         scores = (1.121, 3.899, 3.918, 3.911, 2.741)
-        chosen = select_optimal(scores, with_ids([0.6, 12.0, 11.8, 11.9, 10.0]),
+        chosen = select_optimal(scores, normalize(with_ids([0.6, 12.0, 11.8, 11.9, 10.0])),
                                 VotingConfig(k=3))
         assert chosen.sensor_ids == ("x3", "x4", "x2")
         assert set(chosen.sensor_ids) == {"x2", "x3", "x4"}
         assert chosen.measurements == (11.8, 11.9, 12.0)
 
     def test_all_equal_scores_full_set(self):
-        chosen = select_optimal((2.0, 2.0, 2.0), with_ids([1, 2, 3]), VotingConfig(k=3))
+        chosen = select_optimal((2.0, 2.0, 2.0), normalize(with_ids([1, 2, 3])),
+                                VotingConfig(k=3))
         assert chosen.sensor_ids == ("x1", "x2", "x3")
 
     def test_tie_break_by_ascending_sensor_id(self):
-        chosen = select_optimal((2.0, 2.0, 1.0), with_ids([5, 6, 7]), VotingConfig(k=1))
+        chosen = select_optimal((2.0, 2.0, 1.0), normalize(with_ids([5, 6, 7])),
+                                VotingConfig(k=1))
         assert chosen.sensor_ids == ("x1",)
 
     def test_default_k_is_majority(self):
         assert default_k(7) == 4
         assert default_k(4) == 2
-        chosen = select_optimal((1.0, 2.0, 3.0), with_ids([1, 2, 3]))
+        chosen = select_optimal((1.0, 2.0, 3.0), normalize(with_ids([1, 2, 3])))
         assert chosen.k == 2
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            select_optimal((1.0, 2.0), with_ids([1, 2]), VotingConfig(k=3))
+            select_optimal((1.0, 2.0), normalize(with_ids([1, 2])), VotingConfig(k=3))
 
 
 class TestAssignAccuracy:
     def test_measurement_equal_to_estimate_scores_one(self):
-        optimal = select_optimal((2.0, 2.0, 2.0), with_ids([7.0, 7.0, 7.0]),
-                                 VotingConfig(k=3))
-        alphas = assign_accuracy(with_ids([7.0, 7.0, 7.0]), optimal)
+        norm = normalize(with_ids([7.0, 7.0, 7.0]))
+        optimal = select_optimal((2.0, 2.0, 2.0), norm, VotingConfig(k=3))
+        alphas = assign_accuracy(norm, optimal)
         assert alphas == {"x1": 1.0, "x2": 1.0, "x3": 1.0}
 
     def test_unit_residual(self):
         import mpmath
 
-        optimal = select_optimal((2.0, 2.0), with_ids([3.0, 3.0])[:2], VotingConfig(k=2))
-        alphas = assign_accuracy([("x1", 3.0), ("x2", 4.0)], optimal)
+        optimal = select_optimal((2.0, 2.0), normalize(with_ids([3.0, 3.0])), VotingConfig(k=2))
+        alphas = assign_accuracy(normalize([("x1", 3.0), ("x2", 4.0)]), optimal)
         assert alphas["x2"] == pytest.approx(0.36787944117144233, abs=1e-15)
         assert alphas["x2"] == pytest.approx(float(mpmath.exp(-1)), abs=1e-15)
 
@@ -183,13 +190,11 @@ class TestAssignAccuracy:
             var *= 1 - gain
         assert state == 10.0
 
-        measurements = with_ids([10.0, 10.0, 10.0, 10.0, 12.0])
-        scores = cumulative_scores(
-            membership_matrix(normalize(measurements), VotingConfig())
-        )
-        optimal = select_optimal(scores, measurements, VotingConfig(k=4))
+        norm = normalize(with_ids([10.0, 10.0, 10.0, 10.0, 12.0]))
+        scores = cumulative_scores(membership_matrix(norm, VotingConfig()))
+        optimal = select_optimal(scores, norm, VotingConfig(k=4))
         assert "x5" not in optimal.sensor_ids
-        alphas = assign_accuracy(measurements, optimal, cfg)
+        alphas = assign_accuracy(norm, optimal, cfg)
         assert alphas["x5"] == pytest.approx(0.1353352832366127, abs=1e-15)
         for sid in ("x1", "x2", "x3", "x4"):
             assert alphas[sid] == 1.0
@@ -232,15 +237,16 @@ class TestProperties:
         spread = float(np.std(values, ddof=1))
         magnitude = scale * max(abs(v) for v in values) + abs(shift) + 1.0
         assume(spread == 0.0 or spread * scale > 1e-7 * magnitude)
-        scores = cumulative_scores(membership_matrix(normalize(base)))
+        norm = normalize(base)
+        scores = cumulative_scores(membership_matrix(norm))
         k = default_k(len(values))
         ranked = sorted(scores, reverse=True)
         # argmax-level invariance needs an unambiguous k-boundary
         if k < len(values):
             assume(ranked[k - 1] - ranked[k] > 1e-9)
-        chosen = select_optimal(scores, base)
-        moved = [(sid, v * scale + shift) for sid, v in base]
-        moved_scores = cumulative_scores(membership_matrix(normalize(moved)))
+        chosen = select_optimal(scores, norm)
+        moved = normalize([(sid, v * scale + shift) for sid, v in base])
+        moved_scores = cumulative_scores(membership_matrix(moved))
         moved_chosen = select_optimal(moved_scores, moved)
         assert set(chosen.sensor_ids) == set(moved_chosen.sensor_ids)
 
@@ -258,9 +264,9 @@ class TestProperties:
         sa = cumulative_scores(membership_matrix(a))
         sb = cumulative_scores(membership_matrix(b))
         assert sa == sb
-        assert select_optimal(sa, base) == select_optimal(sb, shuffled)
-        oa = select_optimal(sa, base)
-        assert assign_accuracy(base, oa) == assign_accuracy(shuffled, oa)
+        assert select_optimal(sa, a) == select_optimal(sb, b)
+        oa = select_optimal(sa, a)
+        assert assign_accuracy(a, oa) == assign_accuracy(b, oa)
 
     def test_planted_outlier_never_beats_cluster(self):
         # one value far from a tight cluster scores strictly below every
@@ -335,6 +341,48 @@ class TestMatchesNumpyScalarReference:
         got = membership_matrix(norm, VotingConfig(p=p, c=c))
         assert got.entries.tobytes() == reference_membership(norm.values, p, c).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=130),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_cumulative_scores(self, n, seed):
+        # rows of 8 to 128 entries take numpy's eight-accumulator path, and
+        # longer ones its split into halves
+        rng = np.random.default_rng(seed)
+        matrix = membership_matrix(normalize(with_ids(rng.normal(20.0, 3.0, size=n))))
+        assert hexes(cumulative_scores(matrix)) == hexes(matrix.entries.sum(axis=1))
+
     def test_an_overflowing_power_gives_zero_membership(self):
         got = membership_matrix(norm_from([-2.0, 2.0]), VotingConfig(p=1000))
         assert got.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+#: finite floats from about 1e-30 to 1e30 in size, either sign, and both zeros
+mixed_magnitudes = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0**e,
+              st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+              st.integers(min_value=-30, max_value=30)),
+)
+
+
+class TestSumMatchesNumpy:
+    """``_sum`` adds in numpy's pairwise order: sequential below 8 values,
+    eight accumulators up to 128 and halves above that."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.lists(mixed_magnitudes, min_size=n, max_size=n)))
+    def test_equals_add_reduce_bit_for_bit(self, values):
+        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex()
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 135, 136, 300])
+    def test_equals_add_reduce_at_the_block_edges(self, n):
+        # the sizes where numpy's summation changes shape
+        rng = np.random.default_rng(n)
+        values = (rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)).tolist()
+        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex()
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0] * 9, [-0.0] * 200, [0.0, -0.0]])
+    def test_a_sum_of_zeros_is_positive_zero(self, values):
+        # numpy starts from its identity 0.0
+        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex() == "0x0.0p+0"
