@@ -12,7 +12,7 @@ seconds) equal to the expected count, the weight is monotone in the number
 of consistent appearances, which is the regime the pipeline runs in.
 """
 
-from edgeprep.reliability import ReliabilityState, close_interval, record_observation
+from edgeprep.reliability import ReliabilityState, close_interval
 
 # per interval: how many of the five expected samples landed in the optimal set
 steady_pattern = [5, 5, 4, 5, 5, 5]
@@ -20,16 +20,14 @@ flaky_pattern = [5, 2, 0, 1, 0, 3]
 
 
 def track(name, pattern):
-    state = ReliabilityState(sensor_id=name, n_expected=5)
+    state = ReliabilityState(n_expected=5)
     print(f"{name}:")
     t_ms = 0
     for interval, q in enumerate(pattern, start=1):
-        for _ in range(q):
-            state = record_observation(state, True)
-        for _ in range(5 - q):
-            state = record_observation(state, False)
+        # the other 5 - q samples missed the optimal set and earn nothing
+        state.q = q
         t_ms += 5_000
-        state = close_interval(state, t_ms)
+        close_interval(state, t_ms)
         print(
             f"  interval {interval}: q={q}/5"
             f"  rate={state.lambda_history[-1][2]:.2f}"

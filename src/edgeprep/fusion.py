@@ -43,8 +43,11 @@ class KalmanConfig:
     initial_variance: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.process_noise <= 0 or self.measurement_noise <= 0 or self.initial_variance <= 0:
-            raise ValueError("process_noise, measurement_noise and initial_variance must be > 0")
+        # NaN fails the comparison
+        if not all(0 < v < math.inf for v in
+                   (self.process_noise, self.measurement_noise, self.initial_variance)):
+            raise ValueError("process_noise, measurement_noise and initial_variance must be "
+                             "finite and > 0")
 
 
 @dataclass(frozen=True)

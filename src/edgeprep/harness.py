@@ -237,10 +237,12 @@ class GeneratorSpec:
     duration_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ConfigError("generator period_s must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("generator duration_s must be positive")
+        if not 0 < self.period_s < math.inf:
+            raise ConfigError("generator period_s must be finite and positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("generator duration_s must be finite and positive")
+        if not math.isfinite(self.start_s):
+            raise ConfigError("generator start_s must be finite")
         if self.base not in ("constant", "sinusoid", "ramp"):
             raise ConfigError(f"unknown base signal {self.base!r}")
         if self.noise_std < 0:
@@ -301,8 +303,10 @@ class ScenarioConfig:
     reliability_interval_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("duration_s must be finite and positive")
+        if not 0 < self.reliability_interval_s < math.inf:
+            raise ConfigError("reliability_interval_s must be finite and positive")
         if not self.generators and self.csv_path is None:
             raise ConfigError("scenario needs synthetic generators or a csv path")
         ids = {s.sensor_id for s in self.sensors}
@@ -392,8 +396,11 @@ def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
 
 
 def _instant_ms(value, path: str) -> int:
-    ms = round(_scalar(float, value, path) * 1000.0)
-    if abs(ms - float(value) * 1000.0) > 1e-6 or ms < 0:
+    seconds = _scalar(float, value, path)
+    if not math.isfinite(seconds):
+        raise ConfigError(f"{path}: instant {value}s is not finite")
+    ms = round(seconds * 1000.0)
+    if abs(ms - seconds * 1000.0) > 1e-6 or ms < 0:
         raise ConfigError(f"{path}: instant {value}s must be a nonnegative whole millisecond")
     return int(ms)
 

@@ -224,8 +224,8 @@ class QosProfile:
         object.__setattr__(
             self, "modality_needs", tuple(sorted(set(self.modality_needs)))
         )
-        if self.granularity_s <= 0:
-            raise ConfigError("granularity_s must be positive")
+        if not 0 < self.granularity_s < math.inf:
+            raise ConfigError("granularity_s must be finite and positive")
         if self.select_count < 1:
             raise ConfigError("select_count must be >= 1")
         if self.beta_source not in ("interval", "cumulative"):
@@ -234,6 +234,8 @@ class QosProfile:
 
 def seconds_to_ms(seconds: float) -> int:
     """Convert a duration in seconds to exact integer milliseconds."""
+    if not math.isfinite(seconds):
+        raise ConfigError(f"duration {seconds}s is not finite")
     ms = round(float(seconds) * 1000.0)
     if abs(ms - float(seconds) * 1000.0) > 1e-6:
         raise ConfigError(f"duration {seconds}s is not representable in whole milliseconds")

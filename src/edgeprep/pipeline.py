@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import KalmanConfig, align, kalman_fuse_streams
+from .fusion import FusedStream, KalmanConfig, align, kalman_fuse_streams
 from .model import (
     ConfigError,
     QosProfile,
@@ -45,9 +45,10 @@ from .model import (
     seconds_to_ms,
 )
 from .ranking import RankingResult, rank_and_select, static_profile, topsis_select
-from .reliability import ReliabilityState, close_interval, record_observation
+from .reliability import ReliabilityState, close_interval
 from .voting import (
     VotingConfig,
+    _sum,
     assign_accuracy,
     cumulative_scores,
     membership_matrix,
@@ -61,7 +62,6 @@ __all__ = [
     "window_ticks",
     "AssociationPredicate",
     "associate",
-    "WindowSeries",
     "FeatureFunction",
     "FeatureCache",
     "compute_feature",
@@ -155,14 +155,6 @@ def associate(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WindowSeries:
-    """Fused values of one modality on the window grid, with provenance."""
-
-    values: np.ndarray
-    source_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class FeatureFunction:
     """One statistic of one modality: ``compute`` maps the fused window
     values to one float.
@@ -173,7 +165,7 @@ class FeatureFunction:
 
     fid: str
     modality: str
-    compute: Callable[[np.ndarray], float]
+    compute: Callable[[tuple[float, ...]], float]
 
 
 class FeatureCache:
@@ -226,7 +218,7 @@ class FeatureCache:
 def compute_feature(
     fn: FeatureFunction,
     window: WindowSpec,
-    data: Mapping[str, WindowSeries],
+    data: Mapping[str, FusedStream],
     cache: FeatureCache,
 ) -> float | None:
     """Evaluate a feature over a window, memoized.
@@ -236,7 +228,7 @@ def compute_feature(
     A cache hit performs no recomputation.
     """
     series = data.get(fn.modality)
-    if series is None or series.values.size == 0:
+    if series is None or not series.values:
         return None
     key = (fn.fid, window.t_a_ms, window.t_b_ms, series.source_ids)
     cached = cache.lookup(key)
@@ -249,24 +241,55 @@ def compute_feature(
 PRESENCE_THRESHOLD = 0.4
 
 
-def _presence(values: np.ndarray) -> float:
+def _presence(values: tuple[float, ...]) -> float:
     """Presence detection stand-in: thresholded mean fused motion level.
 
     Illustrative heuristic only, not a calibrated detector; it exists to
     give collocated services a shared low-level inference to reuse.
     """
-    return 1.0 if np.mean(values) > PRESENCE_THRESHOLD else 0.0
+    return 1.0 if _mean(values) > PRESENCE_THRESHOLD else 0.0
 
 
-_STATS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": np.mean,
-    "std": np.std,
-    "min": np.min,
-    "max": np.max,
-    "median": np.median,
-    "range": lambda v: np.max(v) - np.min(v),
+# The statistics run on the fused tuple and give the bits numpy's give on
+# it as an array: sums go through numpy's pairwise summation (``_sum``),
+# a variance is the mean of squared deviations from the mean, and a median
+# is the mean of the middle one or two values.
+
+def _mean(values: Sequence[float]) -> float:
+    return _sum(values) / len(values)
+
+
+def _std(values: Sequence[float]) -> float:
+    mean = _mean(values)
+    return math.sqrt(_mean([(v - mean) * (v - mean) for v in values]))
+
+
+def _median(values: Sequence[float]) -> float:
+    ordered = sorted(values)
+    n = len(ordered)
+    return _mean(ordered[(n - 1) // 2:n // 2 + 1])
+
+
+def _max(values: Sequence[float]) -> float:
+    top = max(values)
+    # on a tie of 0.0 and -0.0 numpy's vectorised loop may return either
+    return top if top != 0.0 else float(np.max(values))
+
+
+def _min(values: Sequence[float]) -> float:
+    bottom = min(values)
+    return bottom if bottom != 0.0 else float(np.min(values))
+
+
+_STATS: dict[str, Callable[[tuple[float, ...]], float]] = {
+    "mean": _mean,
+    "std": _std,
+    "min": _min,
+    "max": _max,
+    "median": _median,
+    "range": lambda v: _max(v) - _min(v),
     "last": lambda v: v[-1],
-    "count": lambda v: v.size,
+    "count": len,
 }
 
 
@@ -375,9 +398,9 @@ class _SensorDyn:
 
     __slots__ = ("alpha", "rel")
 
-    def __init__(self, sensor_id: str, n_expected: int):
+    def __init__(self, n_expected: int, seconds_per_unit: float):
         self.alpha = 1.0
-        self.rel = ReliabilityState(sensor_id=sensor_id, n_expected=n_expected)
+        self.rel = ReliabilityState(n_expected, seconds_per_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +472,14 @@ class Pipeline:
         self._static: dict[str, tuple[float, float, float]] = {
             sid: static_profile(spec) for sid, spec in self.specs.items()
         }
+        # interval lengths are measured in expected-sample units so a fully
+        # consistent sensor sits on the Poisson mode at any cadence
         self._dyn: dict[str, _SensorDyn] = {}
-        self._sensor_granularity_s: dict[str, float] = {}
         for mk, cohort in self._cohorts.items():
-            n_expected = max(
-                1, self.reliability_interval_ms // self._granularity_ms[mk]
-            )
+            gran_ms = self._granularity_ms[mk]
+            n_expected = max(1, self.reliability_interval_ms // gran_ms)
             for spec in cohort:
-                self._dyn[spec.sensor_id] = _SensorDyn(spec.sensor_id, int(n_expected))
-                self._sensor_granularity_s[spec.sensor_id] = (
-                    self._granularity_ms[mk] / 1000.0
-                )
+                self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0)
 
         def zone_of(sid: str) -> str:
             return self.specs[sid].zone if sid in self.specs else ""
@@ -581,18 +601,13 @@ class Pipeline:
             optimal_ids = optimal.sensor_ids
             for sid, alpha in assign_accuracy(norm, optimal, self.kalman).items():
                 self._dyn[sid].alpha = alpha
-        # an observation outside the optimal set leaves the state as it is
+        # only optimal-set appearances earn reliability credit
         for sid in optimal_ids:
-            dyn = self._dyn[sid]
-            dyn.rel = record_observation(dyn.rel, True)
+            self._dyn[sid].rel.q += 1
 
     def _close_reliability(self, t_ms: int) -> None:
-        # interval lengths are measured in expected-sample units so a fully
-        # consistent sensor sits on the Poisson mode at any cadence
-        for sid in sorted(self._dyn):
-            dyn = self._dyn[sid]
-            dyn.rel = close_interval(dyn.rel, t_ms,
-                                     seconds_per_unit=self._sensor_granularity_s[sid])
+        for dyn in self._dyn.values():
+            close_interval(dyn.rel, t_ms)
 
     # -- service activation --------------------------------------------------
 
@@ -630,7 +645,7 @@ class Pipeline:
 
     def _window_series(
         self, svc: ServiceSpec, window: WindowSpec, selected: Sequence[str]
-    ) -> WindowSeries:
+    ) -> FusedStream:
         # the sources fix the modality, and the grid step fixes the ticks
         # and the gap; the zone rule keeps every sample of a live sensor
         sources = tuple(sorted(selected))
@@ -644,7 +659,7 @@ class Pipeline:
 
     def _fuse(
         self, svc: ServiceSpec, window: WindowSpec, sources: tuple[str, ...]
-    ) -> tuple[WindowSeries, int]:
+    ) -> tuple[FusedStream, int]:
         """The fused window of ``sources`` and its count of samples inside
         ``]t_a, t_b]``."""
         pred = self._preds[svc.service_id]
@@ -662,9 +677,7 @@ class Pipeline:
             points += bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
             assoc_streams.append(subset)
         grid = align(assoc_streams, window_ticks(window), svc.delta_t_s, svc.gap_s)
-        fused = kalman_fuse_streams(grid, self.kalman)
-        series = WindowSeries(values=np.array(fused.values, dtype=float), source_ids=sources)
-        return series, points
+        return kalman_fuse_streams(grid, self.kalman), points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         window = WindowSpec(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)

@@ -34,7 +34,6 @@ __all__ = [
     "static_score",
     "static_profile",
     "scaling_coefficients",
-    "direction_aware_distance",
     "rank_and_select",
     "topsis_select",
 ]
@@ -112,13 +111,6 @@ def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[
     xi_m = count / sum_m if sum_m > 0 else 1.0
     xi_a = count / sum_a if sum_a > 0 else 1.0
     return xi_m, xi_a
-
-
-def direction_aware_distance(d_m: float, d_a: float, xi_m: float = 1.0, xi_a: float = 1.0) -> float:
-    """Combined distance ``sqrt(xi_m^2 d_m^2 + xi_a^2 d_a^2)``."""
-    if min(d_m, d_a, xi_m, xi_a) < 0:
-        raise ValueError("distance components and coefficients must be >= 0")
-    return math.hypot(xi_m * d_m, xi_a * d_a)
 
 
 def _checked_cohort(

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
     "ReliabilityState",
     "compute_lambda",
-    "record_observation",
     "interval_reliability",
     "poisson_weight",
     "cumulative_reliability",
@@ -96,92 +94,58 @@ def cumulative_reliability(
     return poisson_weight(integral, n_expected)
 
 
-@dataclass(frozen=True)
 class ReliabilityState:
     """Per-sensor consistency tracker (one open interval at a time).
 
-    ``lambda_history`` collects closed intervals as ``(start_ms, end_ms,
-    lam)``; ``beta`` is the latest interval weight and ``beta_cumulative``
-    the weight over the whole recorded history.  ``rate_integral`` is the
-    running sum of ``lam * length`` over ``lambda_history``, lengths in
-    units of the ``seconds_per_unit`` passed to :func:`close_interval`, and
+    ``q`` counts the open interval's optimal-set appearances; the caller
+    increments it.  ``lambda_history`` collects closed intervals as
+    ``(start_ms, end_ms, lam)``; ``beta`` is the latest interval weight and
+    ``beta_cumulative`` the weight over the whole recorded history.
+    ``rate_integral`` is the running sum of ``lam * length`` over
+    ``lambda_history``, lengths in units of ``seconds_per_unit`` seconds,
     added piece by piece in history order; it is the Poisson mean behind
-    ``beta_cumulative``.  It equals what :func:`cumulative_reliability`
-    integrates only while every close of one state uses the same
-    ``seconds_per_unit``.
+    ``beta_cumulative``.  Passing the expected sampling interval as the unit
+    makes a fully consistent sensor land exactly on the distribution mode,
+    keeping the weight monotone in q for any cadence.
     """
 
-    sensor_id: str
-    n_expected: int
-    interval_start_ms: int = 0
-    q: int = 0
-    lambda_history: tuple[tuple[int, int, float], ...] = ()
-    beta: float = 1.0
-    beta_cumulative: float = 1.0
-    rate_integral: float = 0.0
+    __slots__ = ("n_expected", "seconds_per_unit", "interval_start_ms", "q",
+                 "lambda_history", "beta", "beta_cumulative", "rate_integral")
 
-    def __post_init__(self) -> None:
-        if self.n_expected < 1:
+    def __init__(self, n_expected: int, seconds_per_unit: float = 1.0,
+                 interval_start_ms: int = 0):
+        if n_expected < 1:
             raise ValueError("n_expected must be >= 1")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
+        if not 0 < seconds_per_unit < math.inf:
+            raise ValueError("seconds_per_unit must be finite and positive")
+        self.n_expected = n_expected
+        self.seconds_per_unit = seconds_per_unit
+        self.interval_start_ms = interval_start_ms
+        self.q = 0
+        self.lambda_history: list[tuple[int, int, float]] = []
+        self.beta = 1.0
+        self.beta_cumulative = 1.0
+        self.rate_integral = 0.0
 
 
-def record_observation(state: ReliabilityState, in_optimal: bool) -> ReliabilityState:
-    """Count one expected sample: credit q only for optimal-set appearances.
+def close_interval(state: ReliabilityState, t_end_ms: int) -> None:
+    """Close ``]interval_start, t_end]`` in place: fix lam, refresh both
+    weights, reset q and open the next interval at ``t_end``.
 
-    Missing or non-optimal samples leave q unchanged and are charged
-    implicitly when the interval closes against ``n_expected``.
-    """
-    if not in_optimal:
-        return state
-    # every field spelled out, here and in close_interval: on this per-vote
-    # path dataclasses.replace costs about twice the constructor
-    return ReliabilityState(
-        sensor_id=state.sensor_id,
-        n_expected=state.n_expected,
-        interval_start_ms=state.interval_start_ms,
-        q=state.q + 1,
-        lambda_history=state.lambda_history,
-        beta=state.beta,
-        beta_cumulative=state.beta_cumulative,
-        rate_integral=state.rate_integral,
-    )
-
-
-def close_interval(
-    state: ReliabilityState, t_end_ms: int, seconds_per_unit: float = 1.0
-) -> ReliabilityState:
-    """Close ``]interval_start, t_end]``: fix lam, refresh both weights.
-
-    Returns a new state with q reset and the next interval opened at
-    ``t_end``.  ``seconds_per_unit`` sets the time unit of the Poisson
-    mean; passing the expected sampling interval makes a fully consistent
-    sensor land exactly on the distribution mode, keeping the weight
-    monotone in q for any cadence.
-
-    The cumulative weight comes from the running ``rate_integral``, so a
-    close costs the same however long the history is.  Precondition:
-    ``seconds_per_unit`` is fixed for a state's lifetime (the pipeline
-    passes each sensor's constant granularity).  Under it,
-    ``beta_cumulative`` is bit for bit ``cumulative_reliability(
+    The cumulative weight comes from the running ``rate_integral``, and the
+    history grows by one append, so a close costs the same however long the
+    history is.  ``beta_cumulative`` is bit for bit ``cumulative_reliability(
     lambda_history, n_expected, lambda_history[0][0], t_end_ms,
     seconds_per_unit)``, whose loop adds the same terms in the same order.
     """
-    if t_end_ms <= state.interval_start_ms:
+    start_ms, q, n = state.interval_start_ms, state.q, state.n_expected
+    if t_end_ms <= start_ms:
         raise ValueError("interval end must follow its start")
-    if seconds_per_unit <= 0:
-        raise ValueError("seconds_per_unit must be positive")
-    length = (t_end_ms - state.interval_start_ms) / 1000.0 / seconds_per_unit
-    lam = compute_lambda(state.q, state.n_expected)
-    rate_integral = state.rate_integral + lam * length
-    return ReliabilityState(
-        sensor_id=state.sensor_id,
-        n_expected=state.n_expected,
-        interval_start_ms=t_end_ms,
-        q=0,
-        lambda_history=state.lambda_history + ((state.interval_start_ms, t_end_ms, lam),),
-        beta=interval_reliability(state.q, state.n_expected, length),
-        beta_cumulative=poisson_weight(rate_integral, state.n_expected),
-        rate_integral=rate_integral,
-    )
+    length = (t_end_ms - start_ms) / 1000.0 / state.seconds_per_unit
+    lam = compute_lambda(q, n)
+    state.beta = interval_reliability(q, n, length)
+    state.rate_integral += lam * length
+    state.lambda_history.append((start_ms, t_end_ms, lam))
+    state.beta_cumulative = poisson_weight(state.rate_integral, n)
+    state.q = 0
+    state.interval_start_ms = t_end_ms

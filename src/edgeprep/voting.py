@@ -57,8 +57,8 @@ class VotingConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p <= 0 or self.p % 2 != 0:
             raise ValueError(f"p must be a positive even integer, got {self.p!r}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and positive, got {self.c!r}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1 when given, got {self.k!r}")
 

@@ -8,6 +8,7 @@ reliability, brute-force arithmetic for ranking and fusion, and invocation
 counting for the unified-preprocessing claims.
 """
 
+import math
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from edgeprep.harness import (
 )
 from edgeprep.model import Modality, QosProfile, SensorStream
 from edgeprep.pipeline import Mode, ServiceSpec
-from edgeprep.ranking import direction_aware_distance, rank_and_select, scaling_coefficients
+from edgeprep.ranking import rank_and_select, scaling_coefficients
 from edgeprep.reliability import (
     compute_lambda,
     cumulative_reliability,
@@ -153,7 +154,10 @@ def test_c4_ranking_properties():
     assert result.record_for("u").d_ma == 0.0
     assert result.record_for("v").d_ma > 0.0
     assert result.order[0] == "u"
-    assert direction_aware_distance(3.0, 4.0, 1.0, 1.0) == 5.0
+    # 3-4-5 composition: the cohort means scale c's components to 3 and 4
+    profile = QosProfile(service_id="svc", utopia=(1, 0, 0, 0, 0), weights=(1, 1, 0, 0, 0))
+    rows = [(1, 0, 0, 0, 0), (0.75, 0, 0, 0, 0), (1, 0.75, 0, 0, 0), (1, 0, 0, 0, 0)]
+    assert rank_and_select(("a", "b", "c", "d"), rows, profile).record_for("c").d_ma == 5.0
 
     def d_m(a, b, weights):
         """Magnitude component of ``a`` ranked alone against the utopia ``b``."""
@@ -199,11 +203,11 @@ def test_c4_ranking_properties():
         xi_a_d = dims / sum_a if sum_a > 0 else 1.0
         order_n = sorted(
             range(n),
-            key=lambda idx: (direction_aware_distance(dms[idx], das[idx], xi_m_n, xi_a_n), idx),
+            key=lambda idx: (math.hypot(xi_m_n * dms[idx], xi_a_n * das[idx]), idx),
         )
         order_d = sorted(
             range(n),
-            key=lambda idx: (direction_aware_distance(dms[idx], das[idx], xi_m_d, xi_a_d), idx),
+            key=lambda idx: (math.hypot(xi_m_d * dms[idx], xi_a_d * das[idx]), idx),
         )
         assert order_n == order_d
 

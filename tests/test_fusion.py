@@ -123,6 +123,12 @@ class TestKalmanFuse:
         with pytest.raises(ValueError):
             KalmanConfig(process_noise=0.0)
 
+    @pytest.mark.parametrize("field", ["process_noise", "measurement_noise", "initial_variance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            KalmanConfig(**{field: value})
+
 
 class TestKalmanFuseStreams:
     def make_grid(self, rows, ticks):

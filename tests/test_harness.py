@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from edgeprep.harness import (
     parse_scenario,
     parse_synth_spec,
     run_scenario,
+    _instant_ms,
     write_streams_csv,
 )
 from edgeprep.cli import main
@@ -371,6 +373,29 @@ class TestStrictParsing:
     def test_missing_required_field_is_named(self, level, key):
         with pytest.raises(ConfigError, match=re.escape(f".{key}: required key is missing")):
             parse_with(level, key, None)
+
+    @pytest.mark.parametrize("level, key, message", [
+        # the generators take the scenario's duration, and are read first
+        ("scenario", "duration_s", "scenario.streams.synthetic[0]: generator duration_s must be"),
+        ("scenario", "reliability_interval_s", "scenario: reliability_interval_s must be"),
+        ("service", "period_s", "scenario.services[0]: duration"),
+        ("service", "granularity_s", "scenario.services[0]: granularity_s must be"),
+        ("window", "delta_t_s", "scenario.services[0].window: duration"),
+        ("fault", "start_s", "scenario.faults[0].start_s: instant"),
+        ("kalman", "measurement_noise", "scenario.kalman: "),
+        ("voting", "c", "scenario.voting: c must be"),
+        ("generator", "period_s", "scenario.streams.synthetic[0]: generator period_s must be"),
+        ("generator", "start_s", "scenario.streams.synthetic[0]: generator start_s must be"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_is_named(self, level, key, message, value):
+        with pytest.raises(ConfigError, match=re.escape(message) + ".*finite"):
+            parse_with(level, key, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_instant_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="not finite"):
+            _instant_ms(value, "scenario.faults[0].start_s")
 
     def test_value_the_dataclass_rejects_names_its_level(self):
         with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):

@@ -95,6 +95,12 @@ class TestQosProfile:
         with pytest.raises(ConfigError):
             QosProfile(service_id="svc", weights=(1, -1, 1, 1, 1))
 
+    @pytest.mark.parametrize("granularity_s", [0.0, math.nan, math.inf, -math.inf],
+                             ids=["zero", "nan", "inf", "-inf"])
+    def test_rejects_granularity_that_is_not_finite_and_positive(self, granularity_s):
+        with pytest.raises(ConfigError, match="granularity_s"):
+            QosProfile(service_id="svc", granularity_s=granularity_s)
+
     def test_rejects_unknown_beta_source(self):
         with pytest.raises(ConfigError):
             QosProfile(service_id="svc", beta_source="hourly")
@@ -142,3 +148,8 @@ class TestDurations:
             seconds_to_ms(0.0005)
         with pytest.raises(ConfigError):
             seconds_to_ms(0)
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, seconds):
+        with pytest.raises(ConfigError, match="not finite"):
+            seconds_to_ms(seconds)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from edgeprep.model import ConfigError, Direction, QosProfile
 from edgeprep.ranking import (
-    direction_aware_distance,
     rank_and_select,
     scaling_coefficients,
     static_profile,
@@ -111,18 +110,32 @@ class TestScalingCoefficients:
 
 
 class TestDirectionAwareDistance:
+    """The combined distance ``d_ma`` of the records ``rank_and_select``
+    returns: ``hypot(xi_m d_m, xi_a d_a)``."""
+
     def test_zero_at_origin(self):
-        assert direction_aware_distance(0.0, 0.0, 1.0, 1.0) == 0.0
+        ids, states = cohort_of(make_state("a", 1, 1, 1, 1, 1), make_state("b", 0.5))
+        record = rank_and_select(ids, states, qos()).record_for("a")
+        assert (record.d_m, record.d_a, record.d_ma) == (0.0, 0.0, 0.0)
 
     def test_single_component_reduction(self):
-        assert direction_aware_distance(3.0, 0.0, 1.0, 1.0) == 3.0
+        # every row parallel to the utopia: no angular term, xi_a is 1
+        rows = [(x,) * 5 for x in (1.0, 0.5, 0.25)]
+        result = rank_and_select(("a", "b", "c"), rows, qos())
+        assert result.xi_a == 1.0
+        for record in result.records:
+            assert record.d_a == 0.0
+            assert record.d_ma == result.xi_m * record.d_m
 
     def test_three_four_five(self):
-        assert direction_aware_distance(3.0, 4.0, 1.0, 1.0) == 5.0
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            direction_aware_distance(-1.0, 0.0)
+        # the cohort means scale c's components to 3 (magnitude) and 4 (angle)
+        profile = QosProfile(service_id="svc", utopia=(1, 0, 0, 0, 0), weights=(1, 1, 0, 0, 0))
+        rows = [(1, 0, 0, 0, 0), (0.75, 0, 0, 0, 0), (1, 0.75, 0, 0, 0), (1, 0, 0, 0, 0)]
+        result = rank_and_select(("a", "b", "c", "d"), rows, profile)
+        c = result.record_for("c")
+        assert result.xi_m * c.d_m == 3.0
+        assert result.xi_a * c.d_a == pytest.approx(4.0, rel=1e-15)
+        assert c.d_ma == 5.0
 
 
 class TestRankAndSelect:
@@ -399,8 +412,7 @@ class TestRankingMatchesComponents:
         assert (xi_m, xi_a) == (n / sum_m if sum_m > 0 else 1.0,
                                 n / sum_a if sum_a > 0 else 1.0)
         assert (result.xi_m, result.xi_a) == (xi_m, xi_a)
-        d_mas = [direction_aware_distance(dm, da, xi_m, xi_a) for dm, da in zip(d_ms, d_as)]
-        assert d_mas == [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
+        d_mas = [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
         assert [(r.sensor_id, r.d_m, r.d_a, r.d_ma) for r in result.records] == list(
             zip(ids, d_ms, d_as, d_mas))
         assert result.order == tuple(

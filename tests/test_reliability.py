@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -13,7 +12,6 @@ from edgeprep.reliability import (
     cumulative_reliability,
     interval_reliability,
     poisson_weight,
-    record_observation,
 )
 
 
@@ -31,18 +29,6 @@ class TestLambda:
             compute_lambda(-1, 5)
         with pytest.raises(ValueError):
             compute_lambda(0, 0)
-
-
-class TestRecordObservation:
-    def test_increments_only_for_optimal_appearances(self):
-        state = ReliabilityState("s1", n_expected=5)
-        state = record_observation(state, True)
-        assert state.q == 1
-        state = record_observation(state, False)
-        assert state.q == 1
-        for _ in range(4):
-            state = record_observation(state, True)
-        assert state.q == 5
 
 
 class TestIntervalReliability:
@@ -128,22 +114,39 @@ class TestCumulativeReliability:
             cumulative_reliability([(1000, 1000, 0.5)], 2, 0, 2000)
 
 
+class TestReliabilityState:
+    def test_fresh_state(self):
+        state = ReliabilityState(3, seconds_per_unit=0.5, interval_start_ms=1000)
+        assert (state.n_expected, state.seconds_per_unit, state.interval_start_ms) == (3, 0.5, 1000)
+        assert (state.q, state.lambda_history, state.rate_integral) == (0, [], 0.0)
+        assert state.beta == state.beta_cumulative == 1.0
+
+    def test_rejects_an_empty_expected_count(self):
+        with pytest.raises(ValueError):
+            ReliabilityState(0)
+
+    @pytest.mark.parametrize("seconds_per_unit", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_time_unit_that_is_not_finite_and_positive(self, seconds_per_unit):
+        with pytest.raises(ValueError):
+            ReliabilityState(2, seconds_per_unit)
+
+
 class TestCloseInterval:
     def test_close_resets_q_and_appends_history(self):
-        state = ReliabilityState("s1", n_expected=2)
-        state = record_observation(state, True)
-        state = record_observation(state, True)
-        state = close_interval(state, 2000)
+        state = ReliabilityState(2)
+        state.q = 2
+        close_interval(state, 2000)
         assert state.q == 0
         assert state.interval_start_ms == 2000
-        assert state.lambda_history == ((0, 2000, 1.0),)
+        assert state.lambda_history == [(0, 2000, 1.0)]
         assert state.beta == interval_reliability(2, 2, 2.0)
         assert state.beta_cumulative == state.beta
 
     def test_sequential_intervals_accumulate(self):
-        state = ReliabilityState("s1", n_expected=2)
-        state = close_interval(record_observation(state, True), 2000)
-        state = close_interval(state, 4000)  # no appearances in the second piece
+        state = ReliabilityState(2)
+        state.q = 1
+        close_interval(state, 2000)
+        close_interval(state, 4000)  # no appearances in the second piece
         assert [h[2] for h in state.lambda_history] == [0.5, 0.0]
         assert state.beta == 0.0
         assert state.beta_cumulative == pytest.approx(
@@ -163,16 +166,29 @@ class TestCloseInterval:
     def test_running_integral_matches_reference_bit_for_bit(
         self, n, start, seconds_per_unit, pieces
     ):
-        state = ReliabilityState("s1", n_expected=n, interval_start_ms=start)
+        state = ReliabilityState(n, seconds_per_unit, interval_start_ms=start)
         t_ms = start
         for q, length_ms in pieces:
-            state = replace(state, q=q)
+            state.q = q
             t_ms += length_ms
-            state = close_interval(state, t_ms, seconds_per_unit)
+            close_interval(state, t_ms)
             assert state.beta_cumulative == cumulative_reliability(
                 state.lambda_history, n, start, t_ms, seconds_per_unit)
 
     def test_rejects_non_forward_close(self):
-        state = ReliabilityState("s1", n_expected=2, interval_start_ms=5000)
+        state = ReliabilityState(2, interval_start_ms=5000)
         with pytest.raises(ValueError):
             close_interval(state, 5000)
+
+    def test_a_close_appends_to_the_history_it_holds(self):
+        # counted, not timed: a long history is extended, never copied
+        state = ReliabilityState(2)
+        for t_ms in range(1000, 12_001_000, 1000):
+            close_interval(state, t_ms)
+        history = state.lambda_history
+        assert len(history) == 12_000
+        state.q = 1
+        close_interval(state, 12_001_000)
+        assert state.lambda_history is history
+        assert len(history) == 12_001
+        assert history[-1] == (12_000_000, 12_001_000, 0.5)

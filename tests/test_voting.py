@@ -116,6 +116,12 @@ class TestMembershipMatrix:
         with pytest.raises(ValueError):
             VotingConfig(k=0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_config_rejects_non_finite_c(self, c):
+        # c = inf would make every pair agree fully
+        with pytest.raises(ValueError, match="finite"):
+            VotingConfig(c=c)
+
 
 class TestCumulativeScores:
     def test_worked_example_row_sums(self):
