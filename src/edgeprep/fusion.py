@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SensorStream
+from .model import SensorStream, positive_finite
 
 __all__ = [
     "KalmanConfig",
@@ -43,11 +43,9 @@ class KalmanConfig:
     initial_variance: float = 1.0
 
     def __post_init__(self) -> None:
-        # NaN fails the comparison
-        if not all(0 < v < math.inf for v in
-                   (self.process_noise, self.measurement_noise, self.initial_variance)):
-            raise ValueError("process_noise, measurement_noise and initial_variance must be "
-                             "finite and > 0")
+        positive_finite("process_noise", self.process_noise)
+        positive_finite("measurement_noise", self.measurement_noise)
+        positive_finite("initial_variance", self.initial_variance)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .model import (
     SensorSpec,
     SensorStream,
     StaticAttr,
+    positive_finite,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow, WindowSpec
@@ -237,10 +238,8 @@ class GeneratorSpec:
     duration_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.period_s < math.inf:
-            raise ConfigError("generator period_s must be finite and positive")
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigError("generator duration_s must be finite and positive")
+        positive_finite("generator period_s", self.period_s)
+        positive_finite("generator duration_s", self.duration_s)
         if not math.isfinite(self.start_s):
             raise ConfigError("generator start_s must be finite")
         if self.base not in ("constant", "sinusoid", "ramp"):
@@ -303,10 +302,8 @@ class ScenarioConfig:
     reliability_interval_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_s < math.inf:
-            raise ConfigError("duration_s must be finite and positive")
-        if not 0 < self.reliability_interval_s < math.inf:
-            raise ConfigError("reliability_interval_s must be finite and positive")
+        positive_finite("duration_s", self.duration_s)
+        positive_finite("reliability_interval_s", self.reliability_interval_s)
         if not self.generators and self.csv_path is None:
             raise ConfigError("scenario needs synthetic generators or a csv path")
         ids = {s.sensor_id for s in self.sensors}

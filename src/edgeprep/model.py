@@ -224,22 +224,27 @@ class QosProfile:
         object.__setattr__(
             self, "modality_needs", tuple(sorted(set(self.modality_needs)))
         )
-        if not 0 < self.granularity_s < math.inf:
-            raise ConfigError("granularity_s must be finite and positive")
+        positive_finite("granularity_s", self.granularity_s)
         if self.select_count < 1:
             raise ConfigError("select_count must be >= 1")
         if self.beta_source not in ("interval", "cumulative"):
             raise ConfigError("beta_source must be 'interval' or 'cumulative'")
 
 
-def seconds_to_ms(seconds: float) -> int:
-    """Convert a duration in seconds to exact integer milliseconds."""
-    if not math.isfinite(seconds):
-        raise ConfigError(f"duration {seconds}s is not finite")
+def positive_finite(name: str, value: float) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` is finite
+    and > 0."""
+    # NaN fails both comparisons
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def seconds_to_ms(seconds: float, name: str = "duration") -> int:
+    """Convert a duration in seconds to exact integer milliseconds; errors
+    name the value ``name``."""
+    positive_finite(name, seconds)
     ms = round(float(seconds) * 1000.0)
-    if abs(ms - float(seconds) * 1000.0) > 1e-6:
-        raise ConfigError(f"duration {seconds}s is not representable in whole milliseconds")
-    if ms <= 0:
-        raise ConfigError(f"duration must be positive, got {seconds}s")
+    if abs(ms - float(seconds) * 1000.0) > 1e-6 or ms == 0:
+        raise ConfigError(f"{name} {seconds}s is not representable in whole milliseconds")
     return int(ms)
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fusion import FusedStream, KalmanConfig, align, kalman_fuse_streams
+from .fusion import KalmanConfig, align, kalman_fuse_streams
 from .model import (
     ConfigError,
     QosProfile,
@@ -48,7 +48,6 @@ from .ranking import RankingResult, rank_and_select, static_profile, topsis_sele
 from .reliability import ReliabilityState, close_interval
 from .voting import (
     VotingConfig,
-    _sum,
     assign_accuracy,
     cumulative_scores,
     membership_matrix,
@@ -62,6 +61,7 @@ __all__ = [
     "window_ticks",
     "AssociationPredicate",
     "associate",
+    "WindowSeries",
     "FeatureFunction",
     "FeatureCache",
     "compute_feature",
@@ -105,7 +105,7 @@ class WindowSpec:
             raise ConfigError("k_l and k_r must be >= 0")
         if self.k_l == 0 and self.k_r == 0:
             raise ConfigError("degenerate window: k_l and k_r are both 0")
-        delta_ms = seconds_to_ms(self.delta_t_s)
+        delta_ms = seconds_to_ms(self.delta_t_s, "delta_t_s")
         object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
         object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
 
@@ -155,6 +155,14 @@ def associate(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class WindowSeries:
+    """Fused values of one modality on the window grid, with provenance."""
+
+    values: np.ndarray
+    source_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class FeatureFunction:
     """One statistic of one modality: ``compute`` maps the fused window
     values to one float.
@@ -165,7 +173,7 @@ class FeatureFunction:
 
     fid: str
     modality: str
-    compute: Callable[[tuple[float, ...]], float]
+    compute: Callable[[np.ndarray], float]
 
 
 class FeatureCache:
@@ -218,7 +226,7 @@ class FeatureCache:
 def compute_feature(
     fn: FeatureFunction,
     window: WindowSpec,
-    data: Mapping[str, FusedStream],
+    data: Mapping[str, WindowSeries],
     cache: FeatureCache,
 ) -> float | None:
     """Evaluate a feature over a window, memoized.
@@ -228,7 +236,7 @@ def compute_feature(
     A cache hit performs no recomputation.
     """
     series = data.get(fn.modality)
-    if series is None or not series.values:
+    if series is None or series.values.size == 0:
         return None
     key = (fn.fid, window.t_a_ms, window.t_b_ms, series.source_ids)
     cached = cache.lookup(key)
@@ -241,55 +249,24 @@ def compute_feature(
 PRESENCE_THRESHOLD = 0.4
 
 
-def _presence(values: tuple[float, ...]) -> float:
+def _presence(values: np.ndarray) -> float:
     """Presence detection stand-in: thresholded mean fused motion level.
 
     Illustrative heuristic only, not a calibrated detector; it exists to
     give collocated services a shared low-level inference to reuse.
     """
-    return 1.0 if _mean(values) > PRESENCE_THRESHOLD else 0.0
+    return 1.0 if np.mean(values) > PRESENCE_THRESHOLD else 0.0
 
 
-# The statistics run on the fused tuple and give the bits numpy's give on
-# it as an array: sums go through numpy's pairwise summation (``_sum``),
-# a variance is the mean of squared deviations from the mean, and a median
-# is the mean of the middle one or two values.
-
-def _mean(values: Sequence[float]) -> float:
-    return _sum(values) / len(values)
-
-
-def _std(values: Sequence[float]) -> float:
-    mean = _mean(values)
-    return math.sqrt(_mean([(v - mean) * (v - mean) for v in values]))
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    return _mean(ordered[(n - 1) // 2:n // 2 + 1])
-
-
-def _max(values: Sequence[float]) -> float:
-    top = max(values)
-    # on a tie of 0.0 and -0.0 numpy's vectorised loop may return either
-    return top if top != 0.0 else float(np.max(values))
-
-
-def _min(values: Sequence[float]) -> float:
-    bottom = min(values)
-    return bottom if bottom != 0.0 else float(np.min(values))
-
-
-_STATS: dict[str, Callable[[tuple[float, ...]], float]] = {
-    "mean": _mean,
-    "std": _std,
-    "min": _min,
-    "max": _max,
-    "median": _median,
-    "range": lambda v: _max(v) - _min(v),
+_STATS: dict[str, Callable[[np.ndarray], float]] = {
+    "mean": np.mean,
+    "std": np.std,
+    "min": np.min,
+    "max": np.max,
+    "median": np.median,
+    "range": lambda v: np.max(v) - np.min(v),
     "last": lambda v: v[-1],
-    "count": len,
+    "count": lambda v: v.size,
 }
 
 
@@ -328,7 +305,7 @@ class ServiceSpec:
     zone: str | None = None
 
     def __post_init__(self) -> None:
-        seconds_to_ms(self.period_s)
+        seconds_to_ms(self.period_s, "period_s")
         WindowSpec(0, self.k_l, self.k_r, self.delta_t_s)
         if not self.features:
             raise ConfigError("service must declare at least one feature")
@@ -645,7 +622,7 @@ class Pipeline:
 
     def _window_series(
         self, svc: ServiceSpec, window: WindowSpec, selected: Sequence[str]
-    ) -> FusedStream:
+    ) -> WindowSeries:
         # the sources fix the modality, and the grid step fixes the ticks
         # and the gap; the zone rule keeps every sample of a live sensor
         sources = tuple(sorted(selected))
@@ -659,7 +636,7 @@ class Pipeline:
 
     def _fuse(
         self, svc: ServiceSpec, window: WindowSpec, sources: tuple[str, ...]
-    ) -> tuple[FusedStream, int]:
+    ) -> tuple[WindowSeries, int]:
         """The fused window of ``sources`` and its count of samples inside
         ``]t_a, t_b]``."""
         pred = self._preds[svc.service_id]
@@ -677,7 +654,9 @@ class Pipeline:
             points += bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
             assoc_streams.append(subset)
         grid = align(assoc_streams, window_ticks(window), svc.delta_t_s, svc.gap_s)
-        return kalman_fuse_streams(grid, self.kalman), points
+        fused = kalman_fuse_streams(grid, self.kalman)
+        series = WindowSeries(values=np.array(fused.values, dtype=float), source_ids=sources)
+        return series, points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         window = WindowSpec(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)

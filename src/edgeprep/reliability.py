@@ -17,6 +17,8 @@ import math
 import warnings
 from typing import Sequence
 
+from .model import positive_finite
+
 __all__ = [
     "ReliabilityState",
     "compute_lambda",
@@ -106,26 +108,35 @@ class ReliabilityState:
     added piece by piece in history order; it is the Poisson mean behind
     ``beta_cumulative``.  Passing the expected sampling interval as the unit
     makes a fully consistent sensor land exactly on the distribution mode,
-    keeping the weight monotone in q for any cadence.
+    keeping the weight monotone in q for any cadence.  ``n_expected`` and
+    ``seconds_per_unit`` are read-only.
     """
 
-    __slots__ = ("n_expected", "seconds_per_unit", "interval_start_ms", "q",
+    __slots__ = ("_n_expected", "_seconds_per_unit", "interval_start_ms", "q",
                  "lambda_history", "beta", "beta_cumulative", "rate_integral")
 
     def __init__(self, n_expected: int, seconds_per_unit: float = 1.0,
                  interval_start_ms: int = 0):
         if n_expected < 1:
             raise ValueError("n_expected must be >= 1")
-        if not 0 < seconds_per_unit < math.inf:
-            raise ValueError("seconds_per_unit must be finite and positive")
-        self.n_expected = n_expected
-        self.seconds_per_unit = seconds_per_unit
+        positive_finite("seconds_per_unit", seconds_per_unit)
+        self._n_expected = n_expected
+        self._seconds_per_unit = seconds_per_unit
         self.interval_start_ms = interval_start_ms
         self.q = 0
         self.lambda_history: list[tuple[int, int, float]] = []
         self.beta = 1.0
         self.beta_cumulative = 1.0
         self.rate_integral = 0.0
+
+    # fixed at construction, so every close measures lengths in one unit
+    @property
+    def n_expected(self) -> int:
+        return self._n_expected
+
+    @property
+    def seconds_per_unit(self) -> float:
+        return self._seconds_per_unit
 
 
 def close_interval(state: ReliabilityState, t_end_ms: int) -> None:
@@ -134,9 +145,11 @@ def close_interval(state: ReliabilityState, t_end_ms: int) -> None:
 
     The cumulative weight comes from the running ``rate_integral``, and the
     history grows by one append, so a close costs the same however long the
-    history is.  ``beta_cumulative`` is bit for bit ``cumulative_reliability(
-    lambda_history, n_expected, lambda_history[0][0], t_end_ms,
-    seconds_per_unit)``, whose loop adds the same terms in the same order.
+    history is.  While only this function changes ``lambda_history`` and
+    ``rate_integral``, ``beta_cumulative`` is bit for bit
+    ``cumulative_reliability(lambda_history, n_expected,
+    lambda_history[0][0], t_end_ms, seconds_per_unit)``, whose loop adds the
+    same terms in the same order.
     """
     start_ms, q, n = state.interval_start_ms, state.q, state.n_expected
     if t_end_ms <= start_ms:

@@ -27,6 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .fusion import KalmanConfig, kalman_fuse
+from .model import positive_finite
 
 __all__ = [
     "VotingConfig",
@@ -57,8 +58,7 @@ class VotingConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or self.p <= 0 or self.p % 2 != 0:
             raise ValueError(f"p must be a positive even integer, got {self.p!r}")
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"c must be finite and positive, got {self.c!r}")
+        positive_finite("c", self.c)
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1 when given, got {self.k!r}")
 

@@ -378,9 +378,9 @@ class TestStrictParsing:
         # the generators take the scenario's duration, and are read first
         ("scenario", "duration_s", "scenario.streams.synthetic[0]: generator duration_s must be"),
         ("scenario", "reliability_interval_s", "scenario: reliability_interval_s must be"),
-        ("service", "period_s", "scenario.services[0]: duration"),
+        ("service", "period_s", "scenario.services[0]: period_s must be"),
         ("service", "granularity_s", "scenario.services[0]: granularity_s must be"),
-        ("window", "delta_t_s", "scenario.services[0].window: duration"),
+        ("window", "delta_t_s", "scenario.services[0].window: delta_t_s must be"),
         ("fault", "start_s", "scenario.faults[0].start_s: instant"),
         ("kalman", "measurement_noise", "scenario.kalman: "),
         ("voting", "c", "scenario.voting: c must be"),

@@ -151,5 +151,5 @@ class TestDurations:
 
     @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite(self, seconds):
-        with pytest.raises(ConfigError, match="not finite"):
-            seconds_to_ms(seconds)
+        with pytest.raises(ConfigError, match="period_s must be finite"):
+            seconds_to_ms(seconds, "period_s")

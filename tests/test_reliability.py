@@ -130,6 +130,13 @@ class TestReliabilityState:
         with pytest.raises(ValueError):
             ReliabilityState(2, seconds_per_unit)
 
+    @pytest.mark.parametrize("name", ["n_expected", "seconds_per_unit"])
+    def test_the_expected_count_and_time_unit_are_read_only(self, name):
+        # a close's bit identity with cumulative_reliability needs one unit
+        state = ReliabilityState(2, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(state, name, 1.0)
+
 
 class TestCloseInterval:
     def test_close_resets_q_and_appends_history(self):
