@@ -22,11 +22,14 @@ states = np.array([
 ])
 
 
-def show(title, result):
+def show(title, result, qos):
+    """Print the cohort's order; the service selects its leading
+    ``select_count`` ids."""
     print(f"{title}:")
+    records = {rec.sensor_id: rec for rec in result.records}
     for rank, sid in enumerate(result.order, start=1):
-        rec = result.record_for(sid)
-        marker = " <- selected" if sid in result.selected else ""
+        rec = records[sid]
+        marker = " <- selected" if rank <= qos.select_count else ""
         print(f"  {rank}. {sid:<20} d_M={rec.d_m:.3f} d_A={rec.d_a:.4f} "
               f"d_MA={rec.d_ma:.3f}{marker}")
     print()
@@ -36,11 +39,11 @@ accuracy_first = QosProfile(service_id="svc", weights=(5, 0.5, 1, 1, 1))
 reliability_first = QosProfile(service_id="svc", weights=(0.5, 5, 1, 1, 1))
 
 show("accuracy-priority weights",
-     rank_and_select(sensor_ids, states, accuracy_first, 1))
+     rank_and_select(sensor_ids, states, accuracy_first), accuracy_first)
 show("reliability-priority weights",
-     rank_and_select(sensor_ids, states, reliability_first, 1))
+     rank_and_select(sensor_ids, states, reliability_first), reliability_first)
 show("TOPSIS baseline (same snapshot, accuracy weights)",
-     topsis_select(sensor_ids, states, accuracy_first, 1))
+     topsis_select(sensor_ids, states, accuracy_first), accuracy_first)
 
 print("swap the weights and the adaptive ranking swaps its choice;")
 print("the baseline would keep re-ranking the same frozen snapshot forever.")

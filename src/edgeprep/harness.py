@@ -110,17 +110,16 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
             rows.setdefault(sid, []).append((ts, value, lineno))
     streams: dict[str, SensorStream] = {}
     for sid in sorted(rows):
-        recs = rows[sid]
-        prev_ts, prev_line = None, None
-        for ts, _, lineno in sorted(recs, key=lambda r: (r[0], r[2])):
-            if prev_ts is not None and ts <= prev_ts:
+        # rows were appended in line order, so a stable sort on the timestamp
+        # puts a duplicate right after its first line
+        ordered = sorted(rows[sid], key=lambda r: r[0])
+        for (prev_ts, _, prev_line), (ts, _, lineno) in zip(ordered, ordered[1:]):
+            if ts == prev_ts:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate or non-increasing timestamp {ts} "
                     f"for sensor {sid!r} (previous at line {prev_line})"
                 )
-            prev_ts, prev_line = ts, lineno
         modality, tag = Modality.parse(modalities[sid])
-        ordered = sorted(recs, key=lambda r: r[0])
         streams[sid] = SensorStream(sensor_id=sid, modality=modality,
                                     timestamps_ms=tuple(r[0] for r in ordered),
                                     values=tuple(r[1] for r in ordered), modality_tag=tag)
@@ -257,7 +256,7 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
         if spec.sensor_id in streams:
             raise ConfigError(f"duplicate generator for sensor {spec.sensor_id!r}")
         rng = np.random.default_rng([seed, zlib.crc32(spec.sensor_id.encode())])
-        period_ms = seconds_to_ms(spec.period_s)
+        period_ms = seconds_to_ms(spec.period_s, "generator period_s")
         start_ms = round(spec.start_s * 1000)
         count = round(spec.duration_s * 1000) // period_ms
         timestamps = tuple(start_ms + k * period_ms for k in range(1, count + 1))
@@ -302,15 +301,15 @@ class ScenarioConfig:
     reliability_interval_s: float = 10.0
 
     def __post_init__(self) -> None:
-        positive_finite("duration_s", self.duration_s)
-        positive_finite("reliability_interval_s", self.reliability_interval_s)
+        horizon_ms = seconds_to_ms(self.duration_s, "duration_s")
+        seconds_to_ms(self.reliability_interval_s, "reliability_interval_s")
         if not self.generators and self.csv_path is None:
             raise ConfigError("scenario needs synthetic generators or a csv path")
         ids = {s.sensor_id for s in self.sensors}
         for fault in self.faults:
             if fault.sensor_id not in ids:
                 raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
-            if fault.end_ms > seconds_to_ms(self.duration_s):
+            if fault.end_ms > horizon_ms:
                 raise ConfigError(
                     f"fault on {fault.sensor_id!r} ends after the scenario horizon"
                 )
@@ -393,11 +392,12 @@ def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
 
 
 def _instant_ms(value, path: str) -> int:
-    seconds = _scalar(float, value, path)
-    if not math.isfinite(seconds):
-        raise ConfigError(f"{path}: instant {value}s is not finite")
-    ms = round(seconds * 1000.0)
-    if abs(ms - seconds * 1000.0) > 1e-6 or ms < 0:
+    exact = _scalar(float, value, path) * 1000.0
+    # a huge finite instant overflows to infinity here
+    if not math.isfinite(exact):
+        raise ConfigError(f"{path}: instant {value}s is not finite in milliseconds")
+    ms = round(exact)
+    if abs(ms - exact) > 1e-6 or ms < 0:
         raise ConfigError(f"{path}: instant {value}s must be a nonnegative whole millisecond")
     return int(ms)
 

@@ -243,8 +243,11 @@ def seconds_to_ms(seconds: float, name: str = "duration") -> int:
     """Convert a duration in seconds to exact integer milliseconds; errors
     name the value ``name``."""
     positive_finite(name, seconds)
-    ms = round(float(seconds) * 1000.0)
-    if abs(ms - float(seconds) * 1000.0) > 1e-6 or ms == 0:
+    exact = float(seconds) * 1000.0
+    if exact == math.inf:
+        raise ConfigError(f"{name} must be finite in milliseconds, got {seconds!r}")
+    ms = round(exact)
+    if abs(ms - exact) > 1e-6 or ms == 0:
         raise ConfigError(f"{name} {seconds}s is not representable in whole milliseconds")
     return int(ms)
 

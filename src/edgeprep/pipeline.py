@@ -27,8 +27,6 @@ Operating modes:
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -180,15 +178,13 @@ class FeatureCache:
     """Memo table keyed by (feature id, window bounds, contributing sensors).
 
     Tracks hits and misses; windows whose right edge falls behind the
-    eviction cutoff are dropped to bound memory.  A min-heap of ``(t_b,
-    insertion seq, key)`` over the stored keys lets an eviction touch only
-    the keys it drops.  Iterating yields the stored keys.
+    eviction cutoff are dropped to bound memory.  The table holds only live
+    windows, so an eviction scans every stored key.  Iterating yields the
+    stored keys.
     """
 
     def __init__(self) -> None:
         self._store: dict[tuple, float] = {}
-        self._by_t_b: list[tuple[int, int, tuple]] = []
-        self._seq = itertools.count()
         self.hits = 0
         self.misses = 0
 
@@ -199,8 +195,6 @@ class FeatureCache:
         return value
 
     def insert(self, key: tuple, value: float) -> float:
-        if key not in self._store:
-            heapq.heappush(self._by_t_b, (key[2], next(self._seq), key))
         self._store[key] = value
         self.misses += 1
         return value
@@ -208,12 +202,9 @@ class FeatureCache:
     def evict_before(self, cutoff_ms: int) -> list[tuple]:
         """Drop every entry whose window ends before ``cutoff_ms``; returns
         the dropped keys."""
-        heap = self._by_t_b
-        evicted = []
-        while heap and heap[0][0] < cutoff_ms:
-            key = heapq.heappop(heap)[2]
+        evicted = [key for key in self._store if key[2] < cutoff_ms]
+        for key in evicted:
             del self._store[key]
-            evicted.append(key)
         return evicted
 
     def __len__(self) -> int:
@@ -406,7 +397,8 @@ class Pipeline:
         self.mode = mode
         self.voting = voting or VotingConfig()
         self.kalman = kalman or KalmanConfig()
-        self.reliability_interval_ms = seconds_to_ms(reliability_interval_s)
+        self.reliability_interval_ms = seconds_to_ms(reliability_interval_s,
+                                                     "reliability_interval_s")
         self.counters = Counters()
 
         self.specs: dict[str, SensorSpec] = {}
@@ -414,9 +406,13 @@ class Pipeline:
             if spec.sensor_id in self.specs:
                 raise ConfigError(f"duplicate sensor id {spec.sensor_id!r}")
             self.specs[spec.sensor_id] = spec
-        for sid in streams:
-            if sid not in self.specs:
+        for sid, stream in streams.items():
+            spec = self.specs.get(sid)
+            if spec is None:
                 raise ConfigError(f"stream for unknown sensor {sid!r}")
+            if stream.modality_key != spec.modality_key:
+                raise ConfigError(f"stream for sensor {sid!r} is {stream.modality_key!r}, "
+                                  f"the sensor is {spec.modality_key!r}")
         self.streams = dict(streams)
 
         self.services = sorted(services, key=lambda s: s.service_id)
@@ -444,7 +440,7 @@ class Pipeline:
                 for svc in self.services
                 if mk in svc.qos.modality_needs
             )
-            self._granularity_ms[mk] = seconds_to_ms(gran)
+            self._granularity_ms[mk] = seconds_to_ms(gran, "granularity_s")
 
         self._static: dict[str, tuple[float, float, float]] = {
             sid: static_profile(spec) for sid, spec in self.specs.items()
@@ -471,9 +467,9 @@ class Pipeline:
             for svc in self.services
         ]
 
-        self._shared_cache = FeatureCache()
-        self._service_caches: dict[str, FeatureCache] = {
-            svc.service_id: FeatureCache() for svc in self.services
+        # one feature cache per scope (see _scope), in service order
+        self._caches: dict[str | None, FeatureCache] = {
+            self._scope(svc): FeatureCache() for svc in self.services
         }
         # keys evicted so far; none can recur while cycle times increase
         self._retired_keys = 0
@@ -502,9 +498,8 @@ class Pipeline:
                     live = self._live[(svc.service_id, mk)]
                     if not live:
                         continue
-                    count = min(svc.qos.select_count, len(live))
                     self._topsis[(svc.service_id, mk)] = topsis_select(
-                        live, self._cohort_rows(live, "interval"), svc.qos, count
+                        live, self._cohort_rows(live, "interval"), svc.qos
                     )
 
         periods = [period_ms for _, period_ms, _ in self._schedule]
@@ -525,15 +520,8 @@ class Pipeline:
         every service (``None``) otherwise."""
         return svc.service_id if self.mode is Mode.PER_SERVICE else None
 
-    def _cache_for(self, svc: ServiceSpec) -> FeatureCache:
-        if self.mode is Mode.PER_SERVICE:
-            return self._service_caches[svc.service_id]
-        return self._shared_cache
-
     def caches(self) -> list[FeatureCache]:
-        if self.mode is Mode.PER_SERVICE:
-            return [self._service_caches[s.service_id] for s in self.services]
-        return [self._shared_cache]
+        return list(self._caches.values())
 
     @property
     def feature_invocations(self) -> int:
@@ -603,15 +591,15 @@ class Pipeline:
         if self.mode is Mode.TOPSIS_BASELINE:
             result = self._topsis[(svc.service_id, mk)]
         else:
-            # records and order do not depend on the count, so the whole
-            # order is ranked once and each service takes its prefix
+            # the whole order is ranked once and each service takes its prefix
             key = ("rank", self._scope(svc), live, qos.utopia, qos.weights, qos.beta_source)
             result = self._cycle_memo.get(key)
             if result is None:
                 result = self._cycle_memo[key] = rank_and_select(
-                    live, self._cohort_rows(live, qos.beta_source), qos, len(live)
+                    live, self._cohort_rows(live, qos.beta_source), qos
                 )
-        count = min(qos.select_count, len(live))
+        # the service cuts its own prefix; a count beyond the cohort keeps all
+        count = qos.select_count
         rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
         service_id = svc.service_id
         rows = [
@@ -673,7 +661,7 @@ class Pipeline:
             mk: self._window_series(svc, window, selected)
             for mk, selected in selected_by_mk.items()
         }
-        cache = self._cache_for(svc)
+        cache = self._caches[self._scope(svc)]
         components: dict[str, float] = {}
         missing: list[str] = []
         for fid in svc.features:

@@ -56,19 +56,12 @@ class SensorDistance(NamedTuple):
 
 
 class RankingResult(NamedTuple):
-    """Full cohort ordering plus the selected prefix."""
+    """A cohort's records, in id order, and its ids by ascending ``d_ma``."""
 
     records: tuple[SensorDistance, ...]
     xi_m: float
     xi_a: float
     order: tuple[str, ...]
-    selected: tuple[str, ...]
-
-    def record_for(self, sensor_id: str) -> SensorDistance:
-        for rec in self.records:
-            if rec.sensor_id == sensor_id:
-                return rec
-        raise KeyError(sensor_id)
 
 
 def static_score(raw_theta: float, direction: Direction) -> float:
@@ -113,10 +106,8 @@ def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[
     return xi_m, xi_a
 
 
-def _checked_cohort(
-    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile, count: int | None
-) -> tuple[list[tuple[float, ...]], int]:
-    """The cohort's rows, as tuples of five floats, and the number to select.
+def _checked_cohort(sensor_ids: Sequence[str], states: ArrayLike) -> list[tuple[float, ...]]:
+    """The cohort's rows, as tuples of five floats.
 
     ``sensor_ids`` must be strictly ascending, ``states`` must hold one row
     of :data:`ATTRIBUTE_NAMES` entries per id, in that order, and every
@@ -138,35 +129,29 @@ def _checked_cohort(
     # min and max pass over a NaN that is not first in line
     if any(map(math.isnan, flat)) or not (0.0 <= min(flat) and max(flat) <= 1.0):
         raise ValueError("state entries must lie in [0, 1]")
-    count = qos.select_count if count is None else count
-    if not 1 <= count <= n:
-        raise ConfigError(f"count={count} out of range for cohort of {n}")
     rows = iter(flat)
-    return list(zip(*[rows] * width)), count
+    return list(zip(*[rows] * width))
 
 
 def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[float],
-            d_mas: Sequence[float], xi_m: float, xi_a: float, count: int) -> RankingResult:
+            d_mas: Sequence[float], xi_m: float, xi_a: float) -> RankingResult:
     """Records in id order, and the ids by ascending ``d_ma``, ties by
     ascending id."""
     records = tuple(map(SensorDistance, sensor_ids, d_ms, d_as, d_mas))
     # the ids ascend, and a stable sort keeps equal distances in id order
     order = tuple(sensor_ids[i] for i in sorted(range(len(d_mas)), key=d_mas.__getitem__))
-    return RankingResult(records, xi_m, xi_a, order, order[:count])
+    return RankingResult(records, xi_m, xi_a, order)
 
 
 def rank_and_select(
-    sensor_ids: Sequence[str],
-    states: ArrayLike,
-    qos: QosProfile,
-    count: int | None = None,
+    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
 ) -> RankingResult:
     """Order a cohort by direction-aware distance to the service utopia.
 
     ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
     :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
-    ``sensor_ids``.  Ties break by ascending sensor id; ``selected`` is the
-    leading ``count`` ids (default: the profile's select_count).
+    ``sensor_ids``.  Ties break by ascending sensor id; a caller selects a
+    prefix of ``order``.
 
     Per sensor row ``a``, against utopia ``v`` with weights ``w``:
     ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
@@ -174,7 +159,7 @@ def rank_and_select(
     root is 0.  Each sum adds its five terms left to right, as numpy sums a
     row of five, and squares are products, as numpy squares.
     """
-    rows, count = _checked_cohort(sensor_ids, states, qos, count)
+    rows = _checked_cohort(sensor_ids, states)
     # QosProfile has validated both rows: every w, v and a is >= 0, so the
     # absolute values in d_a are the products themselves
     v0, v1, v2, v3, v4 = qos.utopia
@@ -197,14 +182,11 @@ def rank_and_select(
         d_as.append(0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a)
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     d_mas = [math.hypot(xi_m * d_m, xi_a * d_a) for d_m, d_a in zip(d_ms, d_as)]
-    return _ranked(sensor_ids, d_ms, d_as, d_mas, xi_m, xi_a, count)
+    return _ranked(sensor_ids, d_ms, d_as, d_mas, xi_m, xi_a)
 
 
 def topsis_select(
-    sensor_ids: Sequence[str],
-    states: ArrayLike,
-    qos: QosProfile,
-    count: int | None = None,
+    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
 ) -> RankingResult:
     """Conventional TOPSIS ordering of the same attribute matrix.
 
@@ -216,7 +198,7 @@ def topsis_select(
     it has no notion of per-interval updates, which is exactly what makes it
     a static baseline.
     """
-    rows, count = _checked_cohort(sensor_ids, states, qos, count)
+    rows = _checked_cohort(sensor_ids, states)
     matrix = np.array(rows)
     w = np.array(qos.weights)
 
@@ -231,4 +213,4 @@ def topsis_select(
     span = d_plus + d_minus
     np.divide(d_minus, span, out=closeness, where=span > 0)
     return _ranked(sensor_ids, d_plus.tolist(), d_minus.tolist(), (1.0 - closeness).tolist(),
-                   1.0, 1.0, count)
+                   1.0, 1.0)

@@ -42,6 +42,11 @@ def cohort_of(*states):
             np.array([row for _, row in states], dtype=float))
 
 
+def record_of(result, sensor_id):
+    """The record of ``sensor_id`` in a ranking result."""
+    return next(rec for rec in result.records if rec.sensor_id == sensor_id)
+
+
 def row_components(row, utopia=(1.0,) * 5, weights=(1.0,) * 5):
     """``(d_m, d_a)`` of one attribute row ranked alone against ``utopia``
     with ``weights``."""

@@ -57,6 +57,15 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=":3"):
             ingest_csv(path)
 
+    def test_rows_out_of_order_are_sorted_and_a_late_duplicate_named(self, tmp_path):
+        rows = "timestamp_ms,sensor_id,modality,value\n3000,s1,temperature,3.0\n" \
+               "1000,s1,temperature,1.0\n2000,s1,temperature,2.0\n"
+        stream = ingest_csv(self.write(tmp_path, rows))["s1"]
+        assert (stream.timestamps_ms, stream.values) == ((1000, 2000, 3000), (1.0, 2.0, 3.0))
+        path = self.write(tmp_path, rows + "3000,s1,temperature,4.0\n")
+        with pytest.raises(ValueError, match=":5: .*previous at line 2"):
+            ingest_csv(path)
+
     def test_empty_file_with_header(self, tmp_path):
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n")
         assert ingest_csv(path) == {}
@@ -392,10 +401,19 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=re.escape(message) + ".*finite"):
             parse_with(level, key, value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
+                             ids=["nan", "inf", "-inf", "huge"])
     def test_non_finite_instant_is_rejected(self, value):
         with pytest.raises(ConfigError, match="not finite"):
             _instant_ms(value, "scenario.faults[0].start_s")
+
+    @pytest.mark.parametrize("level, key, message", [
+        ("scenario", "duration_s", "scenario: duration_s must be"),
+        ("service", "period_s", "scenario.services[0]: period_s must be"),
+    ])
+    def test_duration_too_large_for_milliseconds_is_named(self, level, key, message):
+        with pytest.raises(ConfigError, match=re.escape(message) + ".*finite in milliseconds"):
+            parse_with(level, key, 1e308)
 
     def test_value_the_dataclass_rejects_names_its_level(self):
         with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):
@@ -421,8 +439,8 @@ class TestStrictParsing:
         read = load_scenario(path).services[0].qos
         assert read.utopia == (0.5,) * 5
         ids, rows = ("full", "half"), np.array([[1.0] * 5, [0.5] * 5])
-        assert rank_and_select(ids, rows, replace(read, utopia=(1.0,) * 5)).selected == ("full",)
-        assert rank_and_select(ids, rows, read).selected == ("half",)
+        assert rank_and_select(ids, rows, replace(read, utopia=(1.0,) * 5)).order[:1] == ("full",)
+        assert rank_and_select(ids, rows, read).order[:1] == ("half",)
 
     def test_streams_name_one_source(self):
         # a run would read the CSV alone and silently drop the generators

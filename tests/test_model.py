@@ -149,7 +149,9 @@ class TestDurations:
         with pytest.raises(ConfigError):
             seconds_to_ms(0)
 
-    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    # 1e308 s is finite, but its count of milliseconds is not
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 1e308],
+                             ids=["nan", "inf", "-inf", "huge"])
     def test_rejects_non_finite(self, seconds):
         with pytest.raises(ConfigError, match="period_s must be finite"):
             seconds_to_ms(seconds, "period_s")

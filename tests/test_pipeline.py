@@ -178,9 +178,9 @@ class TestComputeFeature:
         ),
         max_size=60,
     ))
-    def test_heap_eviction_matches_full_scan(self, ops):
+    def test_eviction_matches_a_reference_dict(self, ops):
         cache = FeatureCache()
-        reference: dict[tuple, float] = {}  # evicted by scanning every key
+        reference: dict[tuple, float] = {}
         inserted = set()
         for i, (op, t) in enumerate(ops):
             if op == "insert":
@@ -362,6 +362,30 @@ class TestPipeline:
         streams = synth_streams({"t1": ("temperature", 20.0), "tX": ("temperature", 1.0)})
         with pytest.raises(ConfigError):
             Pipeline(sensors, [simple_service()], streams)
+
+    def test_stream_of_another_modality_rejected(self):
+        # a CSV row may label t1's stream co2 while its sensor is temperature
+        streams = synth_streams({"t1": ("co2", 22.0)})
+        with pytest.raises(ConfigError, match="'t1' is 'co2', the sensor is 'temperature'"):
+            Pipeline([make_spec("t1")], [simple_service()], streams)
+
+    @pytest.mark.parametrize("mode, misses, hits", [
+        (Mode.UNIFIED, [2], [1]),
+        (Mode.TOPSIS_BASELINE, [2], [1]),
+        (Mode.NO_SELECTION_FUSED, [2], [1]),
+        # one cache per service, in service order: a computes two
+        # features, b its one
+        (Mode.PER_SERVICE, [2, 1], [0, 0]),
+    ])
+    def test_one_feature_cache_per_scope(self, mode, misses, hits):
+        sensors = [make_spec("m1", Modality.MOTION), make_spec("m2", Modality.MOTION)]
+        services = [simple_service("b", ("motion",), features=("presence",)),
+                    simple_service("a", ("motion",), features=("presence", "motion_mean"))]
+        streams = synth_streams({"m1": ("motion", 0.6), "m2": ("motion", 0.6)})
+        pipeline = Pipeline(sensors, services, streams, mode=mode)
+        pipeline.run_cycle(5000)
+        assert [cache.misses for cache in pipeline.caches()] == misses
+        assert [cache.hits for cache in pipeline.caches()] == hits
 
     def test_feature_outside_declared_needs_rejected(self):
         with pytest.raises(ConfigError, match="'presence' needs modality 'motion' outside"):
@@ -586,7 +610,7 @@ class TestBoundedState:
                             kalman=cfg.kalman, reliability_interval_s=cfg.reliability_interval_s)
 
         def state():
-            return len(pickle.dumps(([(c._store, c._by_t_b) for c in pipeline.caches()],
+            return len(pickle.dumps(([c._store for c in pipeline.caches()],
                                      pipeline._retired_keys)))
 
         sizes, keys = {}, {}

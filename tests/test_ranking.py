@@ -13,11 +13,11 @@ from edgeprep.ranking import (
     static_score,
     topsis_select,
 )
-from conftest import cohort_of, make_spec, make_state, row_components
+from conftest import cohort_of, make_spec, make_state, record_of, row_components
 
 
-def qos(weights=(1, 1, 1, 1, 1), count=1, service_id="svc"):
-    return QosProfile(service_id=service_id, weights=weights, select_count=count)
+def qos(weights=(1, 1, 1, 1, 1), service_id="svc"):
+    return QosProfile(service_id=service_id, weights=weights)
 
 
 class TestStaticScore:
@@ -115,7 +115,7 @@ class TestDirectionAwareDistance:
 
     def test_zero_at_origin(self):
         ids, states = cohort_of(make_state("a", 1, 1, 1, 1, 1), make_state("b", 0.5))
-        record = rank_and_select(ids, states, qos()).record_for("a")
+        record = record_of(rank_and_select(ids, states, qos()), "a")
         assert (record.d_m, record.d_a, record.d_ma) == (0.0, 0.0, 0.0)
 
     def test_single_component_reduction(self):
@@ -132,7 +132,7 @@ class TestDirectionAwareDistance:
         profile = QosProfile(service_id="svc", utopia=(1, 0, 0, 0, 0), weights=(1, 1, 0, 0, 0))
         rows = [(1, 0, 0, 0, 0), (0.75, 0, 0, 0, 0), (1, 0.75, 0, 0, 0), (1, 0, 0, 0, 0)]
         result = rank_and_select(("a", "b", "c", "d"), rows, profile)
-        c = result.record_for("c")
+        c = record_of(result, "c")
         assert result.xi_m * c.d_m == 3.0
         assert result.xi_a * c.d_a == pytest.approx(4.0, rel=1e-15)
         assert c.d_ma == 5.0
@@ -142,7 +142,6 @@ class TestRankAndSelect:
     def test_singleton_cohort(self):
         result = rank_and_select(*cohort_of(make_state("only")), qos())
         assert result.order == ("only",)
-        assert result.selected == ("only",)
 
     def test_utopia_sensor_ranks_first(self):
         cohort = [
@@ -152,7 +151,7 @@ class TestRankAndSelect:
         ]
         result = rank_and_select(*cohort_of(*cohort), qos())
         assert result.order[0] == "ideal"
-        assert result.record_for("ideal").d_ma == 0.0
+        assert record_of(result, "ideal").d_ma == 0.0
 
     def test_three_sensor_brute_force_agreement(self):
         cohort = [
@@ -160,7 +159,7 @@ class TestRankAndSelect:
             make_state("u2", 0.5, 0.4, 0.6, 0.5, 0.45),
             make_state("u3", 0.1, 0.3, 0.2, 0.1, 0.15),
         ]
-        result = rank_and_select(*cohort_of(*cohort), qos(count=1))
+        result = rank_and_select(*cohort_of(*cohort), qos())
         # brute-force evaluation of the distance formulas
         dms, das = [], []
         for _, u in cohort:
@@ -172,17 +171,13 @@ class TestRankAndSelect:
         xi_m = 3 / sum(dms) if sum(dms) > 0 else 1.0
         xi_a = 3 / sum(das) if sum(das) > 0 else 1.0
         combined = [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(dms, das)]
-        assert result.selected == ("u1",)
+        assert result.order[:1] == ("u1",)
         for rec, expected in zip(result.records, combined):
             assert rec.d_ma == pytest.approx(expected, abs=1e-12)
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
             rank_and_select((), np.empty((0, 5)), qos())
-
-    def test_count_out_of_range(self):
-        with pytest.raises(ConfigError):
-            rank_and_select(*cohort_of(make_state("a")), qos(), count=2)
 
     def test_repeated_calls_are_bit_identical(self):
         cohort = [make_state(f"s{i}", *np.random.default_rng(i).random(5)) for i in range(5)]
@@ -200,7 +195,7 @@ class TestRankAndSelect:
         dup = ("zz", dict(cohort)[worst])
         extended = rank_and_select(*cohort_of(*cohort, dup), qos())
         for rec in base.records:
-            after = extended.record_for(rec.sensor_id)
+            after = record_of(extended, rec.sensor_id)
             assert after.d_m == rec.d_m
             assert after.d_a == rec.d_a
 
@@ -290,7 +285,7 @@ class TestTopsis:
         cohort = [make_state(f"s{i}", *row) for i, row in enumerate(matrix)]
         result = topsis_select(*cohort_of(*cohort), qos(weights=weights))
         d_plus, d_minus, closeness = self.brute_force(matrix, weights)
-        assert result.selected == ("s0",)  # dominant on the heavy attribute
+        assert result.order[:1] == ("s0",)  # dominant on the heavy attribute
         for rec, dp_, dm_, c in zip(result.records, d_plus, d_minus, closeness):
             assert rec.d_m == pytest.approx(dp_, abs=1e-12)
             assert rec.d_a == pytest.approx(dm_, abs=1e-12)
@@ -304,7 +299,7 @@ class TestTopsis:
 
     def test_singleton_closeness_is_one(self):
         result = topsis_select(*cohort_of(make_state("solo", 0.4, 0.4, 0.4, 0.4, 0.4)), qos())
-        assert result.selected == ("solo",)
+        assert result.order[:1] == ("solo",)
         assert result.records[0].d_ma == 0.0
 
 
@@ -339,7 +334,7 @@ class TestZeroDistanceCharacterization:
         state = make_state("s", *u)
         profile = qos(weights=(1, 1, 1, 1, 1))
         result = rank_and_select(*cohort_of(state, make_state("t", *([0.3] * 5))), profile)
-        rec = result.record_for("s")
+        rec = record_of(result, "s")
         if u == (1.0, 1.0, 1.0, 1.0, 1.0):
             assert rec.d_ma == 0.0
         else:
