@@ -15,7 +15,7 @@ print("-- alignment --")
 irregular = SensorStream("s1", Modality.TEMPERATURE,
                          timestamps_ms=(1000, 2050, 4000), values=(20.0, 20.4, 21.2))
 ticks = (1000, 2000, 3000, 4000)
-grid = align([irregular], ticks, delta_t_s=1.0, max_gap_s=2.5)
+grid = align([irregular], ticks, delta_ms=1000, max_gap_ms=2500)
 for tick, value in zip(grid.ticks_ms, grid.values[0]):
     origin = "exact" if tick != 3000 else "interpolated"
     print(f"  t={tick:>5} ms  value={value:.3f}  ({origin})")

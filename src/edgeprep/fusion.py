@@ -88,23 +88,23 @@ def interpolate(t0_ms: int, v0: float, t1_ms: int, v1: float, at_ms: int) -> flo
 def align(
     streams: Sequence[SensorStream],
     ticks_ms: Sequence[int],
-    delta_t_s: float,
-    max_gap_s: float,
+    delta_ms: int,
+    max_gap_ms: float,
 ) -> AlignedGrid:
-    """Resample streams onto the ascending ``ticks_ms``.
+    """Resample streams onto the ascending ``ticks_ms``, ``delta_ms`` apart.
 
     Per tick and stream: take the nearest real sample within half a tick
     spacing; otherwise interpolate between the bracketing samples when both
-    sit within ``max_gap_s`` of the tick; otherwise mark the cell missing.
+    sit within ``max_gap_ms`` of the tick (whole milliseconds, or ``inf``
+    for no bound); otherwise mark the cell missing.
     """
-    if delta_t_s <= 0:
-        raise ValueError("delta_t_s must be positive")
-    if max_gap_s < 0:
-        raise ValueError("max_gap_s must be >= 0")
+    if delta_ms <= 0:
+        raise ValueError("delta_ms must be positive")
+    if max_gap_ms < 0:
+        raise ValueError("max_gap_ms must be >= 0")
     ordered = sorted(streams, key=lambda s: s.sensor_id)
     ticks = tuple(int(t) for t in ticks_ms)
-    half_ms = delta_t_s * 1000.0 / 2.0
-    gap_ms = max_gap_s * 1000.0
+    half_ms = delta_ms / 2
     rows: list[list[float]] = []
     for stream in ordered:
         ts, vs = stream.timestamps_ms, stream.values
@@ -127,7 +127,7 @@ def align(
             elif d_right <= half_ms:
                 row.append(vs[idx])
                 continue
-            if 0 < idx < n and d_left <= gap_ms and d_right <= gap_ms:
+            if 0 < idx < n and d_left <= max_gap_ms and d_right <= max_gap_ms:
                 row.append(interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick))
             else:
                 row.append(math.nan)

@@ -20,7 +20,6 @@ import time
 import zlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -37,10 +36,9 @@ from .model import (
     SensorSpec,
     SensorStream,
     StaticAttr,
-    positive_finite,
     seconds_to_ms,
 )
-from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow, WindowSpec
+from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
 from .voting import VotingConfig
 
 __all__ = [
@@ -157,9 +155,27 @@ class FaultKind(enum.Enum):
     DROPOUT = "dropout"
 
 
+def _reject_unread(spec, kind: str, table: Mapping[str, tuple[str, ...]]) -> None:
+    """Raise ConfigError naming a parameter of ``table`` that ``spec`` sets
+    away from its default although ``table[kind]`` does not hold it."""
+    defaults = {f.name: f.default for f in fields(spec)}
+    for name in dict.fromkeys(n for reads in table.values() for n in reads):
+        if name not in table[kind] and getattr(spec, name) != defaults[name]:
+            raise ConfigError(f"{kind!r} does not read {name}")
+
+
+#: the parameters each fault kind reads
+FAULT_PARAMS = {
+    "stuck_at": ("value",),
+    "drift": ("slope_per_s",),
+    "spike": ("magnitude", "rate"),
+    "dropout": ("probability",),
+}
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """One fault active over the half-open interval ``]start, end]``."""
+    """One fault active over ``]start, end]``, with its kind's FAULT_PARAMS."""
 
     sensor_id: str
     kind: FaultKind
@@ -178,6 +194,7 @@ class FaultSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"fault {name} must lie in [0, 1], got {v}")
+        _reject_unread(self, self.kind.value, FAULT_PARAMS)
 
     def active(self, t_ms: int) -> bool:
         return self.start_ms < t_ms <= self.end_ms
@@ -216,12 +233,21 @@ def inject_faults(
     return out
 
 
+#: the parameters each generator base signal reads
+GENERATOR_PARAMS = {
+    "constant": ("level",),
+    "sinusoid": ("level", "amplitude", "wavelength_s"),
+    "ramp": ("level", "slope_per_s"),
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Seeded synthetic stream: a base signal plus Gaussian noise.
 
     ``period_s`` is the sampling interval; samples land at
-    ``start + period, ..., start + duration``.
+    ``start + period, ..., start + duration``, in the ``*_ms`` fields set at
+    construction.  Each base reads its own GENERATOR_PARAMS.
     """
 
     sensor_id: str
@@ -235,14 +261,19 @@ class GeneratorSpec:
     period_s: float = 1.0
     start_s: float = 0.0
     duration_s: float = 60.0
+    period_ms: int = field(init=False)
+    start_ms: int = field(init=False)
+    duration_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
-        positive_finite("generator period_s", self.period_s)
-        positive_finite("generator duration_s", self.duration_s)
-        if not math.isfinite(self.start_s):
-            raise ConfigError("generator start_s must be finite")
-        if self.base not in ("constant", "sinusoid", "ramp"):
+        object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "generator period_s"))
+        object.__setattr__(self, "duration_ms",
+                           seconds_to_ms(self.duration_s, "generator duration_s"))
+        object.__setattr__(self, "start_ms",
+                           seconds_to_ms(self.start_s, "generator start_s", instant=True))
+        if self.base not in GENERATOR_PARAMS:
             raise ConfigError(f"unknown base signal {self.base!r}")
+        _reject_unread(self, self.base, GENERATOR_PARAMS)
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.wavelength_s <= 0:
@@ -256,9 +287,8 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
         if spec.sensor_id in streams:
             raise ConfigError(f"duplicate generator for sensor {spec.sensor_id!r}")
         rng = np.random.default_rng([seed, zlib.crc32(spec.sensor_id.encode())])
-        period_ms = seconds_to_ms(spec.period_s, "generator period_s")
-        start_ms = round(spec.start_s * 1000)
-        count = round(spec.duration_s * 1000) // period_ms
+        start_ms, period_ms = spec.start_ms, spec.period_ms
+        count = spec.duration_ms // period_ms
         timestamps = tuple(start_ms + k * period_ms for k in range(1, count + 1))
         values = []
         for t_ms in timestamps:
@@ -391,17 +421,6 @@ def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _instant_ms(value, path: str) -> int:
-    exact = _scalar(float, value, path) * 1000.0
-    # a huge finite instant overflows to infinity here
-    if not math.isfinite(exact):
-        raise ConfigError(f"{path}: instant {value}s is not finite in milliseconds")
-    ms = round(exact)
-    if abs(ms - exact) > 1e-6 or ms < 0:
-        raise ConfigError(f"{path}: instant {value}s must be a nonnegative whole millisecond")
-    return int(ms)
-
-
 def _static_attrs(value, path: str) -> dict[str, StaticAttr]:
     """``{name: {value, direction} | value}`` for the static attribute names."""
     return {
@@ -423,6 +442,15 @@ _WINDOW = ("k_l", "k_r", "delta_t_s")
 _QOS_KEYS = {f.name for f in fields(QosProfile)} | {"modalities"}
 
 
+def _window(value, path: str) -> tuple:
+    """A service's ``window``: its ServiceSpec's ``k_l``, ``k_r`` and ``delta_t_s``."""
+    hints = get_type_hints(ServiceSpec)
+    for key in _WINDOW:
+        if key not in _mapping(value, path, _WINDOW):
+            raise ConfigError(f"{path}.{key}: required key is missing")
+    return tuple(_scalar(hints[key], value[key], f"{path}.{key}") for key in _WINDOW)
+
+
 def _service(value, path: str) -> ServiceSpec:
     """A service mapping holds its QoS profile's keys beside its own."""
     qos_raw = {k: v for k, v in _mapping(value, path).items() if k in _QOS_KEYS}
@@ -431,8 +459,7 @@ def _service(value, path: str) -> ServiceSpec:
         "weights": ("weights", _weights),
     })
     return _build(ServiceSpec, {k: v for k, v in value.items() if k not in _QOS_KEYS}, path,
-                  {"window": (_WINDOW, lambda v, p: attrgetter(*_WINDOW)(
-                      _build(WindowSpec, v, p, t_i_ms=0)))}, qos=qos)
+                  {"window": (_WINDOW, _window)}, qos=qos)
 
 
 def _generators(value, path: str, outer: Mapping) -> list[GeneratorSpec]:
@@ -465,9 +492,13 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
         "modality": (("modality", "modality_tag"), lambda v, p: Modality.parse(_scalar(str, v, p))),
         "static_attrs": ("static_attrs", _static_attrs),
     })
+
+    def instant(value, path: str) -> int:
+        return seconds_to_ms(_scalar(float, value, path), f"{path}: instant", instant=True)
+
     fault = partial(_build, FaultSpec, derived={
-        "start_s": ("start_ms", _instant_ms),
-        "end_s": ("end_ms", _instant_ms),
+        "start_s": ("start_ms", instant),
+        "end_s": ("end_ms", instant),
     })
     return _build(ScenarioConfig, raw, "scenario", {
         "sensors": ("sensors", partial(_items, sensor)),

@@ -7,7 +7,7 @@ threads.
 Conventions used throughout the package:
 
 * timestamps are integer epoch-milliseconds, so window arithmetic is exact;
-* durations and sampling intervals are float seconds;
+* durations are float seconds in a config, exact milliseconds after it;
 * an attribute vector is a plain row of five floats, in the fixed order
   (accuracy, reliability, resolution, response_time, range), each in [0, 1].
 """
@@ -139,16 +139,13 @@ class SensorStream:
     def modality_key(self) -> str:
         return modality_label(self.modality, self.modality_tag)
 
-    def points_in(self, start_ms: float, end_ms: float) -> SensorStream:
-        """The samples within the half-open interval ``]start_ms, end_ms]``.
-
-        Bounds may be fractional milliseconds; the cost is logarithmic in
-        the stream length plus the number of samples returned.
-        """
+    def points_in(self, start_ms: int, end_ms: int) -> SensorStream:
+        """The samples within ``]start_ms, end_ms]`` (integer milliseconds), at
+        a cost logarithmic in the stream length plus the samples returned."""
         ts = self.timestamps_ms
         return self[bisect_right(ts, start_ms):bisect_right(ts, end_ms)]
 
-    def latest_in(self, start_ms: float, end_ms: float) -> tuple[int, float] | None:
+    def latest_in(self, start_ms: int, end_ms: int) -> tuple[int, float] | None:
         """``(timestamp_ms, value)`` of the most recent sample within
         ``]start_ms, end_ms]``, if any."""
         ts = self.timestamps_ms
@@ -239,15 +236,17 @@ def positive_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
-def seconds_to_ms(seconds: float, name: str = "duration") -> int:
-    """Convert a duration in seconds to exact integer milliseconds; errors
-    name the value ``name``."""
-    positive_finite(name, seconds)
+def seconds_to_ms(seconds: float, name: str = "duration", *, instant: bool = False) -> int:
+    """Exact integer milliseconds of ``seconds``, a duration (> 0) or an
+    ``instant`` (>= 0); errors name the value ``name``."""
+    if not instant:
+        positive_finite(name, seconds)
+    elif not 0 <= seconds < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{name} must be finite and >= 0, got {seconds!r}")
     exact = float(seconds) * 1000.0
     if exact == math.inf:
         raise ConfigError(f"{name} must be finite in milliseconds, got {seconds!r}")
     ms = round(exact)
-    if abs(ms - exact) > 1e-6 or ms == 0:
+    if abs(ms - exact) > 1e-6 or (ms == 0 and not instant):
         raise ConfigError(f"{name} {seconds}s is not representable in whole milliseconds")
     return int(ms)
-

@@ -55,8 +55,6 @@ from .voting import (
 
 __all__ = [
     "Mode",
-    "WindowSpec",
-    "window_ticks",
     "AssociationPredicate",
     "associate",
     "WindowSeries",
@@ -84,54 +82,23 @@ class Mode(enum.Enum):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WindowSpec:
-    """Half-open data window ``]t_a, t_b]`` anchored at ``t_i``.
-
-    ``k_l``/``k_r`` count intervals of ``delta_t_s`` to the left and right of
-    the anchor.  Bounds are exact integer milliseconds.
-    """
-
-    t_i_ms: int
-    k_l: int
-    k_r: int
-    delta_t_s: float
-    t_a_ms: int = field(init=False)
-    t_b_ms: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.k_l < 0 or self.k_r < 0:
-            raise ConfigError("k_l and k_r must be >= 0")
-        if self.k_l == 0 and self.k_r == 0:
-            raise ConfigError("degenerate window: k_l and k_r are both 0")
-        delta_ms = seconds_to_ms(self.delta_t_s, "delta_t_s")
-        object.__setattr__(self, "t_a_ms", self.t_i_ms - self.k_l * delta_ms)
-        object.__setattr__(self, "t_b_ms", self.t_i_ms + self.k_r * delta_ms)
-
-
-def window_ticks(window: WindowSpec) -> tuple[int, ...]:
-    """Grid ticks inside the half-open window: ``t_a + d, ..., t_b``."""
-    delta_ms = seconds_to_ms(window.delta_t_s)
-    count = window.k_l + window.k_r
-    return tuple(window.t_a_ms + delta_ms * (i + 1) for i in range(count))
-
-
-@dataclass(frozen=True)
 class AssociationPredicate:
     """Binary temporal + spatial correlation rules for a sensor's samples.
 
     ``zone_of`` must be total: it maps any sensor id to a zone tag (empty
     for unknown sensors).  The temporal rule is window containment with a
-    tolerance; the spatial rule is zone-tag equality.
+    tolerance in milliseconds; the spatial rule is zone-tag equality.
     """
 
     zone_of: Callable[[str], str]
-    temporal_tolerance_s: float = 0.0
+    temporal_tolerance_ms: int = 0
 
 
 def associate(
     points: SensorStream,
     pred: AssociationPredicate,
-    window: WindowSpec,
+    t_a_ms: int,
+    t_b_ms: int,
     zone: str,
 ) -> tuple[bool, SensorStream]:
     """Samples satisfying both rules, plus a flag (1 iff any survive).
@@ -142,9 +109,8 @@ def associate(
     if pred.zone_of(points.sensor_id) != zone:
         return False, points[:0]
     ts = points.timestamps_ms
-    tol_ms = pred.temporal_tolerance_s * 1000.0
-    subset = points[bisect_right(ts, window.t_a_ms - tol_ms):
-                    bisect_right(ts, window.t_b_ms + tol_ms)]
+    tol_ms = pred.temporal_tolerance_ms
+    subset = points[bisect_right(ts, t_a_ms - tol_ms):bisect_right(ts, t_b_ms + tol_ms)]
     return len(subset) > 0, subset
 
 
@@ -216,11 +182,12 @@ class FeatureCache:
 
 def compute_feature(
     fn: FeatureFunction,
-    window: WindowSpec,
+    t_a_ms: int,
+    t_b_ms: int,
     data: Mapping[str, WindowSeries],
     cache: FeatureCache,
 ) -> float | None:
-    """Evaluate a feature over a window, memoized.
+    """Evaluate a feature over the window ``]t_a_ms, t_b_ms]``, memoized.
 
     Returns ``None`` (a missing-feature marker) when its modality has no
     usable data in the window; consumers decide whether to drop or fill.
@@ -229,7 +196,7 @@ def compute_feature(
     series = data.get(fn.modality)
     if series is None or series.values.size == 0:
         return None
-    key = (fn.fid, window.t_a_ms, window.t_b_ms, series.source_ids)
+    key = (fn.fid, t_a_ms, t_b_ms, series.source_ids)
     cached = cache.lookup(key)
     if cached is not None:
         return cached
@@ -285,7 +252,8 @@ def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunct
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """A service's QoS profile plus its scheduling and window shape."""
+    """A service's QoS profile plus its scheduling and window shape: an
+    activation at ``t`` reads ``]t - k_l*dt, t + k_r*dt]`` on a grid of step dt."""
 
     qos: QosProfile
     period_s: float
@@ -294,10 +262,16 @@ class ServiceSpec:
     delta_t_s: float
     features: tuple[str, ...]
     zone: str | None = None
+    period_ms: int = field(init=False)  # period_s in exact milliseconds
+    delta_ms: int = field(init=False)   # dt = delta_t_s in exact milliseconds
 
     def __post_init__(self) -> None:
-        seconds_to_ms(self.period_s, "period_s")
-        WindowSpec(0, self.k_l, self.k_r, self.delta_t_s)
+        object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "period_s"))
+        if self.k_l < 0 or self.k_r < 0:
+            raise ConfigError("k_l and k_r must be >= 0")
+        if self.k_l == 0 and self.k_r == 0:
+            raise ConfigError("degenerate window: k_l and k_r are both 0")
+        object.__setattr__(self, "delta_ms", seconds_to_ms(self.delta_t_s, "delta_t_s"))
         if not self.features:
             raise ConfigError("service must declare at least one feature")
         object.__setattr__(self, "features", tuple(self.features))
@@ -311,12 +285,6 @@ class ServiceSpec:
     @property
     def service_id(self) -> str:
         return self.qos.service_id
-
-    @property
-    def gap_s(self) -> float:
-        """How far from a grid tick the samples bracketing it may sit: two
-        grid steps."""
-        return 2.0 * self.delta_t_s
 
 
 @dataclass(frozen=True)
@@ -457,15 +425,12 @@ class Pipeline:
         def zone_of(sid: str) -> str:
             return self.specs[sid].zone if sid in self.specs else ""
 
+        # the samples bracketing a grid tick may sit two grid steps from it,
+        # so this tolerance is also the window's interpolation gap
         self._preds: dict[str, AssociationPredicate] = {
-            svc.service_id: AssociationPredicate(zone_of, temporal_tolerance_s=svc.gap_s)
+            svc.service_id: AssociationPredicate(zone_of, temporal_tolerance_ms=2 * svc.delta_ms)
             for svc in self.services
         }
-        # (service, period, warm-up before its first full window), in ms
-        self._schedule: list[tuple[ServiceSpec, int, int]] = [
-            (svc, seconds_to_ms(svc.period_s), svc.k_l * seconds_to_ms(svc.delta_t_s))
-            for svc in self.services
-        ]
 
         # one feature cache per scope (see _scope), in service order
         self._caches: dict[str | None, FeatureCache] = {
@@ -502,8 +467,8 @@ class Pipeline:
                         live, self._cohort_rows(live, "interval"), svc.qos
                     )
 
-        periods = [period_ms for _, period_ms, _ in self._schedule]
-        steps = periods + list(self._granularity_ms.values()) + [self.reliability_interval_ms]
+        steps = ([svc.period_ms for svc in self.services] + list(self._granularity_ms.values())
+                 + [self.reliability_interval_ms])
         self.tick_ms = math.gcd(*steps) if steps else 1000
 
     # -- state assembly ----------------------------------------------------
@@ -577,9 +542,10 @@ class Pipeline:
     # -- service activation --------------------------------------------------
 
     def activations_due(self, t_ms: int) -> list[ServiceSpec]:
+        # a service waits for its first full window
         return [
-            svc for svc, period_ms, warmup_ms in self._schedule
-            if self._due(t_ms, period_ms) and t_ms >= warmup_ms
+            svc for svc in self.services
+            if self._due(t_ms, svc.period_ms) and t_ms >= svc.k_l * svc.delta_ms
         ]
 
     def _select(
@@ -609,26 +575,26 @@ class Pipeline:
         return result.order[:count], rows
 
     def _window_series(
-        self, svc: ServiceSpec, window: WindowSpec, selected: Sequence[str]
+        self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
     ) -> WindowSeries:
         # the sources fix the modality, and the grid step fixes the ticks
         # and the gap; the zone rule keeps every sample of a live sensor
         sources = tuple(sorted(selected))
-        key = ("fuse", self._scope(svc), window.t_a_ms, window.t_b_ms, svc.delta_t_s, sources)
+        key = ("fuse", self._scope(svc), t_a_ms, t_b_ms, svc.delta_ms, sources)
         fused = self._cycle_memo.get(key)
         if fused is None:
-            fused = self._cycle_memo[key] = self._fuse(svc, window, sources)
+            fused = self._cycle_memo[key] = self._fuse(svc, t_a_ms, t_b_ms, sources)
         series, points = fused
         self.counters.points_processed += points
         return series
 
     def _fuse(
-        self, svc: ServiceSpec, window: WindowSpec, sources: tuple[str, ...]
+        self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
     ) -> tuple[WindowSeries, int]:
         """The fused window of ``sources`` and its count of samples inside
         ``]t_a, t_b]``."""
         pred = self._preds[svc.service_id]
-        tol_ms = pred.temporal_tolerance_s * 1000.0
+        tol_ms = pred.temporal_tolerance_ms
         points = 0
         assoc_streams: list[SensorStream] = []
         for sid in sources:
@@ -636,18 +602,21 @@ class Pipeline:
             zone = svc.zone if svc.zone is not None else self.specs[sid].zone
             # only the points the temporal rule can keep: the cost stays
             # with the window, not with the length of the stream
-            candidates = stream.points_in(window.t_a_ms - tol_ms, window.t_b_ms + tol_ms)
-            _, subset = associate(candidates, pred, window, zone)
+            candidates = stream.points_in(t_a_ms - tol_ms, t_b_ms + tol_ms)
+            _, subset = associate(candidates, pred, t_a_ms, t_b_ms, zone)
             ts = subset.timestamps_ms
-            points += bisect_right(ts, window.t_b_ms) - bisect_right(ts, window.t_a_ms)
+            points += bisect_right(ts, t_b_ms) - bisect_right(ts, t_a_ms)
             assoc_streams.append(subset)
-        grid = align(assoc_streams, window_ticks(window), svc.delta_t_s, svc.gap_s)
+        delta_ms = svc.delta_ms
+        ticks = range(t_a_ms + delta_ms, t_b_ms + 1, delta_ms)
+        grid = align(assoc_streams, ticks, delta_ms, tol_ms)
         fused = kalman_fuse_streams(grid, self.kalman)
         series = WindowSeries(values=np.array(fused.values, dtype=float), source_ids=sources)
         return series, points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
-        window = WindowSpec(t_ms, svc.k_l, svc.k_r, svc.delta_t_s)
+        t_a_ms = t_ms - svc.k_l * svc.delta_ms
+        t_b_ms = t_ms + svc.k_r * svc.delta_ms
         selected_by_mk: dict[str, tuple[str, ...]] = {}
         rows: list[TraceRow] = []
         for mk in svc.qos.modality_needs:
@@ -658,14 +627,14 @@ class Pipeline:
             selected_by_mk[mk] = selected
             rows.extend(mk_rows)
         data = {
-            mk: self._window_series(svc, window, selected)
+            mk: self._window_series(svc, t_a_ms, t_b_ms, selected)
             for mk, selected in selected_by_mk.items()
         }
         cache = self._caches[self._scope(svc)]
         components: dict[str, float] = {}
         missing: list[str] = []
         for fid in svc.features:
-            value = compute_feature(self.registry[fid], window, data, cache)
+            value = compute_feature(self.registry[fid], t_a_ms, t_b_ms, data, cache)
             if value is None:
                 missing.append(fid)
             else:

@@ -62,30 +62,37 @@ class TestInterpolate:
 class TestAlign:
     def test_identity_when_already_on_grid(self):
         s = stream("s1", [(1000, 1.0), (2000, 2.0), (3000, 3.0)])
-        grid = align([s], (1000, 2000, 3000), 1.0, 2.0)
+        grid = align([s], (1000, 2000, 3000), 1000, 2000)
         assert grid.values.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_missing_tick_is_interpolated(self):
         s = stream("s1", [(1000, 1.0), (3000, 3.0)])
-        grid = align([s], (1000, 2000, 3000), 1.0, 2.0)
+        grid = align([s], (1000, 2000, 3000), 1000, 2000)
         assert grid.values[0, 1] == 2.0
 
     def test_gap_beyond_max_gap_is_missing(self):
         s = stream("s1", [(1000, 1.0), (9000, 9.0)])
-        grid = align([s], (1000, 5000, 9000), 1.0, 2.0)
+        grid = align([s], (1000, 5000, 9000), 1000, 2000)
         assert math.isnan(grid.values[0, 1])
 
     def test_nearest_sample_within_half_tick_wins(self):
         s = stream("s1", [(1400, 7.0)])
-        grid = align([s], (1000, 2000), 1.0, 0.0)
+        grid = align([s], (1000, 2000), 1000, 0)
         assert grid.values[0, 0] == 7.0  # 400 ms away, inside half a tick
         assert math.isnan(grid.values[0, 1])
 
     def test_sensor_rows_sorted_by_id(self):
         a = stream("b", [(1000, 1.0)])
         b = stream("a", [(1000, 2.0)])
-        grid = align([a, b], (1000,), 1.0, 0.0)
+        grid = align([a, b], (1000,), 1000, 0)
         assert grid.sensor_ids == ("a", "b")
+
+    @pytest.mark.parametrize("tick, expected", [(2002, 2.002), (2003, math.nan)])
+    def test_a_sample_exactly_max_gap_away_is_interpolated(self, tick, expected):
+        # 2.002 s is 2001.9999999999998 ms in float seconds times 1000
+        s = stream("s1", [(0, 0.0), (3000, 3.0)])
+        value = align([s], (tick,), delta_ms=1001, max_gap_ms=2002).values[0, 0]
+        assert value == pytest.approx(expected, nan_ok=True)
 
 
 class TestKalmanFuse:
@@ -190,12 +197,11 @@ class TestKalmanFuseStreams:
             prev = value
 
 
-def cell_reference_align(streams, ticks_ms, delta_t_s, max_gap_s):
+def cell_reference_align(streams, ticks_ms, delta_ms, gap_ms):
     """The per-cell alignment: both neighbours tried in turn, each cell
     written into a NaN-filled array."""
     ordered = sorted(streams, key=lambda s: s.sensor_id)
-    half_ms = delta_t_s * 1000.0 / 2.0
-    gap_ms = max_gap_s * 1000.0
+    half_ms = delta_ms / 2
     values = np.full((len(ordered), len(ticks_ms)), np.nan)
     for row, s in enumerate(ordered):
         ts, vs = s.timestamps_ms, s.values
@@ -255,21 +261,20 @@ def irregular_streams(draw):
     first = draw(st.integers(min_value=-2, max_value=10))
     count = draw(st.integers(min_value=0, max_value=10))
     ticks = tuple((first + i) * delta_ms for i in range(count) if first + i >= 0)
-    max_gap_s = draw(st.sampled_from([0.0, delta_ms / 2000, delta_ms / 1000,
-                                      2 * delta_ms / 1000, math.inf]))
-    return streams, ticks, delta_ms / 1000, max_gap_s
+    max_gap_ms = draw(st.sampled_from([0, delta_ms // 2, delta_ms, 2 * delta_ms, math.inf]))
+    return streams, ticks, delta_ms, max_gap_ms
 
 
 class TestMatchesCellReference:
     """``align`` and ``kalman_fuse_streams`` give the per-cell reference's
-    bits: ties, gaps beyond ``max_gap_s`` and an unbounded gap included."""
+    bits: ties, gaps beyond ``max_gap_ms`` and an unbounded gap included."""
 
     @settings(max_examples=300)
     @given(irregular_streams())
     def test_align_and_fusion_are_bit_identical(self, case):
-        streams, ticks, delta_t_s, max_gap_s = case
-        grid = align(streams, ticks, delta_t_s, max_gap_s)
-        expected = cell_reference_align(streams, ticks, delta_t_s, max_gap_s)
+        streams, ticks, delta_ms, max_gap_ms = case
+        grid = align(streams, ticks, delta_ms, max_gap_ms)
+        expected = cell_reference_align(streams, ticks, delta_ms, max_gap_ms)
         assert grid.values.shape == expected.shape
         assert grid.values.tobytes() == expected.tobytes()
         cfg = KalmanConfig()
@@ -280,10 +285,10 @@ class TestMatchesCellReference:
 
     def test_a_tie_goes_to_the_earlier_sample(self):
         s = stream("s1", [(1500, 1.0), (2500, 2.0)])
-        assert align([s], (2000,), 1.0, 0.0).values.tolist() == [[1.0]]
+        assert align([s], (2000,), 1000, 0).values.tolist() == [[1.0]]
 
     def test_an_unbounded_gap_still_needs_a_sample_on_each_side(self):
         s = stream("s1", [(1000, 1.0), (9000, 9.0)])
-        grid = align([s], (0, 5000, 10_000), 1.0, math.inf)
+        grid = align([s], (0, 5000, 10_000), 1000, math.inf)
         assert math.isnan(grid.values[0, 0]) and math.isnan(grid.values[0, 2])
         assert grid.values[0, 1] == 5.0

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeprep.harness import (
+    FAULT_PARAMS,
+    GENERATOR_PARAMS,
     FaultKind,
     FaultSpec,
     GeneratorSpec,
@@ -21,7 +23,6 @@ from edgeprep.harness import (
     parse_scenario,
     parse_synth_spec,
     run_scenario,
-    _instant_ms,
     write_streams_csv,
 )
 from edgeprep.cli import main
@@ -152,6 +153,25 @@ class TestInjectFaults:
         with pytest.raises(ConfigError):
             FaultSpec("s1", FaultKind.DROPOUT, 0, 1000, probability=1.5)
 
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+    def test_each_kind_takes_its_own_parameters(self, kind):
+        own = {name: 0.5 for name in FAULT_PARAMS[kind.value]}
+        # a parameter left at its default is not set
+        others = {name: 0.0 for names in FAULT_PARAMS.values() for name in names
+                  if name not in own}
+        FaultSpec("s1", kind, 0, 1000, **own, **others)
+
+    @pytest.mark.parametrize("kind, param", [
+        (FaultKind.STUCK_AT, "slope_per_s"),
+        (FaultKind.DRIFT, "value"),
+        (FaultKind.SPIKE, "probability"),
+        (FaultKind.DROPOUT, "magnitude"),
+        (FaultKind.DROPOUT, "rate"),
+    ])
+    def test_a_parameter_its_kind_does_not_read_is_rejected(self, kind, param):
+        with pytest.raises(ConfigError, match=f"'{kind.value}' does not read {param}"):
+            FaultSpec("s1", kind, 0, 1000, **{param: 0.5})
+
 
 class TestGenerateSynthetic:
     def test_constant_generator_counts_and_values(self):
@@ -183,6 +203,27 @@ class TestGenerateSynthetic:
                              period_s=1.0, duration_s=5.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert stream.values == (3.0, 5.0, 7.0, 9.0, 11.0)
+
+    @pytest.mark.parametrize("base", sorted(GENERATOR_PARAMS))
+    def test_each_base_takes_its_own_parameters(self, base):
+        spec = GeneratorSpec(sensor_id="s1", base=base,
+                             **{name: 2.0 for name in GENERATOR_PARAMS[base]})
+        assert len(generate_synthetic([spec], seed=1)["s1"]) == 60
+
+    @pytest.mark.parametrize("base, param, value", [
+        ("constant", "amplitude", 1.0),
+        ("constant", "wavelength_s", 30.0),
+        ("ramp", "amplitude", 1.0),
+        ("sinusoid", "slope_per_s", 0.5),
+    ])
+    def test_a_parameter_its_base_does_not_read_is_rejected(self, base, param, value):
+        with pytest.raises(ConfigError, match=f"'{base}' does not read {param}"):
+            GeneratorSpec(sensor_id="s1", base=base, **{param: value})
+
+    def test_times_are_whole_milliseconds_fixed_at_construction(self):
+        spec = GeneratorSpec(sensor_id="s1", period_s=0.5, start_s=2.5, duration_s=1.001)
+        assert (spec.period_ms, spec.start_ms, spec.duration_ms) == (500, 2500, 1001)
+        assert generate_synthetic([spec], seed=1)["s1"].timestamps_ms == (3000, 3500)
 
     def test_duration_not_truncated_by_float_product(self):
         # 1.001 * 1000 is 1000.9999999999999 in binary floating point
@@ -338,7 +379,10 @@ class TestStrictParsing:
         ("scenario", "cache_horizon_s"),   # the cache evicts at the cycle time
         ("scenario", "presence_threshold"),  # fixed at PRESENCE_THRESHOLD
         ("kalman", "initial_state"),       # the filter starts at the first measurement
-        ("service", "max_gap_s"),          # two grid steps, see ServiceSpec.gap_s
+        ("service", "max_gap_s"),          # two grid steps, fixed by the pipeline
+        ("service", "period_ms"),          # derived from period_s
+        ("window", "delta_ms"),            # derived from delta_t_s
+        ("generator", "start_ms"),         # derived from start_s
     ])
     def test_fields_without_a_key_of_their_own_are_unknown(self, level, key):
         with pytest.raises(ConfigError, match=re.escape(f".{key}: unknown key")):
@@ -389,7 +433,7 @@ class TestStrictParsing:
         ("scenario", "reliability_interval_s", "scenario: reliability_interval_s must be"),
         ("service", "period_s", "scenario.services[0]: period_s must be"),
         ("service", "granularity_s", "scenario.services[0]: granularity_s must be"),
-        ("window", "delta_t_s", "scenario.services[0].window: delta_t_s must be"),
+        ("window", "delta_t_s", "scenario.services[0]: delta_t_s must be"),
         ("fault", "start_s", "scenario.faults[0].start_s: instant"),
         ("kalman", "measurement_noise", "scenario.kalman: "),
         ("voting", "c", "scenario.voting: c must be"),
@@ -404,16 +448,51 @@ class TestStrictParsing:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
                              ids=["nan", "inf", "-inf", "huge"])
     def test_non_finite_instant_is_rejected(self, value):
-        with pytest.raises(ConfigError, match="not finite"):
-            _instant_ms(value, "scenario.faults[0].start_s")
+        with pytest.raises(ConfigError, match=re.escape("scenario.faults[0].start_s: instant")
+                           + ".*finite"):
+            parse_with("fault", "start_s", value)
+
+    @pytest.mark.parametrize("level, key, value, message", [
+        ("generator", "duration_s", 1e308,
+         "scenario.streams.synthetic[0]: generator duration_s must be finite in milliseconds"),
+        ("generator", "start_s", 1e308,
+         "scenario.streams.synthetic[0]: generator start_s must be finite in milliseconds"),
+        ("generator", "start_s", 0.0004,
+         "generator start_s 0.0004s is not representable in whole milliseconds"),
+        ("generator", "start_s", -1, "generator start_s must be finite and >= 0"),
+        ("synth spec", "duration_s", 1e308,
+         "spec.generators[0]: generator duration_s must be finite in milliseconds"),
+        ("fault", "start_s", 0.0001,
+         "scenario.faults[0].start_s: instant 0.0001s is not representable"),
+    ])
+    def test_times_not_in_whole_milliseconds_are_named(self, level, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_with(level, key, value)
+
+    @pytest.mark.parametrize("level, key, value, message", [
+        ("fault", "value", 30, "scenario.faults[0]: 'drift' does not read value"),
+        ("generator", "slope_per_s", 0.5,
+         "scenario.streams.synthetic[0]: 'constant' does not read slope_per_s"),
+        ("synth generator", "amplitude", 1, "spec.generators[0]: 'constant' does not read amplitude"),
+    ])
+    def test_parameter_its_kind_does_not_read_is_named(self, level, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_with(level, key, value)
 
     @pytest.mark.parametrize("level, key, message", [
-        ("scenario", "duration_s", "scenario: duration_s must be"),
+        # the generators take the scenario's duration, and are read first
+        ("scenario", "duration_s", "scenario.streams.synthetic[0]: generator duration_s must be"),
         ("service", "period_s", "scenario.services[0]: period_s must be"),
     ])
     def test_duration_too_large_for_milliseconds_is_named(self, level, key, message):
         with pytest.raises(ConfigError, match=re.escape(message) + ".*finite in milliseconds"):
             parse_with(level, key, 1e308)
+
+    def test_horizon_too_large_for_milliseconds_is_named_without_generators(self):
+        doc = {**valid_scenario(), "duration_s": 1e308, "streams": {"csv": "streams.csv"}}
+        with pytest.raises(ConfigError, match=re.escape("scenario: duration_s must be")
+                           + ".*finite in milliseconds"):
+            parse_scenario(doc)
 
     def test_value_the_dataclass_rejects_names_its_level(self):
         with pytest.raises(ConfigError, match=r"scenario\.voting: p must be"):
@@ -509,6 +588,28 @@ class TestCli:
         config = tmp_path / "scenario.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         return config
+
+    @pytest.mark.parametrize("key, value", [("duration_s", 1e308), ("start_s", 1e308)])
+    def test_synth_time_beyond_milliseconds_is_a_one_line_error(self, tmp_path, capsys, key,
+                                                                value):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"generators": [{"sensor_id": "s1", key: value}]}),
+                        encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"edgeprep: error: spec.generators[0]: generator {key} must be")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_fault_parameter_its_kind_does_not_read_is_a_one_line_error(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "fault_scenario.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("kind: stuck_at,", "kind: stuck_at, slope_per_s: 0.5,", 1),
+                       encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("edgeprep: error: scenario.faults[0]: "
+                       "'stuck_at' does not read slope_per_s\n")
 
     def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
         config = self.malformed_csv_config(tmp_path)

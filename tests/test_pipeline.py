@@ -15,11 +15,9 @@ from edgeprep.pipeline import (
     Pipeline,
     ServiceSpec,
     WindowSeries,
-    WindowSpec,
     associate,
     build_feature_registry,
     compute_feature,
-    window_ticks,
 )
 import edgeprep.pipeline as pipeline_module
 import edgeprep.reliability as reliability_module
@@ -40,72 +38,104 @@ def stream_of(timestamps, sid="s1"):
 
 
 class TestFormWindow:
-    def test_direct_substitution(self):
-        w = WindowSpec(100_000, k_l=2, k_r=1, delta_t_s=5.0)
-        assert w.t_a_ms == 90_000
-        assert w.t_b_ms == 105_000
+    """A service fixes its period and grid step in integer milliseconds at
+    construction; an activation at ``t`` reads ``]t - k_l*dt, t + k_r*dt]``."""
 
-    def test_causal_boundaries(self):
-        assert WindowSpec(100_000, 0, 2, 5.0).t_a_ms == 100_000
-        assert WindowSpec(100_000, 2, 0, 5.0).t_b_ms == 100_000
+    @staticmethod
+    def service(k_l, k_r, delta_t_s, period_s=1.0, features=("temperature_mean",)):
+        return ServiceSpec(qos=QosProfile(service_id="svc", modality_needs=("temperature",)),
+                           period_s=period_s, k_l=k_l, k_r=k_r, delta_t_s=delta_t_s,
+                           features=features)
+
+    @staticmethod
+    def window_at(monkeypatch, svc, t_ms):
+        """``((t_a, t_b), ticks)`` of ``svc``'s window at ``t_ms``: the bounds
+        in the feature cache key and the ticks the window is aligned on."""
+        streams = synth_streams({"t1": ("temperature", 20.0)}, duration_s=120.0)
+        calls = counted(monkeypatch, "align")
+        pipeline = Pipeline([make_spec("t1")], [svc], streams)
+        pipeline.run_cycle(t_ms)
+        ((_, t_a_ms, t_b_ms, _),) = pipeline.caches()[0]
+        ((_, ticks, *_),) = calls
+        return (t_a_ms, t_b_ms), tuple(ticks)
+
+    def test_direct_substitution(self, monkeypatch):
+        svc = self.service(2, 1, 5.0)
+        assert (svc.period_ms, svc.delta_ms) == (1000, 5000)
+        assert self.window_at(monkeypatch, svc, 100_000)[0] == (90_000, 105_000)
+
+    def test_causal_boundaries(self, monkeypatch):
+        assert self.window_at(monkeypatch, self.service(0, 2, 5.0), 100_000)[0][0] == 100_000
+        assert self.window_at(monkeypatch, self.service(2, 0, 5.0), 100_000)[0][1] == 100_000
 
     def test_degenerate_window_rejected(self):
-        with pytest.raises(ValueError):
-            WindowSpec(100_000, 0, 0, 5.0)
-        with pytest.raises(ValueError):
-            WindowSpec(100_000, 1, 1, 0.0)
+        for k_l, k_r, delta_t_s, message in [
+            (0, 0, 5.0, "degenerate window"),
+            (-1, 2, 5.0, "k_l and k_r must be >= 0"),
+            (1, 1, 0.0, "delta_t_s must be finite and positive"),
+            (1, 1, 0.0005, "delta_t_s 0.0005s is not representable in whole milliseconds"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                self.service(k_l, k_r, delta_t_s)
 
-    def test_ticks_cover_the_half_open_window(self):
-        w = WindowSpec(10_000, 3, 0, 1.0)
-        assert window_ticks(w) == (8000, 9000, 10_000)
+    def test_ticks_cover_the_half_open_window(self, monkeypatch):
+        assert self.window_at(monkeypatch, self.service(3, 0, 1.0), 10_000)[1] == (
+            8000, 9000, 10_000)
 
-    def test_identical_parameters_give_identical_membership(self):
-        stream = stream_of(range(7000, 10_001, 500))
-        w1 = WindowSpec(10_000, 3, 0, 1.0)
-        w2 = WindowSpec(10_000, 3, 0, 1.0)
-        in1 = stream.points_in(w1.t_a_ms, w1.t_b_ms)
-        in2 = stream.points_in(w2.t_a_ms, w2.t_b_ms)
-        assert in1 == in2
+    def test_identical_parameters_give_identical_membership(self, monkeypatch):
+        first, second = self.service(3, 0, 1.0), self.service(3, 0, 1.0)
+        assert first == second
+        assert (self.window_at(monkeypatch, first, 10_000)
+                == self.window_at(monkeypatch, second, 10_000))
+
+    def test_milliseconds_are_exact_where_float_seconds_are_not(self):
+        # 2 * 1.001 * 1000.0 is 2001.9999999999998
+        svc = self.service(3, 0, 1.001, period_s=1.001)
+        assert (svc.period_ms, svc.delta_ms) == (1001, 1001)
+
+    def test_a_sample_two_grid_steps_from_a_tick_is_interpolated(self):
+        # ]7007, 10010] on a 1001 ms grid: tick 8008 sits 2002 ms after the
+        # sample at 6006, tick 9009 takes the sample at 8600, tick 10010
+        # has no sample after it
+        svc = self.service(3, 0, 1.001, period_s=1.001, features=("temperature_count",))
+        stream = SensorStream("t1", Modality.TEMPERATURE, (6006, 8600), (20.0, 21.0))
+        pipeline = Pipeline([make_spec("t1")], [svc], {"t1": stream},
+                            mode=Mode.NO_SELECTION_FUSED)
+        result = pipeline.run_cycle(10_010)
+        assert result.features["svc"].components["temperature_count"] == 2.0
 
 
 class TestAssociate:
     pred = AssociationPredicate(zone_of=lambda sid: {"s1": "lab", "s2": "hall"}.get(sid, ""))
 
     def test_point_in_window_and_zone(self):
-        w = WindowSpec(10_000, 2, 0, 1.0)
-        flag, subset = associate(stream_of([9000], "s1"), self.pred, w, "lab")
+        flag, subset = associate(stream_of([9000], "s1"), self.pred, 8000, 10_000, "lab")
         assert flag
         assert len(subset) == 1
 
     def test_wrong_zone_is_excluded(self):
-        w = WindowSpec(10_000, 2, 0, 1.0)
-        flag, subset = associate(stream_of([9000], "s2"), self.pred, w, "lab")
+        flag, subset = associate(stream_of([9000], "s2"), self.pred, 8000, 10_000, "lab")
         assert not flag
         assert len(subset) == 0
 
     def test_empty_point_set(self):
-        w = WindowSpec(10_000, 2, 0, 1.0)
-        assert associate(stream_of([]), self.pred, w, "lab") == (False, stream_of([]))
+        assert associate(stream_of([]), self.pred, 8000, 10_000, "lab") == (False, stream_of([]))
 
     def test_window_boundaries_are_half_open(self):
-        w = WindowSpec(10_000, 2, 0, 1.0)
         pts = stream_of([8000, 8001, 10_000, 10_001], "s1")
-        _, subset = associate(pts, self.pred, w, "lab")
+        _, subset = associate(pts, self.pred, 8000, 10_000, "lab")
         assert subset.timestamps_ms == (8001, 10_000)
 
     def test_tolerance_widens_both_edges(self):
-        w = WindowSpec(10_000, 2, 0, 1.0)
-        pred = replace(self.pred, temporal_tolerance_s=0.5)
+        pred = replace(self.pred, temporal_tolerance_ms=500)
         pts = stream_of([7500, 7501, 10_500, 10_501], "s1")
-        _, subset = associate(pts, pred, w, "lab")
+        _, subset = associate(pts, pred, 8000, 10_000, "lab")
         assert subset.timestamps_ms == (7501, 10_500)
 
     def test_enlarging_the_window_never_removes_points(self):
         pts = stream_of(range(6000, 12_001, 500), "s1")
-        small = WindowSpec(10_000, 2, 0, 1.0)
-        big = WindowSpec(10_000, 4, 1, 1.0)
-        _, inner = associate(pts, self.pred, small, "lab")
-        _, outer = associate(pts, self.pred, big, "lab")
+        _, inner = associate(pts, self.pred, 8000, 10_000, "lab")
+        _, outer = associate(pts, self.pred, 6000, 11_000, "lab")
         assert set(inner.timestamps_ms) <= set(outer.timestamps_ms)
 
 
@@ -124,9 +154,9 @@ class TestComputeFeature:
         counter = {"calls": 0}
         fn = self.make_fn(counter)
         cache = FeatureCache()
-        w = WindowSpec(10_000, 3, 0, 1.0)
-        first = compute_feature(fn, w, self.data(), cache)
-        second = compute_feature(fn, w, self.data(), cache)
+        w = (7000, 10_000)
+        first = compute_feature(fn, *w, self.data(), cache)
+        second = compute_feature(fn, *w, self.data(), cache)
         assert counter["calls"] == 1
         assert cache.misses == 1 and cache.hits == 1
         assert first == second == 7.0
@@ -134,39 +164,39 @@ class TestComputeFeature:
     def test_fresh_cache_recomputes_identically(self):
         counter = {"calls": 0}
         fn = self.make_fn(counter)
-        w = WindowSpec(10_000, 3, 0, 1.0)
-        first = compute_feature(fn, w, self.data(), FeatureCache())
-        second = compute_feature(fn, w, self.data(), FeatureCache())
+        w = (7000, 10_000)
+        first = compute_feature(fn, *w, self.data(), FeatureCache())
+        second = compute_feature(fn, *w, self.data(), FeatureCache())
         assert counter["calls"] == 2
         assert first == second
 
     def test_mean_over_constant_window(self):
         fn = self.make_fn({"calls": 0})
-        got = compute_feature(fn, WindowSpec(10_000, 3, 0, 1.0), self.data(), FeatureCache())
+        got = compute_feature(fn, 7000, 10_000, self.data(), FeatureCache())
         assert got == 7.0
 
     def test_missing_modality_marker(self):
         fn = self.make_fn({"calls": 0})
         cache = FeatureCache()
-        w = WindowSpec(10_000, 3, 0, 1.0)
-        assert compute_feature(fn, w, {}, cache) is None
+        w = (7000, 10_000)
+        assert compute_feature(fn, *w, {}, cache) is None
         empty = {"temperature": WindowSeries(np.array([]), ("s1",))}
-        assert compute_feature(fn, w, empty, cache) is None
+        assert compute_feature(fn, *w, empty, cache) is None
         assert cache.misses == 0 and cache.hits == 0
 
     def test_different_sensor_sets_do_not_collide(self):
         counter = {"calls": 0}
         fn = self.make_fn(counter)
         cache = FeatureCache()
-        w = WindowSpec(10_000, 3, 0, 1.0)
-        compute_feature(fn, w, self.data(sources=("s1",)), cache)
-        compute_feature(fn, w, self.data(sources=("s2",)), cache)
+        w = (7000, 10_000)
+        compute_feature(fn, *w, self.data(sources=("s1",)), cache)
+        compute_feature(fn, *w, self.data(sources=("s2",)), cache)
         assert counter["calls"] == 2
 
     def test_eviction_drops_old_windows(self):
         fn = self.make_fn({"calls": 0})
         cache = FeatureCache()
-        compute_feature(fn, WindowSpec(10_000, 3, 0, 1.0), self.data(), cache)
+        compute_feature(fn, 7000, 10_000, self.data(), cache)
         assert len(cache) == 1
         assert cache.evict_before(20_000) == [("temperature_mean", 7000, 10_000, ("s1",))]
         assert len(cache) == 0
