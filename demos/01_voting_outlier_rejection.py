@@ -7,8 +7,6 @@ membership matrix, accumulates per-sensor scores, extracts the top-3
 estimate of the optimal set.
 """
 
-import numpy as np
-
 from edgeprep.voting import (
     VotingConfig,
     assign_accuracy,
@@ -35,7 +33,8 @@ for sid, x in zip(norm.source_ids, norm.values):
 
 matrix = membership_matrix(norm, cfg)
 print("\nmembership matrix (rows/cols in id order):")
-print(np.array_str(matrix.entries, precision=3, suppress_small=False))
+for sid, row in zip(norm.source_ids, matrix.rows):
+    print(f"  {sid}: " + " ".join(f"{u:.3f}" for u in row))
 
 scores = cumulative_scores(matrix)
 print("\ncumulative scores:")

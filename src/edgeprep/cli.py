@@ -65,9 +65,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError, yaml.YAMLError) as exc:
-        # ValueError covers ConfigError and malformed input CSV rows; a YAML
-        # error spans several lines
+    except (ValueError, OverflowError, OSError, yaml.YAMLError) as exc:
+        # ValueError covers ConfigError and malformed input CSV rows;
+        # OverflowError, finite readings whose exact sum leaves the float
+        # range; a YAML error spans several lines
         sys.stderr.write(f"edgeprep: error: {' '.join(str(exc).split())}\n")
         return 2
 

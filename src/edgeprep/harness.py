@@ -36,6 +36,7 @@ from .model import (
     SensorSpec,
     SensorStream,
     StaticAttr,
+    positive_finite,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
@@ -99,6 +100,9 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                 raise ValueError(f"{path}:{lineno}: non-finite value {val_raw!r}")
             if ts < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp {ts}")
+            if not sid or not modality:
+                empty = "modality" if sid else "sensor id"
+                raise ValueError(f"{path}:{lineno}: empty {empty} in row {row!r}")
             known = modalities.setdefault(sid, modality)
             if known != modality:
                 raise ValueError(
@@ -155,6 +159,14 @@ class FaultKind(enum.Enum):
     DROPOUT = "dropout"
 
 
+def _require_finite(spec, names: Sequence[str]) -> None:
+    """Raise ConfigError naming the first of ``names`` whose value on
+    ``spec`` is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(spec, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(spec, name)!r}")
+
+
 def _reject_unread(spec, kind: str, table: Mapping[str, tuple[str, ...]]) -> None:
     """Raise ConfigError naming a parameter of ``table`` that ``spec`` sets
     away from its default although ``table[kind]`` does not hold it."""
@@ -195,6 +207,7 @@ class FaultSpec:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"fault {name} must lie in [0, 1], got {v}")
         _reject_unread(self, self.kind.value, FAULT_PARAMS)
+        _require_finite(self, ("value", "slope_per_s", "magnitude"))
 
     def active(self, t_ms: int) -> bool:
         return self.start_ms < t_ms <= self.end_ms
@@ -274,10 +287,11 @@ class GeneratorSpec:
         if self.base not in GENERATOR_PARAMS:
             raise ConfigError(f"unknown base signal {self.base!r}")
         _reject_unread(self, self.base, GENERATOR_PARAMS)
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
-        if self.wavelength_s <= 0:
-            raise ConfigError("wavelength_s must be positive")
+        _require_finite(self, ("level", "amplitude", "slope_per_s"))
+        # NaN fails both comparisons
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        positive_finite("wavelength_s", self.wavelength_s)
 
 
 def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, SensorStream]:

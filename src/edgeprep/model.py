@@ -188,7 +188,8 @@ class QosProfile:
     ``utopia`` (the ideal attribute row the service ranks sensors against,
     each entry in [0, 1]) and ``weights`` follow the attribute order of
     :data:`ATTRIBUTE_NAMES`; ``granularity_s`` is the expected inter-sample
-    interval of the data the service consumes; ``beta_source`` chooses
+    interval of the data the service consumes, fixed in exact milliseconds
+    as ``granularity_ms`` at construction; ``beta_source`` chooses
     between the latest-interval and the cumulative reliability score.
     """
 
@@ -199,6 +200,7 @@ class QosProfile:
     granularity_s: float = 1.0
     select_count: int = 1
     beta_source: str = "interval"
+    granularity_ms: int = field(init=False)  # granularity_s in exact milliseconds
 
     def __post_init__(self) -> None:
         if not self.service_id:
@@ -221,7 +223,8 @@ class QosProfile:
         object.__setattr__(
             self, "modality_needs", tuple(sorted(set(self.modality_needs)))
         )
-        positive_finite("granularity_s", self.granularity_s)
+        object.__setattr__(self, "granularity_ms",
+                           seconds_to_ms(self.granularity_s, "granularity_s"))
         if self.select_count < 1:
             raise ConfigError("select_count must be >= 1")
         if self.beta_source not in ("interval", "cumulative"):

@@ -32,9 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .fusion import KalmanConfig, align, kalman_fuse_streams
+from .fusion import FusedStream, KalmanConfig, align, kalman_fuse_streams
 from .model import (
     ConfigError,
     QosProfile,
@@ -57,7 +55,6 @@ __all__ = [
     "Mode",
     "AssociationPredicate",
     "associate",
-    "WindowSeries",
     "FeatureFunction",
     "FeatureCache",
     "compute_feature",
@@ -119,17 +116,9 @@ def associate(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WindowSeries:
-    """Fused values of one modality on the window grid, with provenance."""
-
-    values: np.ndarray
-    source_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class FeatureFunction:
     """One statistic of one modality: ``compute`` maps the fused window
-    values to one float.
+    values, a non-empty tuple of floats, to one float.
 
     Purity is a contract: identical inputs must produce identical outputs,
     which is what makes cross-service memoization sound.
@@ -137,7 +126,7 @@ class FeatureFunction:
 
     fid: str
     modality: str
-    compute: Callable[[np.ndarray], float]
+    compute: Callable[[Sequence[float]], float]
 
 
 class FeatureCache:
@@ -184,7 +173,7 @@ def compute_feature(
     fn: FeatureFunction,
     t_a_ms: int,
     t_b_ms: int,
-    data: Mapping[str, WindowSeries],
+    data: Mapping[str, FusedStream],
     cache: FeatureCache,
 ) -> float | None:
     """Evaluate a feature over the window ``]t_a_ms, t_b_ms]``, memoized.
@@ -193,38 +182,60 @@ def compute_feature(
     usable data in the window; consumers decide whether to drop or fill.
     A cache hit performs no recomputation.
     """
-    series = data.get(fn.modality)
-    if series is None or series.values.size == 0:
+    fused = data.get(fn.modality)
+    if fused is None or not fused.values:
         return None
-    key = (fn.fid, t_a_ms, t_b_ms, series.source_ids)
+    key = (fn.fid, t_a_ms, t_b_ms, fused.source_ids)
     cached = cache.lookup(key)
     if cached is not None:
         return cached
-    return cache.insert(key, float(fn.compute(series.values)))
+    return cache.insert(key, float(fn.compute(fused.values)))
 
 
 #: mean fused motion level above which ``presence`` reports 1.0
 PRESENCE_THRESHOLD = 0.4
 
 
-def _presence(values: np.ndarray) -> float:
+def _mean(v: Sequence[float]) -> float:
+    """The exact sum rounded once, divided by the count."""
+    return math.fsum(v) / len(v)
+
+
+def _std(v: Sequence[float]) -> float:
+    """Population deviation: ``sqrt(fsum((x - mean)**2) / n)``, each square
+    a product."""
+    mean = _mean(v)
+    deviations = [x - mean for x in v]
+    return math.sqrt(math.fsum([d * d for d in deviations]) / len(v))
+
+
+def _median(v: Sequence[float]) -> float:
+    """The middle of the sorted values; the mean ``(a + b) / 2`` of the two
+    middle ones for an even count."""
+    s = sorted(v)
+    half = len(s) // 2
+    return s[half] if len(s) % 2 else (s[half - 1] + s[half]) / 2
+
+
+def _presence(values: Sequence[float]) -> float:
     """Presence detection stand-in: thresholded mean fused motion level.
 
     Illustrative heuristic only, not a calibrated detector; it exists to
     give collocated services a shared low-level inference to reuse.
     """
-    return 1.0 if np.mean(values) > PRESENCE_THRESHOLD else 0.0
+    return 1.0 if _mean(values) > PRESENCE_THRESHOLD else 0.0
 
 
-_STATS: dict[str, Callable[[np.ndarray], float]] = {
-    "mean": np.mean,
-    "std": np.std,
-    "min": np.min,
-    "max": np.max,
-    "median": np.median,
-    "range": lambda v: np.max(v) - np.min(v),
+#: one definition per statistic, over a non-empty tuple of floats
+_STATS: dict[str, Callable[[Sequence[float]], float]] = {
+    "mean": _mean,
+    "std": _std,
+    "min": min,
+    "max": max,
+    "median": _median,
+    "range": lambda v: max(v) - min(v),
     "last": lambda v: v[-1],
-    "count": lambda v: v.size,
+    "count": len,
 }
 
 
@@ -401,14 +412,11 @@ class Pipeline:
             if spec.modality_key in needed:
                 self._cohorts.setdefault(spec.modality_key, []).append(spec)
 
-        self._granularity_ms: dict[str, int] = {}
-        for mk in sorted(self._cohorts):
-            gran = min(
-                svc.qos.granularity_s
-                for svc in self.services
-                if mk in svc.qos.modality_needs
-            )
-            self._granularity_ms[mk] = seconds_to_ms(gran, "granularity_s")
+        self._granularity_ms: dict[str, int] = {
+            mk: min(svc.qos.granularity_ms for svc in self.services
+                    if mk in svc.qos.modality_needs)
+            for mk in sorted(self._cohorts)
+        }
 
         self._static: dict[str, tuple[float, float, float]] = {
             sid: static_profile(spec) for sid, spec in self.specs.items()
@@ -574,9 +582,9 @@ class Pipeline:
         ]
         return result.order[:count], rows
 
-    def _window_series(
+    def _fused_window(
         self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
-    ) -> WindowSeries:
+    ) -> FusedStream:
         # the sources fix the modality, and the grid step fixes the ticks
         # and the gap; the zone rule keeps every sample of a live sensor
         sources = tuple(sorted(selected))
@@ -584,15 +592,15 @@ class Pipeline:
         fused = self._cycle_memo.get(key)
         if fused is None:
             fused = self._cycle_memo[key] = self._fuse(svc, t_a_ms, t_b_ms, sources)
-        series, points = fused
+        window, points = fused
         self.counters.points_processed += points
-        return series
+        return window
 
     def _fuse(
         self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
-    ) -> tuple[WindowSeries, int]:
+    ) -> tuple[FusedStream, int]:
         """The fused window of ``sources`` and its count of samples inside
-        ``]t_a, t_b]``."""
+        ``]t_a, t_b]``; the fused stream's ``source_ids`` are ``sources``."""
         pred = self._preds[svc.service_id]
         tol_ms = pred.temporal_tolerance_ms
         points = 0
@@ -610,9 +618,7 @@ class Pipeline:
         delta_ms = svc.delta_ms
         ticks = range(t_a_ms + delta_ms, t_b_ms + 1, delta_ms)
         grid = align(assoc_streams, ticks, delta_ms, tol_ms)
-        fused = kalman_fuse_streams(grid, self.kalman)
-        series = WindowSeries(values=np.array(fused.values, dtype=float), source_ids=sources)
-        return series, points
+        return kalman_fuse_streams(grid, self.kalman), points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         t_a_ms = t_ms - svc.k_l * svc.delta_ms
@@ -627,7 +633,7 @@ class Pipeline:
             selected_by_mk[mk] = selected
             rows.extend(mk_rows)
         data = {
-            mk: self._window_series(svc, t_a_ms, t_b_ms, selected)
+            mk: self._fused_window(svc, t_a_ms, t_b_ms, selected)
             for mk, selected in selected_by_mk.items()
         }
         cache = self._caches[self._scope(svc)]

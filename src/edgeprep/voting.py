@@ -12,9 +12,8 @@ readings.  It puts them in ascending sensor-id order, so every output is
 independent of caller ordering bit for bit, and carries the raw values in
 that order; :func:`select_optimal` and :func:`assign_accuracy` take its
 result instead of the readings.  The kernels run on Python floats, and
-every sum goes through :func:`_sum`, which adds in numpy's order: the
-results are bit for bit those of the numpy versions the tests keep as
-references.
+every sum is :func:`math.fsum`, the exact sum rounded once, so no result
+depends on the order of the terms or on a library's summation scheme.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .fusion import KalmanConfig, kalman_fuse
 from .model import positive_finite
@@ -89,11 +86,6 @@ class MembershipMatrix(NamedTuple):
     n: int
     rows: Sequence[Sequence[float]]
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The rows as an ``(n, n)`` array."""
-        return np.array(self.rows, dtype=float).reshape(self.n, self.n)
-
 
 class OptimalSet(NamedTuple):
     """Top-k measurements by cumulative score, score-descending.
@@ -114,45 +106,6 @@ class OptimalSet(NamedTuple):
         return tuple(m[1] for m in self.members)
 
 
-def _pairwise(xs: Sequence[float]) -> float:
-    """numpy's pairwise summation (``pairwise_sum`` in its loops):
-    sequential from -0.0 below 8 values; up to 128, eight accumulators
-    that take every eighth value, combined as a tree, then the rest in
-    turn; above that, two halves cut at a multiple of 8."""
-    n = len(xs)
-    if n < 8:
-        res = -0.0
-        for x in xs:
-            res += x
-        return res
-    if n <= 128:
-        m = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
-        it = iter(xs[8:m])
-        for a0, a1, a2, a3, a4, a5, a6, a7 in zip(it, it, it, it, it, it, it, it):
-            r0 += a0
-            r1 += a1
-            r2 += a2
-            r3 += a3
-            r4 += a4
-            r5 += a5
-            r6 += a6
-            r7 += a7
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for x in xs[m:]:
-            res += x
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise(xs[:half]) + _pairwise(xs[half:])
-
-
-def _sum(xs: Sequence[float]) -> float:
-    """``np.add.reduce(xs)`` bit for bit: numpy adds the pairwise sum to
-    its identity 0.0, which turns a -0.0 sum into 0.0."""
-    return 0.0 + _pairwise(xs)
-
-
 def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasurements:
     """Standardize measurements to zero mean and unit sample deviation.
 
@@ -171,13 +124,13 @@ def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasuremen
         raise ValueError(f"non-finite measurement for sensor {sid!r}")
     if n < 2:
         raise ValueError("normalization needs at least 2 measurements")
-    mean = _sum(raw) / n
+    mean = math.fsum(raw) / n
     # two-pass centering: the second pass removes the rounding residue the
     # first subtraction leaves when the offset dwarfs the spread
     deviations = [x - mean for x in raw]
-    correction = _sum(deviations) / n
+    correction = math.fsum(deviations) / n
     deviations = [d - correction for d in deviations]
-    stdev = math.sqrt(_sum([d * d for d in deviations]) / (n - 1))
+    stdev = math.sqrt(math.fsum([d * d for d in deviations]) / (n - 1))
     values = tuple(d / stdev for d in deviations) if stdev > 0 else (0.0,) * n
     return NormalizedMeasurements(values, mean + correction, stdev, ids, raw)
 
@@ -209,8 +162,8 @@ def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = N
 
 def cumulative_scores(matrix: MembershipMatrix) -> tuple[float, ...]:
     """Per-sensor cumulative membership: the row sums of the matrix, each
-    bit for bit numpy's."""
-    return tuple(map(_sum, matrix.rows))
+    the exact sum rounded once."""
+    return tuple(map(math.fsum, matrix.rows))
 
 
 def select_optimal(

@@ -1,8 +1,10 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import strategies as st
 
 from edgeprep.harness import parse_scenario
 from edgeprep.ranking import rank_and_select
@@ -53,6 +55,20 @@ def row_components(row, utopia=(1.0,) * 5, weights=(1.0,) * 5):
     qos = QosProfile(service_id="svc", utopia=tuple(utopia), weights=tuple(weights))
     record = rank_and_select(("s",), np.array([row], dtype=float), qos).records[0]
     return record.d_m, record.d_a
+
+
+def exact_sum(values):
+    """The sum of ``values`` in rational arithmetic, rounded once to a float."""
+    return float(sum(map(Fraction, values), Fraction(0)))
+
+
+#: finite floats from about 1e-30 to 1e30 in size, either sign, and both zeros
+mixed_magnitudes = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, e: m * 10.0**e,
+              st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+              st.integers(min_value=-30, max_value=30)),
+)
 
 
 @pytest.fixture

@@ -82,6 +82,17 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="header"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("row, empty", [
+        ("1000,,co2,22.0", "sensor id"),
+        ("1000,t1,,22.0", "modality"),
+        ("1000, ,co2,22.0", "sensor id"),
+    ])
+    def test_empty_id_or_modality_names_the_line(self, tmp_path, row, empty):
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    f"1000,s1,co2,20.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: empty {empty}")):
+            ingest_csv(path)
+
     def test_modality_switch_rejected(self, tmp_path):
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
                                     "1000,s1,temperature,20.5\n"
@@ -172,6 +183,16 @@ class TestInjectFaults:
         with pytest.raises(ConfigError, match=f"'{kind.value}' does not read {param}"):
             FaultSpec("s1", kind, 0, 1000, **{param: 0.5})
 
+    @pytest.mark.parametrize("kind, param", [
+        (FaultKind.STUCK_AT, "value"),
+        (FaultKind.DRIFT, "slope_per_s"),
+        (FaultKind.SPIKE, "magnitude"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_rejected(self, kind, param, value):
+        with pytest.raises(ConfigError, match=f"{param} must be finite"):
+            FaultSpec("s1", kind, 0, 1000, **{param: value})
+
 
 class TestGenerateSynthetic:
     def test_constant_generator_counts_and_values(self):
@@ -218,6 +239,19 @@ class TestGenerateSynthetic:
     ])
     def test_a_parameter_its_base_does_not_read_is_rejected(self, base, param, value):
         with pytest.raises(ConfigError, match=f"'{base}' does not read {param}"):
+            GeneratorSpec(sensor_id="s1", base=base, **{param: value})
+
+    @pytest.mark.parametrize("base, param", [
+        ("constant", "level"),
+        ("constant", "noise_std"),
+        ("sinusoid", "amplitude"),
+        ("sinusoid", "wavelength_s"),
+        ("ramp", "slope_per_s"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_is_rejected(self, base, param, value):
+        # a NaN noise_std once passed `noise_std < 0` and gave a noise-free stream
+        with pytest.raises(ConfigError, match=f"{param} must be finite"):
             GeneratorSpec(sensor_id="s1", base=base, **{param: value})
 
     def test_times_are_whole_milliseconds_fixed_at_construction(self):
@@ -439,6 +473,9 @@ class TestStrictParsing:
         ("voting", "c", "scenario.voting: c must be"),
         ("generator", "period_s", "scenario.streams.synthetic[0]: generator period_s must be"),
         ("generator", "start_s", "scenario.streams.synthetic[0]: generator start_s must be"),
+        ("generator", "level", "scenario.streams.synthetic[0]: level must be"),
+        ("generator", "noise_std", "scenario.streams.synthetic[0]: noise_std must be"),
+        ("fault", "slope_per_s", "scenario.faults[0]: slope_per_s must be"),
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_value_is_named(self, level, key, message, value):
@@ -464,6 +501,8 @@ class TestStrictParsing:
          "spec.generators[0]: generator duration_s must be finite in milliseconds"),
         ("fault", "start_s", 0.0001,
          "scenario.faults[0].start_s: instant 0.0001s is not representable"),
+        ("service", "granularity_s", 0.0005,
+         "scenario.services[0]: granularity_s 0.0005s is not representable in whole milliseconds"),
     ])
     def test_times_not_in_whole_milliseconds_are_named(self, level, key, value, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -617,6 +656,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("edgeprep: error: ")
         assert ":2: malformed row" in err
+        assert err.count("\n") == 1
+
+    def test_readings_whose_sum_overflows_are_a_one_line_error(self, tmp_path, capsys):
+        # every reading is finite, but a window's exact sum is not; numpy's
+        # mean once wrote it as Infinity
+        rows = "".join(f"{t},t1,temperature,1.7e308\n" for t in range(1000, 21_000, 1000))
+        (tmp_path / "streams.csv").write_text(
+            "timestamp_ms,sensor_id,modality,value\n" + rows, encoding="utf-8")
+        doc = valid_scenario()
+        doc["streams"] = {"csv": "streams.csv"}
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edgeprep: error: ") and "overflow" in err
         assert err.count("\n") == 1
 
     def test_compare_exits_1_when_a_mode_fails(self, tmp_path, capsys):

@@ -101,6 +101,11 @@ class TestQosProfile:
         with pytest.raises(ConfigError, match="granularity_s"):
             QosProfile(service_id="svc", granularity_s=granularity_s)
 
+    def test_granularity_is_fixed_in_whole_milliseconds(self):
+        assert QosProfile(service_id="svc", granularity_s=0.25).granularity_ms == 250
+        with pytest.raises(ConfigError, match="granularity_s 0.0005s is not representable"):
+            QosProfile(service_id="svc", granularity_s=0.0005)
+
     def test_rejects_unknown_beta_source(self):
         with pytest.raises(ConfigError):
             QosProfile(service_id="svc", beta_source="hourly")

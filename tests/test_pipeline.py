@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeprep.fusion import FusedStream
 from edgeprep.model import ConfigError, Modality, QosProfile, SensorStream
 from edgeprep.pipeline import (
     AssociationPredicate,
@@ -14,7 +16,6 @@ from edgeprep.pipeline import (
     Mode,
     Pipeline,
     ServiceSpec,
-    WindowSeries,
     associate,
     build_feature_registry,
     compute_feature,
@@ -29,7 +30,7 @@ from edgeprep.voting import (
     normalize,
     select_optimal,
 )
-from conftest import load_config, make_spec
+from conftest import exact_sum, load_config, make_spec, mixed_magnitudes
 
 
 def stream_of(timestamps, sid="s1"):
@@ -143,12 +144,13 @@ class TestComputeFeature:
     def make_fn(self, counter):
         def compute(values):
             counter["calls"] += 1
-            return float(np.mean(values))
+            return sum(values) / len(values)
 
         return FeatureFunction(fid="temperature_mean", modality="temperature", compute=compute)
 
     def data(self, values=(7.0, 7.0, 7.0), sources=("s1",)):
-        return {"temperature": WindowSeries(np.array(values), tuple(sources))}
+        ticks = tuple(range(8000, 8000 + 1000 * len(values), 1000))
+        return {"temperature": FusedStream(ticks, tuple(values), tuple(sources))}
 
     def test_shared_key_computed_once(self):
         counter = {"calls": 0}
@@ -180,8 +182,7 @@ class TestComputeFeature:
         cache = FeatureCache()
         w = (7000, 10_000)
         assert compute_feature(fn, *w, {}, cache) is None
-        empty = {"temperature": WindowSeries(np.array([]), ("s1",))}
-        assert compute_feature(fn, *w, empty, cache) is None
+        assert compute_feature(fn, *w, self.data(values=()), cache) is None
         assert cache.misses == 0 and cache.hits == 0
 
     def test_different_sensor_sets_do_not_collide(self):
@@ -234,15 +235,15 @@ class TestFeatureRegistry:
         registry = build_feature_registry(["temperature_mean", "co2_max", "motion_std"])
         assert set(registry) == {"temperature_mean", "co2_max", "motion_std"}
         assert registry["co2_max"].modality == "co2"
-        assert registry["co2_max"].compute(np.array([400.0, 650.0, 500.0])) == 650.0
+        assert registry["co2_max"].compute((400.0, 650.0, 500.0)) == 650.0
 
     def test_presence_is_a_low_level_inference(self):
         fn = build_feature_registry(["presence"])["presence"]
         assert fn.modality == "motion"
-        assert fn.compute(np.array([0.8, 0.9])) == 1.0
-        assert fn.compute(np.array([0.1, 0.2])) == 0.0
+        assert fn.compute((0.8, 0.9)) == 1.0
+        assert fn.compute((0.1, 0.2)) == 0.0
         # a mean level at the threshold is not presence
-        assert fn.compute(np.array([pipeline_module.PRESENCE_THRESHOLD] * 2)) == 0.0
+        assert fn.compute((pipeline_module.PRESENCE_THRESHOLD,) * 2) == 0.0
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(ConfigError):
@@ -251,8 +252,48 @@ class TestFeatureRegistry:
     def test_purity_contract(self):
         registry = build_feature_registry(["temperature_std"])
         fn = registry["temperature_std"]
-        values = np.array([1.0, 2.0, 4.0])
+        values = (1.0, 2.0, 4.0)
         assert fn.compute(values) == fn.compute(values)
+
+
+def documented_stats(v):
+    """Each statistic of the window values ``v`` by its documented
+    definition, with every sum exact."""
+    n = len(v)
+    mean = exact_sum(v) / n
+    ordered = sorted(v)
+    half = n // 2
+    return {
+        "mean": mean,
+        "std": math.sqrt(exact_sum([(x - mean) * (x - mean) for x in v]) / n),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "median": ordered[half] if n % 2 else (ordered[half - 1] + ordered[half]) / 2,
+        "range": ordered[-1] - ordered[0],
+        "last": v[-1],
+        "count": n,
+    }
+
+
+class TestStatisticsMatchTheirDefinitions:
+    """Every statistic equals its documented definition bit for bit (``==``
+    on floats is bit equality apart from the sign of zero)."""
+
+    @given(st.lists(st.one_of(mixed_magnitudes, st.floats(0.0, 1.0)), min_size=1, max_size=60)
+           .map(tuple))
+    def test_every_statistic(self, values):
+        expected = documented_stats(values)
+        assert set(expected) == set(pipeline_module._STATS)
+        registry = build_feature_registry([f"temperature_{stat}" for stat in expected])
+        for stat, value in expected.items():
+            assert registry[f"temperature_{stat}"].compute(values) == value, stat
+        presence = build_feature_registry(["presence"])["presence"].compute(values)
+        assert presence == (1.0 if expected["mean"] > pipeline_module.PRESENCE_THRESHOLD else 0.0)
+
+    def test_mean_is_exact_where_left_to_right_addition_is_not(self):
+        values = (1e16, 1.0, -1e16, 3.0)
+        assert ((values[0] + values[1]) + values[2]) + values[3] == 3.0
+        assert build_feature_registry(["co2_mean"])["co2_mean"].compute(values) == 1.0
 
 
 def simple_service(service_id="svc", modalities=("temperature",), period_s=1.0,

@@ -17,8 +17,8 @@ from edgeprep.voting import (
     select_optimal,
     MembershipMatrix,
     NormalizedMeasurements,
-    _sum,
 )
+from conftest import exact_sum, mixed_magnitudes
 
 # Worked example shared by several tests: one far-off reading among a tight
 # cluster, already standardized.
@@ -92,19 +92,19 @@ class TestNormalize:
 class TestMembershipMatrix:
     def test_worked_example_first_row(self):
         m = membership_matrix(norm_from(WORKED_INPUT), VotingConfig(p=2, c=2))
-        assert m.entries[0, 1:] == pytest.approx([0.018, 0.02, 0.019, 0.064], abs=1e-3)
+        assert m.rows[0][1:] == pytest.approx([0.018, 0.02, 0.019, 0.064], abs=1e-3)
 
     def test_all_equal_inputs_give_all_ones(self):
         m = membership_matrix(norm_from([0.0, 0.0, 0.0]))
-        assert np.array_equal(m.entries, np.ones((3, 3)))
+        assert m.rows == [[1.0] * 3] * 3
 
     def test_two_point_value_against_high_precision_oracle(self):
         import mpmath
 
         m = membership_matrix(norm_from([0.0, 2.0]), VotingConfig(p=2, c=2))
         oracle = float(mpmath.exp(-2))
-        assert m.entries[0, 1] == pytest.approx(0.1353352832366127, abs=1e-15)
-        assert m.entries[0, 1] == pytest.approx(oracle, abs=1e-15)
+        assert m.rows[0][1] == pytest.approx(0.1353352832366127, abs=1e-15)
+        assert m.rows[0][1] == pytest.approx(oracle, abs=1e-15)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -221,8 +221,9 @@ class TestProperties:
     @given(st.lists(finite_floats, min_size=2, max_size=12))
     def test_membership_symmetry_and_unit_diagonal(self, values):
         m = membership_matrix(normalize(with_ids(values)))
-        assert np.array_equal(m.entries, m.entries.T)
-        assert np.all(np.diag(m.entries) == 1.0)
+        n = m.n
+        assert all(m.rows[i][j] == m.rows[j][i] for i in range(n) for j in range(n))
+        assert all(m.rows[i][i] == 1.0 for i in range(n))
 
     @given(st.lists(finite_floats, min_size=2, max_size=12))
     def test_score_bounds(self, values):
@@ -294,16 +295,17 @@ class TestProperties:
 
 
 def reference_normalize(measurements):
-    """Standardization through ``ndarray.mean`` and ``np.sqrt``, returning
+    """Standardization with every sum exact and rounded once, returning
     ``(values, mean, stdev)``."""
-    raw = np.array([v for _, v in sorted(measurements)], dtype=float)
-    mean = float(raw.mean())
-    deviations = raw - mean
-    correction = float(deviations.mean())
-    deviations -= correction
-    stdev = float(np.sqrt(np.sum(deviations**2) / (len(raw) - 1)))
-    values = deviations / stdev if stdev > 0 else np.zeros_like(raw)
-    return tuple(float(v) for v in values), mean + correction, stdev
+    raw = [v for _, v in sorted(measurements)]
+    n = len(raw)
+    mean = exact_sum(raw) / n
+    deviations = [x - mean for x in raw]
+    correction = exact_sum(deviations) / n
+    deviations = [d - correction for d in deviations]
+    stdev = math.sqrt(exact_sum([d * d for d in deviations]) / (n - 1))
+    values = [d / stdev for d in deviations] if stdev > 0 else [0.0] * n
+    return tuple(values), mean + correction, stdev
 
 
 def reference_membership(values, p, c):
@@ -318,22 +320,9 @@ def reference_membership(values, p, c):
     return entries
 
 
-def hexes(values):
-    return [float(v).hex() for v in values]
-
-
 class TestMatchesNumpyScalarReference:
-    """The kernels on Python floats give the numpy-scalar versions' bits."""
-
-    @given(st.lists(finite_floats, min_size=2, max_size=130),
-           st.sampled_from([0.0, 1e6, -3e8]))
-    def test_normalize(self, values, offset):
-        # an offset that dwarfs the spread exercises the second centering pass
-        measurements = with_ids([v + offset for v in values])
-        got = normalize(measurements)
-        values_ref, mean_ref, stdev_ref = reference_normalize(measurements)
-        assert hexes(got.values) == hexes(values_ref)
-        assert hexes((got.mean, got.stdev)) == hexes((mean_ref, stdev_ref))
+    """The membership degrees on Python floats are the numpy-scalar
+    versions' bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=2, max_value=130),
@@ -345,50 +334,42 @@ class TestMatchesNumpyScalarReference:
         rng = np.random.default_rng(seed)
         norm = normalize(with_ids(rng.normal(20.0, 3.0, size=n)))
         got = membership_matrix(norm, VotingConfig(p=p, c=c))
-        assert got.entries.tobytes() == reference_membership(norm.values, p, c).tobytes()
+        assert np.array(got.rows).tobytes() == reference_membership(norm.values, p, c).tobytes()
+
+    def test_an_overflowing_power_gives_zero_membership(self):
+        got = membership_matrix(norm_from([-2.0, 2.0]), VotingConfig(p=1000))
+        assert got.rows == [[1.0, 0.0], [0.0, 1.0]]
+
+
+class TestSumsAreExact:
+    """Every sum is the exact sum rounded once, whatever the order or the
+    magnitudes of its terms: bit for bit the rational sum rounded to a
+    float (``==`` on floats is bit equality apart from the sign of zero)."""
+
+    @given(st.lists(finite_floats, min_size=2, max_size=130),
+           st.sampled_from([0.0, 1e6, -3e8]))
+    def test_normalize(self, values, offset):
+        # an offset that dwarfs the spread exercises the second centering pass
+        measurements = with_ids([v + offset for v in values])
+        got = normalize(measurements)
+        assert (got.values, got.mean, got.stdev) == reference_normalize(measurements)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=2, max_value=130),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_cumulative_scores(self, n, seed):
-        # rows of 8 to 128 entries take numpy's eight-accumulator path, and
-        # longer ones its split into halves
         rng = np.random.default_rng(seed)
         matrix = membership_matrix(normalize(with_ids(rng.normal(20.0, 3.0, size=n))))
-        assert hexes(cumulative_scores(matrix)) == hexes(matrix.entries.sum(axis=1))
+        assert cumulative_scores(matrix) == tuple(map(exact_sum, matrix.rows))
 
-    def test_an_overflowing_power_gives_zero_membership(self):
-        got = membership_matrix(norm_from([-2.0, 2.0]), VotingConfig(p=1000))
-        assert got.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    @given(st.lists(st.lists(mixed_magnitudes, min_size=1, max_size=130),
+                    min_size=1, max_size=3))
+    def test_row_sums_equal_the_rational_sum(self, rows):
+        assert cumulative_scores(MembershipMatrix(len(rows), rows)) == tuple(
+            map(exact_sum, rows))
 
-
-#: finite floats from about 1e-30 to 1e30 in size, either sign, and both zeros
-mixed_magnitudes = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(lambda m, e: m * 10.0**e,
-              st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-              st.integers(min_value=-30, max_value=30)),
-)
-
-
-class TestSumMatchesNumpy:
-    """``_sum`` adds in numpy's pairwise order: sequential below 8 values,
-    eight accumulators up to 128 and halves above that."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=1, max_value=300).flatmap(
-        lambda n: st.lists(mixed_magnitudes, min_size=n, max_size=n)))
-    def test_equals_add_reduce_bit_for_bit(self, values):
-        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex()
-
-    @pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 135, 136, 300])
-    def test_equals_add_reduce_at_the_block_edges(self, n):
-        # the sizes where numpy's summation changes shape
-        rng = np.random.default_rng(n)
-        values = (rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)).tolist()
-        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex()
-
-    @pytest.mark.parametrize("values", [[-0.0], [-0.0] * 9, [-0.0] * 200, [0.0, -0.0]])
-    def test_a_sum_of_zeros_is_positive_zero(self, values):
-        # numpy starts from its identity 0.0
-        assert _sum(values).hex() == float(np.add.reduce(np.array(values))).hex() == "0x0.0p+0"
+    def test_cancellation_keeps_the_small_term(self):
+        # left to right, 1e16 + 1.0 rounds the 1.0 away
+        row = [1e16, 1.0, -1e16]
+        assert (row[0] + row[1]) + row[2] == 0.0
+        assert cumulative_scores(MembershipMatrix(1, [row])) == (1.0,)
