@@ -16,10 +16,12 @@ import csv
 import enum
 import json
 import math
+import operator
 import time
 import zlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -72,9 +74,21 @@ TRACE_HEADER = ("t_ms", "service_id", "sensor_id", "d_M", "d_A", "d_MA", "rank",
 # ---------------------------------------------------------------------------
 
 def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
-    """Read streams from CSV, grouped by sensor, ordered and validated."""
+    """Read streams from CSV, grouped by sensor, ordered and validated.
+
+    One pass reads each row straight into its sensor's columns (modality,
+    timestamps, values and line numbers, in line order), so no record per
+    row outlives its line.  Rows may come in any order, fields may carry
+    surrounding whitespace, and a UTF-8 byte-order mark is skipped.  A
+    sensor whose timestamps already increase is taken as it is; only
+    otherwise are its rows stably sorted by timestamp, and a repeated
+    timestamp names both of its lines.  Every bad row fails as
+    ``path:line``.
+    """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # sensor id -> (modality label, timestamps, values, line numbers)
+    columns: dict[str, tuple[str, list[int], list[float], list[int]]] = {}
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -83,48 +97,62 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                              f"{','.join(CSV_HEADER)}") from None
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(f"{path}: bad header {header!r}, expected {list(CSV_HEADER)}")
-        rows: dict[str, list[tuple[int, float, int]]] = {}
-        modalities: dict[str, str] = {}
         for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            ts_raw, sid, modality, val_raw = (c.strip() for c in row)
             try:
+                ts_raw, sid, modality, val_raw = row
+            except ValueError:
+                if not row:
+                    continue
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}") from None
+            try:
+                # both skip surrounding whitespace themselves
                 ts = int(ts_raw)
                 value = float(val_raw)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+                try:  # strip also drops the separators \x1c-\x1f, which they keep
+                    ts = int(ts_raw.strip())
+                    value = float(val_raw.strip())
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {val_raw!r}")
+                raise ValueError(f"{path}:{lineno}: non-finite value {val_raw.strip()!r}")
             if ts < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp {ts}")
+            sid = sid.strip()
+            modality = modality.strip()
             if not sid or not modality:
                 empty = "modality" if sid else "sensor id"
                 raise ValueError(f"{path}:{lineno}: empty {empty} in row {row!r}")
-            known = modalities.setdefault(sid, modality)
-            if known != modality:
+            column = columns.get(sid)
+            if column is None:
+                column = columns[sid] = (modality, [], [], [])
+            elif column[0] != modality:
                 raise ValueError(
                     f"{path}:{lineno}: sensor {sid!r} switches modality "
-                    f"{known!r} -> {modality!r}"
+                    f"{column[0]!r} -> {modality!r}"
                 )
-            rows.setdefault(sid, []).append((ts, value, lineno))
+            column[1].append(ts)
+            column[2].append(value)
+            column[3].append(lineno)
     streams: dict[str, SensorStream] = {}
-    for sid in sorted(rows):
-        # rows were appended in line order, so a stable sort on the timestamp
-        # puts a duplicate right after its first line
-        ordered = sorted(rows[sid], key=lambda r: r[0])
-        for (prev_ts, _, prev_line), (ts, _, lineno) in zip(ordered, ordered[1:]):
-            if ts == prev_ts:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate or non-increasing timestamp {ts} "
-                    f"for sensor {sid!r} (previous at line {prev_line})"
-                )
-        modality, tag = Modality.parse(modalities[sid])
+    for sid in sorted(columns):
+        label, timestamps, values, lines = columns[sid]
+        if not all(map(operator.lt, timestamps, islice(timestamps, 1, None))):
+            # the columns are in line order, so a stable sort on the
+            # timestamp puts a duplicate right after its first line
+            order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+            for prev, i in zip(order, islice(order, 1, None)):
+                if timestamps[i] == timestamps[prev]:
+                    raise ValueError(
+                        f"{path}:{lines[i]}: duplicate or non-increasing timestamp "
+                        f"{timestamps[i]} for sensor {sid!r} (previous at line {lines[prev]})"
+                    )
+            timestamps = [timestamps[i] for i in order]
+            values = [values[i] for i in order]
+        modality, tag = Modality.parse(label)
         streams[sid] = SensorStream(sensor_id=sid, modality=modality,
-                                    timestamps_ms=tuple(r[0] for r in ordered),
-                                    values=tuple(r[1] for r in ordered), modality_tag=tag)
+                                    timestamps_ms=tuple(timestamps), values=tuple(values),
+                                    modality_tag=tag)
     return streams
 
 
@@ -316,8 +344,17 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
             else:  # ramp
                 value = spec.level + spec.slope_per_s * elapsed_s
             if spec.noise_std > 0:
-                value += spec.noise_std * rng.standard_normal()
-            values.append(float(value))
+                # on Python floats an overflow gives inf without numpy's warning
+                value += spec.noise_std * float(rng.standard_normal())
+            values.append(value)
+        if not all(map(math.isfinite, values)):
+            t_ms, value = next((t, v) for t, v in zip(timestamps, values)
+                               if not math.isfinite(v))
+            raise ConfigError(
+                f"generator {spec.sensor_id!r} overflows: value {value!r} at {t_ms} ms "
+                f"from level={spec.level!r}, amplitude={spec.amplitude!r}, "
+                f"slope_per_s={spec.slope_per_s!r}, noise_std={spec.noise_std!r}"
+            )
         modality, tag = Modality.parse(spec.modality)
         streams[spec.sensor_id] = SensorStream(
             sensor_id=spec.sensor_id, modality=modality,

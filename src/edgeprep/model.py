@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping
 
 __all__ = [
@@ -103,25 +105,30 @@ class SensorStream:
         if not self.sensor_id:
             raise ValueError("sensor_id must be non-empty")
         timestamps = tuple(self.timestamps_ms)
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         if len(timestamps) != len(values):
             raise ValueError(
                 f"{len(timestamps)} timestamps but {len(values)} values "
                 f"for sensor {self.sensor_id!r}"
             )
-        prev = -1
-        for t in timestamps:
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise ValueError(f"timestamp {t!r} must be an integer (epoch milliseconds)")
-            if t <= prev:
-                raise ValueError(
-                    f"timestamps must be non-negative and strictly increasing; "
-                    f"{t} follows {prev} for sensor {self.sensor_id!r}"
-                )
-            prev = t
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"value {v!r} of sensor {self.sensor_id!r} is not finite")
+        # the checks iterate in C; only a failing one walks the column
+        # again, to name the offender (and to accept an int subclass)
+        if not (set(map(type, timestamps)) <= {int}
+                and (not timestamps or timestamps[0] >= 0)
+                and all(map(operator.lt, timestamps, islice(timestamps, 1, None)))):
+            prev = -1
+            for t in timestamps:
+                if not isinstance(t, int) or isinstance(t, bool):
+                    raise ValueError(f"timestamp {t!r} must be an integer (epoch milliseconds)")
+                if t <= prev:
+                    raise ValueError(
+                        f"timestamps must be non-negative and strictly increasing; "
+                        f"{t} follows {prev} for sensor {self.sensor_id!r}"
+                    )
+                prev = t
+        if not all(map(math.isfinite, values)):
+            v = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"value {v!r} of sensor {self.sensor_id!r} is not finite")
         object.__setattr__(self, "timestamps_ms", timestamps)
         object.__setattr__(self, "values", values)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from dataclasses import replace
@@ -93,6 +94,23 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: empty {empty}")):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1000,s1,co2", "expected 4 fields, got 3"),
+        ("1000,s1,co2,22.0,x", "expected 4 fields, got 5"),
+        ("1e3,s1,co2,22.0", "malformed row ['1e3', 's1', 'co2', '22.0']"),
+        ("1000,s1,co2, nan ", "non-finite value 'nan'"),
+        (" -5 ,s1,co2,22.0", "negative timestamp -5"),
+        ("-5,,co2,inf", "non-finite value 'inf'"),
+        ("-5,,co2,22.0", "negative timestamp -5"),
+        ("x,,co2,22.0", "malformed row ['x', '', 'co2', '22.0']"),
+        ("3000, s1 , humidity ,22.0", "sensor 's1' switches modality 'co2' -> 'humidity'"),
+    ])
+    def test_each_bad_row_fails_with_its_line_and_reason(self, tmp_path, row, message):
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    f"1000,s1,co2,20.5\n\n{row}\n2000,s1,co2,1.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+            ingest_csv(path)
+
     def test_modality_switch_rejected(self, tmp_path):
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
                                     "1000,s1,temperature,20.5\n"
@@ -100,8 +118,121 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="modality"):
             ingest_csv(path)
 
+    def test_fields_are_stripped_of_any_whitespace(self, tmp_path):
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    "\x1c1000\t, s1 ,co2\x1f,\x1e20.5\x1d\n")
+        stream = ingest_csv(path)["s1"]
+        assert (stream.timestamps_ms, stream.values, stream.modality) == \
+            ((1000,), (20.5,), Modality.CO2)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = ("timestamp_ms,sensor_id,modality,value\n"
+                "1000,s1,temperature,20.5\n2000,s1,temperature,21.0\n")
+        plain = self.write(tmp_path, text)
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ingest_csv(marked) == ingest_csv(plain)
+
+    def test_ingest_starts_almost_no_garbage_collection(self, tmp_path):
+        # rows go straight into per-sensor columns, so no container per row
+        # survives to drive the cyclic collector
+        gens = [GeneratorSpec(sensor_id=f"t{i}", modality="temperature", level=20.0,
+                              noise_std=0.1, duration_s=2400.0) for i in range(7)]
+        path = tmp_path / "streams.csv"
+        write_streams_csv(generate_synthetic(gens, seed=3), path)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            streams = ingest_csv(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert sum(map(len, streams.values())) == 16_800
+        assert len(starts) <= 2, starts
+
+
+MODALITIES = [(Modality.TEMPERATURE, ""), (Modality.HUMIDITY, ""), (Modality.CO2, ""),
+              (Modality.MOTION, ""), (Modality.OTHER, "lux"), (Modality.OTHER, "noise_db")]
+
+
+@st.composite
+def stream_sets(draw):
+    """A few streams of distinct sensors, each with its own modality."""
+    ids = draw(st.lists(st.text("abmst0123_", min_size=1, max_size=3),
+                        min_size=1, max_size=4, unique=True))
+    streams = {}
+    for sid in ids:
+        modality, tag = draw(st.sampled_from(MODALITIES))
+        ts = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=12, unique=True))
+        vs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(ts), max_size=len(ts)))
+        streams[sid] = SensorStream(sid, modality, tuple(sorted(ts)), tuple(vs),
+                                    modality_tag=tag)
+    return streams
+
+
+def scramble(lines, rnd):
+    """``lines`` (header first) with the rows shuffled, blank lines between
+    some of them and every field padded with spaces."""
+    header, rows = lines[0], lines[1:]
+    rnd.shuffle(rows)
+    out = []
+    for line in [header] + rows:
+        if out and rnd.random() < 0.3:
+            out.append("")
+        out.append(",".join(" " * rnd.randrange(3) + f + " " * rnd.randrange(3)
+                            for f in line.split(",")))
+    return out
+
+
+def write_lines(path, lines):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(line + "\r\n" for line in lines))
+
 
 class TestCsvRoundTrip:
+    @given(streams=stream_sets(), rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_order_spacing_and_line_ending_reads_back(self, tmp_path_factory,
+                                                               streams, rnd):
+        path = tmp_path_factory.mktemp("roundtrip") / "streams.csv"
+        write_streams_csv(streams, path)
+        write_lines(path, scramble(path.read_text(encoding="utf-8").splitlines(), rnd))
+        assert ingest_csv(path) == streams
+
+    @given(streams=stream_sets(), rnd=st.randoms(use_true_random=False),
+           copies=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_names_its_later_line_and_the_previous_one(self, tmp_path_factory,
+                                                                 streams, rnd, copies):
+        path = tmp_path_factory.mktemp("duplicate") / "streams.csv"
+        write_streams_csv(streams, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for _ in range(copies):
+            ts, sid, modality, _ = rnd.choice(lines[1:]).split(",")
+            lines.append(",".join((ts, sid, modality, repr(rnd.random()))))
+        lines = scramble(lines, rnd)
+        write_lines(path, lines)
+        # brute force: the first sensor by id, its least repeated timestamp,
+        # and the first two lines that carry it
+        seen = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line:
+                ts, sid, _, _ = (f.strip() for f in line.split(","))
+                seen.setdefault((sid, int(ts)), []).append(lineno)
+        sid, ts = min(key for key, at in seen.items() if len(at) > 1)
+        first, later = seen[sid, ts][:2]
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == (f"{path}:{later}: duplicate or non-increasing timestamp "
+                                  f"{ts} for sensor {sid!r} (previous at line {first})")
+
     @given(
         pairs=st.lists(
             st.tuples(
@@ -258,6 +389,19 @@ class TestGenerateSynthetic:
         spec = GeneratorSpec(sensor_id="s1", period_s=0.5, start_s=2.5, duration_s=1.001)
         assert (spec.period_ms, spec.start_ms, spec.duration_ms) == (500, 2500, 1001)
         assert generate_synthetic([spec], seed=1)["s1"].timestamps_ms == (3000, 3500)
+
+    @pytest.mark.parametrize("base, params", [
+        ("constant", {"noise_std": 1e308}),
+        ("constant", {"level": 1.7e308, "noise_std": 1e307}),
+        ("sinusoid", {"level": 1e308, "amplitude": 1e308}),
+        ("ramp", {"slope_per_s": 1e308}),
+    ])
+    def test_values_that_overflow_name_the_generator(self, base, params):
+        spec = GeneratorSpec(sensor_id="t1", base=base, **params)
+        with pytest.raises(ConfigError, match=r"generator 't1' overflows: value -?inf at \d+ ms "
+                                              r"from level=.*, amplitude=.*, slope_per_s=.*, "
+                                              r"noise_std="):
+            generate_synthetic([spec], seed=1)
 
     def test_duration_not_truncated_by_float_product(self):
         # 1.001 * 1000 is 1000.9999999999999 in binary floating point

@@ -1,4 +1,6 @@
+import enum
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -53,6 +55,33 @@ class TestSensorStream:
             stream_of([10, 10], [1.0, 2.0])
         with pytest.raises(ValueError):
             stream_of([10, 5], [1.0, 2.0])
+
+    @pytest.mark.parametrize("timestamps, values, message", [
+        ([0, True], [1.0, 2.0], "timestamp True must be an integer (epoch milliseconds)"),
+        ([0, 1.5], [1.0, 2.0], "timestamp 1.5 must be an integer (epoch milliseconds)"),
+        ([-1, 5], [1.0, 2.0], "timestamps must be non-negative and strictly increasing; "
+                              "-1 follows -1 for sensor 's1'"),
+        ([0, 10, 10], [1.0, 2.0, 3.0], "timestamps must be non-negative and strictly "
+                                       "increasing; 10 follows 10 for sensor 's1'"),
+        ([0, 10, 5], [1.0, 2.0, 3.0], "timestamps must be non-negative and strictly "
+                                      "increasing; 5 follows 10 for sensor 's1'"),
+        ([0, 10], [1.0, math.nan], "value nan of sensor 's1' is not finite"),
+        ([0, 10], [-math.inf, 1.0], "value -inf of sensor 's1' is not finite"),
+        ([0, 10], [1.0], "2 timestamps but 1 values for sensor 's1'"),
+    ])
+    def test_each_rejection_names_its_offender(self, timestamps, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stream_of(timestamps, values)
+
+    def test_int_subclass_timestamps_are_accepted(self):
+        class Tick(enum.IntEnum):
+            FIRST = 0
+            SECOND = 10
+
+        stream = stream_of([Tick.FIRST, Tick.SECOND], [1, 2.5])
+        assert stream.timestamps_ms == (0, 10)
+        assert stream.values == (1.0, 2.5)
+        assert type(stream.values[0]) is float
 
     def test_interval_queries_are_half_open(self):
         stream = stream_of([10, 20, 30], [10.0, 20.0, 30.0])
