@@ -105,15 +105,10 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                     continue
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}") from None
             try:
-                # both skip surrounding whitespace themselves
-                ts = int(ts_raw)
-                value = float(val_raw)
+                ts = int(ts_raw.strip())
+                value = float(val_raw.strip())
             except ValueError:
-                try:  # strip also drops the separators \x1c-\x1f, which they keep
-                    ts = int(ts_raw.strip())
-                    value = float(val_raw.strip())
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+                raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite value {val_raw.strip()!r}")
             if ts < 0:
@@ -346,15 +341,13 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
             if spec.noise_std > 0:
                 # on Python floats an overflow gives inf without numpy's warning
                 value += spec.noise_std * float(rng.standard_normal())
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"generator {spec.sensor_id!r} overflows: value {value!r} at {t_ms} ms "
+                    f"from level={spec.level!r}, amplitude={spec.amplitude!r}, "
+                    f"slope_per_s={spec.slope_per_s!r}, noise_std={spec.noise_std!r}"
+                )
             values.append(value)
-        if not all(map(math.isfinite, values)):
-            t_ms, value = next((t, v) for t, v in zip(timestamps, values)
-                               if not math.isfinite(v))
-            raise ConfigError(
-                f"generator {spec.sensor_id!r} overflows: value {value!r} at {t_ms} ms "
-                f"from level={spec.level!r}, amplitude={spec.amplitude!r}, "
-                f"slope_per_s={spec.slope_per_s!r}, noise_std={spec.noise_std!r}"
-            )
         modality, tag = Modality.parse(spec.modality)
         streams[spec.sensor_id] = SensorStream(
             sensor_id=spec.sensor_id, modality=modality,
