@@ -6,6 +6,11 @@ aligned streams into a single estimate with a scalar random-walk Kalman
 filter (state transition 1, observation 1): slow ambient quantities do not
 need a richer motion model, and the filter avoids the window-size dilemma of
 moving-average smoothers.
+
+:func:`align` and :func:`kalman_fuse_streams` take streams and a grid from
+any caller; :func:`fuse_window`, the pipeline's kernel, fuses a window in
+one pass over bounded columns of validated streams, through the same
+private helpers, so each rule has one home.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "align",
     "kalman_fuse",
     "kalman_fuse_streams",
+    "fuse_window",
 ]
 
 
@@ -105,38 +111,40 @@ def align(
     ordered = sorted(streams, key=lambda s: s.sensor_id)
     ticks = tuple(int(t) for t in ticks_ms)
     half_ms = delta_ms / 2
-    rows: list[list[float]] = []
-    for stream in ordered:
-        ts, vs = stream.timestamps_ms, stream.values
-        n = len(ts)
-        row = []
-        # the ticks ascend, so one bisection finds the first tick's sample
-        # and a walk forward each later one's
-        idx = bisect_left(ts, ticks[0]) if ticks else 0
-        for tick in ticks:
-            while idx < n and ts[idx] < tick:
-                idx += 1
-            d_left = tick - ts[idx - 1] if idx > 0 else math.inf
-            d_right = ts[idx] - tick if idx < n else math.inf
-            # nearest sample within half a tick spacing wins, the earlier
-            # one on a tie
-            if d_left <= d_right:
-                if d_left <= half_ms:
-                    row.append(vs[idx - 1])
-                    continue
-            elif d_right <= half_ms:
-                row.append(vs[idx])
-                continue
-            if 0 < idx < n and d_left <= max_gap_ms and d_right <= max_gap_ms:
-                row.append(interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick))
-            else:
-                row.append(math.nan)
-        rows.append(row)
+    rows = [list(_cells(s.timestamps_ms, s.values, 0, len(s), ticks, half_ms, max_gap_ms))
+            for s in ordered]
     return AlignedGrid(
         ticks_ms=ticks,
         sensor_ids=tuple(s.sensor_id for s in ordered),
         values=np.array(rows, dtype=float).reshape(len(ordered), len(ticks)),
     )
+
+
+def _cells(ts: Sequence[int], vs: Sequence[float], lo: int, hi: int, ticks: Sequence[int],
+           half_ms: float, max_gap_ms: float) -> Iterator[float]:
+    """The aligned value of samples ``lo`` to ``hi - 1`` of one stream at
+    each tick, NaN where missing: the rule :func:`align` states."""
+    # the ticks ascend, so one bisection finds the first tick's sample and a
+    # walk forward each later one's
+    idx = bisect_left(ts, ticks[0], lo, hi) if ticks else lo
+    for tick in ticks:
+        while idx < hi and ts[idx] < tick:
+            idx += 1
+        d_left = tick - ts[idx - 1] if idx > lo else math.inf
+        d_right = ts[idx] - tick if idx < hi else math.inf
+        # nearest sample within half a tick spacing wins, the earlier one on
+        # a tie
+        if d_left <= d_right:
+            if d_left <= half_ms:
+                yield vs[idx - 1]
+                continue
+        elif d_right <= half_ms:
+            yield vs[idx]
+            continue
+        if lo < idx < hi and d_left <= max_gap_ms and d_right <= max_gap_ms:
+            yield interpolate(ts[idx - 1], vs[idx - 1], ts[idx], vs[idx], tick)
+        else:
+            yield math.nan
 
 
 def kalman_fuse(measurements: Sequence[float], cfg: KalmanConfig | None = None) -> float:
@@ -167,23 +175,56 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
     tick in ascending sensor-id order; ticks with no data are skipped.  The
     state starts at the first available value.
     """
-    cfg = cfg or KalmanConfig()
+    timestamps, values = _fuse_columns(grid.ticks_ms, grid.values.T.tolist(),
+                                       cfg or KalmanConfig())
+    return FusedStream(timestamps_ms=timestamps, values=values, source_ids=grid.sensor_ids)
+
+
+def _fuse_columns(ticks: Iterable[int], columns: Iterable[Sequence[float]], cfg: KalmanConfig
+                  ) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The fused ticks and values of one column of sources per tick, NaN
+    marking a missing value: the filter :func:`kalman_fuse_streams` states."""
     q, r = cfg.process_noise, cfg.measurement_noise
     timestamps: list[int] = []
     values: list[float] = []
     state = variance = None
-    for tick, column in zip(grid.ticks_ms, grid.values.T.tolist()):
-        available = [v for v in column if not math.isnan(v)]
-        if not available:
-            continue
-        if state is None:
-            state, variance = available[0], cfg.initial_variance
-        variance += q
-        for z in available:
+    for tick, column in zip(ticks, columns):
+        predicted = False
+        for z in column:
+            if z != z:  # NaN, the one value unequal to itself: missing
+                continue
+            if not predicted:
+                if state is None:
+                    state, variance = z, cfg.initial_variance
+                variance += q
+                predicted = True
             gain = variance / (variance + r)
             state += gain * (z - state)
             variance *= 1.0 - gain
-        timestamps.append(tick)
-        values.append(state)
-    return FusedStream(timestamps_ms=tuple(timestamps), values=tuple(values),
-                       source_ids=grid.sensor_ids)
+        if predicted:
+            timestamps.append(tick)
+            values.append(state)
+    return tuple(timestamps), tuple(values)
+
+
+def fuse_window(
+    columns: Sequence[tuple[Sequence[int], Sequence[float], int, int]],
+    ticks: Sequence[int],
+    delta_ms: int,
+    max_gap_ms: float,
+    cfg: KalmanConfig,
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """One fused window of trusted streams: its ticks with data and their
+    fused values.
+
+    Each column is ``(timestamps_ms, values, lo, hi)``: a stream's whole
+    validated columns and the bounds of the samples the window may read,
+    in ascending sensor-id order.  Tick by tick, each source's cell follows
+    :func:`align` and the filter :func:`kalman_fuse_streams`, with no grid
+    built and no slice made: the bits of
+    ``kalman_fuse_streams(align(slices, ticks, delta_ms, max_gap_ms), cfg)``
+    for the slices ``stream[lo:hi]``, through the same helpers.
+    """
+    half_ms = delta_ms / 2
+    cells = [_cells(ts, vs, lo, hi, ticks, half_ms, max_gap_ms) for ts, vs, lo, hi in columns]
+    return _fuse_columns(ticks, zip(*cells), cfg)

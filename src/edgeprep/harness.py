@@ -241,7 +241,11 @@ def inject_faults(
     faults: Sequence[FaultSpec],
     seed: int,
 ) -> dict[str, SensorStream]:
-    """Apply faults in list order; deterministic under the seed."""
+    """Apply faults in list order; deterministic under the seed.
+
+    A faulted value that leaves the float range raises :class:`ConfigError`
+    naming the fault as ``scenario.faults[i]``, its place in the list.
+    """
     out = dict(streams)
     for idx, fault in enumerate(faults):
         stream = out.get(fault.sensor_id)
@@ -252,16 +256,25 @@ def inject_faults(
         values: list[float] = []
         for t_ms, value in zip(stream.timestamps_ms, stream.values):
             if fault.active(t_ms):
+                param = None
                 if fault.kind is FaultKind.STUCK_AT:
                     value = fault.value
                 elif fault.kind is FaultKind.DRIFT:
                     value += fault.slope_per_s * (t_ms - fault.start_ms) / 1000.0
+                    param = "slope_per_s"
                 elif fault.kind is FaultKind.SPIKE:
                     if rng.random() < fault.rate:
                         sign = 1.0 if rng.random() < 0.5 else -1.0
                         value += sign * fault.magnitude
+                        param = "magnitude"
                 elif rng.random() < fault.probability:  # dropout
                     continue
+                if param is not None and not math.isfinite(value):
+                    raise ConfigError(
+                        f"scenario.faults[{idx}]: fault on sensor {fault.sensor_id!r} "
+                        f"overflows: value {value!r} at {t_ms} ms from "
+                        f"{param}={getattr(fault, param)!r}"
+                    )
             timestamps.append(t_ms)
             values.append(value)
         out[fault.sensor_id] = replace(stream, timestamps_ms=tuple(timestamps),

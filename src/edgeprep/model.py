@@ -62,14 +62,30 @@ class Modality(enum.Enum):
     def parse(cls, label: str) -> tuple["Modality", str]:
         """Map a free-form label to ``(modality, tag)``.
 
-        Known labels map to their enum member with an empty tag; unknown
-        labels map to ``(OTHER, label)``.
+        Known labels map to their enum member with an empty tag; any other
+        label maps to ``OTHER`` with the label stripped and lower-cased as
+        its tag, ``"other"`` when that is empty.
         """
         norm = label.strip().lower()
-        for member in cls:
-            if member is not cls.OTHER and member.value == norm:
-                return member, ""
-        return cls.OTHER, norm
+        member = _KNOWN_MODALITIES.get(norm)
+        if member is not None:
+            return member, ""
+        return cls.OTHER, norm or "other"
+
+
+#: the closed set of modalities by label, ``OTHER`` excluded
+_KNOWN_MODALITIES = {m.value: m for m in Modality if m is not Modality.OTHER}
+
+
+def _canonical_tag(modality: Modality, tag: str) -> str:
+    """``tag`` as :meth:`Modality.parse` reads back the label of an
+    ``OTHER`` modality; the tags of other modalities are kept as given."""
+    if modality is not Modality.OTHER:
+        return tag
+    parsed, canonical = Modality.parse(tag)
+    if parsed is not Modality.OTHER:
+        raise ConfigError(f"modality tag {tag!r} names the known modality {parsed.value!r}")
+    return canonical
 
 
 def modality_label(modality: Modality, tag: str = "") -> str:
@@ -77,6 +93,12 @@ def modality_label(modality: Modality, tag: str = "") -> str:
     if modality is Modality.OTHER:
         return tag or "other"
     return modality.value
+
+
+def canonical_label(label: str) -> str:
+    """The key a stream or sensor labelled ``label`` has: ``Lux`` is
+    ``lux``, as ``CO2`` is ``co2``."""
+    return modality_label(*Modality.parse(label))
 
 
 class Direction(enum.Enum):
@@ -93,6 +115,8 @@ class SensorStream:
     Two parallel columns: ``timestamps_ms`` (non-negative integers, strictly
     increasing) and ``values`` (finite floats).  Both are validated once, at
     construction; slices of a stream are streams and are not re-validated.
+    An ``OTHER`` modality's tag is stored as :meth:`Modality.parse` reads
+    it back from a CSV label.
     """
 
     sensor_id: str
@@ -104,6 +128,7 @@ class SensorStream:
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor_id must be non-empty")
+        object.__setattr__(self, "modality_tag", _canonical_tag(self.modality, self.modality_tag))
         timestamps = tuple(self.timestamps_ms)
         values = tuple(map(float, self.values))
         if len(timestamps) != len(values):
@@ -146,12 +171,6 @@ class SensorStream:
     def modality_key(self) -> str:
         return modality_label(self.modality, self.modality_tag)
 
-    def points_in(self, start_ms: int, end_ms: int) -> SensorStream:
-        """The samples within ``]start_ms, end_ms]`` (integer milliseconds), at
-        a cost logarithmic in the stream length plus the samples returned."""
-        ts = self.timestamps_ms
-        return self[bisect_right(ts, start_ms):bisect_right(ts, end_ms)]
-
     def latest_in(self, start_ms: int, end_ms: int) -> tuple[int, float] | None:
         """``(timestamp_ms, value)`` of the most recent sample within
         ``]start_ms, end_ms]``, if any."""
@@ -172,7 +191,8 @@ class StaticAttr:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Static description of one deployed sensor."""
+    """Static description of one deployed sensor; an ``OTHER`` modality's
+    tag is stored as :class:`SensorStream` stores it."""
 
     sensor_id: str
     modality: Modality
@@ -182,6 +202,7 @@ class SensorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "static_attrs", dict(self.static_attrs))
+        object.__setattr__(self, "modality_tag", _canonical_tag(self.modality, self.modality_tag))
 
     @property
     def modality_key(self) -> str:
@@ -194,7 +215,8 @@ class QosProfile:
 
     ``utopia`` (the ideal attribute row the service ranks sensors against,
     each entry in [0, 1]) and ``weights`` follow the attribute order of
-    :data:`ATTRIBUTE_NAMES`; ``granularity_s`` is the expected inter-sample
+    :data:`ATTRIBUTE_NAMES`; ``modality_needs`` are stored as sensor keys
+    (:func:`canonical_label`); ``granularity_s`` is the expected inter-sample
     interval of the data the service consumes, fixed in exact milliseconds
     as ``granularity_ms`` at construction; ``beta_source`` chooses
     between the latest-interval and the cumulative reliability score.
@@ -228,7 +250,7 @@ class QosProfile:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "utopia", utopia)
         object.__setattr__(
-            self, "modality_needs", tuple(sorted(set(self.modality_needs)))
+            self, "modality_needs", tuple(sorted(set(map(canonical_label, self.modality_needs))))
         )
         object.__setattr__(self, "granularity_ms",
                            seconds_to_ms(self.granularity_s, "granularity_s"))

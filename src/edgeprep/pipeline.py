@@ -29,21 +29,32 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fusion import FusedStream, KalmanConfig, align, kalman_fuse_streams
+from .fusion import FusedStream, KalmanConfig, fuse_window
 from .model import (
     ConfigError,
     QosProfile,
     SensorSpec,
     SensorStream,
+    canonical_label,
     seconds_to_ms,
 )
-from .ranking import RankingResult, rank_and_select, static_profile, topsis_select
+from .ranking import RankedRow, rank_rows, static_profile, topsis_select
 from .reliability import ReliabilityState, close_interval
-from .voting import (
-    VotingConfig,
+from .voting import VotingConfig, vote
+
+# perfbench/tracer.py wraps SensorStream.latest_in and, by name in this
+# module, normalize, membership_matrix, cumulative_scores, select_optimal,
+# assign_accuracy, close_interval, rank_and_select, associate, align,
+# kalman_fuse_streams and compute_feature; a missing name is a KeyError
+# there.  The cycle calls the kernels vote, rank_rows and fuse_window
+# instead of the public chains, which stay bound here until the benchmark
+# traces stages (ROADMAP items 2 and 3).
+from .fusion import align, kalman_fuse_streams  # noqa: F401
+from .ranking import rank_and_select  # noqa: F401
+from .voting import (  # noqa: F401
     assign_accuracy,
     cumulative_scores,
     membership_matrix,
@@ -243,7 +254,8 @@ def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunct
     """Resolve feature ids like ``temperature_mean`` or ``presence``.
 
     Stat features follow the pattern ``<modality>_<stat>`` with stats drawn
-    from mean/std/min/max/median/range/last/count; ``presence`` reads motion.
+    from mean/std/min/max/median/range/last/count, the modality read as a
+    sensor's label is (``Lux_mean`` reads ``lux``); ``presence`` reads motion.
     """
     registry: dict[str, FeatureFunction] = {}
     for fid in feature_ids:
@@ -253,7 +265,7 @@ def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunct
         modality, _, stat = fid.rpartition("_")
         if not modality or stat not in _STATS:
             raise ConfigError(f"cannot resolve feature id {fid!r}")
-        registry[fid] = FeatureFunction(fid, modality, _STATS[stat])
+        registry[fid] = FeatureFunction(fid, canonical_label(modality), _STATS[stat])
     return registry
 
 
@@ -421,6 +433,14 @@ class Pipeline:
         self._static: dict[str, tuple[float, float, float]] = {
             sid: static_profile(spec) for sid, spec in self.specs.items()
         }
+        # the ranking kernel trusts its rows: every static score is checked
+        # here, once; alpha and beta lie in [0, 1] by their formulas, and
+        # every cohort's ids ascend, unique, by the duplicate check and the
+        # sort above
+        for sid, scores in self._static.items():
+            if not all(0.0 <= score <= 1.0 for score in scores):
+                raise ConfigError(f"static scores {scores} of sensor {sid!r} "
+                                  f"must lie in [0, 1]")
         # interval lengths are measured in expected-sample units so a fully
         # consistent sensor sits on the Poisson mode at any cadence
         self._dyn: dict[str, _SensorDyn] = {}
@@ -430,14 +450,12 @@ class Pipeline:
             for spec in cohort:
                 self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0)
 
-        def zone_of(sid: str) -> str:
-            return self.specs[sid].zone if sid in self.specs else ""
-
-        # the samples bracketing a grid tick may sit two grid steps from it,
-        # so this tolerance is also the window's interpolation gap
-        self._preds: dict[str, AssociationPredicate] = {
-            svc.service_id: AssociationPredicate(zone_of, temporal_tolerance_ms=2 * svc.delta_ms)
-            for svc in self.services
+        # modality key -> (sensor id, stream) of each cohort sensor with a
+        # stream, ids ascending
+        self._voters: dict[str, list[tuple[str, SensorStream]]] = {
+            mk: [(spec.sensor_id, self.streams[spec.sensor_id]) for spec in cohort
+                 if spec.sensor_id in self.streams]
+            for mk, cohort in self._cohorts.items()
         }
 
         # one feature cache per scope (see _scope), in service order
@@ -464,16 +482,19 @@ class Pipeline:
             for mk in svc.qos.modality_needs
         }
 
-        self._topsis: dict[tuple[str, str], RankingResult] = {}
+        # (service id, modality key) -> the fixed ranking, shaped as rank_rows'
+        self._topsis: dict[tuple[str, str], tuple[tuple[str, ...], list[RankedRow]]] = {}
         if mode is Mode.TOPSIS_BASELINE:
             for svc in self.services:
                 for mk in svc.qos.modality_needs:
                     live = self._live[(svc.service_id, mk)]
                     if not live:
                         continue
-                    self._topsis[(svc.service_id, mk)] = topsis_select(
-                        live, self._cohort_rows(live, "interval"), svc.qos
-                    )
+                    result = topsis_select(live, self._cohort_rows(live, "interval"), svc.qos)
+                    rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
+                    self._topsis[(svc.service_id, mk)] = (
+                        result.order, [(*record, rank_of[record.sensor_id])
+                                       for record in result.records])
 
         steps = ([svc.period_ms for svc in self.services] + list(self._granularity_ms.values())
                  + [self.reliability_interval_ms])
@@ -514,34 +535,29 @@ class Pipeline:
         return t_ms > 0 and t_ms % step_ms == 0
 
     def _vote(self, mk: str, t_ms: int) -> None:
-        cohort = self._cohorts[mk]
-        gran = self._granularity_ms[mk]
-        present: list[tuple[str, float]] = []
-        for spec in cohort:
-            stream = self.streams.get(spec.sensor_id)
-            latest = stream.latest_in(t_ms - gran, t_ms) if stream else None
+        start_ms = t_ms - self._granularity_ms[mk]
+        ids: list[str] = []
+        raw: list[float] = []
+        for sid, stream in self._voters[mk]:
+            latest = stream.latest_in(start_ms, t_ms)
             if latest is not None:
-                present.append((spec.sensor_id, latest[1]))
+                ids.append(sid)
+                raw.append(latest[1])
         self.counters.votes += 1
-        optimal_ids: tuple[str, ...] = ()
-        if len(present) == 1:
+        dyn = self._dyn
+        if len(ids) >= 2:
+            # the readings ascend by id and SensorStream validated them; the
+            # optimal set's size is clamped to the sensors actually reporting
+            alphas, top = vote(raw, self.voting, self.kalman)
+            for sid, alpha in zip(ids, alphas):
+                dyn[sid].alpha = alpha
+            ids = [ids[i] for i in top]
+        elif ids:
             # voting formulas are undefined for a single reporter
-            optimal_ids = (present[0][0],)
-            self._dyn[optimal_ids[0]].alpha = 1.0
-        elif len(present) >= 2:
-            cfg = self.voting
-            if cfg.k is not None and cfg.k > len(present):
-                # configured set size, clamped to the sensors actually reporting
-                cfg = replace(cfg, k=len(present))
-            norm = normalize(present)
-            scores = cumulative_scores(membership_matrix(norm, cfg))
-            optimal = select_optimal(scores, norm, cfg)
-            optimal_ids = optimal.sensor_ids
-            for sid, alpha in assign_accuracy(norm, optimal, self.kalman).items():
-                self._dyn[sid].alpha = alpha
+            dyn[ids[0]].alpha = 1.0
         # only optimal-set appearances earn reliability credit
-        for sid in optimal_ids:
-            self._dyn[sid].rel.q += 1
+        for sid in ids:
+            dyn[sid].rel.q += 1
 
     def _close_reliability(self, t_ms: int) -> None:
         for dyn in self._dyn.values():
@@ -563,24 +579,22 @@ class Pipeline:
             return live, []
         qos = svc.qos
         if self.mode is Mode.TOPSIS_BASELINE:
-            result = self._topsis[(svc.service_id, mk)]
+            order, ranked = self._topsis[(svc.service_id, mk)]
         else:
             # the whole order is ranked once and each service takes its prefix
             key = ("rank", self._scope(svc), live, qos.utopia, qos.weights, qos.beta_source)
-            result = self._cycle_memo.get(key)
-            if result is None:
-                result = self._cycle_memo[key] = rank_and_select(
+            ranking = self._cycle_memo.get(key)
+            if ranking is None:
+                ranking = self._cycle_memo[key] = rank_rows(
                     live, self._cohort_rows(live, qos.beta_source), qos
                 )
+            order, ranked = ranking
         # the service cuts its own prefix; a count beyond the cohort keeps all
         count = qos.select_count
-        rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
         service_id = svc.service_id
-        rows = [
-            TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank_of[sid], rank_of[sid] <= count)
-            for sid, d_m, d_a, d_ma in result.records
-        ]
-        return result.order[:count], rows
+        rows = [TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
+                for sid, d_m, d_a, d_ma, rank in ranked]
+        return order[:count], rows
 
     def _fused_window(
         self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
@@ -600,25 +614,29 @@ class Pipeline:
         self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
     ) -> tuple[FusedStream, int]:
         """The fused window of ``sources`` and its count of samples inside
-        ``]t_a, t_b]``; the fused stream's ``source_ids`` are ``sources``."""
-        pred = self._preds[svc.service_id]
-        tol_ms = pred.temporal_tolerance_ms
+        ``]t_a, t_b]``; the fused stream's ``source_ids`` are ``sources``.
+
+        A source's window is the samples :func:`associate` keeps: the
+        temporal rule's ``]t_a - tol, t_b + tol]``, bisected once at each
+        end, so the cost stays with the window, not with the length of the
+        stream.  The zone rule keeps every sample of a live sensor.
+        """
+        delta_ms = svc.delta_ms
+        # the samples bracketing a grid tick may sit two grid steps from it,
+        # so the association tolerance is also the window's interpolation gap
+        tol_ms = 2 * delta_ms
         points = 0
-        assoc_streams: list[SensorStream] = []
+        columns = []
         for sid in sources:
             stream = self.streams[sid]
-            zone = svc.zone if svc.zone is not None else self.specs[sid].zone
-            # only the points the temporal rule can keep: the cost stays
-            # with the window, not with the length of the stream
-            candidates = stream.points_in(t_a_ms - tol_ms, t_b_ms + tol_ms)
-            _, subset = associate(candidates, pred, t_a_ms, t_b_ms, zone)
-            ts = subset.timestamps_ms
-            points += bisect_right(ts, t_b_ms) - bisect_right(ts, t_a_ms)
-            assoc_streams.append(subset)
-        delta_ms = svc.delta_ms
+            ts = stream.timestamps_ms
+            lo = bisect_right(ts, t_a_ms - tol_ms)
+            hi = bisect_right(ts, t_b_ms + tol_ms, lo)
+            points += bisect_right(ts, t_b_ms, lo, hi) - bisect_right(ts, t_a_ms, lo, hi)
+            columns.append((ts, stream.values, lo, hi))
         ticks = range(t_a_ms + delta_ms, t_b_ms + 1, delta_ms)
-        grid = align(assoc_streams, ticks, delta_ms, tol_ms)
-        return kalman_fuse_streams(grid, self.kalman), points
+        timestamps, values = fuse_window(columns, ticks, delta_ms, tol_ms, self.kalman)
+        return FusedStream(timestamps, values, sources), points
 
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         t_a_ms = t_ms - svc.k_l * svc.delta_ms

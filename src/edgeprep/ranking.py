@@ -7,6 +7,10 @@ direction-aware distance that combines a weighted Euclidean magnitude term
 with a weighted cosine angular term, each rescaled by the inverse cohort
 mean so neither dominates.  A conventional TOPSIS ranking over the same
 attribute matrix is provided as a static baseline.
+
+:func:`rank_and_select` checks a cohort it is given; :func:`rank_rows`,
+the pipeline's kernel, ranks rows the pipeline built and validated itself,
+through the same private helpers, so each formula has one home.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "static_profile",
     "scaling_coefficients",
     "rank_and_select",
+    "rank_rows",
     "topsis_select",
 ]
 
@@ -133,33 +138,25 @@ def _checked_cohort(sensor_ids: Sequence[str], states: ArrayLike) -> list[tuple[
     return list(zip(*[rows] * width))
 
 
+def _order(d_mas: Sequence[float]) -> list[int]:
+    """Row indices by ascending ``d_ma``; the rows are in ascending id order,
+    and a stable sort keeps equal distances in that order."""
+    return sorted(range(len(d_mas)), key=d_mas.__getitem__)
+
+
 def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[float],
             d_mas: Sequence[float], xi_m: float, xi_a: float) -> RankingResult:
     """Records in id order, and the ids by ascending ``d_ma``, ties by
     ascending id."""
     records = tuple(map(SensorDistance, sensor_ids, d_ms, d_as, d_mas))
-    # the ids ascend, and a stable sort keeps equal distances in id order
-    order = tuple(sensor_ids[i] for i in sorted(range(len(d_mas)), key=d_mas.__getitem__))
+    order = tuple(sensor_ids[i] for i in _order(d_mas))
     return RankingResult(records, xi_m, xi_a, order)
 
 
-def rank_and_select(
-    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
-) -> RankingResult:
-    """Order a cohort by direction-aware distance to the service utopia.
-
-    ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
-    :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
-    ``sensor_ids``.  Ties break by ascending sensor id; a caller selects a
-    prefix of ``order``.
-
-    Per sensor row ``a``, against utopia ``v`` with weights ``w``:
-    ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
-    sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1], and 1 when the
-    root is 0.  Each sum adds its five terms left to right, as numpy sums a
-    row of five, and squares are products, as numpy squares.
-    """
-    rows = _checked_cohort(sensor_ids, states)
+def _distances(rows: Sequence[Sequence[float]], qos: QosProfile
+               ) -> tuple[list[float], list[float], list[float], float, float]:
+    """``d_m``, ``d_a`` and ``d_ma`` of each row of five floats in [0, 1],
+    and the scaling coefficients ``xi_m`` and ``xi_a``."""
     # QosProfile has validated both rows: every w, v and a is >= 0, so the
     # absolute values in d_a are the products themselves
     v0, v1, v2, v3, v4 = qos.utopia
@@ -182,7 +179,50 @@ def rank_and_select(
         d_as.append(0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a)
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     d_mas = [math.hypot(xi_m * d_m, xi_a * d_a) for d_m, d_a in zip(d_ms, d_as)]
-    return _ranked(sensor_ids, d_ms, d_as, d_mas, xi_m, xi_a)
+    return d_ms, d_as, d_mas, xi_m, xi_a
+
+
+def rank_and_select(
+    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
+) -> RankingResult:
+    """Order a cohort by direction-aware distance to the service utopia.
+
+    ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
+    :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
+    ``sensor_ids``.  Ties break by ascending sensor id; a caller selects a
+    prefix of ``order``.
+
+    Per sensor row ``a``, against utopia ``v`` with weights ``w``:
+    ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
+    sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1], and 1 when the
+    root is 0.  Each sum adds its five terms left to right, as numpy sums a
+    row of five, and squares are products, as numpy squares.
+    """
+    rows = _checked_cohort(sensor_ids, states)
+    return _ranked(sensor_ids, *_distances(rows, qos))
+
+
+#: one sensor of a ranked cohort: ``(sensor_id, d_m, d_a, d_ma, rank)``
+RankedRow = tuple[str, float, float, float, int]
+
+
+def rank_rows(sensor_ids: Sequence[str], rows: Sequence[Sequence[float]], qos: QosProfile
+              ) -> tuple[tuple[str, ...], list[RankedRow]]:
+    """One ranking of trusted rows: the ids by ascending ``d_ma``, and each
+    sensor's distances and 1-based rank, in id order.
+
+    ``rows`` holds one row of five floats in [0, 1] per id of the strictly
+    ascending ``sensor_ids``, as the pipeline builds them; nothing is
+    re-checked.  Gives the bits and the order of :func:`rank_and_select`,
+    through the same helpers.
+    """
+    d_ms, d_as, d_mas, _, _ = _distances(rows, qos)
+    order = _order(d_mas)
+    ranks = [0] * len(order)
+    for rank, i in enumerate(order, start=1):
+        ranks[i] = rank
+    return (tuple(sensor_ids[i] for i in order),
+            list(zip(sensor_ids, d_ms, d_as, d_mas, ranks)))
 
 
 def topsis_select(

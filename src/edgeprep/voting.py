@@ -11,9 +11,12 @@ the optimal set on the raw measurement scale.
 readings.  It puts them in ascending sensor-id order, so every output is
 independent of caller ordering bit for bit, and carries the raw values in
 that order; :func:`select_optimal` and :func:`assign_accuracy` take its
-result instead of the readings.  The kernels run on Python floats, and
-every sum is :func:`math.fsum`, the exact sum rounded once, so no result
-depends on the order of the terms or on a library's summation scheme.
+result instead of the readings.  :func:`vote` is the pipeline's one-pass
+kernel: it takes readings already in id order and already validated, and
+runs the same private helpers as the five public steps, so each formula
+has one home.  The kernels run on Python floats, and every sum is
+:func:`math.fsum`, the exact sum rounded once, so no result depends on the
+order of the terms or on a library's summation scheme.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "select_optimal",
     "assign_accuracy",
     "default_k",
+    "vote",
 ]
 
 
@@ -124,6 +128,14 @@ def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasuremen
         raise ValueError(f"non-finite measurement for sensor {sid!r}")
     if n < 2:
         raise ValueError("normalization needs at least 2 measurements")
+    values, mean, stdev = _standardize(raw)
+    return NormalizedMeasurements(tuple(values), mean, stdev, ids, raw)
+
+
+def _standardize(raw: Sequence[float]) -> tuple[list[float], float, float]:
+    """The standardized values of at least two finite floats, their mean
+    and their sample deviation."""
+    n = len(raw)
     mean = math.fsum(raw) / n
     # two-pass centering: the second pass removes the rounding residue the
     # first subtraction leaves when the offset dwarfs the spread
@@ -131,8 +143,8 @@ def normalize(measurements: Sequence[tuple[str, float]]) -> NormalizedMeasuremen
     correction = math.fsum(deviations) / n
     deviations = [d - correction for d in deviations]
     stdev = math.sqrt(math.fsum([d * d for d in deviations]) / (n - 1))
-    values = tuple(d / stdev for d in deviations) if stdev > 0 else (0.0,) * n
-    return NormalizedMeasurements(values, mean + correction, stdev, ids, raw)
+    values = [d / stdev for d in deviations] if stdev > 0 else [0.0] * n
+    return values, mean + correction, stdev
 
 
 def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = None) -> MembershipMatrix:
@@ -142,8 +154,12 @@ def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = N
     diagonal is exactly 1.
     """
     cfg = cfg or VotingConfig()
-    p, c = cfg.p, cfg.c
     x = [float(v) for v in norm.values]
+    return MembershipMatrix(len(x), _membership_rows(x, cfg.p, cfg.c))
+
+
+def _membership_rows(x: Sequence[float], p: int, c: float) -> list[list[float]]:
+    """The membership matrix of the standardized values ``x``, as rows."""
     n = len(x)
     rows = [[1.0] * n for _ in range(n)]
     for i in range(n):
@@ -157,7 +173,7 @@ def membership_matrix(norm: NormalizedMeasurements, cfg: VotingConfig | None = N
                 u = 0.0  # the power exceeds the float range: exp(-inf)
             row_i[j] = u
             rows[j][i] = u
-    return MembershipMatrix(n, rows)
+    return rows
 
 
 def cumulative_scores(matrix: MembershipMatrix) -> tuple[float, ...]:
@@ -185,9 +201,13 @@ def select_optimal(
     k = cfg.k if cfg.k is not None else default_k(n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for cohort of {n}")
-    # ids ascend, and a stable sort keeps equal scores in index order
-    top = sorted(range(n), key=scores.__getitem__, reverse=True)[:k]
-    return OptimalSet(tuple((ids[i], raw[i], scores[i]) for i in top), k)
+    return OptimalSet(tuple((ids[i], raw[i], scores[i]) for i in _top(scores, k)), k)
+
+
+def _top(scores: Sequence[float], k: int) -> list[int]:
+    """The indices of the ``k`` largest scores, score-descending; equal
+    scores keep index order, which is ascending id order."""
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)[:k]
 
 
 def assign_accuracy(
@@ -205,4 +225,33 @@ def assign_accuracy(
     if not optimal.members:
         raise ValueError("optimal set must be non-empty")
     y = kalman_fuse(optimal.measurements, kf_cfg)
-    return {sid: math.exp(-abs(value - y)) for sid, value in zip(norm.source_ids, norm.raw)}
+    return dict(zip(norm.source_ids, _accuracy(norm.raw, y)))
+
+
+def _accuracy(raw: Sequence[float], y: float) -> list[float]:
+    """``exp(-|x_i - y|)`` of each reading."""
+    return [math.exp(-abs(value - y)) for value in raw]
+
+
+def vote(raw: Sequence[float], cfg: VotingConfig, kf_cfg: KalmanConfig) -> tuple[list[float], list[int]]:
+    """One vote over trusted readings: each reading's accuracy weight and
+    the optimal set's indices, score-descending.
+
+    ``raw`` holds two or more finite floats in ascending sensor-id order,
+    as a cohort's present readings come; nothing is re-ordered or
+    re-checked.  The optimal set has ``cfg.k`` members, ``ceil(n / 2)``
+    when ``k`` is unset, and at most every reading.  Gives the bits of
+    :func:`normalize` -> :func:`membership_matrix` ->
+    :func:`cumulative_scores` -> :func:`select_optimal` ->
+    :func:`assign_accuracy`, through the same helpers.
+    """
+    n = len(raw)
+    values, _, _ = _standardize(raw)
+    scores = list(map(math.fsum, _membership_rows(values, cfg.p, cfg.c)))
+    # a set size beyond the readings keeps them all, as the slice in _top does
+    top = _top(scores, cfg.k if cfg.k is not None else default_k(n))
+    y = kalman_fuse([raw[i] for i in top], kf_cfg)
+    if y != y:
+        # readings near the float range can take the estimate through inf
+        raise ValueError("the Kalman estimate over the optimal set is not a number")
+    return _accuracy(raw, y), top

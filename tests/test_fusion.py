@@ -1,5 +1,5 @@
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from edgeprep.fusion import (
     AlignedGrid,
     KalmanConfig,
     align,
+    fuse_window,
     interpolate,
     kalman_fuse,
     kalman_fuse_streams,
@@ -292,3 +293,83 @@ class TestMatchesCellReference:
         grid = align([s], (0, 5000, 10_000), 1000, math.inf)
         assert math.isnan(grid.values[0, 0]) and math.isnan(grid.values[0, 2])
         assert grid.values[0, 1] == 5.0
+
+
+@st.composite
+def window_cases(draw):
+    """Up to four streams around a window ``]t_a, t_b]`` on a grid step of
+    0.5 to 2 s: regular samples off the ticks with dropouts (a period of
+    three steps leaves gaps beyond two), samples anywhere, one-sample and
+    empty streams, windows with no samples or no ticks, and the bounds
+    ``]t_a - tol, t_b + tol]`` the kernel reads."""
+    delta_ms = draw(st.sampled_from([500, 1000, 1001, 2000]))
+    t_a = draw(st.integers(min_value=0, max_value=20 * delta_ms))
+    t_b = (t_a + draw(st.integers(min_value=0, max_value=10)) * delta_ms
+           + draw(st.integers(min_value=0, max_value=delta_ms - 1)))
+    first, last = max(0, t_a - 4 * delta_ms), t_b + 4 * delta_ms
+    instants = st.integers(min_value=first, max_value=last)
+    streams = []
+    for k in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["regular", "anywhere", "one"]))
+        if kind == "regular":
+            period = draw(st.sampled_from([delta_ms // 2, delta_ms, 3 * delta_ms]))
+            ts = range(first + draw(st.integers(min_value=0, max_value=period - 1)),
+                       last + 1, period)
+            kept = draw(st.lists(st.booleans(), min_size=len(ts), max_size=len(ts)))
+            ts = [t for t, keep in zip(ts, kept) if keep]
+        elif kind == "anywhere":
+            ts = sorted(set(draw(st.lists(instants, max_size=20))))
+        else:
+            ts = [draw(instants)]
+        vs = draw(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                           min_size=len(ts), max_size=len(ts)))
+        streams.append(SensorStream(f"s{k}", Modality.TEMPERATURE, tuple(ts), tuple(vs)))
+    tol_ms = draw(st.sampled_from([0, delta_ms // 2, delta_ms, 2 * delta_ms]))
+    max_gap_ms = draw(st.sampled_from([0, delta_ms // 2, delta_ms, 2 * delta_ms, math.inf]))
+    noise = draw(st.floats(min_value=1e-6, max_value=1e3))
+    return streams, t_a, t_b, delta_ms, tol_ms, max_gap_ms, KalmanConfig(measurement_noise=noise)
+
+
+def window_columns(streams, t_a, t_b, tol_ms):
+    """Each stream's whole columns with the bounds of ``]t_a - tol, t_b +
+    tol]``, and the slice those bounds cut."""
+    columns, slices = [], []
+    for s in streams:
+        ts = s.timestamps_ms
+        lo, hi = bisect_right(ts, t_a - tol_ms), bisect_right(ts, t_b + tol_ms)
+        columns.append((ts, s.values, lo, hi))
+        slices.append(s[lo:hi])
+    return columns, slices
+
+
+class TestFuseWindowKernel:
+    """``fuse_window`` over bounded columns gives the bits of
+    ``kalman_fuse_streams(align(...))`` over the bisected slices."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window_cases())
+    def test_matches_align_then_fuse_bit_for_bit(self, case):
+        streams, t_a, t_b, delta_ms, tol_ms, max_gap_ms, cfg = case
+        ticks = range(t_a + delta_ms, t_b + 1, delta_ms)
+        columns, slices = window_columns(streams, t_a, t_b, tol_ms)
+        timestamps, values = fuse_window(columns, ticks, delta_ms, max_gap_ms, cfg)
+        want = kalman_fuse_streams(align(slices, ticks, delta_ms, max_gap_ms), cfg)
+        assert timestamps == want.timestamps_ms
+        assert [v.hex() for v in values] == [v.hex() for v in want.values]
+
+    def test_an_off_tick_pair_is_interpolated(self):
+        # tick 2000 is 800 ms after one sample and 900 ms before the next
+        s = stream("s1", [(1200, 1.0), (2900, 2.0)])
+        columns, _ = window_columns([s], 1000, 2000, 2000)
+        timestamps, values = fuse_window(columns, range(2000, 2001, 1000), 1000, 2000,
+                                         KalmanConfig())
+        assert (timestamps, values) == ((2000,), (interpolate(1200, 1.0, 2900, 2.0, 2000),))
+
+    def test_the_bounds_hide_samples_outside_them(self):
+        # the sample at 500 brackets tick 2000 in the whole stream, not in
+        # the bounds ]1000, ...]
+        s = stream("s1", [(500, 1.0), (2900, 2.0)])
+        ts, vs = s.timestamps_ms, s.values
+        args = (range(2000, 2001, 1000), 1000, math.inf, KalmanConfig())
+        assert fuse_window([(ts, vs, 0, 2)], *args) != ((), ())
+        assert fuse_window([(ts, vs, 1, 2)], *args) == ((), ())

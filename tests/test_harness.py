@@ -233,12 +233,6 @@ class TestCsvRoundTrip:
         assert str(exc.value) == (f"{path}:{later}: duplicate or non-increasing timestamp "
                                   f"{ts} for sensor {sid!r} (previous at line {first})")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an OTHER stream is written under its tag, or 'other' when the tag "
-        "is empty, and Modality.parse reads the label back lower-cased, so '' "
-        "returns as 'other' and 'Lux' as 'lux'",
-    )
     @pytest.mark.parametrize("tag", ["", "Lux"])
     def test_other_tag_reads_back_as_written(self, tmp_path, tag):
         streams = {"s1": SensorStream("s1", Modality.OTHER, (1000, 2000), (1.0, 2.0),
@@ -327,6 +321,21 @@ class TestInjectFaults:
     def test_a_parameter_its_kind_does_not_read_is_rejected(self, kind, param):
         with pytest.raises(ConfigError, match=f"'{kind.value}' does not read {param}"):
             FaultSpec("s1", kind, 0, 1000, **{param: 0.5})
+
+    @pytest.mark.parametrize("fault, level", [
+        (FaultSpec("s1", FaultKind.DRIFT, 2000, 9000, slope_per_s=1e308), 20.0),
+        (FaultSpec("s1", FaultKind.SPIKE, 2000, 9000, magnitude=1e308, rate=1.0), 1e308),
+    ], ids=["drift", "spike"])
+    def test_a_faulted_value_that_overflows_names_the_fault(self, fault, level):
+        param = "slope_per_s" if fault.kind is FaultKind.DRIFT else "magnitude"
+        base = {"s1": stream_of("s1", [(t, level) for t in range(1000, 11_000, 1000)])}
+        harmless = FaultSpec("s1", FaultKind.STUCK_AT, 0, 1000, value=1.0)
+        with pytest.raises(ConfigError) as err:
+            inject_faults(base, [harmless, fault], seed=1)
+        assert re.fullmatch(
+            re.escape("scenario.faults[1]: fault on sensor 's1' overflows: value inf at ")
+            + "[0-9]+" + re.escape(f" ms from {param}={getattr(fault, param)!r}"),
+            str(err.value))
 
     @pytest.mark.parametrize("kind, param", [
         (FaultKind.STUCK_AT, "value"),
@@ -807,6 +816,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("edgeprep: error: scenario.faults[0]: "
                        "'stuck_at' does not read slope_per_s\n")
+
+    def test_fault_parameter_that_overflows_is_a_one_line_error(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "fault_scenario.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("slope_per_s: 0.5", "slope_per_s: 1e308", 1),
+                       encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("edgeprep: error: scenario.faults[1]: fault on sensor 't7' overflows: "
+                       "value inf at 91000 ms from slope_per_s=1e+308\n")
 
     def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
         config = self.malformed_csv_config(tmp_path)

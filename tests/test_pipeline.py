@@ -51,9 +51,9 @@ class TestFormWindow:
     @staticmethod
     def window_at(monkeypatch, svc, t_ms):
         """``((t_a, t_b), ticks)`` of ``svc``'s window at ``t_ms``: the bounds
-        in the feature cache key and the ticks the window is aligned on."""
+        in the feature cache key and the ticks the window is fused on."""
         streams = synth_streams({"t1": ("temperature", 20.0)}, duration_s=120.0)
-        calls = counted(monkeypatch, "align")
+        calls = counted(monkeypatch, "fuse_window")
         pipeline = Pipeline([make_spec("t1")], [svc], streams)
         pipeline.run_cycle(t_ms)
         ((_, t_a_ms, t_b_ms, _),) = pipeline.caches()[0]
@@ -440,6 +440,27 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="'t1' is 'co2', the sensor is 'temperature'"):
             Pipeline([make_spec("t1")], [simple_service()], streams)
 
+    def test_a_custom_label_is_matched_as_a_sensor_stores_it(self):
+        # the sensor and its stream store the tag 'Lux' as 'lux', so the
+        # service's need and feature are read the same way
+        spec = make_spec("l1", Modality.OTHER, tag="Lux")
+        stream = SensorStream("l1", Modality.OTHER, (1000, 2000), (1.0, 2.0), modality_tag="Lux")
+        svc = ServiceSpec(qos=QosProfile("svc", modality_needs=("Lux",)), period_s=1.0,
+                          k_l=1, k_r=0, delta_t_s=1.0, features=("Lux_mean",))
+        assert svc.qos.modality_needs == ("lux",)
+        result = Pipeline([spec], [svc], {"l1": stream}).run_cycle(2000)
+        assert result.errors == {}
+        assert result.features["svc"].components == {"Lux_mean": 2.0}
+
+    @pytest.mark.parametrize("scores", [(1.0, 1.5, 0.5), (-0.1, 1.0, 1.0), (1.0, 1.0, math.nan)])
+    def test_static_scores_outside_the_unit_interval_rejected(self, monkeypatch, scores):
+        # the ranking kernel trusts the rows the pipeline builds, so the
+        # static scores are checked once, when the pipeline is built
+        monkeypatch.setattr(pipeline_module, "static_profile", lambda spec: scores)
+        with pytest.raises(ConfigError, match="static scores .* of sensor 't1'"):
+            Pipeline([make_spec("t1")], [simple_service()],
+                     synth_streams({"t1": ("temperature", 20.0)}))
+
     @pytest.mark.parametrize("mode, misses, hits", [
         (Mode.UNIFIED, [2], [1]),
         (Mode.TOPSIS_BASELINE, [2], [1]),
@@ -511,10 +532,10 @@ class TestPipeline:
         assert {r.sensor_id for r in result.trace} == {"t1"}
 
     def test_ranking_is_called_once_per_cohort_and_profile_per_cycle(self, monkeypatch):
-        # the benchmark's tracer wraps the module-level rank_and_select and
-        # counts len(args[0]) as the sensors scored; a bypass or a keyword
-        # call would silently change its figures.  Zone scoping splits the
-        # temperature cohort, so both temperature cohorts are ranked.
+        # the cycle ranks through the module-level rank_rows, ids first and
+        # positionally, so a bypass or a second call shows here.  Zone
+        # scoping splits the temperature cohort, so both temperature cohorts
+        # are ranked.
         sensors = [make_spec("t1", zone="lab"), make_spec("t2", zone="lab"),
                    make_spec("t3", zone="hall"), make_spec("t4", zone="lab"),
                    make_spec("m1", Modality.MOTION, zone="lab"),
@@ -527,7 +548,7 @@ class TestPipeline:
                     simple_service("lab", ("temperature",), period_s=2.0, zone="lab")]
         live = {("all", "motion"): ("m1", "m2"), ("all", "temperature"): ("t1", "t2", "t3"),
                 ("lab", "temperature"): ("t1", "t2")}
-        calls = counted(monkeypatch, "rank_and_select")
+        calls = counted(monkeypatch, "rank_rows")
         pipeline = Pipeline(sensors, services, streams, mode=Mode.UNIFIED)
         expected = []
         for t_ms in range(1000, 10_001, 1000):
@@ -571,7 +592,7 @@ class TestSharedWork:
             self, monkeypatch, mode, ranks_per_cycle):
         services = [temperature_service("one"), temperature_service("three", select_count=3)]
         with monkeypatch.context() as patch:
-            calls = counted(patch, "rank_and_select")
+            calls = counted(patch, "rank_rows")
             _, shared = self.run(services, mode)
         # both services are due from t = 2 s
         assert len(calls) == 9 * ranks_per_cycle
@@ -591,7 +612,7 @@ class TestSharedWork:
         other = temperature_service("other")
         other = replace(other, qos=replace(other.qos, **profile))
         with monkeypatch.context() as patch:
-            calls = counted(patch, "rank_and_select")
+            calls = counted(patch, "rank_rows")
             self.run([temperature_service("default"), other], Mode.UNIFIED, cycles=[4000])
         assert len(calls) == 2
 
@@ -599,7 +620,7 @@ class TestSharedWork:
     def test_equal_windows_and_sources_are_fused_once(self, monkeypatch, mode, fusions):
         services = [temperature_service("a"), temperature_service("b")]
         with monkeypatch.context() as patch:
-            calls = counted(patch, "align")
+            calls = counted(patch, "fuse_window")
             pipeline, _ = self.run(services, mode, cycles=[4000])
         assert len(calls) == fusions
         # every activation still counts the samples of its window
@@ -612,7 +633,7 @@ class TestSharedWork:
         services = [temperature_service("coarse"),
                     temperature_service("fine", k_l=4, delta_t_s=0.5)]
         with monkeypatch.context() as patch:
-            calls = counted(patch, "align")
+            calls = counted(patch, "fuse_window")
             self.run(services, mode, cycles=[4000])
         assert len(calls) == 2
         assert sorted(len(args[1]) for args in calls) == [2, 4]
@@ -634,21 +655,28 @@ class TestHorizonIndependence:
         cfg = load_config("fault_scenario", duration_s=300)
         cfg = replace(cfg, generators=[replace(g, period_s=3.0) for g in cfg.generators])
         windowed = run_scenario(cfg)
+        inner = pipeline_module.fuse_window
+
+        def whole_streams(columns, *args):
+            return inner([(ts, vs, 0, len(ts)) for ts, vs, _, _ in columns], *args)
+
         with monkeypatch.context() as patch:
-            patch.setattr(SensorStream, "points_in", lambda self, s, e: self)
+            patch.setattr(pipeline_module, "fuse_window", whole_streams)
             whole = run_scenario(cfg)
         assert windowed.features == whole.features
         assert windowed.trace == whole.trace
         assert windowed.points_processed == whole.points_processed
 
-    def largest_associate_input(self, monkeypatch, duration_s):
+    def largest_window_input(self, monkeypatch, duration_s):
+        """The most samples one source gives a fused window over a fault
+        run of ``duration_s``."""
         calls = {"largest": 0, "closes": 0}
-        inner_associate = pipeline_module.associate
+        inner_fuse = pipeline_module.fuse_window
         inner_close = pipeline_module.close_interval
 
-        def counting_associate(points, *args):
-            calls["largest"] = max(calls["largest"], len(points))
-            return inner_associate(points, *args)
+        def counting_fuse(columns, *args):
+            calls["largest"] = max([calls["largest"], *(hi - lo for _, _, lo, hi in columns)])
+            return inner_fuse(columns, *args)
 
         def counting_close(*args, **kwargs):
             calls["closes"] += 1
@@ -658,7 +686,7 @@ class TestHorizonIndependence:
             raise AssertionError("close_interval re-integrated the rate history")
 
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline_module, "associate", counting_associate)
+            patch.setattr(pipeline_module, "fuse_window", counting_fuse)
             patch.setattr(pipeline_module, "close_interval", counting_close)
             patch.setattr(reliability_module, "cumulative_reliability", forbidden)
             run_scenario(load_config("fault_scenario", duration_s=duration_s))
@@ -666,8 +694,8 @@ class TestHorizonIndependence:
         return calls["largest"]
 
     def test_window_input_and_reliability_close_do_not_grow(self, monkeypatch):
-        short = self.largest_associate_input(monkeypatch, 300.0)
-        long = self.largest_associate_input(monkeypatch, 2400.0)
+        short = self.largest_window_input(monkeypatch, 300.0)
+        long = self.largest_window_input(monkeypatch, 2400.0)
         assert 0 < short == long
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgeprep.model import ConfigError, Direction, QosProfile
 from edgeprep.ranking import (
     rank_and_select,
+    rank_rows,
     scaling_coefficients,
     static_profile,
     static_score,
@@ -425,6 +426,28 @@ class TestRankingMatchesComponents:
         assert hexes(r.d_m for r in result.records) == hexes(d_m)
         assert hexes(r.d_a for r in result.records) == hexes(d_a)
         assert all(type(x) is float for r in result.records for x in r[1:])
+
+
+#: rows of a cohort, often repeated, so that equal distances are drawn
+tied_rows = st.one_of(vec5, st.sampled_from([(0.0,) * 5, (0.5,) * 5, (1.0,) * 5,
+                                             (0.2, 0.4, 0.6, 0.8, 1.0)]))
+
+
+class TestRankRowsKernel:
+    """``rank_rows`` over the pipeline's rows gives ``rank_and_select``'s
+    bits and order, and each sensor's rank in that order."""
+
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(cohort=st.lists(tied_rows, min_size=1, max_size=60), v=vec5, w=weights5)
+    def test_matches_rank_and_select_bit_for_bit(self, cohort, v, w):
+        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
+        profile = QosProfile(service_id="svc", utopia=v, weights=w)
+        order, ranked = rank_rows(ids, cohort, profile)
+        result = rank_and_select(ids, cohort, profile)
+        assert order == result.order
+        assert [(sid, d_m.hex(), d_a.hex(), d_ma.hex()) for sid, d_m, d_a, d_ma, _ in ranked] \
+            == [(r.sensor_id, r.d_m.hex(), r.d_a.hex(), r.d_ma.hex()) for r in result.records]
+        assert [rank for *_, rank in ranked] == [order.index(sid) + 1 for sid in ids]
 
 
 @pytest.mark.parametrize("rank", [rank_and_select, topsis_select])

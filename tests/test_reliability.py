@@ -182,6 +182,26 @@ class TestCloseInterval:
             assert state.beta_cumulative == cumulative_reliability(
                 state.lambda_history, n, start, t_ms, seconds_per_unit)
 
+    @given(
+        n=st.integers(min_value=1, max_value=10_000),
+        seconds_per_unit=st.floats(min_value=1e-3, max_value=1e3),
+        pieces=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=20_000),
+                      st.integers(min_value=1, max_value=10**9)),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_both_weights_lie_in_the_unit_interval(self, n, seconds_per_unit, pieces):
+        # the ranking reads beta as an attribute in [0, 1] and checks it nowhere
+        state = ReliabilityState(n, seconds_per_unit)
+        t_ms = 0
+        for q, length_ms in pieces:
+            state.q = q
+            t_ms += length_ms
+            close_interval(state, t_ms)
+            assert 0.0 <= state.beta <= 1.0
+            assert 0.0 <= state.beta_cumulative <= 1.0
+
     def test_rejects_non_forward_close(self):
         state = ReliabilityState(2, interval_start_ms=5000)
         with pytest.raises(ValueError):

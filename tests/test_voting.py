@@ -1,5 +1,6 @@
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from edgeprep.voting import (
     membership_matrix,
     normalize,
     select_optimal,
+    vote,
     MembershipMatrix,
     NormalizedMeasurements,
 )
@@ -373,3 +375,50 @@ class TestSumsAreExact:
         row = [1e16, 1.0, -1e16]
         assert (row[0] + row[1]) + row[2] == 0.0
         assert cumulative_scores(MembershipMatrix(1, [row])) == (1.0,)
+
+
+def chain_vote(raw, cfg, kf_cfg):
+    """Each reading's alpha and the optimal set's indices by the five public
+    steps, the set size clamped to the readings as a cohort's vote clamps
+    it."""
+    measurements = [(f"s{i:02d}", v) for i, v in enumerate(raw)]
+    if cfg.k is not None and cfg.k > len(raw):
+        cfg = replace(cfg, k=len(raw))
+    norm = normalize(measurements)
+    optimal = select_optimal(cumulative_scores(membership_matrix(norm, cfg)), norm, cfg)
+    alphas = assign_accuracy(norm, optimal, kf_cfg)
+    index = {sid: i for i, (sid, _) in enumerate(measurements)}
+    return [alphas[sid] for sid, _ in measurements], [index[sid] for sid in optimal.sensor_ids]
+
+
+class TestVoteKernel:
+    """``vote`` over readings in id order gives the five-step chain's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(st.one_of(finite_floats, mixed_magnitudes), min_size=2, max_size=40),
+        p=st.integers(min_value=1, max_value=8).map(lambda h: 2 * h),
+        c=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        k=st.one_of(st.none(), st.integers(min_value=1, max_value=50)),
+        noise=st.floats(min_value=1e-6, max_value=1e3),
+    )
+    def test_matches_the_public_chain_bit_for_bit(self, raw, p, c, k, noise):
+        cfg = VotingConfig(p=p, c=c, k=k)
+        kf_cfg = KalmanConfig(measurement_noise=noise)
+        alphas, top = vote(raw, cfg, kf_cfg)
+        want_alphas, want_top = chain_vote(raw, cfg, kf_cfg)
+        assert [a.hex() for a in alphas] == [a.hex() for a in want_alphas]
+        assert top == want_top
+
+    @given(raw=st.lists(mixed_magnitudes, min_size=2, max_size=40),
+           k=st.one_of(st.none(), st.integers(min_value=1, max_value=50)))
+    def test_alpha_lies_in_the_unit_interval(self, raw, k):
+        alphas, top = vote(raw, VotingConfig(k=k), KalmanConfig())
+        assert all(0.0 <= a <= 1.0 for a in alphas)
+        assert len(top) == min(k or default_k(len(raw)), len(raw)) == len(set(top))
+
+    def test_an_estimate_that_is_not_a_number_is_refused(self):
+        # the third optimal reading meets a state of -inf: inf - inf
+        raw = [1e308, -1e308, 1e308, -1e308, 1e308]
+        with pytest.raises(ValueError, match="not a number"):
+            vote(raw, VotingConfig(), KalmanConfig())
