@@ -433,14 +433,11 @@ class Pipeline:
         self._static: dict[str, tuple[float, float, float]] = {
             sid: static_profile(spec) for sid, spec in self.specs.items()
         }
-        # the ranking kernel trusts its rows: every static score is checked
-        # here, once; alpha and beta lie in [0, 1] by their formulas, and
+        # the ranking kernel trusts its rows: static_score refuses the raw
+        # values that would leave [0, 1], beta lies in [0, 1] by its formula,
+        # alpha is checked where a ranking reads it (see _cohort_rows), and
         # every cohort's ids ascend, unique, by the duplicate check and the
         # sort above
-        for sid, scores in self._static.items():
-            if not all(0.0 <= score <= 1.0 for score in scores):
-                raise ConfigError(f"static scores {scores} of sensor {sid!r} "
-                                  f"must lie in [0, 1]")
         # interval lengths are measured in expected-sample units so a fully
         # consistent sensor sits on the Poisson mode at any cadence
         self._dyn: dict[str, _SensorDyn] = {}
@@ -506,8 +503,15 @@ class Pipeline:
         """The cohort's state rows, one tuple of five floats per id."""
         dyn, static = self._dyn, self._static
         if beta_source == "interval":
-            return [(dyn[sid].alpha, dyn[sid].rel.beta) + static[sid] for sid in ids]
-        return [(dyn[sid].alpha, dyn[sid].rel.beta_cumulative) + static[sid] for sid in ids]
+            rows = [(dyn[sid].alpha, dyn[sid].rel.beta) + static[sid] for sid in ids]
+        else:
+            rows = [(dyn[sid].alpha, dyn[sid].rel.beta_cumulative) + static[sid] for sid in ids]
+        # alpha is in [0, 1] unless a vote's Kalman estimate went through inf
+        # to NaN; a later vote may replace it, so only a ranking refuses it
+        for row in rows:
+            if row[0] != row[0]:
+                raise ValueError("state entries must lie in [0, 1]")
+        return rows
 
     def _scope(self, svc: ServiceSpec) -> str | None:
         """Who may reuse a service's work: its own id in per-service mode,

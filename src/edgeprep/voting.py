@@ -243,7 +243,10 @@ def vote(raw: Sequence[float], cfg: VotingConfig, kf_cfg: KalmanConfig) -> tuple
     when ``k`` is unset, and at most every reading.  Gives the bits of
     :func:`normalize` -> :func:`membership_matrix` ->
     :func:`cumulative_scores` -> :func:`select_optimal` ->
-    :func:`assign_accuracy`, through the same helpers.
+    :func:`assign_accuracy`, through the same helpers, NaN weights
+    included: readings near the float range can take the Kalman estimate
+    through inf to NaN, and the pipeline refuses such a weight only when a
+    ranking reads it.
     """
     n = len(raw)
     values, _, _ = _standardize(raw)
@@ -251,7 +254,4 @@ def vote(raw: Sequence[float], cfg: VotingConfig, kf_cfg: KalmanConfig) -> tuple
     # a set size beyond the readings keeps them all, as the slice in _top does
     top = _top(scores, cfg.k if cfg.k is not None else default_k(n))
     y = kalman_fuse([raw[i] for i in top], kf_cfg)
-    if y != y:
-        # readings near the float range can take the estimate through inf
-        raise ValueError("the Kalman estimate over the optimal set is not a number")
     return _accuracy(raw, y), top

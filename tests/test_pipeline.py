@@ -452,15 +452,6 @@ class TestPipeline:
         assert result.errors == {}
         assert result.features["svc"].components == {"Lux_mean": 2.0}
 
-    @pytest.mark.parametrize("scores", [(1.0, 1.5, 0.5), (-0.1, 1.0, 1.0), (1.0, 1.0, math.nan)])
-    def test_static_scores_outside_the_unit_interval_rejected(self, monkeypatch, scores):
-        # the ranking kernel trusts the rows the pipeline builds, so the
-        # static scores are checked once, when the pipeline is built
-        monkeypatch.setattr(pipeline_module, "static_profile", lambda spec: scores)
-        with pytest.raises(ConfigError, match="static scores .* of sensor 't1'"):
-            Pipeline([make_spec("t1")], [simple_service()],
-                     synth_streams({"t1": ("temperature", 20.0)}))
-
     @pytest.mark.parametrize("mode, misses, hits", [
         (Mode.UNIFIED, [2], [1]),
         (Mode.TOPSIS_BASELINE, [2], [1]),
@@ -508,6 +499,32 @@ class TestPipeline:
         alphas = {sid: pipeline._dyn[sid].alpha for sid in ("t1", "t2", "t3")}
         assert alphas["t1"] == 1.0 and alphas["t2"] == 1.0
         assert alphas["t3"] == pytest.approx(np.exp(-8.0), rel=1e-9)
+
+    @staticmethod
+    def run_with_a_nan_vote(nan_at_ms, last_ms):
+        # five sensors read 20.0 every second but once, when they read
+        # values near the float range that take the vote's Kalman estimate
+        # through inf to NaN; the service ranks every 5 s
+        ids = [f"t{i}" for i in range(1, 6)]
+        times = tuple(range(1000, last_ms + 1, 1000))
+        streams = {
+            sid: SensorStream(sid, Modality.TEMPERATURE, times,
+                              tuple(extreme if t == nan_at_ms else 20.0 for t in times))
+            for sid, extreme in zip(ids, (1e308, -1e308, 1e308, -1e308, 1e308))
+        }
+        pipeline = Pipeline([make_spec(sid) for sid in ids],
+                            [simple_service(period_s=5.0)], streams)
+        return pipeline, [pipeline.run_cycle(t_ms) for t_ms in times]
+
+    def test_a_nan_alpha_replaced_before_any_ranking_reads_it_is_harmless(self):
+        pipeline, results = self.run_with_a_nan_vote(nan_at_ms=2000, last_ms=5000)
+        assert results[-1].errors == {}
+        assert len(results[-1].trace) == 5
+        assert all(pipeline._dyn[f"t{i}"].alpha == 1.0 for i in range(1, 6))
+
+    def test_a_nan_alpha_that_a_ranking_reads_is_refused(self):
+        with pytest.raises(ValueError, match=r"state entries must lie in \[0, 1\]"):
+            self.run_with_a_nan_vote(nan_at_ms=5000, last_ms=5000)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_cycle_times_must_increase(self, mode):

@@ -45,6 +45,20 @@ class TestStaticScore:
         with pytest.raises(ValueError):
             static_score(float("nan"), Direction.BENEFIT)
 
+    @given(raw=st.floats(min_value=0.0, allow_infinity=False),
+           direction=st.sampled_from(list(Direction)))
+    def test_every_accepted_raw_value_scores_in_the_unit_interval(self, raw, direction):
+        # the ranking kernel trusts the static scores of its rows: this
+        # range and the refusal below are their only check
+        assert 0.0 <= static_score(raw, direction) <= 1.0
+
+    @given(raw=st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                         st.sampled_from([math.inf, math.nan])),
+           direction=st.sampled_from(list(Direction)))
+    def test_every_other_raw_value_is_refused(self, raw, direction):
+        with pytest.raises(ValueError, match="raw attribute value"):
+            static_score(raw, direction)
+
     def test_profile_needs_every_static_attribute(self):
         spec = make_spec("s1")
         assert static_profile(spec) == pytest.approx(

@@ -417,8 +417,10 @@ class TestVoteKernel:
         assert all(0.0 <= a <= 1.0 for a in alphas)
         assert len(top) == min(k or default_k(len(raw)), len(raw)) == len(set(top))
 
-    def test_an_estimate_that_is_not_a_number_is_refused(self):
+    def test_an_estimate_that_is_not_a_number_gives_nan_weights_as_the_chain(self):
         # the third optimal reading meets a state of -inf: inf - inf
         raw = [1e308, -1e308, 1e308, -1e308, 1e308]
-        with pytest.raises(ValueError, match="not a number"):
-            vote(raw, VotingConfig(), KalmanConfig())
+        alphas, top = vote(raw, VotingConfig(), KalmanConfig())
+        want_alphas, want_top = chain_vote(raw, VotingConfig(), KalmanConfig())
+        assert all(math.isnan(a) for a in alphas + want_alphas)
+        assert top == want_top
