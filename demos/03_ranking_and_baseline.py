@@ -22,16 +22,14 @@ states = np.array([
 ])
 
 
-def show(title, result, qos):
-    """Print the cohort's order; the service selects its leading
+def show(title, ranking, qos):
+    """Print the cohort in rank order; the service selects its leading
     ``select_count`` ids."""
     print(f"{title}:")
-    records = {rec.sensor_id: rec for rec in result.records}
-    for rank, sid in enumerate(result.order, start=1):
-        rec = records[sid]
+    _, ranked = ranking
+    for sid, d_m, d_a, d_ma, rank in sorted(ranked, key=lambda row: row[4]):
         marker = " <- selected" if rank <= qos.select_count else ""
-        print(f"  {rank}. {sid:<20} d_M={rec.d_m:.3f} d_A={rec.d_a:.4f} "
-              f"d_MA={rec.d_ma:.3f}{marker}")
+        print(f"  {rank}. {sid:<20} d_M={d_m:.3f} d_A={d_a:.4f} d_MA={d_ma:.3f}{marker}")
     print()
 
 

@@ -7,10 +7,10 @@ filter (state transition 1, observation 1): slow ambient quantities do not
 need a richer motion model, and the filter avoids the window-size dilemma of
 moving-average smoothers.
 
-:func:`align` and :func:`kalman_fuse_streams` take streams and a grid from
-any caller; :func:`fuse_window`, the pipeline's kernel, fuses a window in
-one pass over bounded columns of validated streams, through the same
-private helpers, so each rule has one home.
+:func:`align` and :func:`kalman_fuse_streams` take streams and a grid of
+float rows from any caller; :func:`fuse_window`, the pipeline's kernel,
+fuses a window in one pass over bounded columns of validated streams,
+building no grid, through the same private helpers.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .model import SensorStream, positive_finite
 
@@ -58,12 +56,21 @@ class KalmanConfig:
 class AlignedGrid:
     """Streams resampled onto a shared tick grid; NaN marks a missing value.
 
-    ``values`` has shape (len(sensor_ids), len(ticks_ms)).
+    ``values`` holds one row per sensor id, and each row one float per tick;
+    rows of any other shape are refused.
     """
 
     ticks_ms: tuple[int, ...]
     sensor_ids: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(map(float, row)) for row in self.values)
+        n, width = len(self.sensor_ids), len(self.ticks_ms)
+        if len(rows) != n or any(len(row) != width for row in rows):
+            raise ValueError(f"values must be {n} rows, one per sensor id, of {width} "
+                             f"entries, one per tick")
+        object.__setattr__(self, "values", rows)
 
 
 @dataclass(frozen=True)
@@ -111,12 +118,11 @@ def align(
     ordered = sorted(streams, key=lambda s: s.sensor_id)
     ticks = tuple(int(t) for t in ticks_ms)
     half_ms = delta_ms / 2
-    rows = [list(_cells(s.timestamps_ms, s.values, 0, len(s), ticks, half_ms, max_gap_ms))
-            for s in ordered]
     return AlignedGrid(
         ticks_ms=ticks,
         sensor_ids=tuple(s.sensor_id for s in ordered),
-        values=np.array(rows, dtype=float).reshape(len(ordered), len(ticks)),
+        values=tuple(tuple(_cells(s.timestamps_ms, s.values, 0, len(s), ticks, half_ms,
+                                  max_gap_ms)) for s in ordered),
     )
 
 
@@ -175,8 +181,7 @@ def kalman_fuse_streams(grid: AlignedGrid, cfg: KalmanConfig | None = None) -> F
     tick in ascending sensor-id order; ticks with no data are skipped.  The
     state starts at the first available value.
     """
-    timestamps, values = _fuse_columns(grid.ticks_ms, grid.values.T.tolist(),
-                                       cfg or KalmanConfig())
+    timestamps, values = _fuse_columns(grid.ticks_ms, zip(*grid.values), cfg or KalmanConfig())
     return FusedStream(timestamps_ms=timestamps, values=values, source_ids=grid.sensor_ids)
 
 

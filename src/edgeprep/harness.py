@@ -519,10 +519,21 @@ def _service(value, path: str) -> ServiceSpec:
                   {"window": (_WINDOW, _window)}, qos=qos)
 
 
+def _modality_label(value, path: str) -> str:
+    """A sensor's or generator's ``modality``: a label that is not blank."""
+    label = _scalar(str, value, path)
+    try:
+        Modality.parse(label)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return label
+
+
 def _generators(value, path: str, outer: Mapping) -> list[GeneratorSpec]:
     """Generator specs, whose duration defaults to ``outer``'s ``duration_s``."""
     horizon = {"duration_s": outer["duration_s"]} if "duration_s" in outer else {}
-    return _items(lambda g, p: _build(GeneratorSpec, {**horizon, **_mapping(g, p)}, p),
+    return _items(lambda g, p: _build(GeneratorSpec, {**horizon, **_mapping(g, p)}, p,
+                                      {"modality": ("modality", _modality_label)}),
                   value, path)
 
 
@@ -546,7 +557,8 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
         return _generators(value.get("synthetic", []), f"{path}.synthetic", raw), csv_path
 
     sensor = partial(_build, SensorSpec, derived={
-        "modality": (("modality", "modality_tag"), lambda v, p: Modality.parse(_scalar(str, v, p))),
+        "modality": (("modality", "modality_tag"),
+                     lambda v, p: Modality.parse(_modality_label(v, p))),
         "static_attrs": ("static_attrs", _static_attrs),
     })
 

@@ -64,13 +64,15 @@ class Modality(enum.Enum):
 
         Known labels map to their enum member with an empty tag; any other
         label maps to ``OTHER`` with the label stripped and lower-cased as
-        its tag, ``"other"`` when that is empty.
+        its tag.  A blank label names no modality and is refused.
         """
         norm = label.strip().lower()
+        if not norm:
+            raise ConfigError(f"modality label {label!r} is blank")
         member = _KNOWN_MODALITIES.get(norm)
         if member is not None:
             return member, ""
-        return cls.OTHER, norm or "other"
+        return cls.OTHER, norm
 
 
 #: the closed set of modalities by label, ``OTHER`` excluded
@@ -79,9 +81,12 @@ _KNOWN_MODALITIES = {m.value: m for m in Modality if m is not Modality.OTHER}
 
 def _canonical_tag(modality: Modality, tag: str) -> str:
     """``tag`` as :meth:`Modality.parse` reads back the label of an
-    ``OTHER`` modality; the tags of other modalities are kept as given."""
+    ``OTHER`` modality, ``"other"`` for a blank one; the tags of other
+    modalities are kept as given."""
     if modality is not Modality.OTHER:
         return tag
+    if not tag.strip():
+        return "other"
     parsed, canonical = Modality.parse(tag)
     if parsed is not Modality.OTHER:
         raise ConfigError(f"modality tag {tag!r} names the known modality {parsed.value!r}")

@@ -41,7 +41,7 @@ from .model import (
     canonical_label,
     seconds_to_ms,
 )
-from .ranking import RankedRow, rank_rows, static_profile, topsis_select
+from .ranking import Ranking, rank_rows, static_profile, topsis_select
 from .reliability import ReliabilityState, close_interval
 from .voting import VotingConfig, vote
 
@@ -479,19 +479,15 @@ class Pipeline:
             for mk in svc.qos.modality_needs
         }
 
-        # (service id, modality key) -> the fixed ranking, shaped as rank_rows'
-        self._topsis: dict[tuple[str, str], tuple[tuple[str, ...], list[RankedRow]]] = {}
+        # (service id, modality key) -> the fixed ranking
+        self._topsis: dict[tuple[str, str], Ranking] = {}
         if mode is Mode.TOPSIS_BASELINE:
             for svc in self.services:
                 for mk in svc.qos.modality_needs:
                     live = self._live[(svc.service_id, mk)]
-                    if not live:
-                        continue
-                    result = topsis_select(live, self._cohort_rows(live, "interval"), svc.qos)
-                    rank_of = {sid: rank for rank, sid in enumerate(result.order, start=1)}
-                    self._topsis[(svc.service_id, mk)] = (
-                        result.order, [(*record, rank_of[record.sensor_id])
-                                       for record in result.records])
+                    if live:
+                        self._topsis[(svc.service_id, mk)] = topsis_select(
+                            live, self._cohort_rows(live, "interval"), svc.qos)
 
         steps = ([svc.period_ms for svc in self.services] + list(self._granularity_ms.values())
                  + [self.reliability_interval_ms])

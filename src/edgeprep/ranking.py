@@ -8,9 +8,10 @@ with a weighted cosine angular term, each rescaled by the inverse cohort
 mean so neither dominates.  A conventional TOPSIS ranking over the same
 attribute matrix is provided as a static baseline.
 
-:func:`rank_and_select` checks a cohort it is given; :func:`rank_rows`,
-the pipeline's kernel, ranks rows the pipeline built and validated itself,
-through the same private helpers, so each formula has one home.
+Every ranking has one shape, :data:`Ranking`: the ids in rank order, and
+one :data:`RankedRow` per sensor in id order.  :func:`rank_and_select` and
+:func:`topsis_select` check a cohort they are given; :func:`rank_rows`,
+the pipeline's kernel, ranks rows the pipeline built and validated itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -33,8 +34,8 @@ from .model import (
 )
 
 __all__ = [
-    "SensorDistance",
-    "RankingResult",
+    "RankedRow",
+    "Ranking",
     "static_score",
     "static_profile",
     "scaling_coefficients",
@@ -44,29 +45,15 @@ __all__ = [
 ]
 
 
-class SensorDistance(NamedTuple):
-    """Distance record for one sensor.
+#: one sensor of a ranked cohort: ``(sensor_id, d_m, d_a, d_ma, rank)``, the
+#: magnitude and angular components and their scaled combination, or for
+#: TOPSIS the distances to the ideal and anti-ideal rows and ``1 - closeness``
+#: (ascending ``d_ma`` is descending closeness); ``rank`` is 1-based
+RankedRow = tuple[str, float, float, float, int]
 
-    For the direction-aware ranking, ``d_m``/``d_a`` are the magnitude and
-    angular components and ``d_ma`` their scaled combination.  For the
-    TOPSIS baseline, ``d_m``/``d_a`` are the distances to the ideal and
-    anti-ideal rows and ``d_ma`` is ``1 - closeness`` (so ascending ``d_ma``
-    is descending closeness in both schemes).
-    """
-
-    sensor_id: str
-    d_m: float
-    d_a: float
-    d_ma: float
-
-
-class RankingResult(NamedTuple):
-    """A cohort's records, in id order, and its ids by ascending ``d_ma``."""
-
-    records: tuple[SensorDistance, ...]
-    xi_m: float
-    xi_a: float
-    order: tuple[str, ...]
+#: a cohort's ranking: its ids by ascending ``d_ma``, ties by ascending id,
+#: and one :data:`RankedRow` per sensor, in id order
+Ranking = tuple[tuple[str, ...], list[RankedRow]]
 
 
 def static_score(raw_theta: float, direction: Direction) -> float:
@@ -74,14 +61,19 @@ def static_score(raw_theta: float, direction: Direction) -> float:
 
     Cost attributes decay directly: ``exp(-raw)``.  Benefit attributes are
     first inverted to the cost ``1 / (1 + raw)`` so that larger raw values
-    approach the ideal.
+    approach the ideal.  A cost value whose score underflows to 0 (from
+    about 745 on) is refused: every such value would score alike.
     """
     raw = float(raw_theta)
     if not math.isfinite(raw) or raw < 0:
         raise ValueError(f"raw attribute value must be finite and >= 0, got {raw!r}")
     if direction is Direction.BENEFIT:
         raw = 1.0 / (1.0 + raw)
-    return math.exp(-raw)
+    score = math.exp(-raw)
+    if score == 0.0:
+        raise ValueError(f"raw attribute value {raw!r} is too large: its score exp(-{raw!r}) "
+                         f"underflows to 0; give it in a coarser unit")
+    return score
 
 
 def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
@@ -91,7 +83,11 @@ def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
         attr = spec.static_attrs.get(name)
         if attr is None:
             raise ConfigError(f"sensor {spec.sensor_id!r} lacks static attribute {name!r}")
-        out.append(static_score(attr.value, attr.direction))
+        try:
+            out.append(static_score(attr.value, attr.direction))
+        except ValueError as exc:
+            raise ConfigError(f"sensor {spec.sensor_id!r} static attribute {name!r}: {exc}"
+                              ) from None
     return tuple(out)
 
 
@@ -138,25 +134,23 @@ def _checked_cohort(sensor_ids: Sequence[str], states: ArrayLike) -> list[tuple[
     return list(zip(*[rows] * width))
 
 
-def _order(d_mas: Sequence[float]) -> list[int]:
-    """Row indices by ascending ``d_ma``; the rows are in ascending id order,
-    and a stable sort keeps equal distances in that order."""
-    return sorted(range(len(d_mas)), key=d_mas.__getitem__)
-
-
 def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[float],
-            d_mas: Sequence[float], xi_m: float, xi_a: float) -> RankingResult:
-    """Records in id order, and the ids by ascending ``d_ma``, ties by
-    ascending id."""
-    records = tuple(map(SensorDistance, sensor_ids, d_ms, d_as, d_mas))
-    order = tuple(sensor_ids[i] for i in _order(d_mas))
-    return RankingResult(records, xi_m, xi_a, order)
+            d_mas: Sequence[float]) -> Ranking:
+    """The ids by ascending ``d_ma``, and each sensor's row with its rank.
+
+    The ids ascend, and a stable sort keeps equal distances in that order.
+    """
+    order = sorted(range(len(d_mas)), key=d_mas.__getitem__)
+    ranks = [0] * len(order)
+    for rank, i in enumerate(order, start=1):
+        ranks[i] = rank
+    return (tuple(sensor_ids[i] for i in order),
+            list(zip(sensor_ids, d_ms, d_as, d_mas, ranks)))
 
 
 def _distances(rows: Sequence[Sequence[float]], qos: QosProfile
-               ) -> tuple[list[float], list[float], list[float], float, float]:
-    """``d_m``, ``d_a`` and ``d_ma`` of each row of five floats in [0, 1],
-    and the scaling coefficients ``xi_m`` and ``xi_a``."""
+               ) -> tuple[list[float], list[float], list[float]]:
+    """``d_m``, ``d_a`` and ``d_ma`` of each row of five floats in [0, 1]."""
     # QosProfile has validated both rows: every w, v and a is >= 0, so the
     # absolute values in d_a are the products themselves
     v0, v1, v2, v3, v4 = qos.utopia
@@ -179,61 +173,47 @@ def _distances(rows: Sequence[Sequence[float]], qos: QosProfile
         d_as.append(0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a)
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     d_mas = [math.hypot(xi_m * d_m, xi_a * d_a) for d_m, d_a in zip(d_ms, d_as)]
-    return d_ms, d_as, d_mas, xi_m, xi_a
+    return d_ms, d_as, d_mas
 
 
-def rank_and_select(
-    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
-) -> RankingResult:
+def rank_rows(sensor_ids: Sequence[str], rows: Sequence[Sequence[float]], qos: QosProfile
+              ) -> Ranking:
+    """The ranking of trusted rows, as :func:`rank_and_select` ranks a
+    cohort it has checked.
+
+    ``rows`` holds one row of five floats in [0, 1] per id of the strictly
+    ascending ``sensor_ids``, as the pipeline builds them; nothing is
+    re-checked.
+    """
+    return _ranked(sensor_ids, *_distances(rows, qos))
+
+
+def rank_and_select(sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile) -> Ranking:
     """Order a cohort by direction-aware distance to the service utopia.
 
     ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
     :data:`ATTRIBUTE_NAMES` order, one row per id of the strictly ascending
-    ``sensor_ids``.  Ties break by ascending sensor id; a caller selects a
-    prefix of ``order``.
+    ``sensor_ids``.  Returns the ids by ascending ``d_ma``, ties by
+    ascending id, and each sensor's :data:`RankedRow`; a caller selects a
+    prefix of the order.
 
     Per sensor row ``a``, against utopia ``v`` with weights ``w``:
     ``d_m = sqrt(sum(w (a - v)^2))`` and ``d_a = 1 - sum(|w a| |w v|) /
     sqrt(sum((w a)^2) sum((w v)^2))``, clipped to [0, 1], and 1 when the
     root is 0.  Each sum adds its five terms left to right, as numpy sums a
-    row of five, and squares are products, as numpy squares.
+    row of five, and squares are products, as numpy squares.  ``d_ma`` is
+    ``hypot(xi_m d_m, xi_a d_a)`` with :func:`scaling_coefficients`.
     """
-    rows = _checked_cohort(sensor_ids, states)
-    return _ranked(sensor_ids, *_distances(rows, qos))
+    return rank_rows(sensor_ids, _checked_cohort(sensor_ids, states), qos)
 
 
-#: one sensor of a ranked cohort: ``(sensor_id, d_m, d_a, d_ma, rank)``
-RankedRow = tuple[str, float, float, float, int]
-
-
-def rank_rows(sensor_ids: Sequence[str], rows: Sequence[Sequence[float]], qos: QosProfile
-              ) -> tuple[tuple[str, ...], list[RankedRow]]:
-    """One ranking of trusted rows: the ids by ascending ``d_ma``, and each
-    sensor's distances and 1-based rank, in id order.
-
-    ``rows`` holds one row of five floats in [0, 1] per id of the strictly
-    ascending ``sensor_ids``, as the pipeline builds them; nothing is
-    re-checked.  Gives the bits and the order of :func:`rank_and_select`,
-    through the same helpers.
-    """
-    d_ms, d_as, d_mas, _, _ = _distances(rows, qos)
-    order = _order(d_mas)
-    ranks = [0] * len(order)
-    for rank, i in enumerate(order, start=1):
-        ranks[i] = rank
-    return (tuple(sensor_ids[i] for i in order),
-            list(zip(sensor_ids, d_ms, d_as, d_mas, ranks)))
-
-
-def topsis_select(
-    sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile
-) -> RankingResult:
+def topsis_select(sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile) -> Ranking:
     """Conventional TOPSIS ordering of the same attribute matrix.
 
-    Takes the cohort as :func:`rank_and_select` does.  Vector
-    (root-sum-square) column normalization, weighting, ideal and anti-ideal
-    rows, closeness coefficient ``d- / (d+ + d-)``; the order is descending
-    closeness.  All five attributes are benefit criteria here (ideal =
+    Takes a cohort and returns its ranking as :func:`rank_and_select` does.
+    Vector (root-sum-square) column normalization, weighting, ideal and
+    anti-ideal rows, closeness coefficient ``d- / (d+ + d-)``; the order is
+    descending closeness.  All five attributes are benefit criteria here (ideal =
     column max).  The method sees only the attribute snapshot it is given;
     it has no notion of per-interval updates, which is exactly what makes it
     a static baseline.
@@ -252,5 +232,4 @@ def topsis_select(
     closeness = np.ones(len(sensor_ids))
     span = d_plus + d_minus
     np.divide(d_minus, span, out=closeness, where=span > 0)
-    return _ranked(sensor_ids, d_plus.tolist(), d_minus.tolist(), (1.0 - closeness).tolist(),
-                   1.0, 1.0)
+    return _ranked(sensor_ids, d_plus.tolist(), d_minus.tolist(), (1.0 - closeness).tolist())

@@ -44,17 +44,18 @@ def cohort_of(*states):
             np.array([row for _, row in states], dtype=float))
 
 
-def record_of(result, sensor_id):
-    """The record of ``sensor_id`` in a ranking result."""
-    return next(rec for rec in result.records if rec.sensor_id == sensor_id)
+def record_of(ranking, sensor_id):
+    """``(sensor_id, d_m, d_a, d_ma, rank)`` of ``sensor_id`` in a ranking."""
+    _, ranked = ranking
+    return next(row for row in ranked if row[0] == sensor_id)
 
 
 def row_components(row, utopia=(1.0,) * 5, weights=(1.0,) * 5):
     """``(d_m, d_a)`` of one attribute row ranked alone against ``utopia``
     with ``weights``."""
     qos = QosProfile(service_id="svc", utopia=tuple(utopia), weights=tuple(weights))
-    record = rank_and_select(("s",), np.array([row], dtype=float), qos).records[0]
-    return record.d_m, record.d_a
+    _, [(_, d_m, d_a, _, _)] = rank_and_select(("s",), np.array([row], dtype=float), qos)
+    return d_m, d_a
 
 
 def exact_sum(values):

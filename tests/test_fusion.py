@@ -64,23 +64,23 @@ class TestAlign:
     def test_identity_when_already_on_grid(self):
         s = stream("s1", [(1000, 1.0), (2000, 2.0), (3000, 3.0)])
         grid = align([s], (1000, 2000, 3000), 1000, 2000)
-        assert grid.values.tolist() == [[1.0, 2.0, 3.0]]
+        assert grid.values == ((1.0, 2.0, 3.0),)
 
     def test_missing_tick_is_interpolated(self):
         s = stream("s1", [(1000, 1.0), (3000, 3.0)])
         grid = align([s], (1000, 2000, 3000), 1000, 2000)
-        assert grid.values[0, 1] == 2.0
+        assert grid.values[0][1] == 2.0
 
     def test_gap_beyond_max_gap_is_missing(self):
         s = stream("s1", [(1000, 1.0), (9000, 9.0)])
         grid = align([s], (1000, 5000, 9000), 1000, 2000)
-        assert math.isnan(grid.values[0, 1])
+        assert math.isnan(grid.values[0][1])
 
     def test_nearest_sample_within_half_tick_wins(self):
         s = stream("s1", [(1400, 7.0)])
         grid = align([s], (1000, 2000), 1000, 0)
-        assert grid.values[0, 0] == 7.0  # 400 ms away, inside half a tick
-        assert math.isnan(grid.values[0, 1])
+        assert grid.values[0][0] == 7.0  # 400 ms away, inside half a tick
+        assert math.isnan(grid.values[0][1])
 
     def test_sensor_rows_sorted_by_id(self):
         a = stream("b", [(1000, 1.0)])
@@ -92,8 +92,27 @@ class TestAlign:
     def test_a_sample_exactly_max_gap_away_is_interpolated(self, tick, expected):
         # 2.002 s is 2001.9999999999998 ms in float seconds times 1000
         s = stream("s1", [(0, 0.0), (3000, 3.0)])
-        value = align([s], (tick,), delta_ms=1001, max_gap_ms=2002).values[0, 0]
+        value = align([s], (tick,), delta_ms=1001, max_gap_ms=2002).values[0][0]
         assert value == pytest.approx(expected, nan_ok=True)
+
+
+class TestAlignedGrid:
+    def test_a_row_shorter_than_the_ticks_is_refused(self):
+        # fusing it once dropped tick 3000 silently
+        grid = dict(ticks_ms=(1000, 2000, 3000), sensor_ids=("a",), values=np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="1 rows, one per sensor id, of 3 entries"):
+            kalman_fuse_streams(AlignedGrid(**grid))
+
+    def test_a_grid_with_a_row_missing_is_refused(self):
+        # fusing it once gave a stream that named "b" as a source
+        grid = dict(ticks_ms=(1000, 2000), sensor_ids=("a", "b"), values=np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="2 rows, one per sensor id, of 2 entries"):
+            kalman_fuse_streams(AlignedGrid(**grid))
+
+    def test_entries_are_stored_as_float_rows(self):
+        grid = AlignedGrid(ticks_ms=(1000, 2000), sensor_ids=("a",), values=np.array([[1, 2]]))
+        assert grid.values == ((1.0, 2.0),)
+        assert [type(v) for v in grid.values[0]] == [float, float]
 
 
 class TestKalmanFuse:
@@ -276,8 +295,8 @@ class TestMatchesCellReference:
         streams, ticks, delta_ms, max_gap_ms = case
         grid = align(streams, ticks, delta_ms, max_gap_ms)
         expected = cell_reference_align(streams, ticks, delta_ms, max_gap_ms)
-        assert grid.values.shape == expected.shape
-        assert grid.values.tobytes() == expected.tobytes()
+        assert [len(row) for row in grid.values] == [len(ticks)] * len(streams)
+        assert np.array(grid.values).reshape(expected.shape).tobytes() == expected.tobytes()
         cfg = KalmanConfig()
         fused = kalman_fuse_streams(grid, cfg)
         timestamps, values = column_reference_fuse(ticks, expected, cfg)
@@ -286,13 +305,13 @@ class TestMatchesCellReference:
 
     def test_a_tie_goes_to_the_earlier_sample(self):
         s = stream("s1", [(1500, 1.0), (2500, 2.0)])
-        assert align([s], (2000,), 1000, 0).values.tolist() == [[1.0]]
+        assert align([s], (2000,), 1000, 0).values == ((1.0,),)
 
     def test_an_unbounded_gap_still_needs_a_sample_on_each_side(self):
         s = stream("s1", [(1000, 1.0), (9000, 9.0)])
         grid = align([s], (0, 5000, 10_000), 1000, math.inf)
-        assert math.isnan(grid.values[0, 0]) and math.isnan(grid.values[0, 2])
-        assert grid.values[0, 1] == 5.0
+        assert math.isnan(grid.values[0][0]) and math.isnan(grid.values[0][2])
+        assert grid.values[0][1] == 5.0
 
 
 @st.composite

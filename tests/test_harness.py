@@ -615,6 +615,18 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=re.escape(f".{key}:")):
             parse_with(level, key, value)
 
+    @pytest.mark.parametrize("level, path", [
+        ("sensor", "scenario.sensors[0].modality"),
+        ("generator", "scenario.streams.synthetic[0].modality"),
+        ("synth generator", "spec.generators[0].modality"),
+    ])
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_modality_label_is_named(self, level, path, label):
+        # it once became modality "other" silently
+        message = f"{path}: modality label {label!r} is blank"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_with(level, "modality", label)
+
     @pytest.mark.parametrize("level, key", [
         ("sensor", "sensor_id"),
         ("sensor", "zone"),
@@ -724,8 +736,8 @@ class TestStrictParsing:
         read = load_scenario(path).services[0].qos
         assert read.utopia == (0.5,) * 5
         ids, rows = ("full", "half"), np.array([[1.0] * 5, [0.5] * 5])
-        assert rank_and_select(ids, rows, replace(read, utopia=(1.0,) * 5)).order[:1] == ("full",)
-        assert rank_and_select(ids, rows, read).order[:1] == ("half",)
+        assert rank_and_select(ids, rows, replace(read, utopia=(1.0,) * 5))[0][:1] == ("full",)
+        assert rank_and_select(ids, rows, read)[0][:1] == ("half",)
 
     def test_streams_name_one_source(self):
         # a run would read the CSV alone and silently drop the generators
@@ -826,6 +838,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("edgeprep: error: scenario.faults[1]: fault on sensor 't7' overflows: "
                        "value inf at 91000 ms from slope_per_s=1e+308\n")
+
+    @pytest.mark.parametrize("value, why", [(800, "underflows to 0"), (-1, "finite and >= 0")])
+    def test_static_attribute_that_cannot_score_is_a_one_line_error(self, tmp_path, capsys,
+                                                                   value, why):
+        # a response time given in milliseconds once scored every sensor 0
+        doc = valid_scenario()
+        doc["sensors"][0]["static_attrs"]["response_time"] = {"value": value}
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("edgeprep: error: sensor 't1' static attribute 'response_time': ")
+        assert why in err
+        assert err.count("\n") == 1
 
     def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
         config = self.malformed_csv_config(tmp_path)

@@ -113,6 +113,12 @@ class TestModality:
         assert modality is Modality.OTHER
         assert tag == "particulates"
 
+    @pytest.mark.parametrize("label", ["", "  ", "\t"])
+    def test_a_blank_label_is_refused(self, label):
+        # it once parsed as modality "other"
+        with pytest.raises(ConfigError, match="is blank"):
+            Modality.parse(label)
+
     @pytest.mark.parametrize("tag, canonical", [("", "other"), ("  ", "other"), ("Lux", "lux"),
                                                 (" Noise_dB ", "noise_db"), ("other", "other")])
     def test_an_other_tag_is_stored_as_a_label_reads_back(self, tag, canonical):

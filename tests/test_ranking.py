@@ -45,12 +45,25 @@ class TestStaticScore:
         with pytest.raises(ValueError):
             static_score(float("nan"), Direction.BENEFIT)
 
-    @given(raw=st.floats(min_value=0.0, allow_infinity=False),
+    @given(raw=st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                         st.floats(min_value=740.0, max_value=750.0)),
            direction=st.sampled_from(list(Direction)))
     def test_every_accepted_raw_value_scores_in_the_unit_interval(self, raw, direction):
         # the ranking kernel trusts the static scores of its rows: this
-        # range and the refusal below are their only check
-        assert 0.0 <= static_score(raw, direction) <= 1.0
+        # range and the refusals below are their only check
+        try:
+            score = static_score(raw, direction)
+        except ValueError:
+            # only a cost whose exp(-raw) underflows is refused
+            assert direction is Direction.COST and math.exp(-raw) == 0.0
+        else:
+            assert 0.0 < score <= 1.0
+
+    @pytest.mark.parametrize("raw", [746.0, 800.0, 10_000.0, 1e308])
+    def test_a_cost_whose_score_underflows_is_refused(self, raw):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            static_score(raw, Direction.COST)
+        assert static_score(raw, Direction.BENEFIT) > 0.0
 
     @given(raw=st.one_of(st.floats(max_value=0.0, exclude_max=True),
                          st.sampled_from([math.inf, math.nan])),
@@ -66,6 +79,12 @@ class TestStaticScore:
         del spec.static_attrs["range"]
         with pytest.raises(ConfigError, match="range"):
             static_profile(spec)
+
+    @pytest.mark.parametrize("response, why", [(-1.0, ">= 0"), (800.0, "underflows")])
+    def test_profile_errors_name_the_sensor_and_the_attribute(self, response, why):
+        message = f"sensor 's1' static attribute 'response_time': .*{why}"
+        with pytest.raises(ConfigError, match=message):
+            static_profile(make_spec("s1", response=response))
 
 
 def euclidean(u, v, w=(1.0,) * 5):
@@ -125,38 +144,43 @@ class TestScalingCoefficients:
 
 
 class TestDirectionAwareDistance:
-    """The combined distance ``d_ma`` of the records ``rank_and_select``
-    returns: ``hypot(xi_m d_m, xi_a d_a)``."""
+    """The combined distance ``d_ma`` of the rows ``rank_and_select``
+    returns: ``hypot(xi_m d_m, xi_a d_a)``, with the coefficients
+    :func:`scaling_coefficients` gives for the cohort's components."""
 
     def test_zero_at_origin(self):
         ids, states = cohort_of(make_state("a", 1, 1, 1, 1, 1), make_state("b", 0.5))
-        record = record_of(rank_and_select(ids, states, qos()), "a")
-        assert (record.d_m, record.d_a, record.d_ma) == (0.0, 0.0, 0.0)
+        _, d_m, d_a, d_ma, _ = record_of(rank_and_select(ids, states, qos()), "a")
+        assert (d_m, d_a, d_ma) == (0.0, 0.0, 0.0)
 
     def test_single_component_reduction(self):
         # every row parallel to the utopia: no angular term, xi_a is 1
         rows = [(x,) * 5 for x in (1.0, 0.5, 0.25)]
-        result = rank_and_select(("a", "b", "c"), rows, qos())
-        assert result.xi_a == 1.0
-        for record in result.records:
-            assert record.d_a == 0.0
-            assert record.d_ma == result.xi_m * record.d_m
+        _, ranked = rank_and_select(("a", "b", "c"), rows, qos())
+        _, d_ms, d_as, d_mas, _ = zip(*ranked)
+        xi_m, xi_a = scaling_coefficients(d_ms, d_as)
+        assert xi_a == 1.0
+        assert d_as == (0.0, 0.0, 0.0)
+        assert d_mas == tuple(xi_m * d_m for d_m in d_ms)
 
     def test_three_four_five(self):
         # the cohort means scale c's components to 3 (magnitude) and 4 (angle)
         profile = QosProfile(service_id="svc", utopia=(1, 0, 0, 0, 0), weights=(1, 1, 0, 0, 0))
         rows = [(1, 0, 0, 0, 0), (0.75, 0, 0, 0, 0), (1, 0.75, 0, 0, 0), (1, 0, 0, 0, 0)]
-        result = rank_and_select(("a", "b", "c", "d"), rows, profile)
-        c = record_of(result, "c")
-        assert result.xi_m * c.d_m == 3.0
-        assert result.xi_a * c.d_a == pytest.approx(4.0, rel=1e-15)
-        assert c.d_ma == 5.0
+        ranking = rank_and_select(("a", "b", "c", "d"), rows, profile)
+        _, d_ms, d_as, _, _ = zip(*ranking[1])
+        xi_m, xi_a = scaling_coefficients(d_ms, d_as)
+        _, d_m, d_a, d_ma, _ = record_of(ranking, "c")
+        assert xi_m * d_m == 3.0
+        assert xi_a * d_a == pytest.approx(4.0, rel=1e-15)
+        assert d_ma == 5.0
 
 
 class TestRankAndSelect:
     def test_singleton_cohort(self):
-        result = rank_and_select(*cohort_of(make_state("only")), qos())
-        assert result.order == ("only",)
+        order, ranked = rank_and_select(*cohort_of(make_state("only")), qos())
+        assert order == ("only",)
+        assert [(sid, rank) for sid, *_, rank in ranked] == [("only", 1)]
 
     def test_utopia_sensor_ranks_first(self):
         cohort = [
@@ -164,9 +188,11 @@ class TestRankAndSelect:
             make_state("low", 0.2, 0.3, 0.1, 0.4, 0.2),
             make_state("mid", 0.5, 0.5, 0.5, 0.5, 0.5),
         ]
-        result = rank_and_select(*cohort_of(*cohort), qos())
-        assert result.order[0] == "ideal"
-        assert record_of(result, "ideal").d_ma == 0.0
+        ranking = rank_and_select(*cohort_of(*cohort), qos())
+        order, _ = ranking
+        assert order[0] == "ideal"
+        *_, d_ma, rank = record_of(ranking, "ideal")
+        assert (d_ma, rank) == (0.0, 1)
 
     def test_three_sensor_brute_force_agreement(self):
         cohort = [
@@ -174,7 +200,7 @@ class TestRankAndSelect:
             make_state("u2", 0.5, 0.4, 0.6, 0.5, 0.45),
             make_state("u3", 0.1, 0.3, 0.2, 0.1, 0.15),
         ]
-        result = rank_and_select(*cohort_of(*cohort), qos())
+        order, ranked = rank_and_select(*cohort_of(*cohort), qos())
         # brute-force evaluation of the distance formulas
         dms, das = [], []
         for _, u in cohort:
@@ -186,9 +212,9 @@ class TestRankAndSelect:
         xi_m = 3 / sum(dms) if sum(dms) > 0 else 1.0
         xi_a = 3 / sum(das) if sum(das) > 0 else 1.0
         combined = [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(dms, das)]
-        assert result.order[:1] == ("u1",)
-        for rec, expected in zip(result.records, combined):
-            assert rec.d_ma == pytest.approx(expected, abs=1e-12)
+        assert order[:1] == ("u1",)
+        for (_, _, _, d_ma, _), expected in zip(ranked, combined):
+            assert d_ma == pytest.approx(expected, abs=1e-12)
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
@@ -205,14 +231,12 @@ class TestRankAndSelect:
             make_state("a", 0.9, 0.8, 0.7, 0.6, 0.5),
             make_state("b", 0.4, 0.3, 0.2, 0.1, 0.2),
         ]
-        base = rank_and_select(*cohort_of(*cohort), qos())
-        worst = base.order[-1]
-        dup = ("zz", dict(cohort)[worst])
+        order, ranked = rank_and_select(*cohort_of(*cohort), qos())
+        dup = ("zz", dict(cohort)[order[-1]])
         extended = rank_and_select(*cohort_of(*cohort, dup), qos())
-        for rec in base.records:
-            after = record_of(extended, rec.sensor_id)
-            assert after.d_m == rec.d_m
-            assert after.d_a == rec.d_a
+        for sid, d_m, d_a, _, _ in ranked:
+            _, after_m, after_a, _, _ = record_of(extended, sid)
+            assert (after_m, after_a) == (d_m, d_a)
 
     @pytest.mark.xfail(
         strict=True,
@@ -241,8 +265,8 @@ class TestRankAndSelect:
         for scale in (0.25, 0.5, 1.0, 2.0):
             w = base_w.copy()
             w[4] *= scale
-            result = rank_and_select(*cohort_of(*cohort), qos(weights=tuple(w)))
-            above = result.order.index("s0") < result.order.index("s1")
+            order, _ = rank_and_select(*cohort_of(*cohort), qos(weights=tuple(w)))
+            above = order.index("s0") < order.index("s1")
             if prev_above is True:
                 assert above, f"s0 dropped below s1 when scaling weight by {scale}"
             prev_above = above
@@ -266,12 +290,12 @@ class TestRankAndSelect:
                    0.13618008450338565, 0.4859997089612143)
         cohort = [make_state(f"s{i}", *matrix[i]) for i in range(3)]
         profile = qos(weights=weights)
-        base = rank_and_select(*cohort_of(*cohort), profile)
-        worst = base.order[-1]
+        base, _ = rank_and_select(*cohort_of(*cohort), profile)
+        worst = base[-1]
         dup_vals = matrix[int(worst[1:])]
-        extended = rank_and_select(*cohort_of(*cohort, make_state("zdup", *dup_vals)), profile)
-        first_original = next(sid for sid in extended.order if sid != "zdup")
-        assert first_original == base.order[0]
+        extended, _ = rank_and_select(*cohort_of(*cohort, make_state("zdup", *dup_vals)), profile)
+        first_original = next(sid for sid in extended if sid != "zdup")
+        assert first_original == base[0]
 
 
 class TestTopsis:
@@ -298,24 +322,27 @@ class TestTopsis:
         ]
         weights = (0.7, 0.3, 0.1, 0.1, 0.1)
         cohort = [make_state(f"s{i}", *row) for i, row in enumerate(matrix)]
-        result = topsis_select(*cohort_of(*cohort), qos(weights=weights))
+        order, ranked = topsis_select(*cohort_of(*cohort), qos(weights=weights))
         d_plus, d_minus, closeness = self.brute_force(matrix, weights)
-        assert result.order[:1] == ("s0",)  # dominant on the heavy attribute
-        for rec, dp_, dm_, c in zip(result.records, d_plus, d_minus, closeness):
-            assert rec.d_m == pytest.approx(dp_, abs=1e-12)
-            assert rec.d_a == pytest.approx(dm_, abs=1e-12)
-            assert rec.d_ma == pytest.approx(1.0 - c, abs=1e-12)
+        assert order == ("s0", "s1", "s2")  # dominant on the heavy attribute
+        for (sid, d_m, d_a, d_ma, rank), dp_, dm_, c in zip(ranked, d_plus, d_minus, closeness):
+            assert d_m == pytest.approx(dp_, abs=1e-12)
+            assert d_a == pytest.approx(dm_, abs=1e-12)
+            assert d_ma == pytest.approx(1.0 - c, abs=1e-12)
+            assert rank == order.index(sid) + 1
 
     def test_identical_rows_tie_break_by_id(self):
         cohort = [make_state(sid, 0.5, 0.5, 0.5, 0.5, 0.5) for sid in ("a", "b", "c")]
-        result = topsis_select(*cohort_of(*cohort), qos())
-        assert result.order == ("a", "b", "c")
-        assert all(rec.d_ma == 0.0 for rec in result.records)
+        order, ranked = topsis_select(*cohort_of(*cohort), qos())
+        assert order == ("a", "b", "c")
+        assert [(sid, d_ma, rank) for sid, _, _, d_ma, rank in ranked] == [
+            ("a", 0.0, 1), ("b", 0.0, 2), ("c", 0.0, 3)]
 
     def test_singleton_closeness_is_one(self):
-        result = topsis_select(*cohort_of(make_state("solo", 0.4, 0.4, 0.4, 0.4, 0.4)), qos())
-        assert result.order[:1] == ("solo",)
-        assert result.records[0].d_ma == 0.0
+        order, [(_, _, _, d_ma, rank)] = topsis_select(
+            *cohort_of(make_state("solo", 0.4, 0.4, 0.4, 0.4, 0.4)), qos())
+        assert order == ("solo",)
+        assert (d_ma, rank) == (0.0, 1)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -348,12 +375,12 @@ class TestZeroDistanceCharacterization:
     def test_distance_zero_iff_utopia(self, u):
         state = make_state("s", *u)
         profile = qos(weights=(1, 1, 1, 1, 1))
-        result = rank_and_select(*cohort_of(state, make_state("t", *([0.3] * 5))), profile)
-        rec = record_of(result, "s")
+        ranking = rank_and_select(*cohort_of(state, make_state("t", *([0.3] * 5))), profile)
+        *_, d_ma, _ = record_of(ranking, "s")
         if u == (1.0, 1.0, 1.0, 1.0, 1.0):
-            assert rec.d_ma == 0.0
+            assert d_ma == 0.0
         else:
-            assert rec.d_ma > 0.0
+            assert d_ma > 0.0
 
 
 #: cohorts of every size from 1 to 120, so that sums over more than eight
@@ -402,44 +429,15 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-class TestRankingMatchesComponents:
-    # shrinking a failing 120-row cohort takes minutes; the unshrunk
-    # example is reported instead
-    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(cohort=cohorts, v=vec5, w=weights5)
-    def test_records_equal_public_components_bit_for_bit(self, cohort, v, w):
-        # the row-wise ranking of a cohort gives the bits of 1-D sums per
-        # sensor and of each row ranked alone; the cohort means use Python's
-        # left-to-right sum and the combination math.hypot
-        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
-        profile = QosProfile(service_id="svc", utopia=v, weights=w)
-        result = rank_and_select(ids, np.array(cohort), profile)
-        d_ms, d_as = zip(*(one_row_components(u, v, w) for u in cohort))
-        assert [row_components(u, v, w) for u in cohort] == list(zip(d_ms, d_as))
-        xi_m, xi_a = scaling_coefficients(d_ms, d_as)
-        n = len(cohort)
-        sum_m, sum_a = left_to_right(d_ms), left_to_right(d_as)
-        assert (xi_m, xi_a) == (n / sum_m if sum_m > 0 else 1.0,
-                                n / sum_a if sum_a > 0 else 1.0)
-        assert (result.xi_m, result.xi_a) == (xi_m, xi_a)
-        d_mas = [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
-        assert [(r.sensor_id, r.d_m, r.d_a, r.d_ma) for r in result.records] == list(
-            zip(ids, d_ms, d_as, d_mas))
-        assert result.order == tuple(
-            sid for _, sid in sorted(zip(d_mas, ids)))
-
-    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(cohort=cohorts, v=vec5, w=weights5)
-    def test_components_equal_the_numpy_kernel_bit_for_bit(self, cohort, v, w):
-        # the rows go in as tuples of Python floats, as the pipeline passes them
-        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
-        profile = QosProfile(service_id="svc", utopia=v, weights=w)
-        result = rank_and_select(ids, list(cohort), profile)
-        d_m, d_a = numpy_row_distances(np.array(cohort), np.array(profile.utopia),
-                                       np.array(profile.weights))
-        assert hexes(r.d_m for r in result.records) == hexes(d_m)
-        assert hexes(r.d_a for r in result.records) == hexes(d_a)
-        assert all(type(x) is float for r in result.records for x in r[1:])
+def reference_ranking(ids, cohort, v, w):
+    """The ranking of ``cohort`` from the references: each row's 1-D
+    components, the cohort's :func:`scaling_coefficients`, ``math.hypot``,
+    and the ids sorted by ``(d_ma, id)`` with each one's place as its rank."""
+    d_ms, d_as = zip(*(one_row_components(u, v, w) for u in cohort))
+    xi_m, xi_a = scaling_coefficients(d_ms, d_as)
+    d_mas = [math.hypot(xi_m * dm, xi_a * da) for dm, da in zip(d_ms, d_as)]
+    order = tuple(sid for _, sid in sorted(zip(d_mas, ids)))
+    return order, list(zip(ids, d_ms, d_as, d_mas, [order.index(sid) + 1 for sid in ids]))
 
 
 #: rows of a cohort, often repeated, so that equal distances are drawn
@@ -447,21 +445,50 @@ tied_rows = st.one_of(vec5, st.sampled_from([(0.0,) * 5, (0.5,) * 5, (1.0,) * 5,
                                              (0.2, 0.4, 0.6, 0.8, 1.0)]))
 
 
-class TestRankRowsKernel:
-    """``rank_rows`` over the pipeline's rows gives ``rank_and_select``'s
-    bits and order, and each sensor's rank in that order."""
+@pytest.mark.parametrize("rank", [rank_and_select, rank_rows])
+class TestRankingMatchesComponents:
+    """The checked ranking and the pipeline's kernel each give the bits of
+    the reference components, and the order and ranks they imply."""
+
+    # shrinking a failing 120-row cohort takes minutes; the unshrunk
+    # example is reported instead
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(cohort=cohorts, v=vec5, w=weights5)
+    def test_records_equal_public_components_bit_for_bit(self, rank, cohort, v, w):
+        # the row-wise ranking of a cohort gives the bits of 1-D sums per
+        # sensor and of each row ranked alone; the cohort means use Python's
+        # left-to-right sum and the combination math.hypot
+        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
+        profile = QosProfile(service_id="svc", utopia=v, weights=w)
+        d_ms, d_as = zip(*(one_row_components(u, v, w) for u in cohort))
+        assert [row_components(u, v, w) for u in cohort] == list(zip(d_ms, d_as))
+        xi_m, xi_a = scaling_coefficients(d_ms, d_as)
+        n = len(cohort)
+        sum_m, sum_a = left_to_right(d_ms), left_to_right(d_as)
+        assert (xi_m, xi_a) == (n / sum_m if sum_m > 0 else 1.0,
+                                n / sum_a if sum_a > 0 else 1.0)
+        assert rank(ids, np.array(cohort), profile) == reference_ranking(ids, cohort, v, w)
 
     @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(cohort=st.lists(tied_rows, min_size=1, max_size=60), v=vec5, w=weights5)
-    def test_matches_rank_and_select_bit_for_bit(self, cohort, v, w):
+    def test_equal_distances_keep_id_order(self, rank, cohort, v, w):
         ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
         profile = QosProfile(service_id="svc", utopia=v, weights=w)
-        order, ranked = rank_rows(ids, cohort, profile)
-        result = rank_and_select(ids, cohort, profile)
-        assert order == result.order
-        assert [(sid, d_m.hex(), d_a.hex(), d_ma.hex()) for sid, d_m, d_a, d_ma, _ in ranked] \
-            == [(r.sensor_id, r.d_m.hex(), r.d_a.hex(), r.d_ma.hex()) for r in result.records]
-        assert [rank for *_, rank in ranked] == [order.index(sid) + 1 for sid in ids]
+        assert rank(ids, cohort, profile) == reference_ranking(ids, cohort, v, w)
+
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(cohort=cohorts, v=vec5, w=weights5)
+    def test_components_equal_the_numpy_kernel_bit_for_bit(self, rank, cohort, v, w):
+        # the rows go in as tuples of Python floats, as the pipeline passes them
+        ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
+        profile = QosProfile(service_id="svc", utopia=v, weights=w)
+        _, ranked = rank(ids, list(cohort), profile)
+        _, d_ms, d_as, d_mas, _ = zip(*ranked)
+        d_m, d_a = numpy_row_distances(np.array(cohort), np.array(profile.utopia),
+                                       np.array(profile.weights))
+        assert hexes(d_ms) == hexes(d_m)
+        assert hexes(d_as) == hexes(d_a)
+        assert all(type(x) is float for x in d_ms + d_as + d_mas)
 
 
 @pytest.mark.parametrize("rank", [rank_and_select, topsis_select])
@@ -469,7 +496,10 @@ class TestCohortValidation:
     rows = [[0.5, 0.5, 0.5, 0.5, 0.5], [0.2, 0.4, 0.6, 0.8, 1.0], [0.0, 0.1, 0.2, 0.3, 0.4]]
 
     def test_valid_cohort_is_accepted(self, rank):
-        assert rank(("a", "b", "c"), self.rows, qos()).order
+        order, ranked = rank(("a", "b", "c"), self.rows, qos())
+        assert sorted(order) == ["a", "b", "c"]
+        assert [(sid, r) for sid, *_, r in ranked] == [
+            (sid, order.index(sid) + 1) for sid in ("a", "b", "c")]
 
     @pytest.mark.parametrize("bad", [math.nan, 1.2, -0.1])
     def test_entry_outside_the_unit_interval_is_rejected(self, rank, bad):
