@@ -79,7 +79,8 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
     One pass reads each row straight into its sensor's columns (modality,
     timestamps, values and line numbers, in line order), so no record per
     row outlives its line.  Rows may come in any order, fields may carry
-    surrounding whitespace, and a UTF-8 byte-order mark is skipped.  A
+    surrounding whitespace, a sensor's rows may spell its modality in any
+    case (``CO2``, ``co2``), and a UTF-8 byte-order mark is skipped.  A
     sensor whose timestamps already increase is taken as it is; only
     otherwise are its rows stably sorted by timestamp, and a repeated
     timestamp names both of its lines.  Every bad row fails as
@@ -121,7 +122,7 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
             column = columns.get(sid)
             if column is None:
                 column = columns[sid] = (modality, [], [], [])
-            elif column[0] != modality:
+            elif column[0] != modality and Modality(column[0]) != Modality(modality):
                 raise ValueError(
                     f"{path}:{lineno}: sensor {sid!r} switches modality "
                     f"{column[0]!r} -> {modality!r}"
@@ -144,10 +145,8 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                     )
             timestamps = [timestamps[i] for i in order]
             values = [values[i] for i in order]
-        modality, tag = Modality.parse(label)
-        streams[sid] = SensorStream(sensor_id=sid, modality=modality,
-                                    timestamps_ms=tuple(timestamps), values=tuple(values),
-                                    modality_tag=tag)
+        streams[sid] = SensorStream(sensor_id=sid, modality=label,
+                                    timestamps_ms=tuple(timestamps), values=tuple(values))
     return streams
 
 
@@ -162,7 +161,7 @@ def write_streams_csv(streams: Mapping[str, SensorStream], path: str | Path) -> 
     for sid in sorted(streams):
         stream = streams[sid]
         for ts, value in zip(stream.timestamps_ms, stream.values):
-            records.append((ts, sid, stream.modality_key, value))
+            records.append((ts, sid, stream.modality, value))
     records.sort(key=lambda r: (r[0], r[1]))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -300,7 +299,7 @@ class GeneratorSpec:
     """
 
     sensor_id: str
-    modality: str = "other"
+    modality: Modality
     base: str = "constant"  # constant | sinusoid | ramp
     level: float = 0.0
     amplitude: float = 0.0
@@ -315,6 +314,7 @@ class GeneratorSpec:
     duration_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "generator period_s"))
         object.__setattr__(self, "duration_ms",
                            seconds_to_ms(self.duration_s, "generator duration_s"))
@@ -361,10 +361,9 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
                     f"slope_per_s={spec.slope_per_s!r}, noise_std={spec.noise_std!r}"
                 )
             values.append(value)
-        modality, tag = Modality.parse(spec.modality)
         streams[spec.sensor_id] = SensorStream(
-            sensor_id=spec.sensor_id, modality=modality,
-            timestamps_ms=timestamps, values=tuple(values), modality_tag=tag,
+            sensor_id=spec.sensor_id, modality=spec.modality,
+            timestamps_ms=timestamps, values=tuple(values),
         )
     return streams
 
@@ -420,11 +419,13 @@ def _items(read, value, path: str) -> list:
 
 
 def _scalar(tp: type, value, path: str):
-    """``value`` read as ``tp``: int, float, str or an enum."""
+    """``value`` read as ``tp``: int, float, a str type or an enum."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
     try:
         out = tp(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except (ValueError, OverflowError):
         raise ConfigError(f"{path}: cannot read {value!r} as {tp.__name__}") from None
     if tp is int and out != float(value):
@@ -433,8 +434,8 @@ def _scalar(tp: type, value, path: str):
 
 
 def _reader(tp):
-    """``read(value, path)`` for a scalar, an enum, ``X | None`` or a tuple of
-    those; None for any other declared type."""
+    """``read(value, path)`` for a scalar, a str type, an enum, ``X | None`` or
+    a tuple of those; None for any other declared type."""
     args = get_args(tp)
     if type(None) in args:
         read = _reader(next(a for a in args if a is not type(None)))
@@ -442,7 +443,7 @@ def _reader(tp):
     if get_origin(tp) is tuple:
         item = _reader(args[0])
         return item and (lambda v, path: tuple(_items(item, v, path)))
-    if tp in (int, float, str) or (isinstance(tp, type) and issubclass(tp, enum.Enum)):
+    if tp in (int, float) or (isinstance(tp, type) and issubclass(tp, (str, enum.Enum))):
         return partial(_scalar, tp)
     return None
 
@@ -512,28 +513,17 @@ def _service(value, path: str) -> ServiceSpec:
     """A service mapping holds its QoS profile's keys beside its own."""
     qos_raw = {k: v for k, v in _mapping(value, path).items() if k in _QOS_KEYS}
     qos = _build(QosProfile, qos_raw, path, {
-        "modalities": ("modality_needs", _reader(tuple[str, ...])),
+        "modalities": ("modality_needs", _reader(tuple[Modality, ...])),
         "weights": ("weights", _weights),
     })
     return _build(ServiceSpec, {k: v for k, v in value.items() if k not in _QOS_KEYS}, path,
                   {"window": (_WINDOW, _window)}, qos=qos)
 
 
-def _modality_label(value, path: str) -> str:
-    """A sensor's or generator's ``modality``: a label that is not blank."""
-    label = _scalar(str, value, path)
-    try:
-        Modality.parse(label)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return label
-
-
 def _generators(value, path: str, outer: Mapping) -> list[GeneratorSpec]:
     """Generator specs, whose duration defaults to ``outer``'s ``duration_s``."""
     horizon = {"duration_s": outer["duration_s"]} if "duration_s" in outer else {}
-    return _items(lambda g, p: _build(GeneratorSpec, {**horizon, **_mapping(g, p)}, p,
-                                      {"modality": ("modality", _modality_label)}),
+    return _items(lambda g, p: _build(GeneratorSpec, {**horizon, **_mapping(g, p)}, p),
                   value, path)
 
 
@@ -557,8 +547,6 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
         return _generators(value.get("synthetic", []), f"{path}.synthetic", raw), csv_path
 
     sensor = partial(_build, SensorSpec, derived={
-        "modality": (("modality", "modality_tag"),
-                     lambda v, p: Modality.parse(_modality_label(v, p))),
         "static_attrs": ("static_attrs", _static_attrs),
     })
 
@@ -618,7 +606,6 @@ class ScenarioReport:
     features: list[FeatureVector]
     trace: list[TraceRow]
     wall_clock_s: float
-    feature_paths: dict[str, str] = field(default_factory=dict)
 
     def avoidance_rate(self, sensor_id: str) -> float | None:
         pair = self.fault_avoidance.get(sensor_id)
@@ -739,7 +726,6 @@ def _write_outputs(report: ScenarioReport, out_dir: Path) -> None:
         with path.open("w", encoding="utf-8") as fh:
             for fv in by_service[service_id]:
                 fh.write(_feature_line(fv) + "\n")
-        report.feature_paths[service_id] = str(path)
     (out_dir / "report.txt").write_text(render_report(report), encoding="utf-8")
 
 

@@ -8,6 +8,8 @@ Conventions used throughout the package:
 
 * timestamps are integer epoch-milliseconds, so window arithmetic is exact;
 * durations are float seconds in a config, exact milliseconds after it;
+* a modality is its label, stripped and lower-cased (:class:`Modality`),
+  and keys every cohort, service need and feature;
 * an attribute vector is a plain row of five floats, in the fixed order
   (accuracy, reliability, resolution, response_time, range), each in [0, 1].
 """
@@ -45,65 +47,28 @@ class ConfigError(ValueError):
     """Raised for invalid configuration values (weights, periods, ids...)."""
 
 
-class Modality(enum.Enum):
-    """Physical quantity a sensor measures.
+class Modality(str):
+    """Physical quantity a sensor measures: a label, stripped and lower-cased.
 
-    The canonical set is closed; anything else is carried as ``OTHER`` with a
-    free-form tag (see :meth:`parse`).
+    The constructor is the one place a label is canonicalised, so
+    ``Modality("CO2") == "co2"`` and ``Modality(" Lux ") == "lux"``; a blank
+    label names no modality and is refused.  No set of modalities is
+    closed; four common labels are named constants.
     """
 
-    TEMPERATURE = "temperature"
-    HUMIDITY = "humidity"
-    CO2 = "co2"
-    MOTION = "motion"
-    OTHER = "other"
+    __slots__ = ()
 
-    @classmethod
-    def parse(cls, label: str) -> tuple["Modality", str]:
-        """Map a free-form label to ``(modality, tag)``.
-
-        Known labels map to their enum member with an empty tag; any other
-        label maps to ``OTHER`` with the label stripped and lower-cased as
-        its tag.  A blank label names no modality and is refused.
-        """
-        norm = label.strip().lower()
+    def __new__(cls, label: str) -> Modality:
+        norm = str(label).strip().lower()
         if not norm:
             raise ConfigError(f"modality label {label!r} is blank")
-        member = _KNOWN_MODALITIES.get(norm)
-        if member is not None:
-            return member, ""
-        return cls.OTHER, norm
+        return super().__new__(cls, norm)
 
 
-#: the closed set of modalities by label, ``OTHER`` excluded
-_KNOWN_MODALITIES = {m.value: m for m in Modality if m is not Modality.OTHER}
-
-
-def _canonical_tag(modality: Modality, tag: str) -> str:
-    """``tag`` as :meth:`Modality.parse` reads back the label of an
-    ``OTHER`` modality, ``"other"`` for a blank one; the tags of other
-    modalities are kept as given."""
-    if modality is not Modality.OTHER:
-        return tag
-    if not tag.strip():
-        return "other"
-    parsed, canonical = Modality.parse(tag)
-    if parsed is not Modality.OTHER:
-        raise ConfigError(f"modality tag {tag!r} names the known modality {parsed.value!r}")
-    return canonical
-
-
-def modality_label(modality: Modality, tag: str = "") -> str:
-    """Canonical string key for a modality (the tag for ``OTHER``)."""
-    if modality is Modality.OTHER:
-        return tag or "other"
-    return modality.value
-
-
-def canonical_label(label: str) -> str:
-    """The key a stream or sensor labelled ``label`` has: ``Lux`` is
-    ``lux``, as ``CO2`` is ``co2``."""
-    return modality_label(*Modality.parse(label))
+Modality.TEMPERATURE = Modality("temperature")
+Modality.HUMIDITY = Modality("humidity")
+Modality.CO2 = Modality("co2")
+Modality.MOTION = Modality("motion")
 
 
 class Direction(enum.Enum):
@@ -120,20 +85,17 @@ class SensorStream:
     Two parallel columns: ``timestamps_ms`` (non-negative integers, strictly
     increasing) and ``values`` (finite floats).  Both are validated once, at
     construction; slices of a stream are streams and are not re-validated.
-    An ``OTHER`` modality's tag is stored as :meth:`Modality.parse` reads
-    it back from a CSV label.
     """
 
     sensor_id: str
     modality: Modality
     timestamps_ms: tuple[int, ...]
     values: tuple[float, ...]
-    modality_tag: str = ""
 
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor_id must be non-empty")
-        object.__setattr__(self, "modality_tag", _canonical_tag(self.modality, self.modality_tag))
+        object.__setattr__(self, "modality", Modality(self.modality))
         timestamps = tuple(self.timestamps_ms)
         values = tuple(map(float, self.values))
         if len(timestamps) != len(values):
@@ -172,10 +134,6 @@ class SensorStream:
                             values=self.values[index])
         return sub
 
-    @property
-    def modality_key(self) -> str:
-        return modality_label(self.modality, self.modality_tag)
-
     def latest_in(self, start_ms: int, end_ms: int) -> tuple[int, float] | None:
         """``(timestamp_ms, value)`` of the most recent sample within
         ``]start_ms, end_ms]``, if any."""
@@ -196,22 +154,23 @@ class StaticAttr:
 
 @dataclass(frozen=True)
 class SensorSpec:
-    """Static description of one deployed sensor; an ``OTHER`` modality's
-    tag is stored as :class:`SensorStream` stores it."""
+    """Static description of one deployed sensor."""
 
     sensor_id: str
     modality: Modality
     zone: str
     static_attrs: Mapping[str, StaticAttr] = field(default_factory=dict)
-    modality_tag: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "static_attrs", dict(self.static_attrs))
-        object.__setattr__(self, "modality_tag", _canonical_tag(self.modality, self.modality_tag))
 
-    @property
-    def modality_key(self) -> str:
-        return modality_label(self.modality, self.modality_tag)
+
+# perfbench/workloads.py:112-124 reads these two aliases of the modality;
+# nothing in the package does, and ROADMAP item 2 deletes both with its
+# benchmark edit
+Modality.value = property(str.__str__)
+SensorSpec.modality_key = property(operator.attrgetter("modality"))
 
 
 @dataclass(frozen=True)
@@ -220,17 +179,18 @@ class QosProfile:
 
     ``utopia`` (the ideal attribute row the service ranks sensors against,
     each entry in [0, 1]) and ``weights`` follow the attribute order of
-    :data:`ATTRIBUTE_NAMES`; ``modality_needs`` are stored as sensor keys
-    (:func:`canonical_label`); ``granularity_s`` is the expected inter-sample
-    interval of the data the service consumes, fixed in exact milliseconds
-    as ``granularity_ms`` at construction; ``beta_source`` chooses
-    between the latest-interval and the cumulative reliability score.
+    :data:`ATTRIBUTE_NAMES`; ``modality_needs`` are stored as
+    :class:`Modality` labels, sorted and without repeats; ``granularity_s``
+    is the expected inter-sample interval of the data the service consumes,
+    fixed in exact milliseconds as ``granularity_ms`` at construction;
+    ``beta_source`` chooses between the latest-interval and the cumulative
+    reliability score.
     """
 
     service_id: str
     utopia: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
     weights: tuple[float, float, float, float, float] = (1.0, 1.0, 1.0, 1.0, 1.0)
-    modality_needs: tuple[str, ...] = ()
+    modality_needs: tuple[Modality, ...] = ()
     granularity_s: float = 1.0
     select_count: int = 1
     beta_source: str = "interval"
@@ -255,7 +215,7 @@ class QosProfile:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "utopia", utopia)
         object.__setattr__(
-            self, "modality_needs", tuple(sorted(set(map(canonical_label, self.modality_needs))))
+            self, "modality_needs", tuple(sorted(set(map(Modality, self.modality_needs))))
         )
         object.__setattr__(self, "granularity_ms",
                            seconds_to_ms(self.granularity_s, "granularity_s"))

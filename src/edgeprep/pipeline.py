@@ -35,10 +35,10 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .fusion import FusedStream, KalmanConfig, fuse_window
 from .model import (
     ConfigError,
+    Modality,
     QosProfile,
     SensorSpec,
     SensorStream,
-    canonical_label,
     seconds_to_ms,
 )
 from .ranking import Ranking, rank_rows, static_profile, topsis_select
@@ -136,8 +136,11 @@ class FeatureFunction:
     """
 
     fid: str
-    modality: str
+    modality: Modality
     compute: Callable[[Sequence[float]], float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "modality", Modality(self.modality))
 
 
 class FeatureCache:
@@ -254,18 +257,18 @@ def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunct
     """Resolve feature ids like ``temperature_mean`` or ``presence``.
 
     Stat features follow the pattern ``<modality>_<stat>`` with stats drawn
-    from mean/std/min/max/median/range/last/count, the modality read as a
-    sensor's label is (``Lux_mean`` reads ``lux``); ``presence`` reads motion.
+    from mean/std/min/max/median/range/last/count, the modality part read as
+    a :class:`Modality` (``Lux_mean`` reads ``lux``); ``presence`` reads motion.
     """
     registry: dict[str, FeatureFunction] = {}
     for fid in feature_ids:
         if fid == "presence":
-            registry[fid] = FeatureFunction(fid, "motion", _presence)
+            registry[fid] = FeatureFunction(fid, Modality.MOTION, _presence)
             continue
         modality, _, stat = fid.rpartition("_")
         if not modality or stat not in _STATS:
             raise ConfigError(f"cannot resolve feature id {fid!r}")
-        registry[fid] = FeatureFunction(fid, canonical_label(modality), _STATS[stat])
+        registry[fid] = FeatureFunction(fid, modality, _STATS[stat])
     return registry
 
 
@@ -276,7 +279,8 @@ def build_feature_registry(feature_ids: Sequence[str]) -> dict[str, FeatureFunct
 @dataclass(frozen=True)
 class ServiceSpec:
     """A service's QoS profile plus its scheduling and window shape: an
-    activation at ``t`` reads ``]t - k_l*dt, t + k_r*dt]`` on a grid of step dt."""
+    activation at ``t`` reads ``]t - k_l*dt, t + k_r*dt]`` on a grid of step dt.
+    ``feature_functions`` are ``features`` resolved, in their order."""
 
     qos: QosProfile
     period_s: float
@@ -287,6 +291,8 @@ class ServiceSpec:
     zone: str | None = None
     period_ms: int = field(init=False)  # period_s in exact milliseconds
     delta_ms: int = field(init=False)   # dt = delta_t_s in exact milliseconds
+    feature_functions: tuple[FeatureFunction, ...] = field(init=False, compare=False,
+                                                           repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "period_s"))
@@ -298,12 +304,15 @@ class ServiceSpec:
         if not self.features:
             raise ConfigError("service must declare at least one feature")
         object.__setattr__(self, "features", tuple(self.features))
-        for fid, fn in build_feature_registry(self.features).items():
+        registry = build_feature_registry(self.features)
+        for fid, fn in registry.items():
             if fn.modality not in self.qos.modality_needs:
                 raise ConfigError(
                     f"feature {fid!r} needs modality {fn.modality!r} "
                     f"outside the declared needs"
                 )
+        object.__setattr__(self, "feature_functions",
+                           tuple(registry[fid] for fid in self.features))
 
     @property
     def service_id(self) -> str:
@@ -401,9 +410,9 @@ class Pipeline:
             spec = self.specs.get(sid)
             if spec is None:
                 raise ConfigError(f"stream for unknown sensor {sid!r}")
-            if stream.modality_key != spec.modality_key:
-                raise ConfigError(f"stream for sensor {sid!r} is {stream.modality_key!r}, "
-                                  f"the sensor is {spec.modality_key!r}")
+            if stream.modality != spec.modality:
+                raise ConfigError(f"stream for sensor {sid!r} is {stream.modality!r}, "
+                                  f"the sensor is {spec.modality!r}")
         self.streams = dict(streams)
 
         self.services = sorted(services, key=lambda s: s.service_id)
@@ -413,18 +422,14 @@ class Pipeline:
                 raise ConfigError(f"duplicate service id {svc.service_id!r}")
             seen.add(svc.service_id)
 
-        self.registry = build_feature_registry(
-            [fid for svc in self.services for fid in svc.features]
-        )
-
-        # cohorts: modality key -> specs, restricted to modalities in use
+        # cohorts: modality -> specs, restricted to modalities in use
         needed = {mk for svc in self.services for mk in svc.qos.modality_needs}
-        self._cohorts: dict[str, list[SensorSpec]] = {}
+        self._cohorts: dict[Modality, list[SensorSpec]] = {}
         for spec in sorted(self.specs.values(), key=lambda s: s.sensor_id):
-            if spec.modality_key in needed:
-                self._cohorts.setdefault(spec.modality_key, []).append(spec)
+            if spec.modality in needed:
+                self._cohorts.setdefault(spec.modality, []).append(spec)
 
-        self._granularity_ms: dict[str, int] = {
+        self._granularity_ms: dict[Modality, int] = {
             mk: min(svc.qos.granularity_ms for svc in self.services
                     if mk in svc.qos.modality_needs)
             for mk in sorted(self._cohorts)
@@ -447,9 +452,9 @@ class Pipeline:
             for spec in cohort:
                 self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0)
 
-        # modality key -> (sensor id, stream) of each cohort sensor with a
+        # modality -> (sensor id, stream) of each cohort sensor with a
         # stream, ids ascending
-        self._voters: dict[str, list[tuple[str, SensorStream]]] = {
+        self._voters: dict[Modality, list[tuple[str, SensorStream]]] = {
             mk: [(spec.sensor_id, self.streams[spec.sensor_id]) for spec in cohort
                  if spec.sensor_id in self.streams]
             for mk, cohort in self._cohorts.items()
@@ -466,9 +471,9 @@ class Pipeline:
         # scope (see _scope); cleared at the start of every cycle
         self._cycle_memo: dict[tuple, object] = {}
 
-        # (service id, modality key) -> ascending ids of the cohort's sensors
+        # (service id, modality) -> ascending ids of the cohort's sensors
         # with data, in the service's zone; streams and zones are fixed
-        self._live: dict[tuple[str, str], tuple[str, ...]] = {
+        self._live: dict[tuple[str, Modality], tuple[str, ...]] = {
             (svc.service_id, mk): tuple(
                 spec.sensor_id
                 for spec in self._cohorts.get(mk, [])
@@ -479,8 +484,8 @@ class Pipeline:
             for mk in svc.qos.modality_needs
         }
 
-        # (service id, modality key) -> the fixed ranking
-        self._topsis: dict[tuple[str, str], Ranking] = {}
+        # (service id, modality) -> the fixed ranking
+        self._topsis: dict[tuple[str, Modality], Ranking] = {}
         if mode is Mode.TOPSIS_BASELINE:
             for svc in self.services:
                 for mk in svc.qos.modality_needs:
@@ -534,7 +539,7 @@ class Pipeline:
     def _due(self, t_ms: int, step_ms: int) -> bool:
         return t_ms > 0 and t_ms % step_ms == 0
 
-    def _vote(self, mk: str, t_ms: int) -> None:
+    def _vote(self, mk: Modality, t_ms: int) -> None:
         start_ms = t_ms - self._granularity_ms[mk]
         ids: list[str] = []
         raw: list[float] = []
@@ -573,7 +578,7 @@ class Pipeline:
         ]
 
     def _select(
-        self, svc: ServiceSpec, mk: str, t_ms: int, live: tuple[str, ...]
+        self, svc: ServiceSpec, mk: Modality, t_ms: int, live: tuple[str, ...]
     ) -> tuple[tuple[str, ...], list[TraceRow]]:
         if self.mode is Mode.NO_SELECTION_FUSED:
             return live, []
@@ -641,7 +646,7 @@ class Pipeline:
     def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
         t_a_ms = t_ms - svc.k_l * svc.delta_ms
         t_b_ms = t_ms + svc.k_r * svc.delta_ms
-        selected_by_mk: dict[str, tuple[str, ...]] = {}
+        selected_by_mk: dict[Modality, tuple[str, ...]] = {}
         rows: list[TraceRow] = []
         for mk in svc.qos.modality_needs:
             live = self._live[(svc.service_id, mk)]
@@ -657,12 +662,12 @@ class Pipeline:
         cache = self._caches[self._scope(svc)]
         components: dict[str, float] = {}
         missing: list[str] = []
-        for fid in svc.features:
-            value = compute_feature(self.registry[fid], t_a_ms, t_b_ms, data, cache)
+        for fn in svc.feature_functions:
+            value = compute_feature(fn, t_a_ms, t_b_ms, data, cache)
             if value is None:
-                missing.append(fid)
+                missing.append(fn.fid)
             else:
-                components[fid] = value
+                components[fn.fid] = value
         sensors_used = sorted({sid for sel in selected_by_mk.values() for sid in sel})
         provenance = tuple(sensors_used) + tuple(svc.features)
         result.features[svc.service_id] = FeatureVector(

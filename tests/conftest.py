@@ -18,11 +18,10 @@ from edgeprep.model import (
 
 
 def make_spec(sid, modality=Modality.TEMPERATURE, zone="room",
-              resolution=0.5, response=1.0, sensing_range=50.0, tag=""):
+              resolution=0.5, response=1.0, sensing_range=50.0):
     return SensorSpec(
         sensor_id=sid,
         modality=modality,
-        modality_tag=tag,
         zone=zone,
         static_attrs={
             "resolution": StaticAttr(resolution, Direction.COST),

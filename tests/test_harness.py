@@ -50,7 +50,7 @@ class TestIngestCsv:
         streams = ingest_csv(path)
         assert list(streams) == ["s1"]
         assert streams["s1"].values == (20.5, 21.0)
-        assert streams["s1"].modality is Modality.TEMPERATURE
+        assert streams["s1"].modality == Modality.TEMPERATURE
 
     def test_duplicate_timestamp_names_the_line(self, tmp_path):
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
@@ -118,6 +118,19 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match="modality"):
             ingest_csv(path)
 
+    def test_one_modality_in_any_case_is_one_sensor(self, tmp_path):
+        # 'CO2' then 'co2' was once refused as a switch of modality
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    "1000,c1,CO2,400.0\n2000,c1,co2,401.0\n")
+        stream = ingest_csv(path)["c1"]
+        assert (stream.modality, stream.values) == ("co2", (400.0, 401.0))
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    "1000,c1,CO2,400.0\n2000,c1,co2,401.0\n"
+                                    "3000,c1,motion,0.5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: sensor 'c1' switches modality 'CO2' -> 'motion'")):
+            ingest_csv(path)
+
     def test_fields_are_stripped_of_any_whitespace(self, tmp_path):
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
                                     "\x1c1000\t, s1 ,co2\x1f,\x1e20.5\x1d\n")
@@ -157,8 +170,8 @@ class TestIngestCsv:
         assert len(starts) <= 2, starts
 
 
-MODALITIES = [(Modality.TEMPERATURE, ""), (Modality.HUMIDITY, ""), (Modality.CO2, ""),
-              (Modality.MOTION, ""), (Modality.OTHER, "lux"), (Modality.OTHER, "noise_db")]
+MODALITIES = [Modality.TEMPERATURE, Modality.HUMIDITY, Modality.CO2, Modality.MOTION,
+              Modality("lux"), Modality("noise_db")]
 
 
 @st.composite
@@ -168,12 +181,11 @@ def stream_sets(draw):
                         min_size=1, max_size=4, unique=True))
     streams = {}
     for sid in ids:
-        modality, tag = draw(st.sampled_from(MODALITIES))
+        modality = draw(st.sampled_from(MODALITIES))
         ts = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=12, unique=True))
         vs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=len(ts), max_size=len(ts)))
-        streams[sid] = SensorStream(sid, modality, tuple(sorted(ts)), tuple(vs),
-                                    modality_tag=tag)
+        streams[sid] = SensorStream(sid, modality, tuple(sorted(ts)), tuple(vs))
     return streams
 
 
@@ -233,11 +245,12 @@ class TestCsvRoundTrip:
         assert str(exc.value) == (f"{path}:{later}: duplicate or non-increasing timestamp "
                                   f"{ts} for sensor {sid!r} (previous at line {first})")
 
-    @pytest.mark.parametrize("tag", ["", "Lux"])
-    def test_other_tag_reads_back_as_written(self, tmp_path, tag):
-        streams = {"s1": SensorStream("s1", Modality.OTHER, (1000, 2000), (1.0, 2.0),
-                                      modality_tag=tag)}
-        path = tmp_path / "streams.csv"
+    # a NUL is outside the CSV module's reach before Python 3.11
+    @given(label=st.text(st.characters(blacklist_characters="\x00")).filter(str.strip))
+    @settings(max_examples=60, deadline=None)
+    def test_any_label_reads_back_equal(self, tmp_path_factory, label):
+        streams = {"s1": SensorStream("s1", label, (1000, 2000), (1.0, 2.0))}
+        path = tmp_path_factory.mktemp("label") / "streams.csv"
         write_streams_csv(streams, path)
         assert ingest_csv(path) == streams
 
@@ -357,31 +370,31 @@ class TestGenerateSynthetic:
         assert set(stream.values) == {22.0}
 
     def test_degenerate_sinusoid_is_constant(self):
-        spec = GeneratorSpec(sensor_id="s1", base="sinusoid", level=5.0, amplitude=0.0,
-                             period_s=1.0, duration_s=10.0)
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", base="sinusoid",
+                             level=5.0, amplitude=0.0, period_s=1.0, duration_s=10.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert all(v == pytest.approx(5.0, abs=1e-12) for v in stream.values)
 
     def test_same_seed_and_params_give_identical_streams(self):
-        spec = GeneratorSpec(sensor_id="s1", base="constant", level=1.0, noise_std=0.5,
-                             period_s=1.0, duration_s=20.0)
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", base="constant",
+                             level=1.0, noise_std=0.5, period_s=1.0, duration_s=20.0)
         a = generate_synthetic([spec], seed=4)["s1"]
         b = generate_synthetic([spec], seed=4)["s1"]
         assert a.values == b.values
 
     def test_nonpositive_period_rejected(self):
         with pytest.raises(ConfigError):
-            GeneratorSpec(sensor_id="s1", period_s=0.0)
+            GeneratorSpec(sensor_id="s1", modality="temperature", period_s=0.0)
 
     def test_ramp_slope(self):
-        spec = GeneratorSpec(sensor_id="s1", base="ramp", level=1.0, slope_per_s=2.0,
-                             period_s=1.0, duration_s=5.0)
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", base="ramp", level=1.0,
+                             slope_per_s=2.0, period_s=1.0, duration_s=5.0)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert stream.values == (3.0, 5.0, 7.0, 9.0, 11.0)
 
     @pytest.mark.parametrize("base", sorted(GENERATOR_PARAMS))
     def test_each_base_takes_its_own_parameters(self, base):
-        spec = GeneratorSpec(sensor_id="s1", base=base,
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", base=base,
                              **{name: 2.0 for name in GENERATOR_PARAMS[base]})
         assert len(generate_synthetic([spec], seed=1)["s1"]) == 60
 
@@ -393,7 +406,7 @@ class TestGenerateSynthetic:
     ])
     def test_a_parameter_its_base_does_not_read_is_rejected(self, base, param, value):
         with pytest.raises(ConfigError, match=f"'{base}' does not read {param}"):
-            GeneratorSpec(sensor_id="s1", base=base, **{param: value})
+            GeneratorSpec(sensor_id="s1", modality="temperature", base=base, **{param: value})
 
     @pytest.mark.parametrize("base, param", [
         ("constant", "level"),
@@ -406,10 +419,11 @@ class TestGenerateSynthetic:
     def test_non_finite_parameter_is_rejected(self, base, param, value):
         # a NaN noise_std once passed `noise_std < 0` and gave a noise-free stream
         with pytest.raises(ConfigError, match=f"{param} must be finite"):
-            GeneratorSpec(sensor_id="s1", base=base, **{param: value})
+            GeneratorSpec(sensor_id="s1", modality="temperature", base=base, **{param: value})
 
     def test_times_are_whole_milliseconds_fixed_at_construction(self):
-        spec = GeneratorSpec(sensor_id="s1", period_s=0.5, start_s=2.5, duration_s=1.001)
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", period_s=0.5, start_s=2.5,
+                             duration_s=1.001)
         assert (spec.period_ms, spec.start_ms, spec.duration_ms) == (500, 2500, 1001)
         assert generate_synthetic([spec], seed=1)["s1"].timestamps_ms == (3000, 3500)
 
@@ -420,7 +434,7 @@ class TestGenerateSynthetic:
         ("ramp", {"slope_per_s": 1e308}),
     ])
     def test_values_that_overflow_name_the_generator(self, base, params):
-        spec = GeneratorSpec(sensor_id="t1", base=base, **params)
+        spec = GeneratorSpec(sensor_id="t1", modality="temperature", base=base, **params)
         with pytest.raises(ConfigError, match=r"generator 't1' overflows: value -?inf at \d+ ms "
                                               r"from level=.*, amplitude=.*, slope_per_s=.*, "
                                               r"noise_std="):
@@ -428,7 +442,8 @@ class TestGenerateSynthetic:
 
     def test_duration_not_truncated_by_float_product(self):
         # 1.001 * 1000 is 1000.9999999999999 in binary floating point
-        spec = GeneratorSpec(sensor_id="s1", period_s=0.001, duration_s=1.001)
+        spec = GeneratorSpec(sensor_id="s1", modality="temperature", period_s=0.001,
+                             duration_s=1.001)
         stream = generate_synthetic([spec], seed=1)["s1"]
         assert len(stream) == 1001
         assert stream.timestamps_ms[-1] == 1001
@@ -473,7 +488,7 @@ class TestScenarioConfigParsing:
         raw = {
             "duration_s": 10,
             "sensors": [],
-            "streams": {"synthetic": [{"sensor_id": "x"}]},
+            "streams": {"synthetic": [{"sensor_id": "x", "modality": "motion"}]},
             "services": [{
                 "service_id": "svc", "period_s": 1, "modalities": ["motion"],
                 "weights": {"speed": 1}, "window": {"k_l": 1, "k_r": 0, "delta_t_s": 1},
@@ -517,7 +532,8 @@ def valid_scenario():
 
 
 def valid_synth_spec():
-    return {"seed": 1, "duration_s": 5, "generators": [{"sensor_id": "s1", "level": 2}]}
+    return {"seed": 1, "duration_s": 5,
+            "generators": [{"sensor_id": "s1", "modality": "co2", "level": 2}]}
 
 
 # nesting level -> (parser, that level's mapping within the parser's document)
@@ -561,9 +577,10 @@ class TestStrictParsing:
         assert cfg.sensors[0].static_attrs["resolution"].direction is Direction.COST
         assert cfg.generators[0].duration_s == 20.0
         assert cfg.faults[0].start_ms == 0
-        generators, seed = parse_synth_spec({"generators": [{"sensor_id": "s1"}]})
+        generators, seed = parse_synth_spec({"generators": [{"sensor_id": "s1",
+                                                             "modality": "CO2"}]})
         assert seed == 0
-        assert generators == [GeneratorSpec(sensor_id="s1")]
+        assert generators == [GeneratorSpec(sensor_id="s1", modality="co2")]
 
     @pytest.mark.parametrize("level", sorted(LEVELS))
     def test_unknown_key_at_every_level_is_named(self, level):
@@ -574,7 +591,6 @@ class TestStrictParsing:
         ("service", "granularity"),        # granularity_s misspelt
         ("service", "k_l"),                # set by window only
         ("service", "modality_needs"),     # set by modalities only
-        ("sensor", "modality_tag"),        # set by modality only
         ("fault", "start_ms"),             # set by start_s only
         ("scenario", "csv_path"),          # set by streams only
         ("scenario", "cache_horizon_s"),   # the cache evicts at the cycle time
@@ -626,6 +642,15 @@ class TestStrictParsing:
         message = f"{path}: modality label {label!r} is blank"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_with(level, "modality", label)
+
+    @pytest.mark.parametrize("level, path", [
+        ("generator", "scenario.streams.synthetic[0].modality"),
+        ("synth generator", "spec.generators[0].modality"),
+    ])
+    def test_a_generator_must_name_its_modality(self, level, path):
+        # it once defaulted to 'other' and failed later against its sensor
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: required key is missing")):
+            parse_with(level, "modality", None)
 
     @pytest.mark.parametrize("level, key", [
         ("sensor", "sensor_id"),
@@ -811,8 +836,8 @@ class TestCli:
     def test_synth_time_beyond_milliseconds_is_a_one_line_error(self, tmp_path, capsys, key,
                                                                 value):
         spec = tmp_path / "spec.yaml"
-        spec.write_text(yaml.safe_dump({"generators": [{"sensor_id": "s1", key: value}]}),
-                        encoding="utf-8")
+        spec.write_text(yaml.safe_dump({"generators": [{"sensor_id": "s1", "modality": "co2",
+                                                        key: value}]}), encoding="utf-8")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"edgeprep: error: spec.generators[0]: generator {key} must be")
@@ -902,12 +927,39 @@ class TestRunScenario:
         report = run_scenario(cfg, out_dir=tmp_path)
         assert (tmp_path / "selection_trace.csv").exists()
         assert (tmp_path / "report.txt").exists()
-        assert sorted(report.feature_paths) == ["airquality", "occupancy"]
+        assert sorted(p.name for p in tmp_path.glob("features_*.ndjson")) == [
+            "features_airquality.ndjson", "features_occupancy.ndjson"]
+        assert report.activations == sum(
+            len(p.read_text().splitlines()) for p in tmp_path.glob("features_*.ndjson"))
         header = (tmp_path / "selection_trace.csv").read_text().splitlines()[0]
         assert header == "t_ms,service_id,sensor_id,d_M,d_A,d_MA,rank,selected"
         text = (tmp_path / "report.txt").read_text()
         assert "feature function invocations" in text
         assert "wall" not in text  # timings never enter artifacts
+
+    def test_one_label_reaches_one_cohort_from_every_entry_point(self, tmp_path):
+        # YAML 'Lux', a CSV row ' LUX ', a SensorSpec 'lux' and the feature
+        # id 'Lux_mean' name one modality
+        (tmp_path / "streams.csv").write_text(
+            "timestamp_ms,sensor_id,modality,value\n"
+            + "".join(f"{t}000,{sid}, LUX ,{v}\n" for t in range(1, 5)
+                      for sid, v in (("l1", 1.0), ("l2", 3.0))),
+            encoding="utf-8")
+        doc = valid_scenario()
+        doc.pop("faults")
+        doc["duration_s"] = 4
+        doc["sensors"][0].update(sensor_id="l1", modality="Lux")
+        doc["streams"] = {"csv": "streams.csv"}
+        doc["services"][0].update(modalities=["Lux"], features=["Lux_mean"],
+                                  select_count=2, window={"k_l": 1, "k_r": 0, "delta_t_s": 1})
+        cfg = parse_scenario(doc, base_dir=tmp_path)
+        cfg.sensors.append(replace(cfg.sensors[0], sensor_id="l2", modality=Modality("lux")))
+        report = run_scenario(cfg, mode=Mode.UNIFIED)
+        assert report.errors == []
+        assert report.selection_counts == {"l1": 4, "l2": 4}
+        for fv in report.features:
+            assert fv.provenance == ("l1", "l2", "Lux_mean")
+            assert 1.0 < fv.components["Lux_mean"] < 3.0  # both sensors fused
 
     def test_starved_service_is_reported_and_run_continues(self):
         cfg = load_config("two_service", duration_s=20)

@@ -104,35 +104,41 @@ class TestSensorStream:
 
 
 class TestModality:
-    def test_known_labels(self):
-        assert Modality.parse("temperature") == (Modality.TEMPERATURE, "")
-        assert Modality.parse("CO2") == (Modality.CO2, "")
+    def test_named_labels(self):
+        assert Modality.TEMPERATURE == "temperature"
+        assert Modality("CO2") == Modality.CO2 == "co2"
+        assert Modality(" Lux ") == "lux"
+        assert isinstance(Modality("lux"), str)
 
-    def test_unknown_labels_become_tagged_other(self):
-        modality, tag = Modality.parse("particulates")
-        assert modality is Modality.OTHER
-        assert tag == "particulates"
+    @given(st.text())
+    def test_a_label_is_stripped_and_lower_cased(self, label):
+        canonical = label.strip().lower()
+        if canonical:
+            assert Modality(label) == canonical
+            assert Modality(Modality(label)) == canonical
+        else:
+            with pytest.raises(ConfigError, match="is blank"):
+                Modality(label)
 
     @pytest.mark.parametrize("label", ["", "  ", "\t"])
     def test_a_blank_label_is_refused(self, label):
-        # it once parsed as modality "other"
+        # it once became modality "other"
         with pytest.raises(ConfigError, match="is blank"):
-            Modality.parse(label)
+            Modality(label)
 
-    @pytest.mark.parametrize("tag, canonical", [("", "other"), ("  ", "other"), ("Lux", "lux"),
-                                                (" Noise_dB ", "noise_db"), ("other", "other")])
-    def test_an_other_tag_is_stored_as_a_label_reads_back(self, tag, canonical):
-        stream = SensorStream("s1", Modality.OTHER, (1000,), (1.0,), modality_tag=tag)
-        spec = SensorSpec("s1", Modality.OTHER, "room", modality_tag=tag)
-        assert stream.modality_tag == spec.modality_tag == canonical
-        assert Modality.parse(stream.modality_key) == (Modality.OTHER, canonical)
+    @pytest.mark.parametrize("label", ["Lux", " Noise_dB ", "CO2", "other"])
+    def test_a_stream_and_its_sensor_store_one_label(self, label):
+        stream = SensorStream("s1", label, (1000,), (1.0,))
+        spec = SensorSpec("s1", label, "room")
+        assert type(stream.modality) is type(spec.modality) is Modality
+        assert stream.modality == spec.modality == label.strip().lower()
 
-    @pytest.mark.parametrize("tag", ["co2", " Temperature "])
-    def test_an_other_tag_naming_a_known_modality_is_rejected(self, tag):
-        with pytest.raises(ConfigError, match="names the known modality"):
-            SensorStream("s1", Modality.OTHER, (1000,), (1.0,), modality_tag=tag)
-        with pytest.raises(ConfigError, match="names the known modality"):
-            SensorSpec("s1", Modality.OTHER, "room", modality_tag=tag)
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_a_blank_stream_or_sensor_label_is_refused(self, label):
+        with pytest.raises(ConfigError, match="is blank"):
+            SensorStream("s1", label, (1000,), (1.0,))
+        with pytest.raises(ConfigError, match="is blank"):
+            SensorSpec("s1", label, "room")
 
 
 class TestQosProfile:

@@ -255,6 +255,16 @@ class TestFeatureRegistry:
         values = (1.0, 2.0, 4.0)
         assert fn.compute(values) == fn.compute(values)
 
+    def test_a_service_resolves_its_features_once(self, monkeypatch):
+        svc = TestFormWindow.service(1, 0, 1.0, features=("temperature_max", "temperature_mean",
+                                                          "temperature_max"))
+        assert [fn.fid for fn in svc.feature_functions] == list(svc.features)
+        calls = counted(monkeypatch, "build_feature_registry")
+        streams = synth_streams({"t1": ("temperature", 20.0)}, duration_s=5.0)
+        result = Pipeline([make_spec("t1")], [svc], streams).run_cycle(2000)
+        assert calls == []
+        assert set(result.features["svc"].components) == {"temperature_max", "temperature_mean"}
+
 
 def documented_stats(v):
     """Each statistic of the window values ``v`` by its documented
@@ -440,13 +450,14 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="'t1' is 'co2', the sensor is 'temperature'"):
             Pipeline([make_spec("t1")], [simple_service()], streams)
 
-    def test_a_custom_label_is_matched_as_a_sensor_stores_it(self):
-        # the sensor and its stream store the tag 'Lux' as 'lux', so the
-        # service's need and feature are read the same way
-        spec = make_spec("l1", Modality.OTHER, tag="Lux")
-        stream = SensorStream("l1", Modality.OTHER, (1000, 2000), (1.0, 2.0), modality_tag="Lux")
-        svc = ServiceSpec(qos=QosProfile("svc", modality_needs=("Lux",)), period_s=1.0,
+    def test_a_custom_label_is_matched_in_any_case(self):
+        # the sensor, its stream, the service's need and its feature id
+        # each spell 'lux' their own way
+        spec = make_spec("l1", "Lux")
+        stream = SensorStream("l1", " LUX ", (1000, 2000), (1.0, 2.0))
+        svc = ServiceSpec(qos=QosProfile("svc", modality_needs=("lUx",)), period_s=1.0,
                           k_l=1, k_r=0, delta_t_s=1.0, features=("Lux_mean",))
+        assert spec.modality == stream.modality == "lux"
         assert svc.qos.modality_needs == ("lux",)
         result = Pipeline([spec], [svc], {"l1": stream}).run_cycle(2000)
         assert result.errors == {}
