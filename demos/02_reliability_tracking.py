@@ -27,7 +27,7 @@ def track(name, pattern):
         # the other 5 - q samples missed the optimal set and earn nothing
         state.q = q
         t_ms += 5_000
-        close_interval(state, t_ms)
+        close_interval([state], t_ms)
         print(
             f"  interval {interval}: q={q}/5"
             f"  rate={state.lambda_history[-1][2]:.2f}"

@@ -601,7 +601,8 @@ class ScenarioReport:
     distinct_feature_keys: int
     points_processed: int
     selection_counts: dict[str, int]
-    fault_avoidance: dict[str, tuple[int, int]]  # sensor -> (avoided, total)
+    # sensor -> (avoided, total) over its rows inside any of its fault windows
+    fault_avoidance: dict[str, tuple[int, int]]
     errors: list[tuple[int, str, str]]
     features: list[FeatureVector]
     trace: list[TraceRow]
@@ -681,12 +682,15 @@ def run_scenario(
     for row in trace:
         if row.selected:
             selection_counts[row.sensor_id] = selection_counts.get(row.sensor_id, 0) + 1
-    fault_avoidance: dict[str, tuple[int, int]] = {}
+    # a row inside several of its sensor's fault windows counts once
+    faults_of: dict[str, list[FaultSpec]] = {}
     for fault in cfg.faults:
-        rows = [r for r in trace if r.sensor_id == fault.sensor_id and fault.active(r.t_ms)]
-        avoided = sum(1 for r in rows if not r.selected)
-        prev = fault_avoidance.get(fault.sensor_id, (0, 0))
-        fault_avoidance[fault.sensor_id] = (prev[0] + avoided, prev[1] + len(rows))
+        faults_of.setdefault(fault.sensor_id, []).append(fault)
+    fault_avoidance: dict[str, tuple[int, int]] = {}
+    for sid, faults in faults_of.items():
+        rows = [r for r in trace
+                if r.sensor_id == sid and any(fault.active(r.t_ms) for fault in faults)]
+        fault_avoidance[sid] = (sum(1 for r in rows if not r.selected), len(rows))
 
     report = ScenarioReport(
         mode=mode,

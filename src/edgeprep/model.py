@@ -52,8 +52,9 @@ class Modality(str):
 
     The constructor is the one place a label is canonicalised, so
     ``Modality("CO2") == "co2"`` and ``Modality(" Lux ") == "lux"``; a blank
-    label names no modality and is refused.  No set of modalities is
-    closed; four common labels are named constants.
+    label names no modality and is refused, and so is one that cannot be
+    written as UTF-8 (a lone surrogate), which no CSV could carry.  No set
+    of modalities is closed; four common labels are named constants.
     """
 
     __slots__ = ()
@@ -62,6 +63,10 @@ class Modality(str):
         norm = str(label).strip().lower()
         if not norm:
             raise ConfigError(f"modality label {label!r} is blank")
+        try:
+            norm.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"modality label {label!r} cannot be written as UTF-8") from None
         return super().__new__(cls, norm)
 
 

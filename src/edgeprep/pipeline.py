@@ -49,9 +49,11 @@ from .voting import VotingConfig, vote
 # module, normalize, membership_matrix, cumulative_scores, select_optimal,
 # assign_accuracy, close_interval, rank_and_select, associate, align,
 # kalman_fuse_streams and compute_feature; a missing name is a KeyError
-# there.  The cycle calls the kernels vote, rank_rows and fuse_window
-# instead of the public chains, which stay bound here until the benchmark
-# traces stages (ROADMAP items 2 and 3).
+# there.  The cycle looks up close_interval (one call per close, every
+# state at once) and compute_feature (one call per feature) by those names
+# at each call, so the wrappers see them.  It calls the kernels vote,
+# rank_rows and fuse_window instead of the public chains, which stay bound
+# here until the benchmark traces stages (ROADMAP items 2 and 3).
 from .fusion import align, kalman_fuse_streams  # noqa: F401
 from .ranking import rank_and_select  # noqa: F401
 from .voting import (  # noqa: F401
@@ -304,6 +306,11 @@ class ServiceSpec:
         if not self.features:
             raise ConfigError("service must declare at least one feature")
         object.__setattr__(self, "features", tuple(self.features))
+        # a repeat would be computed twice per activation, the second time
+        # as a cache hit that no other service shared
+        for i, fid in enumerate(self.features):
+            if fid in self.features[:i]:
+                raise ConfigError(f"feature {fid!r} is listed twice")
         registry = build_feature_registry(self.features)
         for fid, fn in registry.items():
             if fn.modality not in self.qos.modality_needs:
@@ -371,6 +378,51 @@ class _SensorDyn:
         self.rel = ReliabilityState(n_expected, seconds_per_unit)
 
 
+#: where a live sensor's ranking row comes from: its dynamic state, that
+#: state's reliability tracker and its three static scores
+_RowSource = tuple[_SensorDyn, ReliabilityState, tuple[float, float, float]]
+
+
+@dataclass(eq=False, slots=True)
+class _Need:
+    """One modality a service needs, resolved at construction.
+
+    ``live`` are the ascending ids of the cohort's sensors with data in the
+    service's zone, and ``sources`` their row sources, in that order.
+    ``profile`` numbers the ranking profile (scope, live ids, utopia,
+    weights, beta source): services with one profile share one ranking per
+    cycle.  ``fixed`` is the TOPSIS baseline's ranking, made once.
+    """
+
+    modality: Modality
+    live: tuple[str, ...]
+    sources: tuple[_RowSource, ...]
+    profile: int
+    fixed: Ranking | None
+
+
+@dataclass(eq=False, slots=True)
+class _Plan:
+    """What an activation of one service reads, resolved at construction.
+
+    An activation at ``t`` is due when ``period_ms`` divides ``t`` and
+    ``t >= left_ms``, the service's first full window, and reads
+    ``]t - left_ms, t + right_ms]`` on a grid of ``delta_ms``.  ``window``
+    numbers the fusion profile (scope, offsets, grid step): one fused
+    window per profile and sources per cycle.
+    """
+
+    spec: ServiceSpec
+    period_ms: int
+    left_ms: int
+    right_ms: int
+    delta_ms: int
+    window: int
+    cumulative: bool
+    cache: FeatureCache
+    needs: tuple[_Need, ...]
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -380,7 +432,9 @@ class Pipeline:
 
     Construct one instance per scenario run; call :meth:`run_cycle` at every
     tick (see :attr:`tick_ms`).  Feature computations are pure, so only the
-    cycle loop itself mutates state.
+    cycle loop itself mutates state.  Every lookup that the sensor pool,
+    the streams and the services fix is resolved here, once: one vote list
+    per cohort and one activation plan per service.
     """
 
     def __init__(
@@ -401,13 +455,13 @@ class Pipeline:
                                                      "reliability_interval_s")
         self.counters = Counters()
 
-        self.specs: dict[str, SensorSpec] = {}
+        specs: dict[str, SensorSpec] = {}
         for spec in sensors:
-            if spec.sensor_id in self.specs:
+            if spec.sensor_id in specs:
                 raise ConfigError(f"duplicate sensor id {spec.sensor_id!r}")
-            self.specs[spec.sensor_id] = spec
+            specs[spec.sensor_id] = spec
         for sid, stream in streams.items():
-            spec = self.specs.get(sid)
+            spec = specs.get(sid)
             if spec is None:
                 raise ConfigError(f"stream for unknown sensor {sid!r}")
             if stream.modality != spec.modality:
@@ -424,100 +478,108 @@ class Pipeline:
 
         # cohorts: modality -> specs, restricted to modalities in use
         needed = {mk for svc in self.services for mk in svc.qos.modality_needs}
-        self._cohorts: dict[Modality, list[SensorSpec]] = {}
-        for spec in sorted(self.specs.values(), key=lambda s: s.sensor_id):
+        cohorts: dict[Modality, list[SensorSpec]] = {}
+        for spec in sorted(specs.values(), key=lambda s: s.sensor_id):
             if spec.modality in needed:
-                self._cohorts.setdefault(spec.modality, []).append(spec)
-
-        self._granularity_ms: dict[Modality, int] = {
+                cohorts.setdefault(spec.modality, []).append(spec)
+        granularity_ms: dict[Modality, int] = {
             mk: min(svc.qos.granularity_ms for svc in self.services
                     if mk in svc.qos.modality_needs)
-            for mk in sorted(self._cohorts)
+            for mk in sorted(cohorts)
         }
 
-        self._static: dict[str, tuple[float, float, float]] = {
-            sid: static_profile(spec) for sid, spec in self.specs.items()
-        }
+        static = {sid: static_profile(spec) for sid, spec in specs.items()}
         # the ranking kernel trusts its rows: static_score refuses the raw
         # values that would leave [0, 1], beta lies in [0, 1] by its formula,
-        # alpha is checked where a ranking reads it (see _cohort_rows), and
-        # every cohort's ids ascend, unique, by the duplicate check and the
-        # sort above
+        # alpha is checked where a ranking reads it (see _rows), and every
+        # cohort's ids ascend, unique, by the duplicate check and the sort
+        # above
         # interval lengths are measured in expected-sample units so a fully
         # consistent sensor sits on the Poisson mode at any cadence
         self._dyn: dict[str, _SensorDyn] = {}
-        for mk, cohort in self._cohorts.items():
-            gran_ms = self._granularity_ms[mk]
+        for mk, cohort in cohorts.items():
+            gran_ms = granularity_ms[mk]
             n_expected = max(1, self.reliability_interval_ms // gran_ms)
             for spec in cohort:
                 self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0)
 
-        # modality -> (sensor id, stream) of each cohort sensor with a
-        # stream, ids ascending
-        self._voters: dict[Modality, list[tuple[str, SensorStream]]] = {
-            mk: [(spec.sensor_id, self.streams[spec.sensor_id]) for spec in cohort
-                 if spec.sensor_id in self.streams]
-            for mk, cohort in self._cohorts.items()
-        }
+        # cohort maintenance, which only the two selecting modes run: per
+        # cohort in modality order, its granularity and the (stream, state)
+        # pair of each sensor with a stream, ids ascending; and every
+        # reliability state, closed in one call
+        maintained = mode in (Mode.UNIFIED, Mode.PER_SERVICE)
+        self._votes: list[tuple[int, list[tuple[SensorStream, _SensorDyn]]]] = [
+            (granularity_ms[mk], [(self.streams[spec.sensor_id], self._dyn[spec.sensor_id])
+                                  for spec in cohorts[mk] if spec.sensor_id in self.streams])
+            for mk in sorted(cohorts)
+        ] if maintained else []
+        self._reliability: list[ReliabilityState] = (
+            [dyn.rel for dyn in self._dyn.values()] if maintained else [])
 
-        # one feature cache per scope (see _scope), in service order
-        self._caches: dict[str | None, FeatureCache] = {
-            self._scope(svc): FeatureCache() for svc in self.services
-        }
+        # one feature cache per scope, in service order: who may reuse a
+        # service's work, its own id in per-service mode, every service
+        # (None) otherwise
+        self._caches: dict[str | None, FeatureCache] = {}
+        profiles: dict[tuple, int] = {}
+        windows: dict[tuple, int] = {}
+        self._plans: list[_Plan] = []
+        for svc in self.services:
+            scope = svc.service_id if mode is Mode.PER_SERVICE else None
+            qos = svc.qos
+            needs = []
+            for mk in qos.modality_needs:
+                # the sensors with data in the service's zone; streams and
+                # zones are fixed
+                live = tuple(spec.sensor_id for spec in cohorts.get(mk, [])
+                             if len(self.streams.get(spec.sensor_id, ())) > 0
+                             and (svc.zone is None or spec.zone == svc.zone))
+                sources = tuple((self._dyn[sid], self._dyn[sid].rel, static[sid])
+                                for sid in live)
+                profile = profiles.setdefault(
+                    (scope, live, qos.utopia, qos.weights, qos.beta_source), len(profiles))
+                fixed = None
+                if mode is Mode.TOPSIS_BASELINE and live:
+                    fixed = topsis_select(live, self._rows(sources, False), qos)
+                needs.append(_Need(mk, live, sources, profile, fixed))
+            left_ms, right_ms = svc.k_l * svc.delta_ms, svc.k_r * svc.delta_ms
+            self._plans.append(_Plan(
+                spec=svc,
+                period_ms=svc.period_ms,
+                left_ms=left_ms,
+                right_ms=right_ms,
+                delta_ms=svc.delta_ms,
+                window=windows.setdefault((scope, left_ms, right_ms, svc.delta_ms),
+                                          len(windows)),
+                cumulative=qos.beta_source == "cumulative",
+                cache=self._caches.setdefault(scope, FeatureCache()),
+                needs=tuple(needs),
+            ))
         # keys evicted so far; none can recur while cycle times increase
         self._retired_keys = 0
         self._last_t_ms: int | None = None
-        # this cycle's rankings and fused windows, keyed with the cache's
-        # scope (see _scope); cleared at the start of every cycle
-        self._cycle_memo: dict[tuple, object] = {}
+        # this cycle's work, cleared at the start of every cycle: rankings
+        # keyed by profile number, fused windows by (window number, sources)
+        self._cycle_memo: dict[int | tuple, object] = {}
 
-        # (service id, modality) -> ascending ids of the cohort's sensors
-        # with data, in the service's zone; streams and zones are fixed
-        self._live: dict[tuple[str, Modality], tuple[str, ...]] = {
-            (svc.service_id, mk): tuple(
-                spec.sensor_id
-                for spec in self._cohorts.get(mk, [])
-                if len(self.streams.get(spec.sensor_id, ())) > 0
-                and (svc.zone is None or spec.zone == svc.zone)
-            )
-            for svc in self.services
-            for mk in svc.qos.modality_needs
-        }
-
-        # (service id, modality) -> the fixed ranking
-        self._topsis: dict[tuple[str, Modality], Ranking] = {}
-        if mode is Mode.TOPSIS_BASELINE:
-            for svc in self.services:
-                for mk in svc.qos.modality_needs:
-                    live = self._live[(svc.service_id, mk)]
-                    if live:
-                        self._topsis[(svc.service_id, mk)] = topsis_select(
-                            live, self._cohort_rows(live, "interval"), svc.qos)
-
-        steps = ([svc.period_ms for svc in self.services] + list(self._granularity_ms.values())
+        steps = ([svc.period_ms for svc in self.services] + list(granularity_ms.values())
                  + [self.reliability_interval_ms])
         self.tick_ms = math.gcd(*steps) if steps else 1000
 
     # -- state assembly ----------------------------------------------------
 
-    def _cohort_rows(self, ids: Sequence[str], beta_source: str) -> list[tuple[float, ...]]:
-        """The cohort's state rows, one tuple of five floats per id."""
-        dyn, static = self._dyn, self._static
-        if beta_source == "interval":
-            rows = [(dyn[sid].alpha, dyn[sid].rel.beta) + static[sid] for sid in ids]
+    @staticmethod
+    def _rows(sources: Sequence[_RowSource], cumulative: bool) -> list[tuple[float, ...]]:
+        """The ranking rows of ``sources``, one tuple of five floats each."""
+        if cumulative:
+            rows = [(dyn.alpha, rel.beta_cumulative) + static for dyn, rel, static in sources]
         else:
-            rows = [(dyn[sid].alpha, dyn[sid].rel.beta_cumulative) + static[sid] for sid in ids]
+            rows = [(dyn.alpha, rel.beta) + static for dyn, rel, static in sources]
         # alpha is in [0, 1] unless a vote's Kalman estimate went through inf
         # to NaN; a later vote may replace it, so only a ranking refuses it
         for row in rows:
             if row[0] != row[0]:
                 raise ValueError("state entries must lie in [0, 1]")
         return rows
-
-    def _scope(self, svc: ServiceSpec) -> str | None:
-        """Who may reuse a service's work: its own id in per-service mode,
-        every service (``None``) otherwise."""
-        return svc.service_id if self.mode is Mode.PER_SERVICE else None
 
     def caches(self) -> list[FeatureCache]:
         return list(self._caches.values())
@@ -536,97 +598,93 @@ class Pipeline:
 
     # -- cohort maintenance --------------------------------------------------
 
-    def _due(self, t_ms: int, step_ms: int) -> bool:
-        return t_ms > 0 and t_ms % step_ms == 0
-
-    def _vote(self, mk: Modality, t_ms: int) -> None:
-        start_ms = t_ms - self._granularity_ms[mk]
-        ids: list[str] = []
+    def _vote(self, voters: Sequence[tuple[SensorStream, _SensorDyn]], granularity_ms: int,
+              t_ms: int) -> None:
+        start_ms = t_ms - granularity_ms
+        present: list[_SensorDyn] = []
         raw: list[float] = []
-        for sid, stream in self._voters[mk]:
+        for stream, dyn in voters:
             latest = stream.latest_in(start_ms, t_ms)
             if latest is not None:
-                ids.append(sid)
+                present.append(dyn)
                 raw.append(latest[1])
         self.counters.votes += 1
-        dyn = self._dyn
-        if len(ids) >= 2:
+        if len(present) >= 2:
             # the readings ascend by id and SensorStream validated them; the
             # optimal set's size is clamped to the sensors actually reporting
             alphas, top = vote(raw, self.voting, self.kalman)
-            for sid, alpha in zip(ids, alphas):
-                dyn[sid].alpha = alpha
-            ids = [ids[i] for i in top]
-        elif ids:
+            for dyn, alpha in zip(present, alphas):
+                dyn.alpha = alpha
+            present = [present[i] for i in top]
+        elif present:
             # voting formulas are undefined for a single reporter
-            dyn[ids[0]].alpha = 1.0
+            present[0].alpha = 1.0
         # only optimal-set appearances earn reliability credit
-        for sid in ids:
-            dyn[sid].rel.q += 1
+        for dyn in present:
+            dyn.rel.q += 1
 
     def _close_reliability(self, t_ms: int) -> None:
-        for dyn in self._dyn.values():
-            close_interval(dyn.rel, t_ms)
+        close_interval(self._reliability, t_ms)
 
     # -- service activation --------------------------------------------------
 
-    def activations_due(self, t_ms: int) -> list[ServiceSpec]:
+    def _due_plans(self, t_ms: int) -> list[_Plan]:
         # a service waits for its first full window
-        return [
-            svc for svc in self.services
-            if self._due(t_ms, svc.period_ms) and t_ms >= svc.k_l * svc.delta_ms
-        ]
+        return [plan for plan in self._plans
+                if t_ms > 0 and t_ms % plan.period_ms == 0 and t_ms >= plan.left_ms]
 
-    def _select(
-        self, svc: ServiceSpec, mk: Modality, t_ms: int, live: tuple[str, ...]
-    ) -> tuple[tuple[str, ...], list[TraceRow]]:
+    def activations_due(self, t_ms: int) -> list[ServiceSpec]:
+        return [plan.spec for plan in self._due_plans(t_ms)]
+
+    def _select(self, plan: _Plan, need: _Need, t_ms: int
+                ) -> tuple[tuple[str, ...], list[TraceRow]]:
         if self.mode is Mode.NO_SELECTION_FUSED:
-            return live, []
-        qos = svc.qos
-        if self.mode is Mode.TOPSIS_BASELINE:
-            order, ranked = self._topsis[(svc.service_id, mk)]
+            return need.live, []
+        qos = plan.spec.qos
+        if need.fixed is not None:
+            order, ranked = need.fixed
         else:
             # the whole order is ranked once and each service takes its prefix
-            key = ("rank", self._scope(svc), live, qos.utopia, qos.weights, qos.beta_source)
-            ranking = self._cycle_memo.get(key)
+            ranking = self._cycle_memo.get(need.profile)
             if ranking is None:
-                ranking = self._cycle_memo[key] = rank_rows(
-                    live, self._cohort_rows(live, qos.beta_source), qos
-                )
+                ranking = self._cycle_memo[need.profile] = rank_rows(
+                    need.live, self._rows(need.sources, plan.cumulative), qos)
             order, ranked = ranking
-        # the service cuts its own prefix; a count beyond the cohort keeps all
+        # the service cuts its own prefix; a count beyond the cohort keeps all;
+        # tuple.__new__ builds each row without TraceRow.__new__'s frame
         count = qos.select_count
-        service_id = svc.service_id
-        rows = [TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
+        service_id = qos.service_id
+        new = tuple.__new__
+        rows = [new(TraceRow, (t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count))
                 for sid, d_m, d_a, d_ma, rank in ranked]
         return order[:count], rows
 
     def _fused_window(
-        self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
+        self, plan: _Plan, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
     ) -> FusedStream:
         # the sources fix the modality, and the grid step fixes the ticks
         # and the gap; the zone rule keeps every sample of a live sensor
         sources = tuple(sorted(selected))
-        key = ("fuse", self._scope(svc), t_a_ms, t_b_ms, svc.delta_ms, sources)
+        key = (plan.window, sources)
         fused = self._cycle_memo.get(key)
         if fused is None:
-            fused = self._cycle_memo[key] = self._fuse(svc, t_a_ms, t_b_ms, sources)
+            fused = self._cycle_memo[key] = self._fuse(plan.delta_ms, t_a_ms, t_b_ms, sources)
         window, points = fused
         self.counters.points_processed += points
         return window
 
     def _fuse(
-        self, svc: ServiceSpec, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
+        self, delta_ms: int, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
     ) -> tuple[FusedStream, int]:
-        """The fused window of ``sources`` and its count of samples inside
-        ``]t_a, t_b]``; the fused stream's ``source_ids`` are ``sources``.
+        """The fused window of ``sources`` on a grid of ``delta_ms`` and its
+        count of samples inside ``]t_a, t_b]``; the fused stream's
+        ``source_ids`` are ``sources``.
 
         A source's window is the samples :func:`associate` keeps: the
         temporal rule's ``]t_a - tol, t_b + tol]``, bisected once at each
         end, so the cost stays with the window, not with the length of the
         stream.  The zone rule keeps every sample of a live sensor.
         """
-        delta_ms = svc.delta_ms
         # the samples bracketing a grid tick may sit two grid steps from it,
         # so the association tolerance is also the window's interpolation gap
         tol_ms = 2 * delta_ms
@@ -643,40 +701,41 @@ class Pipeline:
         timestamps, values = fuse_window(columns, ticks, delta_ms, tol_ms, self.kalman)
         return FusedStream(timestamps, values, sources), points
 
-    def _activate(self, svc: ServiceSpec, t_ms: int, result: CycleResult) -> None:
-        t_a_ms = t_ms - svc.k_l * svc.delta_ms
-        t_b_ms = t_ms + svc.k_r * svc.delta_ms
-        selected_by_mk: dict[Modality, tuple[str, ...]] = {}
+    def _activate(self, plan: _Plan, t_ms: int, result: CycleResult) -> None:
+        t_a_ms = t_ms - plan.left_ms
+        t_b_ms = t_ms + plan.right_ms
+        chosen: list[tuple[str, ...]] = []
         rows: list[TraceRow] = []
-        for mk in svc.qos.modality_needs:
-            live = self._live[(svc.service_id, mk)]
-            if not live:
-                raise ServiceDataError(f"no live sensors for modality {mk!r}")
-            selected, mk_rows = self._select(svc, mk, t_ms, live)
-            selected_by_mk[mk] = selected
-            rows.extend(mk_rows)
-        data = {
-            mk: self._fused_window(svc, t_a_ms, t_b_ms, selected)
-            for mk, selected in selected_by_mk.items()
-        }
-        cache = self._caches[self._scope(svc)]
+        for need in plan.needs:
+            if not need.live:
+                raise ServiceDataError(f"no live sensors for modality {need.modality!r}")
+            selected, need_rows = self._select(plan, need, t_ms)
+            chosen.append(selected)
+            rows += need_rows
+        data: dict[Modality, FusedStream] = {}
+        for need, selected in zip(plan.needs, chosen):
+            data[need.modality] = self._fused_window(plan, t_a_ms, t_b_ms, selected)
+        cache = plan.cache
         components: dict[str, float] = {}
         missing: list[str] = []
+        svc = plan.spec
         for fn in svc.feature_functions:
             value = compute_feature(fn, t_a_ms, t_b_ms, data, cache)
             if value is None:
                 missing.append(fn.fid)
             else:
                 components[fn.fid] = value
-        sensors_used = sorted({sid for sel in selected_by_mk.values() for sid in sel})
-        provenance = tuple(sensors_used) + tuple(svc.features)
-        result.features[svc.service_id] = FeatureVector(
+        # FeatureVector checks nothing, so its fields are set without the
+        # frozen dataclass's __init__ frame, as SensorStream slices are
+        fv = object.__new__(FeatureVector)
+        fv.__dict__.update(
             service_id=svc.service_id,
             t_ms=t_ms,
             components=components,
-            provenance=provenance,
+            provenance=tuple(sorted(set().union(*chosen))) + svc.features,
             missing=tuple(missing),
         )
+        result.features[svc.service_id] = fv
         result.trace.extend(rows)
 
     # -- the cycle -----------------------------------------------------------
@@ -691,20 +750,20 @@ class Pipeline:
         self._last_t_ms = t_ms
         self._cycle_memo.clear()
         self.counters.cycles += 1
-        if self.mode in (Mode.UNIFIED, Mode.PER_SERVICE):
-            for mk in sorted(self._cohorts):
-                if self._due(t_ms, self._granularity_ms[mk]):
-                    self._vote(mk, t_ms)
-            if self._due(t_ms, self.reliability_interval_ms):
+        if t_ms > 0:
+            for granularity_ms, voters in self._votes:
+                if t_ms % granularity_ms == 0:
+                    self._vote(voters, granularity_ms, t_ms)
+            if self._reliability and t_ms % self.reliability_interval_ms == 0:
                 self._close_reliability(t_ms)
         result = CycleResult()
-        for svc in self.activations_due(t_ms):
+        for plan in self._due_plans(t_ms):
             try:
-                self._activate(svc, t_ms, result)
+                self._activate(plan, t_ms, result)
             except ServiceDataError as exc:
-                result.errors[svc.service_id] = str(exc)
+                result.errors[plan.spec.service_id] = str(exc)
         # every later window ends at or after its own, later, cycle time
         self._retired_keys += len(
-            set().union(*(cache.evict_before(t_ms) for cache in self.caches()))
+            set().union(*(cache.evict_before(t_ms) for cache in self._caches.values()))
         )
         return result

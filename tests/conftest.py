@@ -57,6 +57,15 @@ def row_components(row, utopia=(1.0,) * 5, weights=(1.0,) * 5):
     return d_m, d_a
 
 
+def writable_as_utf8(text):
+    """Whether ``text`` has a UTF-8 encoding (no lone surrogate)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def exact_sum(values):
     """The sum of ``values`` in rational arithmetic, rounded once to a float."""
     return float(sum(map(Fraction, values), Fraction(0)))

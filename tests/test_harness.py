@@ -30,7 +30,7 @@ from edgeprep.cli import main
 from edgeprep.model import ConfigError, Direction, Modality, SensorStream
 from edgeprep.pipeline import Mode
 from edgeprep.ranking import rank_and_select
-from conftest import load_config
+from conftest import load_config, writable_as_utf8
 
 
 def stream_of(sid, pairs, modality=Modality.TEMPERATURE):
@@ -249,6 +249,11 @@ class TestCsvRoundTrip:
     @given(label=st.text(st.characters(blacklist_characters="\x00")).filter(str.strip))
     @settings(max_examples=60, deadline=None)
     def test_any_label_reads_back_equal(self, tmp_path_factory, label):
+        if not writable_as_utf8(label):
+            # refused where it is read, before any file is written
+            with pytest.raises(ConfigError, match="cannot be written as UTF-8"):
+                SensorStream("s1", label, (1000, 2000), (1.0, 2.0))
+            return
         streams = {"s1": SensorStream("s1", label, (1000, 2000), (1.0, 2.0))}
         path = tmp_path_factory.mktemp("label") / "streams.csv"
         write_streams_csv(streams, path)
@@ -608,6 +613,8 @@ class TestStrictParsing:
     @pytest.mark.parametrize("features, message", [
         (["sound_level"], "cannot resolve feature id 'sound_level'"),
         (["presence"], "feature 'presence' needs modality 'motion' outside the declared needs"),
+        (["temperature_max", "temperature_mean", "temperature_max"],
+         "feature 'temperature_max' is listed twice"),
     ])
     def test_bad_feature_id_names_its_service(self, features, message):
         doc = valid_scenario()
@@ -972,6 +979,17 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert any(sid == "starved" for _, sid, _ in report.errors)
         assert report.activations > 0
+
+    def test_a_row_inside_overlapping_fault_windows_counts_once(self):
+        # t3 sticks over ]60, 180] s; a drift over ]100, 200] s overlaps it,
+        # and the union ]60, 200] s holds one climate row per second
+        cfg = load_config("fault_scenario")
+        cfg.faults.append(FaultSpec("t3", FaultKind.DRIFT, 100_000, 200_000, slope_per_s=0.5))
+        report = run_scenario(cfg)
+        rows = [r for r in report.trace
+                if r.sensor_id == "t3" and 60_000 < r.t_ms <= 200_000]
+        assert len(rows) == 140
+        assert report.fault_avoidance["t3"] == (sum(not r.selected for r in rows), 140)
 
 
 class TestCompareModes:

@@ -14,7 +14,7 @@ from edgeprep.model import (
     SensorStream,
     seconds_to_ms,
 )
-from conftest import row_components
+from conftest import row_components, writable_as_utf8
 
 
 def stream_of(timestamps, values, sid="s1"):
@@ -110,15 +110,24 @@ class TestModality:
         assert Modality(" Lux ") == "lux"
         assert isinstance(Modality("lux"), str)
 
-    @given(st.text())
+    @given(st.text(st.characters()))  # surrogates included, unlike st.text()
     def test_a_label_is_stripped_and_lower_cased(self, label):
         canonical = label.strip().lower()
-        if canonical:
-            assert Modality(label) == canonical
-            assert Modality(Modality(label)) == canonical
-        else:
+        if not canonical:
             with pytest.raises(ConfigError, match="is blank"):
                 Modality(label)
+        elif not writable_as_utf8(canonical):
+            with pytest.raises(ConfigError, match="cannot be written as UTF-8"):
+                Modality(label)
+        else:
+            assert Modality(label) == canonical
+            assert Modality(Modality(label)) == canonical
+
+    @pytest.mark.parametrize("label", ["\ud800", "\ud800x", " Lux\udfff "])
+    def test_a_label_with_a_lone_surrogate_is_refused(self, label):
+        # it once reached write_streams_csv, which failed mid-file
+        with pytest.raises(ConfigError, match="cannot be written as UTF-8"):
+            Modality(label)
 
     @pytest.mark.parametrize("label", ["", "  ", "\t"])
     def test_a_blank_label_is_refused(self, label):
