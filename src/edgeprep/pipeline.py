@@ -378,9 +378,9 @@ class _SensorDyn:
         self.rel = ReliabilityState(n_expected, seconds_per_unit)
 
 
-#: where a live sensor's ranking row comes from: its dynamic state, that
-#: state's reliability tracker and its three static scores
-_RowSource = tuple[_SensorDyn, ReliabilityState, tuple[float, float, float]]
+#: where a live sensor's ranking row comes from: its dynamic state and its
+#: three static scores
+_RowSource = tuple[_SensorDyn, tuple[float, float, float]]
 
 
 @dataclass(eq=False, slots=True)
@@ -405,20 +405,17 @@ class _Need:
 class _Plan:
     """What an activation of one service reads, resolved at construction.
 
-    An activation at ``t`` is due when ``period_ms`` divides ``t`` and
-    ``t >= left_ms``, the service's first full window, and reads
-    ``]t - left_ms, t + right_ms]`` on a grid of ``delta_ms``.  ``window``
+    An activation at ``t`` is due when the service's period divides ``t``
+    and ``t >= left_ms``, its first full window, and reads
+    ``]t - left_ms, t + right_ms]`` on the service's grid.  ``window``
     numbers the fusion profile (scope, offsets, grid step): one fused
     window per profile and sources per cycle.
     """
 
     spec: ServiceSpec
-    period_ms: int
     left_ms: int
     right_ms: int
-    delta_ms: int
     window: int
-    cumulative: bool
     cache: FeatureCache
     needs: tuple[_Need, ...]
 
@@ -533,24 +530,20 @@ class Pipeline:
                 live = tuple(spec.sensor_id for spec in cohorts.get(mk, [])
                              if len(self.streams.get(spec.sensor_id, ())) > 0
                              and (svc.zone is None or spec.zone == svc.zone))
-                sources = tuple((self._dyn[sid], self._dyn[sid].rel, static[sid])
-                                for sid in live)
+                sources = tuple((self._dyn[sid], static[sid]) for sid in live)
                 profile = profiles.setdefault(
                     (scope, live, qos.utopia, qos.weights, qos.beta_source), len(profiles))
                 fixed = None
                 if mode is Mode.TOPSIS_BASELINE and live:
-                    fixed = topsis_select(live, self._rows(sources, False), qos)
+                    fixed = topsis_select(live, self._rows(sources, "interval"), qos)
                 needs.append(_Need(mk, live, sources, profile, fixed))
             left_ms, right_ms = svc.k_l * svc.delta_ms, svc.k_r * svc.delta_ms
             self._plans.append(_Plan(
                 spec=svc,
-                period_ms=svc.period_ms,
                 left_ms=left_ms,
                 right_ms=right_ms,
-                delta_ms=svc.delta_ms,
                 window=windows.setdefault((scope, left_ms, right_ms, svc.delta_ms),
                                           len(windows)),
-                cumulative=qos.beta_source == "cumulative",
                 cache=self._caches.setdefault(scope, FeatureCache()),
                 needs=tuple(needs),
             ))
@@ -568,12 +561,12 @@ class Pipeline:
     # -- state assembly ----------------------------------------------------
 
     @staticmethod
-    def _rows(sources: Sequence[_RowSource], cumulative: bool) -> list[tuple[float, ...]]:
+    def _rows(sources: Sequence[_RowSource], beta_source: str) -> list[tuple[float, ...]]:
         """The ranking rows of ``sources``, one tuple of five floats each."""
-        if cumulative:
-            rows = [(dyn.alpha, rel.beta_cumulative) + static for dyn, rel, static in sources]
+        if beta_source == "cumulative":
+            rows = [(dyn.alpha, dyn.rel.beta_cumulative) + static for dyn, static in sources]
         else:
-            rows = [(dyn.alpha, rel.beta) + static for dyn, rel, static in sources]
+            rows = [(dyn.alpha, dyn.rel.beta) + static for dyn, static in sources]
         # alpha is in [0, 1] unless a vote's Kalman estimate went through inf
         # to NaN; a later vote may replace it, so only a ranking refuses it
         for row in rows:
@@ -631,10 +624,7 @@ class Pipeline:
     def _due_plans(self, t_ms: int) -> list[_Plan]:
         # a service waits for its first full window
         return [plan for plan in self._plans
-                if t_ms > 0 and t_ms % plan.period_ms == 0 and t_ms >= plan.left_ms]
-
-    def activations_due(self, t_ms: int) -> list[ServiceSpec]:
-        return [plan.spec for plan in self._due_plans(t_ms)]
+                if t_ms > 0 and t_ms % plan.spec.period_ms == 0 and t_ms >= plan.left_ms]
 
     def _select(self, plan: _Plan, need: _Need, t_ms: int
                 ) -> tuple[tuple[str, ...], list[TraceRow]]:
@@ -648,14 +638,12 @@ class Pipeline:
             ranking = self._cycle_memo.get(need.profile)
             if ranking is None:
                 ranking = self._cycle_memo[need.profile] = rank_rows(
-                    need.live, self._rows(need.sources, plan.cumulative), qos)
+                    need.live, self._rows(need.sources, qos.beta_source), qos)
             order, ranked = ranking
-        # the service cuts its own prefix; a count beyond the cohort keeps all;
-        # tuple.__new__ builds each row without TraceRow.__new__'s frame
+        # the service cuts its own prefix; a count beyond the cohort keeps all
         count = qos.select_count
         service_id = qos.service_id
-        new = tuple.__new__
-        rows = [new(TraceRow, (t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count))
+        rows = [TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
                 for sid, d_m, d_a, d_ma, rank in ranked]
         return order[:count], rows
 
@@ -668,7 +656,8 @@ class Pipeline:
         key = (plan.window, sources)
         fused = self._cycle_memo.get(key)
         if fused is None:
-            fused = self._cycle_memo[key] = self._fuse(plan.delta_ms, t_a_ms, t_b_ms, sources)
+            fused = self._cycle_memo[key] = self._fuse(plan.spec.delta_ms, t_a_ms, t_b_ms,
+                                                       sources)
         window, points = fused
         self.counters.points_processed += points
         return window
@@ -725,17 +714,13 @@ class Pipeline:
                 missing.append(fn.fid)
             else:
                 components[fn.fid] = value
-        # FeatureVector checks nothing, so its fields are set without the
-        # frozen dataclass's __init__ frame, as SensorStream slices are
-        fv = object.__new__(FeatureVector)
-        fv.__dict__.update(
+        result.features[svc.service_id] = FeatureVector(
             service_id=svc.service_id,
             t_ms=t_ms,
             components=components,
             provenance=tuple(sorted(set().union(*chosen))) + svc.features,
             missing=tuple(missing),
         )
-        result.features[svc.service_id] = fv
         result.trace.extend(rows)
 
     # -- the cycle -----------------------------------------------------------

@@ -143,11 +143,9 @@ def close_interval(states: Sequence[ReliabilityState], t_end_ms: int) -> None:
     """Close each state's ``]interval_start, t_end]`` in place: fix lam,
     refresh both weights, reset q and open the next interval at ``t_end``.
 
-    Each state ends with the bits a close of it alone gives.  States with
-    equal q, ``n_expected`` and interval length share one interval weight,
-    computed once per call.  A state listed twice, or one whose interval
-    does not end after its start, fails the whole call before any state
-    changes.  The cumulative weight comes from the running
+    Each state ends with the bits a close of it alone gives.  A state
+    listed twice, or one whose interval does not end after its start, fails
+    the whole call before any state changes.  The cumulative weight comes from the running
     ``rate_integral``, and the history grows by one append, so a close
     costs the same however long the history is.  While only this function
     changes ``lambda_history`` and ``rate_integral``, ``beta_cumulative`` is
@@ -155,21 +153,17 @@ def close_interval(states: Sequence[ReliabilityState], t_end_ms: int) -> None:
     lambda_history[0][0], t_end_ms, seconds_per_unit)``, whose loop adds the
     same terms in the same order.
     """
-    weights: dict[tuple[int, int, float], tuple[float, float]] = {}
     closes = []
     for state in states:
         start_ms, q, n = state.interval_start_ms, state.q, state._n_expected
         if t_end_ms <= start_ms:
             raise ValueError("interval end must follow its start")
         length = (t_end_ms - start_ms) / 1000.0 / state._seconds_per_unit
-        key = (q, n, length)
-        weight = weights.get(key)
-        if weight is None:
-            weight = weights[key] = (compute_lambda(q, n), interval_reliability(q, n, length))
-        closes.append((state, start_ms, length, weight))
+        closes.append((state, start_ms, length, compute_lambda(q, n),
+                       interval_reliability(q, n, length)))
     if len(set(states)) != len(closes):
         raise ValueError("a state is listed twice in one close")
-    for state, start_ms, length, (lam, beta) in closes:
+    for state, start_ms, length, lam, beta in closes:
         state.beta = beta
         state.rate_integral += lam * length
         state.lambda_history.append((start_ms, t_end_ms, lam))

@@ -580,8 +580,8 @@ class TestPipeline:
         pipeline = Pipeline(sensors, services, streams, mode=Mode.UNIFIED)
         expected = []
         for t_ms in range(1000, 10_001, 1000):
-            cohorts = [live[(svc.service_id, mk)] for svc in pipeline.activations_due(t_ms)
-                       for mk in svc.qos.modality_needs]
+            cohorts = [live[(plan.spec.service_id, mk)] for plan in pipeline._due_plans(t_ms)
+                       for mk in plan.spec.qos.modality_needs]
             expected.extend(dict.fromkeys(cohorts))
             pipeline.run_cycle(t_ms)
         assert len(expected) == 9 * 2 + 5  # "all" from t = 2 s, "lab" every 2 s
