@@ -215,7 +215,7 @@ class TestCloseInterval:
             close_interval([state], 5000)
 
     @given(
-        # small pools of n and of the unit make states share interval weights
+        # small pools of n and of the unit give states equal n and lengths
         specs=st.lists(
             st.tuples(st.one_of(st.sampled_from([1, 5]), st.integers(min_value=1, max_value=20)),
                       st.one_of(st.sampled_from([0.5, 1.0]),
