@@ -39,6 +39,7 @@ from .model import (
     SensorStream,
     StaticAttr,
     positive_finite,
+    require_utf8,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
@@ -314,6 +315,7 @@ class GeneratorSpec:
     duration_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
+        require_utf8("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "generator period_s"))
         object.__setattr__(self, "duration_ms",

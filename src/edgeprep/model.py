@@ -63,11 +63,16 @@ class Modality(str):
         norm = str(label).strip().lower()
         if not norm:
             raise ConfigError(f"modality label {label!r} is blank")
-        try:
-            norm.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"modality label {label!r} cannot be written as UTF-8") from None
+        require_utf8("modality label", norm)
         return super().__new__(cls, norm)
+
+
+def require_utf8(name: str, text: str) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless UTF-8 can write ``text``."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{name} {text!r} cannot be written as UTF-8") from None
 
 
 Modality.TEMPERATURE = Modality("temperature")
@@ -89,7 +94,7 @@ class SensorStream:
 
     Two parallel columns: ``timestamps_ms`` (non-negative integers, strictly
     increasing) and ``values`` (finite floats).  Both are validated once, at
-    construction; slices of a stream are streams and are not re-validated.
+    construction.
     """
 
     sensor_id: str
@@ -100,6 +105,7 @@ class SensorStream:
     def __post_init__(self) -> None:
         if not self.sensor_id:
             raise ValueError("sensor_id must be non-empty")
+        require_utf8("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
         timestamps = tuple(self.timestamps_ms)
         values = tuple(map(float, self.values))
@@ -132,13 +138,6 @@ class SensorStream:
     def __len__(self) -> int:
         return len(self.timestamps_ms)
 
-    def __getitem__(self, index: slice) -> SensorStream:
-        """The samples at ``index``, a slice, as a stream of the same sensor."""
-        sub = object.__new__(SensorStream)
-        sub.__dict__.update(self.__dict__, timestamps_ms=self.timestamps_ms[index],
-                            values=self.values[index])
-        return sub
-
     def latest_in(self, start_ms: int, end_ms: int) -> tuple[int, float] | None:
         """``(timestamp_ms, value)`` of the most recent sample within
         ``]start_ms, end_ms]``, if any."""
@@ -167,6 +166,7 @@ class SensorSpec:
     static_attrs: Mapping[str, StaticAttr] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        require_utf8("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "static_attrs", dict(self.static_attrs))
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fusion import FusedStream, KalmanConfig, fuse_window
@@ -53,7 +53,8 @@ from .voting import VotingConfig, vote
 # state at once) and compute_feature (one call per feature) by those names
 # at each call, so the wrappers see them.  It calls the kernels vote,
 # rank_rows and fuse_window instead of the public chains, which stay bound
-# here until the benchmark traces stages (ROADMAP items 2 and 3).
+# here until the benchmark traces stages (ROADMAP items 2 and 3); only the
+# temporal associate remains, kept for the tracer.
 from .fusion import align, kalman_fuse_streams  # noqa: F401
 from .ranking import rank_and_select  # noqa: F401
 from .voting import (  # noqa: F401
@@ -66,7 +67,6 @@ from .voting import (  # noqa: F401
 
 __all__ = [
     "Mode",
-    "AssociationPredicate",
     "associate",
     "FeatureFunction",
     "FeatureCache",
@@ -91,37 +91,14 @@ class Mode(enum.Enum):
 # Windows and association
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssociationPredicate:
-    """Binary temporal + spatial correlation rules for a sensor's samples.
-
-    ``zone_of`` must be total: it maps any sensor id to a zone tag (empty
-    for unknown sensors).  The temporal rule is window containment with a
-    tolerance in milliseconds; the spatial rule is zone-tag equality.
-    """
-
-    zone_of: Callable[[str], str]
-    temporal_tolerance_ms: int = 0
-
-
-def associate(
-    points: SensorStream,
-    pred: AssociationPredicate,
-    t_a_ms: int,
-    t_b_ms: int,
-    zone: str,
-) -> tuple[bool, SensorStream]:
-    """Samples satisfying both rules, plus a flag (1 iff any survive).
-
-    The zone rule holds for all of one sensor's samples or for none; the
-    temporal rule keeps the bisected slice ``]t_a - tol, t_b + tol]``.
-    """
-    if pred.zone_of(points.sensor_id) != zone:
-        return False, points[:0]
+def associate(points: SensorStream, t_a_ms: int, t_b_ms: int,
+              tol_ms: int = 0) -> tuple[bool, SensorStream]:
+    """The samples of ``points`` in ``]t_a - tol, t_b + tol]``, bisected at
+    each end, and whether any are there."""
     ts = points.timestamps_ms
-    tol_ms = pred.temporal_tolerance_ms
-    subset = points[bisect_right(ts, t_a_ms - tol_ms):bisect_right(ts, t_b_ms + tol_ms)]
-    return len(subset) > 0, subset
+    lo = bisect_right(ts, t_a_ms - tol_ms)
+    hi = bisect_right(ts, t_b_ms + tol_ms, lo)
+    return hi > lo, replace(points, timestamps_ms=ts[lo:hi], values=points.values[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +341,6 @@ class Counters:
     points_processed: int = 0
 
 
-class ServiceDataError(RuntimeError):
-    """A service could not be served this cycle; other services proceed."""
-
-
 class _SensorDyn:
     """Mutable per-sensor dynamic state, owned by the pipeline."""
 
@@ -409,7 +382,8 @@ class _Plan:
     and ``t >= left_ms``, its first full window, and reads
     ``]t - left_ms, t + right_ms]`` on the service's grid.  ``window``
     numbers the fusion profile (scope, offsets, grid step): one fused
-    window per profile and sources per cycle.
+    window per profile and sources per cycle.  ``error`` names the first
+    need without live sensors: each due activation reports it, unserved.
     """
 
     spec: ServiceSpec
@@ -418,6 +392,7 @@ class _Plan:
     window: int
     cache: FeatureCache
     needs: tuple[_Need, ...]
+    error: str | None
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +441,11 @@ class Pipeline:
                                   f"the sensor is {spec.modality!r}")
         self.streams = dict(streams)
 
+        # sorted, so a repeated id follows its twin
         self.services = sorted(services, key=lambda s: s.service_id)
-        seen = set()
-        for svc in self.services:
-            if svc.service_id in seen:
+        for before, svc in zip(self.services, self.services[1:]):
+            if before.service_id == svc.service_id:
                 raise ConfigError(f"duplicate service id {svc.service_id!r}")
-            seen.add(svc.service_id)
 
         # cohorts: modality -> specs, restricted to modalities in use
         needed = {mk for svc in self.services for mk in svc.qos.modality_needs}
@@ -537,6 +511,7 @@ class Pipeline:
                 if mode is Mode.TOPSIS_BASELINE and live:
                     fixed = topsis_select(live, self._rows(sources, "interval"), qos)
                 needs.append(_Need(mk, live, sources, profile, fixed))
+            starved = [need.modality for need in needs if not need.live]
             left_ms, right_ms = svc.k_l * svc.delta_ms, svc.k_r * svc.delta_ms
             self._plans.append(_Plan(
                 spec=svc,
@@ -546,7 +521,10 @@ class Pipeline:
                                           len(windows)),
                 cache=self._caches.setdefault(scope, FeatureCache()),
                 needs=tuple(needs),
+                error=f"no live sensors for modality {starved[0]!r}" if starved else None,
             ))
+        # the end of the last reliability close, the start of the open interval
+        self._closed_ms = 0
         # keys evicted so far; none can recur while cycle times increase
         self._retired_keys = 0
         self._last_t_ms: int | None = None
@@ -554,9 +532,8 @@ class Pipeline:
         # keyed by profile number, fused windows by (window number, sources)
         self._cycle_memo: dict[int | tuple, object] = {}
 
-        steps = ([svc.period_ms for svc in self.services] + list(granularity_ms.values())
-                 + [self.reliability_interval_ms])
-        self.tick_ms = math.gcd(*steps) if steps else 1000
+        self.tick_ms = math.gcd(self.reliability_interval_ms, *granularity_ms.values(),
+                                *(svc.period_ms for svc in self.services))
 
     # -- state assembly ----------------------------------------------------
 
@@ -617,7 +594,8 @@ class Pipeline:
             dyn.rel.q += 1
 
     def _close_reliability(self, t_ms: int) -> None:
-        close_interval(self._reliability, t_ms)
+        close_interval(self._reliability, self._closed_ms, t_ms)
+        self._closed_ms = t_ms
 
     # -- service activation --------------------------------------------------
 
@@ -626,10 +604,12 @@ class Pipeline:
         return [plan for plan in self._plans
                 if t_ms > 0 and t_ms % plan.spec.period_ms == 0 and t_ms >= plan.left_ms]
 
-    def _select(self, plan: _Plan, need: _Need, t_ms: int
-                ) -> tuple[tuple[str, ...], list[TraceRow]]:
+    def _select(self, plan: _Plan, need: _Need, t_ms: int, trace: list[TraceRow]
+                ) -> tuple[str, ...]:
+        """The sensors ``need`` selects at ``t_ms``; their ranking rows are
+        appended to ``trace``."""
         if self.mode is Mode.NO_SELECTION_FUSED:
-            return need.live, []
+            return need.live
         qos = plan.spec.qos
         if need.fixed is not None:
             order, ranked = need.fixed
@@ -643,24 +623,9 @@ class Pipeline:
         # the service cuts its own prefix; a count beyond the cohort keeps all
         count = qos.select_count
         service_id = qos.service_id
-        rows = [TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
-                for sid, d_m, d_a, d_ma, rank in ranked]
-        return order[:count], rows
-
-    def _fused_window(
-        self, plan: _Plan, t_a_ms: int, t_b_ms: int, selected: Sequence[str]
-    ) -> FusedStream:
-        # the sources fix the modality, and the grid step fixes the ticks
-        # and the gap; the zone rule keeps every sample of a live sensor
-        sources = tuple(sorted(selected))
-        key = (plan.window, sources)
-        fused = self._cycle_memo.get(key)
-        if fused is None:
-            fused = self._cycle_memo[key] = self._fuse(plan.spec.delta_ms, t_a_ms, t_b_ms,
-                                                       sources)
-        window, points = fused
-        self.counters.points_processed += points
-        return window
+        trace.extend(TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
+                     for sid, d_m, d_a, d_ma, rank in ranked)
+        return order[:count]
 
     def _fuse(
         self, delta_ms: int, t_a_ms: int, t_b_ms: int, sources: tuple[str, ...]
@@ -669,10 +634,9 @@ class Pipeline:
         count of samples inside ``]t_a, t_b]``; the fused stream's
         ``source_ids`` are ``sources``.
 
-        A source's window is the samples :func:`associate` keeps: the
-        temporal rule's ``]t_a - tol, t_b + tol]``, bisected once at each
-        end, so the cost stays with the window, not with the length of the
-        stream.  The zone rule keeps every sample of a live sensor.
+        A source's window is the samples :func:`associate` keeps,
+        ``]t_a - tol, t_b + tol]``, bisected once at each end, so the cost
+        stays with the window, not with the length of the stream.
         """
         # the samples bracketing a grid tick may sit two grid steps from it,
         # so the association tolerance is also the window's interpolation gap
@@ -694,22 +658,24 @@ class Pipeline:
         t_a_ms = t_ms - plan.left_ms
         t_b_ms = t_ms + plan.right_ms
         chosen: list[tuple[str, ...]] = []
-        rows: list[TraceRow] = []
-        for need in plan.needs:
-            if not need.live:
-                raise ServiceDataError(f"no live sensors for modality {need.modality!r}")
-            selected, need_rows = self._select(plan, need, t_ms)
-            chosen.append(selected)
-            rows += need_rows
         data: dict[Modality, FusedStream] = {}
-        for need, selected in zip(plan.needs, chosen):
-            data[need.modality] = self._fused_window(plan, t_a_ms, t_b_ms, selected)
-        cache = plan.cache
+        for need in plan.needs:
+            selected = self._select(plan, need, t_ms, result.trace)
+            chosen.append(selected)
+            # the sources fix the modality, and the grid step fixes the
+            # ticks and the gap
+            key = (plan.window, tuple(sorted(selected)))
+            fused = self._cycle_memo.get(key)
+            if fused is None:
+                fused = self._cycle_memo[key] = self._fuse(plan.spec.delta_ms, t_a_ms, t_b_ms,
+                                                           key[1])
+            data[need.modality] = fused[0]
+            self.counters.points_processed += fused[1]
         components: dict[str, float] = {}
         missing: list[str] = []
         svc = plan.spec
         for fn in svc.feature_functions:
-            value = compute_feature(fn, t_a_ms, t_b_ms, data, cache)
+            value = compute_feature(fn, t_a_ms, t_b_ms, data, plan.cache)
             if value is None:
                 missing.append(fn.fid)
             else:
@@ -721,7 +687,6 @@ class Pipeline:
             provenance=tuple(sorted(set().union(*chosen))) + svc.features,
             missing=tuple(missing),
         )
-        result.trace.extend(rows)
 
     # -- the cycle -----------------------------------------------------------
 
@@ -743,10 +708,10 @@ class Pipeline:
                 self._close_reliability(t_ms)
         result = CycleResult()
         for plan in self._due_plans(t_ms):
-            try:
+            if plan.error is None:
                 self._activate(plan, t_ms, result)
-            except ServiceDataError as exc:
-                result.errors[plan.spec.service_id] = str(exc)
+            else:
+                result.errors[plan.spec.service_id] = plan.error
         # every later window ends at or after its own, later, cycle time
         self._retired_keys += len(
             set().union(*(cache.evict_before(t_ms) for cache in self._caches.values()))

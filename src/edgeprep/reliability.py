@@ -112,17 +112,15 @@ class ReliabilityState:
     ``seconds_per_unit`` are read-only.
     """
 
-    __slots__ = ("_n_expected", "_seconds_per_unit", "interval_start_ms", "q",
+    __slots__ = ("_n_expected", "_seconds_per_unit", "q",
                  "lambda_history", "beta", "beta_cumulative", "rate_integral")
 
-    def __init__(self, n_expected: int, seconds_per_unit: float = 1.0,
-                 interval_start_ms: int = 0):
+    def __init__(self, n_expected: int, seconds_per_unit: float = 1.0):
         if n_expected < 1:
             raise ValueError("n_expected must be >= 1")
         positive_finite("seconds_per_unit", seconds_per_unit)
         self._n_expected = n_expected
         self._seconds_per_unit = seconds_per_unit
-        self.interval_start_ms = interval_start_ms
         self.q = 0
         self.lambda_history: list[tuple[int, int, float]] = []
         self.beta = 1.0
@@ -139,34 +137,29 @@ class ReliabilityState:
         return self._seconds_per_unit
 
 
-def close_interval(states: Sequence[ReliabilityState], t_end_ms: int) -> None:
-    """Close each state's ``]interval_start, t_end]`` in place: fix lam,
-    refresh both weights, reset q and open the next interval at ``t_end``.
+def close_interval(states: Sequence[ReliabilityState], start_ms: int, end_ms: int) -> None:
+    """Close ``]start_ms, end_ms]`` for every state in place: fix lam, set
+    ``beta`` to ``interval_reliability(q, n_expected, length)`` bit for bit,
+    refresh ``beta_cumulative`` and reset q.
 
-    Each state ends with the bits a close of it alone gives.  A state
-    listed twice, or one whose interval does not end after its start, fails
-    the whole call before any state changes.  The cumulative weight comes from the running
-    ``rate_integral``, and the history grows by one append, so a close
-    costs the same however long the history is.  While only this function
-    changes ``lambda_history`` and ``rate_integral``, ``beta_cumulative`` is
-    bit for bit ``cumulative_reliability(lambda_history, n_expected,
-    lambda_history[0][0], t_end_ms, seconds_per_unit)``, whose loop adds the
-    same terms in the same order.
+    A non-forward interval, a state listed twice or a negative ``q`` fails
+    the call before any state changes.  The history grows by one append and
+    the cumulative weight comes from the running ``rate_integral``, so a
+    close costs the same however long the history is.  While only this
+    function changes both, ``beta_cumulative`` is bit for bit
+    ``cumulative_reliability(lambda_history, n_expected,
+    lambda_history[0][0], end_ms, seconds_per_unit)``.
     """
-    closes = []
-    for state in states:
-        start_ms, q, n = state.interval_start_ms, state.q, state._n_expected
-        if t_end_ms <= start_ms:
-            raise ValueError("interval end must follow its start")
-        length = (t_end_ms - start_ms) / 1000.0 / state._seconds_per_unit
-        closes.append((state, start_ms, length, compute_lambda(q, n),
-                       interval_reliability(q, n, length)))
-    if len(set(states)) != len(closes):
+    if end_ms <= start_ms:
+        raise ValueError("interval end must follow its start")
+    if len(set(states)) != len(states):
         raise ValueError("a state is listed twice in one close")
-    for state, start_ms, length, lam, beta in closes:
-        state.beta = beta
+    lams = [compute_lambda(state.q, state._n_expected) for state in states]
+    seconds = (end_ms - start_ms) / 1000.0
+    for state, lam in zip(states, lams):
+        length = seconds / state._seconds_per_unit
+        state.beta = poisson_weight(lam * length, state._n_expected)
         state.rate_integral += lam * length
-        state.lambda_history.append((start_ms, t_end_ms, lam))
+        state.lambda_history.append((start_ms, end_ms, lam))
         state.beta_cumulative = poisson_weight(state.rate_integral, state._n_expected)
         state.q = 0
-        state.interval_start_ms = t_end_ms

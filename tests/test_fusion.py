@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def window_columns(streams, t_a, t_b, tol_ms):
         ts = s.timestamps_ms
         lo, hi = bisect_right(ts, t_a - tol_ms), bisect_right(ts, t_b + tol_ms)
         columns.append((ts, s.values, lo, hi))
-        slices.append(s[lo:hi])
+        slices.append(replace(s, timestamps_ms=ts[lo:hi], values=s.values[lo:hi]))
     return columns, slices
 
 

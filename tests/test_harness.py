@@ -851,6 +851,16 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
+    def test_synth_sensor_id_utf8_cannot_write_is_a_one_line_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text('generators:\n  - {sensor_id: "s\\ud800", modality: co2}\n',
+                        encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("edgeprep: error: spec.generators[0]: "
+                       "sensor id 's\\ud800' cannot be written as UTF-8\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_fault_parameter_its_kind_does_not_read_is_a_one_line_error(self, tmp_path, capsys):
         text = (ROOT / "configs" / "fault_scenario.yaml").read_text(encoding="utf-8")
         bad = tmp_path / "bad.yaml"

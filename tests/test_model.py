@@ -14,6 +14,7 @@ from edgeprep.model import (
     SensorStream,
     seconds_to_ms,
 )
+from edgeprep.harness import GeneratorSpec
 from conftest import row_components, writable_as_utf8
 
 
@@ -141,6 +142,17 @@ class TestModality:
         spec = SensorSpec("s1", label, "room")
         assert type(stream.modality) is type(spec.modality) is Modality
         assert stream.modality == spec.modality == label.strip().lower()
+
+    @pytest.mark.parametrize("make", [
+        lambda sid: SensorStream(sid, "co2", (1000,), (1.0,)),
+        lambda sid: SensorSpec(sid, "co2", "room"),
+        lambda sid: GeneratorSpec(sensor_id=sid, modality="co2"),
+    ], ids=["stream", "sensor", "generator"])
+    @pytest.mark.parametrize("sensor_id", ["\ud800", "s\udfff"])
+    def test_a_sensor_id_with_a_lone_surrogate_is_refused(self, make, sensor_id):
+        # a generator once failed on it in the seed hash, naming no key path
+        with pytest.raises(ConfigError, match="sensor id .* cannot be written as UTF-8"):
+            make(sensor_id)
 
     @pytest.mark.parametrize("label", ["", "  "])
     def test_a_blank_stream_or_sensor_label_is_refused(self, label):

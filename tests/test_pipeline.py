@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from edgeprep.fusion import FusedStream
 from edgeprep.model import ConfigError, Modality, QosProfile, SensorStream
 from edgeprep.pipeline import (
-    AssociationPredicate,
     FeatureCache,
     FeatureFunction,
     Mode,
@@ -22,6 +21,7 @@ from edgeprep.pipeline import (
 )
 import edgeprep.pipeline as pipeline_module
 import edgeprep.reliability as reliability_module
+from edgeprep.reliability import compute_lambda, interval_reliability
 from edgeprep.harness import GeneratorSpec, generate_synthetic, inject_faults, run_scenario
 from edgeprep.voting import (
     VotingConfig,
@@ -107,37 +107,41 @@ class TestFormWindow:
 
 
 class TestAssociate:
-    pred = AssociationPredicate(zone_of=lambda sid: {"s1": "lab", "s2": "hall"}.get(sid, ""))
+    """The temporal slice ``]t_a - tol, t_b + tol]`` that the tracer wraps;
+    the cycle bisects the same slice in place."""
 
-    def test_point_in_window_and_zone(self):
-        flag, subset = associate(stream_of([9000], "s1"), self.pred, 8000, 10_000, "lab")
-        assert flag
-        assert len(subset) == 1
-
-    def test_wrong_zone_is_excluded(self):
-        flag, subset = associate(stream_of([9000], "s2"), self.pred, 8000, 10_000, "lab")
-        assert not flag
-        assert len(subset) == 0
+    def test_point_in_window(self):
+        assert associate(stream_of([9000]), 8000, 10_000) == (True, stream_of([9000]))
 
     def test_empty_point_set(self):
-        assert associate(stream_of([]), self.pred, 8000, 10_000, "lab") == (False, stream_of([]))
+        assert associate(stream_of([]), 8000, 10_000) == (False, stream_of([]))
 
     def test_window_boundaries_are_half_open(self):
         pts = stream_of([8000, 8001, 10_000, 10_001], "s1")
-        _, subset = associate(pts, self.pred, 8000, 10_000, "lab")
+        _, subset = associate(pts, 8000, 10_000)
         assert subset.timestamps_ms == (8001, 10_000)
+        assert subset.values == (8001.0, 10_000.0)
 
     def test_tolerance_widens_both_edges(self):
-        pred = replace(self.pred, temporal_tolerance_ms=500)
         pts = stream_of([7500, 7501, 10_500, 10_501], "s1")
-        _, subset = associate(pts, pred, 8000, 10_000, "lab")
+        _, subset = associate(pts, 8000, 10_000, tol_ms=500)
         assert subset.timestamps_ms == (7501, 10_500)
 
     def test_enlarging_the_window_never_removes_points(self):
         pts = stream_of(range(6000, 12_001, 500), "s1")
-        _, inner = associate(pts, self.pred, 8000, 10_000, "lab")
-        _, outer = associate(pts, self.pred, 6000, 11_000, "lab")
+        _, inner = associate(pts, 8000, 10_000)
+        _, outer = associate(pts, 6000, 11_000)
         assert set(inner.timestamps_ms) <= set(outer.timestamps_ms)
+
+    def test_the_cycle_fuses_the_slice_associate_keeps(self, monkeypatch):
+        # window ]3 s, 5 s] on a 1 s grid, so the tolerance is 2 s
+        stream = SensorStream("t1", Modality.TEMPERATURE, tuple(range(700, 9000, 700)),
+                              tuple(float(i) for i in range(1, 13)))
+        calls = counted(monkeypatch, "fuse_window")
+        Pipeline([make_spec("t1")], [simple_service()], {"t1": stream}).run_cycle(5000)
+        (([(ts, values, lo, hi)], *_),) = calls
+        assert associate(stream, 3000, 5000, 2000) == (
+            True, replace(stream, timestamps_ms=ts[lo:hi], values=values[lo:hi]))
 
 
 class TestComputeFeature:
@@ -388,16 +392,48 @@ class TestPipeline:
         pipeline.run_cycle(5000)
         assert pipeline.counters.points_processed == 2
 
-    def test_service_error_does_not_break_others(self):
-        sensors = [make_spec("t1")]
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_service_error_does_not_break_others(self, mode):
+        sensors = [make_spec("t1"), make_spec("t2")]
         ok = simple_service("ok", ("temperature",))
         starved = simple_service("starved", ("co2",), features=("co2_mean",))
-        streams = synth_streams({"t1": ("temperature", 20.0)})
-        pipeline = Pipeline(sensors, [ok, starved], streams)
-        result = pipeline.run_cycle(5000)
+        streams = synth_streams({"t1": ("temperature", 20.0), "t2": ("temperature", 21.0)})
+        both = Pipeline(sensors, [ok, starved], streams, mode=mode)
+        alone = Pipeline(sensors, [ok], streams, mode=mode)
+        for t_ms in range(1000, 8001, 1000):
+            result, reference = both.run_cycle(t_ms), alone.run_cycle(t_ms)
+            # both services are due from their first full window, at 2 s
+            assert result.errors == (
+                {"starved": "no live sensors for modality 'co2'"} if t_ms >= 2000 else {})
+            assert result.features == reference.features
+            assert result.trace == reference.trace
         assert "ok" in result.features
-        assert "starved" in result.errors
-        assert "co2" in result.errors["starved"]
+
+    def test_a_close_after_a_skipped_one_starts_at_the_last_close(self, monkeypatch):
+        # one pool clock: driven at 10 s and then at 30 s, every state closes
+        # ]10 s, 30 s], which a clock derived as t - interval would not
+        levels = {"a": 20.0, "b": 20.0, "c": 20.0, "d": 28.0}
+        pipeline = Pipeline([make_spec(sid) for sid in levels], [simple_service()],
+                            synth_streams({sid: ("temperature", v) for sid, v in levels.items()},
+                                          duration_s=40.0),
+                            reliability_interval_s=10.0)
+        closes = []
+        inner = pipeline_module.close_interval
+
+        def recording(states, *args):
+            closes.append([(state, state.q) for state in states])
+            return inner(states, *args)
+
+        monkeypatch.setattr(pipeline_module, "close_interval", recording)
+        pipeline.run_cycle(10_000)
+        pipeline.run_cycle(30_000)
+        _, second = closes
+        assert {q for _, q in second} == {0, 1}
+        assert [state for state, _ in second] == [dyn.rel for dyn in pipeline._dyn.values()]
+        for state, q in second:
+            n, unit = state.n_expected, state.seconds_per_unit
+            assert state.lambda_history[-1] == (10_000, 30_000, compute_lambda(q, n))
+            assert state.beta.hex() == interval_reliability(q, n, 20.0 / unit).hex()
 
     def test_shared_inference_computed_once(self):
         sensors = [make_spec("m1", Modality.MOTION), make_spec("m2", Modality.MOTION)]

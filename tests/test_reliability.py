@@ -17,7 +17,7 @@ from edgeprep.reliability import (
 
 def bits(state):
     """Everything a close changes, floats as their exact hex spelling."""
-    return (state.interval_start_ms, state.q, state.beta.hex(), state.beta_cumulative.hex(),
+    return (state.q, state.beta.hex(), state.beta_cumulative.hex(),
             state.rate_integral.hex(),
             [(start, end, lam.hex()) for start, end, lam in state.lambda_history])
 
@@ -123,8 +123,8 @@ class TestCumulativeReliability:
 
 class TestReliabilityState:
     def test_fresh_state(self):
-        state = ReliabilityState(3, seconds_per_unit=0.5, interval_start_ms=1000)
-        assert (state.n_expected, state.seconds_per_unit, state.interval_start_ms) == (3, 0.5, 1000)
+        state = ReliabilityState(3, seconds_per_unit=0.5)
+        assert (state.n_expected, state.seconds_per_unit) == (3, 0.5)
         assert (state.q, state.lambda_history, state.rate_integral) == (0, [], 0.0)
         assert state.beta == state.beta_cumulative == 1.0
 
@@ -149,9 +149,8 @@ class TestCloseInterval:
     def test_close_resets_q_and_appends_history(self):
         state = ReliabilityState(2)
         state.q = 2
-        close_interval([state], 2000)
+        close_interval([state], 0, 2000)
         assert state.q == 0
-        assert state.interval_start_ms == 2000
         assert state.lambda_history == [(0, 2000, 1.0)]
         assert state.beta == interval_reliability(2, 2, 2.0)
         assert state.beta_cumulative == state.beta
@@ -159,8 +158,8 @@ class TestCloseInterval:
     def test_sequential_intervals_accumulate(self):
         state = ReliabilityState(2)
         state.q = 1
-        close_interval([state], 2000)
-        close_interval([state], 4000)  # no appearances in the second piece
+        close_interval([state], 0, 2000)
+        close_interval([state], 2000, 4000)  # no appearances in the second piece
         assert [h[2] for h in state.lambda_history] == [0.5, 0.0]
         assert state.beta == 0.0
         assert state.beta_cumulative == pytest.approx(
@@ -180,12 +179,12 @@ class TestCloseInterval:
     def test_running_integral_matches_reference_bit_for_bit(
         self, n, start, seconds_per_unit, pieces
     ):
-        state = ReliabilityState(n, seconds_per_unit, interval_start_ms=start)
+        state = ReliabilityState(n, seconds_per_unit)
         t_ms = start
         for q, length_ms in pieces:
             state.q = q
             t_ms += length_ms
-            close_interval([state], t_ms)
+            close_interval([state], t_ms - length_ms, t_ms)
             assert state.beta_cumulative == cumulative_reliability(
                 state.lambda_history, n, start, t_ms, seconds_per_unit)
 
@@ -205,31 +204,31 @@ class TestCloseInterval:
         for q, length_ms in pieces:
             state.q = q
             t_ms += length_ms
-            close_interval([state], t_ms)
+            close_interval([state], t_ms - length_ms, t_ms)
             assert 0.0 <= state.beta <= 1.0
             assert 0.0 <= state.beta_cumulative <= 1.0
 
     def test_rejects_non_forward_close(self):
-        state = ReliabilityState(2, interval_start_ms=5000)
+        state = ReliabilityState(2)
         with pytest.raises(ValueError):
-            close_interval([state], 5000)
+            close_interval([state], 5000, 5000)
 
     @given(
         # small pools of n and of the unit give states equal n and lengths
         specs=st.lists(
             st.tuples(st.one_of(st.sampled_from([1, 5]), st.integers(min_value=1, max_value=20)),
                       st.one_of(st.sampled_from([0.5, 1.0]),
-                                st.floats(min_value=0.001, max_value=10.0)),
-                      st.integers(min_value=0, max_value=10**6)),
+                                st.floats(min_value=0.001, max_value=10.0))),
             min_size=1, max_size=8,
         ),
+        start=st.integers(min_value=0, max_value=10**6),
         data=st.data(),
     )
     def test_a_close_of_several_states_gives_each_the_bits_of_its_own_close(self, specs,
-                                                                             data):
-        together = [ReliabilityState(n, unit, interval_start_ms=start) for n, unit, start in specs]
-        alone = [ReliabilityState(n, unit, interval_start_ms=start) for n, unit, start in specs]
-        t_ms = max(start for _, _, start in specs)
+                                                                             start, data):
+        together = [ReliabilityState(n, unit) for n, unit in specs]
+        alone = [ReliabilityState(n, unit) for n, unit in specs]
+        t_ms = start
         rounds = data.draw(st.lists(st.integers(min_value=1, max_value=60_000),
                                     min_size=1, max_size=10))
         for length_ms in rounds:
@@ -239,33 +238,37 @@ class TestCloseInterval:
             t_ms += length_ms
             for state, twin, q in zip(together, alone, qs):
                 state.q = twin.q = q
-            close_interval(together, t_ms)
+            close_interval(together, t_ms - length_ms, t_ms)
             for twin in alone:
-                close_interval([twin], t_ms)
-            for state, twin, (n, unit, start) in zip(together, alone, specs):
+                close_interval([twin], t_ms - length_ms, t_ms)
+            for state, twin, (n, unit) in zip(together, alone, specs):
                 assert bits(state) == bits(twin)
                 assert state.beta_cumulative == cumulative_reliability(
                     state.lambda_history, n, start, t_ms, unit)
 
-    @pytest.mark.parametrize("late_start, twice", [(6000, False), (0, True)])
-    def test_a_refused_close_changes_no_state(self, late_start, twice):
-        first = ReliabilityState(2)
-        other = first if twice else ReliabilityState(2, interval_start_ms=late_start)
+    @pytest.mark.parametrize("refusal", ["empty", "backward", "twice", "negative_q"])
+    def test_a_refused_close_changes_no_state(self, refusal):
+        first, other = ReliabilityState(2), ReliabilityState(2)
         first.q = 1
+        start_ms = {"empty": 5000, "backward": 6000}.get(refusal, 0)
+        if refusal == "twice":
+            other = first
+        elif refusal == "negative_q":
+            other.q = -1  # the state after a valid one
         before = bits(first), bits(other)
         with pytest.raises(ValueError):
-            close_interval([first, other], 5000)
+            close_interval([first, other], start_ms, 5000)
         assert (bits(first), bits(other)) == before
 
     def test_a_close_appends_to_the_history_it_holds(self):
         # counted, not timed: a long history is extended, never copied
         state = ReliabilityState(2)
         for t_ms in range(1000, 12_001_000, 1000):
-            close_interval([state], t_ms)
+            close_interval([state], t_ms - 1000, t_ms)
         history = state.lambda_history
         assert len(history) == 12_000
         state.q = 1
-        close_interval([state], 12_001_000)
+        close_interval([state], 12_000_000, 12_001_000)
         assert state.lambda_history is history
         assert len(history) == 12_001
         assert history[-1] == (12_000_000, 12_001_000, 0.5)
