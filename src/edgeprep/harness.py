@@ -39,7 +39,7 @@ from .model import (
     SensorStream,
     StaticAttr,
     positive_finite,
-    require_utf8,
+    require_id,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
@@ -210,19 +210,28 @@ FAULT_PARAMS = {
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One fault active over ``]start, end]``, with its kind's FAULT_PARAMS."""
+    """One fault active over ``]start, end]``, with its kind's FAULT_PARAMS.
+
+    The instants ``start_s`` and ``end_s`` are fixed in exact milliseconds
+    as ``start_ms`` and ``end_ms`` at construction.
+    """
 
     sensor_id: str
     kind: FaultKind
-    start_ms: int
-    end_ms: int
+    start_s: float
+    end_s: float
     value: float = 0.0       # stuck_at level
     slope_per_s: float = 0.0  # drift rate
     magnitude: float = 0.0    # spike amplitude
     rate: float = 0.0         # spike probability per sample
     probability: float = 0.0  # dropout probability per sample
+    start_ms: int = field(init=False)
+    end_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "start_ms",
+                           seconds_to_ms(self.start_s, "fault start_s", instant=True))
+        object.__setattr__(self, "end_ms", seconds_to_ms(self.end_s, "fault end_s", instant=True))
         if self.end_ms <= self.start_ms:
             raise ConfigError("fault interval must satisfy end > start")
         for name in ("rate", "probability"):
@@ -315,7 +324,7 @@ class GeneratorSpec:
     duration_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
-        require_utf8("sensor id", self.sensor_id)
+        require_id("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
         object.__setattr__(self, "period_ms", seconds_to_ms(self.period_s, "generator period_s"))
         object.__setattr__(self, "duration_ms",
@@ -534,7 +543,7 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
 
     Keys are the init fields of :class:`ScenarioConfig` and of the config
     classes it holds, or stand for some (``streams``, ``modalities``,
-    ``window``, ``start_s``/``end_s``); any other key raises ConfigError.
+    ``window``); any other key raises ConfigError.
     """
     raw = _mapping(raw, "scenario")
 
@@ -551,18 +560,10 @@ def parse_scenario(raw: Mapping, base_dir: Path | None = None) -> ScenarioConfig
     sensor = partial(_build, SensorSpec, derived={
         "static_attrs": ("static_attrs", _static_attrs),
     })
-
-    def instant(value, path: str) -> int:
-        return seconds_to_ms(_scalar(float, value, path), f"{path}: instant", instant=True)
-
-    fault = partial(_build, FaultSpec, derived={
-        "start_s": ("start_ms", instant),
-        "end_s": ("end_ms", instant),
-    })
     return _build(ScenarioConfig, raw, "scenario", {
         "sensors": ("sensors", partial(_items, sensor)),
         "services": ("services", partial(_items, _service)),
-        "faults": ("faults", partial(_items, fault)),
+        "faults": ("faults", partial(_items, partial(_build, FaultSpec))),
         "voting": ("voting", partial(_build, VotingConfig)),
         "kalman": ("kalman", partial(_build, KalmanConfig)),
         "streams": (("generators", "csv_path"), streams),
@@ -796,21 +797,12 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_modes(
-    cfg: ScenarioConfig,
-    out_dir: str | Path | None = None,
-    modes: Sequence[Mode] = (
-        Mode.UNIFIED,
-        Mode.PER_SERVICE,
-        Mode.TOPSIS_BASELINE,
-        Mode.NO_SELECTION_FUSED,
-    ),
-) -> ComparisonReport:
-    """Run each mode on identical inputs and seed; collect exact counts."""
+def compare_modes(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ComparisonReport:
+    """Run every mode on identical inputs and seed; collect exact counts."""
     out_dir = Path(out_dir) if out_dir is not None else None
     reports: dict[str, ScenarioReport] = {}
     failures: dict[str, str] = {}
-    for mode in modes:
+    for mode in Mode:
         sub = out_dir / mode.value if out_dir is not None else None
         try:
             reports[mode.value] = run_scenario(cfg, out_dir=sub, mode=mode)

@@ -22,6 +22,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
 from typing import Mapping
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "Direction",
     "SensorStream",
     "StaticAttr",
+    "static_score",
     "SensorSpec",
     "QosProfile",
 ]
@@ -63,12 +65,15 @@ class Modality(str):
         norm = str(label).strip().lower()
         if not norm:
             raise ConfigError(f"modality label {label!r} is blank")
-        require_utf8("modality label", norm)
+        require_id("modality label", norm)
         return super().__new__(cls, norm)
 
 
-def require_utf8(name: str, text: str) -> None:
-    """Raise :class:`ConfigError` naming ``name`` unless UTF-8 can write ``text``."""
+def require_id(name: str, text: str) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``text`` is
+    non-empty and UTF-8 can write it, as the CSVs and output files must."""
+    if not text:
+        raise ConfigError(f"{name} must be non-empty")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -103,9 +108,7 @@ class SensorStream:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.sensor_id:
-            raise ValueError("sensor_id must be non-empty")
-        require_utf8("sensor id", self.sensor_id)
+        require_id("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
         timestamps = tuple(self.timestamps_ms)
         values = tuple(map(float, self.values))
@@ -156,19 +159,57 @@ class StaticAttr:
     direction: Direction = Direction.COST
 
 
+def static_score(raw_theta: float, direction: Direction) -> float:
+    """Map a documented raw attribute value into (0, 1], 1 being ideal.
+
+    Cost attributes decay directly: ``exp(-raw)``.  Benefit attributes are
+    first inverted to the cost ``1 / (1 + raw)`` so that larger raw values
+    approach the ideal.  A cost value whose score underflows to 0 (from
+    about 745 on) is refused: every such value would score alike.
+    """
+    raw = float(raw_theta)
+    if not math.isfinite(raw) or raw < 0:
+        raise ValueError(f"raw attribute value must be finite and >= 0, got {raw!r}")
+    if direction is Direction.BENEFIT:
+        raw = 1.0 / (1.0 + raw)
+    score = math.exp(-raw)
+    if score == 0.0:
+        raise ValueError(f"raw attribute value {raw!r} is too large: its score exp(-{raw!r}) "
+                         f"underflows to 0; give it in a coarser unit")
+    return score
+
+
 @dataclass(frozen=True)
 class SensorSpec:
-    """Static description of one deployed sensor."""
+    """Static description of one deployed sensor.
+
+    ``static_attrs`` documents each of :data:`STATIC_ATTRIBUTE_NAMES`; it is
+    read-only, and its :func:`static_score` values, in that order, are fixed
+    as ``static_scores`` at construction.
+    """
 
     sensor_id: str
     modality: Modality
     zone: str
-    static_attrs: Mapping[str, StaticAttr] = field(default_factory=dict)
+    static_attrs: Mapping[str, StaticAttr]
+    static_scores: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
-        require_utf8("sensor id", self.sensor_id)
+        require_id("sensor id", self.sensor_id)
         object.__setattr__(self, "modality", Modality(self.modality))
-        object.__setattr__(self, "static_attrs", dict(self.static_attrs))
+        attrs = MappingProxyType(dict(self.static_attrs))
+        scores = []
+        for name in STATIC_ATTRIBUTE_NAMES:
+            attr = attrs.get(name)
+            if attr is None:
+                raise ConfigError(f"sensor {self.sensor_id!r} lacks static attribute {name!r}")
+            try:
+                scores.append(static_score(attr.value, attr.direction))
+            except ValueError as exc:
+                raise ConfigError(f"sensor {self.sensor_id!r} static attribute {name!r}: "
+                                  f"{exc}") from None
+        object.__setattr__(self, "static_attrs", attrs)
+        object.__setattr__(self, "static_scores", tuple(scores))
 
 
 # perfbench/workloads.py:112-124 reads these two aliases of the modality;
@@ -202,8 +243,7 @@ class QosProfile:
     granularity_ms: int = field(init=False)  # granularity_s in exact milliseconds
 
     def __post_init__(self) -> None:
-        if not self.service_id:
-            raise ConfigError("service_id must be non-empty")
+        require_id("service id", self.service_id)
         weights = tuple(float(w) for w in self.weights)
         if len(weights) != len(ATTRIBUTE_NAMES):
             raise ConfigError(f"weights need {len(ATTRIBUTE_NAMES)} entries")

@@ -41,7 +41,7 @@ from .model import (
     SensorStream,
     seconds_to_ms,
 )
-from .ranking import Ranking, rank_rows, static_profile, topsis_select
+from .ranking import Ranking, rank_rows, topsis_select
 from .reliability import ReliabilityState, close_interval
 from .voting import VotingConfig, vote
 
@@ -342,18 +342,16 @@ class Counters:
 
 
 class _SensorDyn:
-    """Mutable per-sensor dynamic state, owned by the pipeline."""
+    """Mutable per-sensor dynamic state, owned by the pipeline, beside the
+    sensor's fixed static scores: together, its ranking row."""
 
-    __slots__ = ("alpha", "rel")
+    __slots__ = ("alpha", "rel", "static")
 
-    def __init__(self, n_expected: int, seconds_per_unit: float):
+    def __init__(self, n_expected: int, seconds_per_unit: float,
+                 static: tuple[float, float, float]):
         self.alpha = 1.0
         self.rel = ReliabilityState(n_expected, seconds_per_unit)
-
-
-#: where a live sensor's ranking row comes from: its dynamic state and its
-#: three static scores
-_RowSource = tuple[_SensorDyn, tuple[float, float, float]]
+        self.static = static
 
 
 @dataclass(eq=False, slots=True)
@@ -361,7 +359,7 @@ class _Need:
     """One modality a service needs, resolved at construction.
 
     ``live`` are the ascending ids of the cohort's sensors with data in the
-    service's zone, and ``sources`` their row sources, in that order.
+    service's zone, and ``sources`` their states, in that order.
     ``profile`` numbers the ranking profile (scope, live ids, utopia,
     weights, beta source): services with one profile share one ranking per
     cycle.  ``fixed`` is the TOPSIS baseline's ranking, made once.
@@ -369,7 +367,7 @@ class _Need:
 
     modality: Modality
     live: tuple[str, ...]
-    sources: tuple[_RowSource, ...]
+    sources: tuple[_SensorDyn, ...]
     profile: int
     fixed: Ranking | None
 
@@ -459,9 +457,8 @@ class Pipeline:
             for mk in sorted(cohorts)
         }
 
-        static = {sid: static_profile(spec) for sid, spec in specs.items()}
-        # the ranking kernel trusts its rows: static_score refuses the raw
-        # values that would leave [0, 1], beta lies in [0, 1] by its formula,
+        # the ranking kernel trusts its rows: SensorSpec refuses a raw value
+        # whose score would leave [0, 1], beta lies in [0, 1] by its formula,
         # alpha is checked where a ranking reads it (see _rows), and every
         # cohort's ids ascend, unique, by the duplicate check and the sort
         # above
@@ -472,7 +469,8 @@ class Pipeline:
             gran_ms = granularity_ms[mk]
             n_expected = max(1, self.reliability_interval_ms // gran_ms)
             for spec in cohort:
-                self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0)
+                self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0,
+                                                       spec.static_scores)
 
         # cohort maintenance, which only the two selecting modes run: per
         # cohort in modality order, its granularity and the (stream, state)
@@ -504,7 +502,7 @@ class Pipeline:
                 live = tuple(spec.sensor_id for spec in cohorts.get(mk, [])
                              if len(self.streams.get(spec.sensor_id, ())) > 0
                              and (svc.zone is None or spec.zone == svc.zone))
-                sources = tuple((self._dyn[sid], static[sid]) for sid in live)
+                sources = tuple(self._dyn[sid] for sid in live)
                 profile = profiles.setdefault(
                     (scope, live, qos.utopia, qos.weights, qos.beta_source), len(profiles))
                 fixed = None
@@ -538,12 +536,12 @@ class Pipeline:
     # -- state assembly ----------------------------------------------------
 
     @staticmethod
-    def _rows(sources: Sequence[_RowSource], beta_source: str) -> list[tuple[float, ...]]:
+    def _rows(sources: Sequence[_SensorDyn], beta_source: str) -> list[tuple[float, ...]]:
         """The ranking rows of ``sources``, one tuple of five floats each."""
         if beta_source == "cumulative":
-            rows = [(dyn.alpha, dyn.rel.beta_cumulative) + static for dyn, static in sources]
+            rows = [(dyn.alpha, dyn.rel.beta_cumulative) + dyn.static for dyn in sources]
         else:
-            rows = [(dyn.alpha, dyn.rel.beta) + static for dyn, static in sources]
+            rows = [(dyn.alpha, dyn.rel.beta) + dyn.static for dyn in sources]
         # alpha is in [0, 1] unless a vote's Kalman estimate went through inf
         # to NaN; a later vote may replace it, so only a ranking refuses it
         for row in rows:

@@ -24,20 +24,11 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .model import (
-    ATTRIBUTE_NAMES,
-    STATIC_ATTRIBUTE_NAMES,
-    ConfigError,
-    Direction,
-    QosProfile,
-    SensorSpec,
-)
+from .model import ATTRIBUTE_NAMES, QosProfile
 
 __all__ = [
     "RankedRow",
     "Ranking",
-    "static_score",
-    "static_profile",
     "scaling_coefficients",
     "rank_and_select",
     "rank_rows",
@@ -54,41 +45,6 @@ RankedRow = tuple[str, float, float, float, int]
 #: a cohort's ranking: its ids by ascending ``d_ma``, ties by ascending id,
 #: and one :data:`RankedRow` per sensor, in id order
 Ranking = tuple[tuple[str, ...], list[RankedRow]]
-
-
-def static_score(raw_theta: float, direction: Direction) -> float:
-    """Map a documented raw attribute value into (0, 1], 1 being ideal.
-
-    Cost attributes decay directly: ``exp(-raw)``.  Benefit attributes are
-    first inverted to the cost ``1 / (1 + raw)`` so that larger raw values
-    approach the ideal.  A cost value whose score underflows to 0 (from
-    about 745 on) is refused: every such value would score alike.
-    """
-    raw = float(raw_theta)
-    if not math.isfinite(raw) or raw < 0:
-        raise ValueError(f"raw attribute value must be finite and >= 0, got {raw!r}")
-    if direction is Direction.BENEFIT:
-        raw = 1.0 / (1.0 + raw)
-    score = math.exp(-raw)
-    if score == 0.0:
-        raise ValueError(f"raw attribute value {raw!r} is too large: its score exp(-{raw!r}) "
-                         f"underflows to 0; give it in a coarser unit")
-    return score
-
-
-def static_profile(spec: SensorSpec) -> tuple[float, float, float]:
-    """(resolution, response_time, range) scores for one sensor spec."""
-    out = []
-    for name in STATIC_ATTRIBUTE_NAMES:
-        attr = spec.static_attrs.get(name)
-        if attr is None:
-            raise ConfigError(f"sensor {spec.sensor_id!r} lacks static attribute {name!r}")
-        try:
-            out.append(static_score(attr.value, attr.direction))
-        except ValueError as exc:
-            raise ConfigError(f"sensor {spec.sensor_id!r} static attribute {name!r}: {exc}"
-                              ) from None
-    return tuple(out)
 
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:

@@ -353,7 +353,7 @@ def occupancy_accuracy(csv_path: Path, seed: int, mode: Mode, duration_s: int = 
         features=("motion_mean", "co2_mean"),
     )
     stuck = FaultSpec(sensor_id="c3", kind=FaultKind.STUCK_AT, value=1200.0,
-                      start_ms=0, end_ms=duration_s * 1000)
+                      start_s=0, end_s=duration_s)
     cfg = ScenarioConfig(sensors=sensors, services=[service], duration_s=duration_s,
                          seed=seed, mode=mode, csv_path=str(csv_path), faults=[stuck],
                          reliability_interval_s=2.0)

@@ -286,23 +286,23 @@ class TestInjectFaults:
         return {"s1": stream_of("s1", [(t, 20.0) for t in range(1000, 11_000, 1000)])}
 
     def test_stuck_at_replaces_only_inside_the_interval(self):
-        fault = FaultSpec("s1", FaultKind.STUCK_AT, 3000, 6000, value=30.0)
+        fault = FaultSpec("s1", FaultKind.STUCK_AT, 3, 6, value=30.0)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
         for t, v in zip(out.timestamps_ms, out.values):
             assert v == (30.0 if 3000 < t <= 6000 else 20.0)
 
     def test_dropout_probability_one_removes_everything_in_interval(self):
-        fault = FaultSpec("s1", FaultKind.DROPOUT, 3000, 6000, probability=1.0)
+        fault = FaultSpec("s1", FaultKind.DROPOUT, 3, 6, probability=1.0)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
         assert out.timestamps_ms == (1000, 2000, 3000, 7000, 8000, 9000, 10_000)
 
     def test_drift_offset_grows_linearly(self):
-        fault = FaultSpec("s1", FaultKind.DRIFT, 0, 10_000, slope_per_s=0.1)
+        fault = FaultSpec("s1", FaultKind.DRIFT, 0, 10, slope_per_s=0.1)
         out = inject_faults(self.base(), [fault], seed=1)["s1"]
         assert out.values[-1] == pytest.approx(20.0 + 0.1 * 10.0, abs=1e-12)
 
     def test_spike_is_deterministic_under_seed(self):
-        fault = FaultSpec("s1", FaultKind.SPIKE, 0, 10_000, magnitude=5.0, rate=0.5)
+        fault = FaultSpec("s1", FaultKind.SPIKE, 0, 10, magnitude=5.0, rate=0.5)
         a = inject_faults(self.base(), [fault], seed=9)["s1"]
         b = inject_faults(self.base(), [fault], seed=9)["s1"]
         assert a.values == b.values
@@ -311,15 +311,15 @@ class TestInjectFaults:
         assert 5.0 in deviations
 
     def test_unknown_sensor_rejected(self):
-        fault = FaultSpec("sX", FaultKind.STUCK_AT, 0, 1000, value=1.0)
+        fault = FaultSpec("sX", FaultKind.STUCK_AT, 0, 1, value=1.0)
         with pytest.raises(ConfigError):
             inject_faults(self.base(), [fault], seed=1)
 
     def test_fault_validation(self):
         with pytest.raises(ConfigError):
-            FaultSpec("s1", FaultKind.STUCK_AT, 1000, 1000)
+            FaultSpec("s1", FaultKind.STUCK_AT, 1, 1)
         with pytest.raises(ConfigError):
-            FaultSpec("s1", FaultKind.DROPOUT, 0, 1000, probability=1.5)
+            FaultSpec("s1", FaultKind.DROPOUT, 0, 1, probability=1.5)
 
     @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
     def test_each_kind_takes_its_own_parameters(self, kind):
@@ -327,7 +327,7 @@ class TestInjectFaults:
         # a parameter left at its default is not set
         others = {name: 0.0 for names in FAULT_PARAMS.values() for name in names
                   if name not in own}
-        FaultSpec("s1", kind, 0, 1000, **own, **others)
+        FaultSpec("s1", kind, 0, 1, **own, **others)
 
     @pytest.mark.parametrize("kind, param", [
         (FaultKind.STUCK_AT, "slope_per_s"),
@@ -338,16 +338,16 @@ class TestInjectFaults:
     ])
     def test_a_parameter_its_kind_does_not_read_is_rejected(self, kind, param):
         with pytest.raises(ConfigError, match=f"'{kind.value}' does not read {param}"):
-            FaultSpec("s1", kind, 0, 1000, **{param: 0.5})
+            FaultSpec("s1", kind, 0, 1, **{param: 0.5})
 
     @pytest.mark.parametrize("fault, level", [
-        (FaultSpec("s1", FaultKind.DRIFT, 2000, 9000, slope_per_s=1e308), 20.0),
-        (FaultSpec("s1", FaultKind.SPIKE, 2000, 9000, magnitude=1e308, rate=1.0), 1e308),
+        (FaultSpec("s1", FaultKind.DRIFT, 2, 9, slope_per_s=1e308), 20.0),
+        (FaultSpec("s1", FaultKind.SPIKE, 2, 9, magnitude=1e308, rate=1.0), 1e308),
     ], ids=["drift", "spike"])
     def test_a_faulted_value_that_overflows_names_the_fault(self, fault, level):
         param = "slope_per_s" if fault.kind is FaultKind.DRIFT else "magnitude"
         base = {"s1": stream_of("s1", [(t, level) for t in range(1000, 11_000, 1000)])}
-        harmless = FaultSpec("s1", FaultKind.STUCK_AT, 0, 1000, value=1.0)
+        harmless = FaultSpec("s1", FaultKind.STUCK_AT, 0, 1, value=1.0)
         with pytest.raises(ConfigError) as err:
             inject_faults(base, [harmless, fault], seed=1)
         assert re.fullmatch(
@@ -363,7 +363,7 @@ class TestInjectFaults:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_parameter_is_rejected(self, kind, param, value):
         with pytest.raises(ConfigError, match=f"{param} must be finite"):
-            FaultSpec("s1", kind, 0, 1000, **{param: value})
+            FaultSpec("s1", kind, 0, 1, **{param: value})
 
 
 class TestGenerateSynthetic:
@@ -630,7 +630,7 @@ class TestStrictParsing:
         ("scenario", "mode", "fast"),
         ("window", "k_l", True),
         ("fault", "kind", "melt"),
-        ("fault", "start_s", 0.0001),
+        ("fault", "start_s", "abc"),
         ("service", "features", "temperature_mean"),
         ("static attribute entry", "direction", "sideways"),
     ])
@@ -679,7 +679,8 @@ class TestStrictParsing:
         ("service", "period_s", "scenario.services[0]: period_s must be"),
         ("service", "granularity_s", "scenario.services[0]: granularity_s must be"),
         ("window", "delta_t_s", "scenario.services[0]: delta_t_s must be"),
-        ("fault", "start_s", "scenario.faults[0].start_s: instant"),
+        ("fault", "start_s", "scenario.faults[0]: fault start_s must be"),
+        ("fault", "end_s", "scenario.faults[0]: fault end_s must be"),
         ("kalman", "measurement_noise", "scenario.kalman: "),
         ("voting", "c", "scenario.voting: c must be"),
         ("generator", "period_s", "scenario.streams.synthetic[0]: generator period_s must be"),
@@ -696,7 +697,7 @@ class TestStrictParsing:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308],
                              ids=["nan", "inf", "-inf", "huge"])
     def test_non_finite_instant_is_rejected(self, value):
-        with pytest.raises(ConfigError, match=re.escape("scenario.faults[0].start_s: instant")
+        with pytest.raises(ConfigError, match=re.escape("scenario.faults[0]: fault start_s must be")
                            + ".*finite"):
             parse_with("fault", "start_s", value)
 
@@ -711,7 +712,10 @@ class TestStrictParsing:
         ("synth spec", "duration_s", 1e308,
          "spec.generators[0]: generator duration_s must be finite in milliseconds"),
         ("fault", "start_s", 0.0001,
-         "scenario.faults[0].start_s: instant 0.0001s is not representable"),
+         "scenario.faults[0]: fault start_s 0.0001s is not representable in whole milliseconds"),
+        ("fault", "end_s", 10.0005,
+         "scenario.faults[0]: fault end_s 10.0005s is not representable in whole milliseconds"),
+        ("fault", "end_s", -1, "scenario.faults[0]: fault end_s must be finite and >= 0"),
         ("service", "granularity_s", 0.0005,
          "scenario.services[0]: granularity_s 0.0005s is not representable in whole milliseconds"),
     ])
@@ -884,16 +888,54 @@ class TestCli:
     @pytest.mark.parametrize("value, why", [(800, "underflows to 0"), (-1, "finite and >= 0")])
     def test_static_attribute_that_cannot_score_is_a_one_line_error(self, tmp_path, capsys,
                                                                    value, why):
-        # a response time given in milliseconds once scored every sensor 0
+        # refused where the sensor is parsed, at its key path
         doc = valid_scenario()
         doc["sensors"][0]["static_attrs"]["response_time"] = {"value": value}
         config = tmp_path / "scenario.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("edgeprep: error: sensor 't1' static attribute 'response_time': ")
+        assert err.startswith("edgeprep: error: scenario.sensors[0]: "
+                              "sensor 't1' static attribute 'response_time': ")
         assert why in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_static_attribute_names_its_sensor(self, tmp_path, capsys):
+        doc = valid_scenario()
+        del doc["sensors"][0]["static_attrs"]["range"]
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("edgeprep: error: scenario.sensors[0]: "
+                                           "sensor 't1' lacks static attribute 'range'\n")
+
+    def test_service_id_utf8_cannot_write_is_refused_before_any_output(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "two_service.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("service_id: occupancy", 'service_id: "o\\ud800"', 1),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("edgeprep: error: scenario.services[0]: "
+                                           "service id 'o\\ud800' cannot be written as UTF-8\n")
+        assert not (out / "selection_trace.csv").exists()
+
+    @pytest.mark.parametrize("blank, path", [
+        ("sensor", "scenario.sensors[3]"),
+        ("generator", "scenario.streams.synthetic[3]"),
+    ])
+    def test_empty_sensor_id_is_refused_at_its_key_path(self, tmp_path, capsys, blank, path):
+        doc = yaml.safe_load((ROOT / "configs" / "two_service.yaml").read_text(encoding="utf-8"))
+        entries = {"sensor": doc["sensors"], "generator": doc["streams"]["synthetic"]}
+        assert entries[blank][3]["sensor_id"] == "t1"
+        entries[blank][3]["sensor_id"] = ""
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"edgeprep: error: {path}: "
+                                           f"sensor id must be non-empty\n")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_row_is_a_one_line_error(self, tmp_path, capsys):
         config = self.malformed_csv_config(tmp_path)
@@ -994,7 +1036,7 @@ class TestRunScenario:
         # t3 sticks over ]60, 180] s; a drift over ]100, 200] s overlaps it,
         # and the union ]60, 200] s holds one climate row per second
         cfg = load_config("fault_scenario")
-        cfg.faults.append(FaultSpec("t3", FaultKind.DRIFT, 100_000, 200_000, slope_per_s=0.5))
+        cfg.faults.append(FaultSpec("t3", FaultKind.DRIFT, 100, 200, slope_per_s=0.5))
         report = run_scenario(cfg)
         rows = [r for r in report.trace
                 if r.sensor_id == "t3" and 60_000 < r.t_ms <= 200_000]
@@ -1018,7 +1060,8 @@ class TestCompareModes:
     def test_single_service_has_nothing_to_share(self):
         cfg = load_config("fault_scenario")
         cfg.faults = []
-        comparison = compare_modes(cfg, modes=(Mode.UNIFIED, Mode.PER_SERVICE))
+        comparison = compare_modes(cfg)
+        assert sorted(comparison.reports) == sorted(mode.value for mode in Mode)
         uni = comparison.reports["unified"]
         per = comparison.reports["per_service"]
         assert uni.feature_invocations == per.feature_invocations

@@ -15,7 +15,7 @@ from edgeprep.model import (
     seconds_to_ms,
 )
 from edgeprep.harness import GeneratorSpec
-from conftest import row_components, writable_as_utf8
+from conftest import make_spec, row_components, writable_as_utf8
 
 
 def stream_of(timestamps, values, sid="s1"):
@@ -139,27 +139,39 @@ class TestModality:
     @pytest.mark.parametrize("label", ["Lux", " Noise_dB ", "CO2", "other"])
     def test_a_stream_and_its_sensor_store_one_label(self, label):
         stream = SensorStream("s1", label, (1000,), (1.0,))
-        spec = SensorSpec("s1", label, "room")
+        spec = make_spec("s1", label)
         assert type(stream.modality) is type(spec.modality) is Modality
         assert stream.modality == spec.modality == label.strip().lower()
 
     @pytest.mark.parametrize("make", [
         lambda sid: SensorStream(sid, "co2", (1000,), (1.0,)),
-        lambda sid: SensorSpec(sid, "co2", "room"),
+        lambda sid: make_spec(sid, "co2"),
         lambda sid: GeneratorSpec(sensor_id=sid, modality="co2"),
     ], ids=["stream", "sensor", "generator"])
     @pytest.mark.parametrize("sensor_id", ["\ud800", "s\udfff"])
     def test_a_sensor_id_with_a_lone_surrogate_is_refused(self, make, sensor_id):
-        # a generator once failed on it in the seed hash, naming no key path
         with pytest.raises(ConfigError, match="sensor id .* cannot be written as UTF-8"):
             make(sensor_id)
+
+    @pytest.mark.parametrize("make, text, message", [
+        (lambda sid: SensorStream(sid, "co2", (1000,), (1.0,)), "", "sensor id must be non-empty"),
+        (lambda sid: make_spec(sid, "co2"), "", "sensor id must be non-empty"),
+        (lambda sid: GeneratorSpec(sensor_id=sid, modality="co2"), "",
+         "sensor id must be non-empty"),
+        (lambda sid: QosProfile(service_id=sid), "", "service id must be non-empty"),
+        (lambda sid: QosProfile(service_id=sid), "o\ud800",
+         "service id 'o\\ud800' cannot be written as UTF-8"),
+    ], ids=["stream", "sensor", "generator", "service", "service-surrogate"])
+    def test_every_id_is_non_empty_and_writable_as_utf8(self, make, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make(text)
 
     @pytest.mark.parametrize("label", ["", "  "])
     def test_a_blank_stream_or_sensor_label_is_refused(self, label):
         with pytest.raises(ConfigError, match="is blank"):
             SensorStream("s1", label, (1000,), (1.0,))
         with pytest.raises(ConfigError, match="is blank"):
-            SensorSpec("s1", label, "room")
+            make_spec("s1", label)
 
 
 class TestQosProfile:

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from edgeprep.model import ConfigError, Direction, QosProfile
-from edgeprep.ranking import (
-    rank_and_select,
-    rank_rows,
-    scaling_coefficients,
-    static_profile,
+from edgeprep.model import (
+    STATIC_ATTRIBUTE_NAMES,
+    ConfigError,
+    Direction,
+    QosProfile,
+    SensorSpec,
     static_score,
-    topsis_select,
 )
+from edgeprep.ranking import rank_and_select, rank_rows, scaling_coefficients, topsis_select
 from conftest import cohort_of, make_spec, make_state, record_of, row_components
 
 
@@ -74,17 +74,24 @@ class TestStaticScore:
 
     def test_profile_needs_every_static_attribute(self):
         spec = make_spec("s1")
-        assert static_profile(spec) == pytest.approx(
+        assert spec.static_scores == pytest.approx(
             (math.exp(-0.5), math.exp(-1.0), math.exp(-1.0 / 51.0)))
-        del spec.static_attrs["range"]
-        with pytest.raises(ConfigError, match="range"):
-            static_profile(spec)
+        # bit for bit the score of each attribute, in STATIC_ATTRIBUTE_NAMES order
+        assert spec.static_scores == tuple(
+            static_score(spec.static_attrs[name].value, spec.static_attrs[name].direction)
+            for name in STATIC_ATTRIBUTE_NAMES)
+        # the scores cannot go stale: the attributes are read-only
+        with pytest.raises(TypeError):
+            del spec.static_attrs["range"]
+        attrs = {k: v for k, v in spec.static_attrs.items() if k != "range"}
+        with pytest.raises(ConfigError, match="sensor 's1' lacks static attribute 'range'"):
+            SensorSpec("s1", "temperature", "room", attrs)
 
     @pytest.mark.parametrize("response, why", [(-1.0, ">= 0"), (800.0, "underflows")])
     def test_profile_errors_name_the_sensor_and_the_attribute(self, response, why):
         message = f"sensor 's1' static attribute 'response_time': .*{why}"
         with pytest.raises(ConfigError, match=message):
-            static_profile(make_spec("s1", response=response))
+            make_spec("s1", response=response)
 
 
 def euclidean(u, v, w=(1.0,) * 5):
