@@ -25,7 +25,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
-import numpy as np
 import yaml
 
 from .fusion import KalmanConfig
@@ -260,7 +259,9 @@ def inject_faults(
         stream = out.get(fault.sensor_id)
         if stream is None:
             raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
-        rng = np.random.default_rng([seed, idx])
+        if fault.kind in (FaultKind.SPIKE, FaultKind.DROPOUT):  # stuck_at and drift draw nothing
+            import numpy as np
+            rng = np.random.default_rng([seed, idx])
         timestamps: list[int] = []
         values: list[float] = []
         for t_ms, value in zip(stream.timestamps_ms, stream.values):
@@ -343,6 +344,7 @@ class GeneratorSpec:
 
 def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, SensorStream]:
     """Materialize generator specs into streams; deterministic under seed."""
+    import numpy as np  # here, not at the top: a run over CSV input draws nothing
     streams: dict[str, SensorStream] = {}
     for spec in specs:
         if spec.sensor_id in streams:

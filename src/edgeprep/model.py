@@ -244,6 +244,8 @@ class QosProfile:
 
     def __post_init__(self) -> None:
         require_id("service id", self.service_id)
+        if any(c in self.service_id for c in "/\\\0"):  # it names features_<id>.ndjson
+            raise ConfigError(f"service id {self.service_id!r} may not hold '/', '\\' or NUL")
         weights = tuple(float(w) for w in self.weights)
         if len(weights) != len(ATTRIBUTE_NAMES):
             raise ConfigError(f"weights need {len(ATTRIBUTE_NAMES)} entries")

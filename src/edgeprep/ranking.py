@@ -1,12 +1,12 @@
 """Multi-criteria sensor ranking against a per-service utopia vector.
 
 Each sensor is a five-attribute vector in [0, 1], and a cohort is ranked
-as one ``(n, 5)`` matrix with one row per sensor id; a service declares an
-ideal (utopia) vector plus attribute weights.  Sensors are ordered by a
+as one row of five floats per sensor id; a service declares an ideal
+(utopia) vector plus attribute weights.  Sensors are ordered by a
 direction-aware distance that combines a weighted Euclidean magnitude term
 with a weighted cosine angular term, each rescaled by the inverse cohort
-mean so neither dominates.  A conventional TOPSIS ranking over the same
-attribute matrix is provided as a static baseline.
+mean so neither dominates.  A conventional TOPSIS ranking, the static
+baseline, runs on the same float rows.
 
 Every ranking has one shape, :data:`Ranking`: the ids in rank order, and
 one :data:`RankedRow` per sensor in id order.  :func:`rank_and_select` and
@@ -19,16 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import reduce
 from typing import Sequence
-
-import numpy as np
-from numpy.typing import ArrayLike
 
 from .model import ATTRIBUTE_NAMES, QosProfile
 
 __all__ = [
     "RankedRow",
     "Ranking",
+    "Rows",
     "scaling_coefficients",
     "rank_and_select",
     "rank_rows",
@@ -46,6 +45,9 @@ RankedRow = tuple[str, float, float, float, int]
 #: and one :data:`RankedRow` per sensor, in id order
 Ranking = tuple[tuple[str, ...], list[RankedRow]]
 
+#: a cohort's attribute rows: five floats per sensor id, in ATTRIBUTE_NAMES order
+Rows = Sequence[Sequence[float]]
+
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
     """Inverse cohort means of the two components (1 for an all-zero sum)."""
@@ -54,16 +56,14 @@ def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[
     count = len(d_ms)
     # left to right: the builtin sum compensates its rounding from Python
     # 3.12 on, which would move the last bit of the coefficients
-    sum_m = sum_a = 0.0
-    for d_m, d_a in zip(d_ms, d_as):
-        sum_m += d_m
-        sum_a += d_a
+    sum_m = reduce(operator.add, d_ms, 0.0)
+    sum_a = reduce(operator.add, d_as, 0.0)
     xi_m = count / sum_m if sum_m > 0 else 1.0
     xi_a = count / sum_a if sum_a > 0 else 1.0
     return xi_m, xi_a
 
 
-def _checked_cohort(sensor_ids: Sequence[str], states: ArrayLike) -> list[tuple[float, ...]]:
+def _checked_cohort(sensor_ids: Sequence[str], states: Rows) -> list[tuple[float, ...]]:
     """The cohort's rows, as tuples of five floats.
 
     ``sensor_ids`` must be strictly ascending, ``states`` must hold one row
@@ -104,8 +104,7 @@ def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[flo
             list(zip(sensor_ids, d_ms, d_as, d_mas, ranks)))
 
 
-def _distances(rows: Sequence[Sequence[float]], qos: QosProfile
-               ) -> tuple[list[float], list[float], list[float]]:
+def _distances(rows: Rows, qos: QosProfile) -> tuple[list[float], list[float], list[float]]:
     """``d_m``, ``d_a`` and ``d_ma`` of each row of five floats in [0, 1]."""
     # QosProfile has validated both rows: every w, v and a is >= 0, so the
     # absolute values in d_a are the products themselves
@@ -132,8 +131,7 @@ def _distances(rows: Sequence[Sequence[float]], qos: QosProfile
     return d_ms, d_as, d_mas
 
 
-def rank_rows(sensor_ids: Sequence[str], rows: Sequence[Sequence[float]], qos: QosProfile
-              ) -> Ranking:
+def rank_rows(sensor_ids: Sequence[str], rows: Rows, qos: QosProfile) -> Ranking:
     """The ranking of trusted rows, as :func:`rank_and_select` ranks a
     cohort it has checked.
 
@@ -144,7 +142,7 @@ def rank_rows(sensor_ids: Sequence[str], rows: Sequence[Sequence[float]], qos: Q
     return _ranked(sensor_ids, *_distances(rows, qos))
 
 
-def rank_and_select(sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile) -> Ranking:
+def rank_and_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) -> Ranking:
     """Order a cohort by direction-aware distance to the service utopia.
 
     ``states`` is the cohort's ``(n, 5)`` attribute matrix, columns in
@@ -163,29 +161,27 @@ def rank_and_select(sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfil
     return rank_rows(sensor_ids, _checked_cohort(sensor_ids, states), qos)
 
 
-def topsis_select(sensor_ids: Sequence[str], states: ArrayLike, qos: QosProfile) -> Ranking:
-    """Conventional TOPSIS ordering of the same attribute matrix.
+def topsis_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) -> Ranking:
+    """Conventional TOPSIS ordering of the same cohort, taken and returned
+    as :func:`rank_and_select` takes and returns it.
 
-    Takes a cohort and returns its ranking as :func:`rank_and_select` does.
-    Vector (root-sum-square) column normalization, weighting, ideal and
-    anti-ideal rows, closeness coefficient ``d- / (d+ + d-)``; the order is
-    descending closeness.  All five attributes are benefit criteria here (ideal =
-    column max).  The method sees only the attribute snapshot it is given;
-    it has no notion of per-interval updates, which is exactly what makes it
-    a static baseline.
+    Vector (root-sum-square) column normalization, weighting, ideal (column
+    max: all five attributes are benefit criteria) and anti-ideal rows, and
+    closeness ``d- / (d+ + d-)``, 1 when both are 0; the order is descending
+    closeness.  It sees only the snapshot it is given, with no notion of
+    per-interval updates, which is exactly what makes it a static baseline.
     """
     rows = _checked_cohort(sensor_ids, states)
-    matrix = np.array(rows)
-    w = np.array(qos.weights)
 
-    norms = np.sqrt((matrix**2).sum(axis=0))
-    normalized = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
-    weighted = normalized * w
-    ideal = weighted.max(axis=0)
-    anti = weighted.min(axis=0)
-    d_plus = np.sqrt(((weighted - ideal) ** 2).sum(axis=1))
-    d_minus = np.sqrt(((weighted - anti) ** 2).sum(axis=1))
-    closeness = np.ones(len(sensor_ids))
-    span = d_plus + d_minus
-    np.divide(d_minus, span, out=closeness, where=span > 0)
-    return _ranked(sensor_ids, d_plus.tolist(), d_minus.tolist(), (1.0 - closeness).tolist())
+    def norm(terms: Sequence[float]) -> float:
+        # squares added in order, as numpy adds a column or a row of five
+        return math.sqrt(reduce(operator.add, [t * t for t in terms]))
+
+    norms = [norm(col) for col in zip(*rows)]
+    weighted = [[(x / n if n > 0 else 0.0) * w for x, n, w in zip(row, norms, qos.weights)]
+                for row in rows]
+    ideal, anti = list(map(max, zip(*weighted))), list(map(min, zip(*weighted)))
+    d_plus = [norm([x - b for x, b in zip(row, ideal)]) for row in weighted]
+    d_minus = [norm([x - b for x, b in zip(row, anti)]) for row in weighted]
+    d_mas = [1.0 - (dm / (dp + dm) if dp + dm > 0 else 1.0) for dp, dm in zip(d_plus, d_minus)]
+    return _ranked(sensor_ids, d_plus, d_minus, d_mas)

@@ -1,6 +1,9 @@
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -921,6 +924,24 @@ class TestCli:
                                            "service id 'o\\ud800' cannot be written as UTF-8\n")
         assert not (out / "selection_trace.csv").exists()
 
+    @pytest.mark.parametrize("service_id, shown", [
+        ("occ/upancy", "'occ/upancy'"),
+        ("occ\\\\upancy", "'occ\\\\upancy'"),
+        ("occ\\0upancy", "'occ\\x00upancy'"),
+    ], ids=["slash", "backslash", "nul"])
+    def test_service_id_that_is_not_a_file_name_is_refused_before_any_output(
+            self, tmp_path, capsys, service_id, shown):
+        # it once ran every cycle and then failed to open features_<id>.ndjson
+        text = (ROOT / "configs" / "two_service.yaml").read_text(encoding="utf-8")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("service_id: occupancy", f'service_id: "{service_id}"', 1),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"edgeprep: error: scenario.services[0]: service id "
+                                           f"{shown} may not hold '/', '\\' or NUL\n")
+        assert not (out / "selection_trace.csv").exists()
+
     @pytest.mark.parametrize("blank, path", [
         ("sensor", "scenario.sensors[3]"),
         ("generator", "scenario.streams.synthetic[3]"),
@@ -1066,3 +1087,45 @@ class TestCompareModes:
         per = comparison.reports["per_service"]
         assert uni.feature_invocations == per.feature_invocations
         assert comparison.features_identical is True
+
+
+#: runs the CLI on a config and reports its exit status and whether numpy is loaded
+NUMPY_PROBE = """
+import sys
+from edgeprep.cli import main
+status = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(status, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyLoadsOnlyWhereAStreamDraws:
+    """A run over CSV input imports numpy only for a fault that draws from it."""
+
+    SPIKE = {"sensor_id": "t3", "kind": "spike", "magnitude": 5.0, "rate": 0.2,
+             "start_s": 60, "end_s": 180}
+
+    @pytest.mark.parametrize("config, faults, loaded", [
+        ("two_service", [], False),
+        ("fault_scenario", None, False),  # its own stuck_at and drift faults
+        ("fault_scenario", [SPIKE], True),
+    ], ids=["no-faults", "stuck_at-and-drift", "spike"])
+    def test_csv_run(self, tmp_path, config, faults, loaded):
+        doc = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"seed": doc["seed"], "duration_s": doc["duration_s"],
+                                        "generators": doc["streams"]["synthetic"]}),
+                        encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "streams.csv")]) == 0
+        doc["streams"] = {"csv": "streams.csv"}
+        if faults is None:
+            assert {fault["kind"] for fault in doc["faults"]} == {"stuck_at", "drift"}
+        else:
+            doc["faults"] = faults
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        probe = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(scenario), str(out)],
+                               env=env, capture_output=True, text=True, check=True)
+        assert probe.stdout.splitlines()[-1] == f"0 {loaded}"
+        assert (out / "selection_trace.csv").exists()

@@ -166,6 +166,12 @@ class TestModality:
         with pytest.raises(ConfigError, match=re.escape(message)):
             make(text)
 
+    @pytest.mark.parametrize("service_id", ["occ/upancy", "occ\\upancy", "occ\0upancy", "/"])
+    def test_a_service_id_that_is_not_a_file_name_is_refused(self, service_id):
+        # it names the service's features_<id>.ndjson
+        with pytest.raises(ConfigError, match=r"may not hold '/', '\\' or NUL"):
+            QosProfile(service_id=service_id)
+
     @pytest.mark.parametrize("label", ["", "  "])
     def test_a_blank_stream_or_sensor_label_is_refused(self, label):
         with pytest.raises(ConfigError, match="is blank"):

@@ -359,6 +359,43 @@ weights5 = st.tuples(*[st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
     lambda w: sum(w) > 0)
 
 
+def numpy_topsis(matrix, weights):
+    """``(d_plus, d_minus, d_ma)`` of a cohort, as numpy arrays: the numpy
+    TOPSIS body that ``topsis_select`` replaced, kept as its bit-for-bit
+    reference."""
+    matrix = np.array(matrix, dtype=float)
+    w = np.array(weights)
+    norms = np.sqrt((matrix**2).sum(axis=0))
+    normalized = np.divide(matrix, norms, out=np.zeros_like(matrix), where=norms > 0)
+    weighted = normalized * w
+    ideal = weighted.max(axis=0)
+    anti = weighted.min(axis=0)
+    d_plus = np.sqrt(((weighted - ideal) ** 2).sum(axis=1))
+    d_minus = np.sqrt(((weighted - anti) ** 2).sum(axis=1))
+    closeness = np.ones(len(matrix))
+    span = d_plus + d_minus
+    np.divide(d_minus, span, out=closeness, where=span > 0)
+    return d_plus, d_minus, 1.0 - closeness
+
+
+class TestTopsisMatchesNumpy:
+    @settings(deadline=None)
+    @given(rows=st.lists(vec5, min_size=1, max_size=40),
+           weights=st.tuples(*[st.one_of(st.just(0.0), unit, st.floats(1.0, 10.0))] * 5
+                             ).filter(any),
+           zero_column=st.one_of(st.none(), st.integers(0, 4)))
+    def test_bit_for_bit(self, rows, weights, zero_column):
+        if zero_column is not None:
+            rows = [row[:zero_column] + (0.0,) + row[zero_column + 1:] for row in rows]
+        sensor_ids = tuple(f"s{i:02d}" for i in range(len(rows)))
+        order, ranked = topsis_select(sensor_ids, rows, qos(weights=weights))
+        d_plus, d_minus, d_ma = numpy_topsis(rows, weights)
+        assert order == tuple(sensor_ids[i] for i in np.argsort(d_ma, kind="stable"))
+        assert [tuple(map(float.hex, row[1:4])) for row in ranked] == [
+            tuple(map(float.hex, values)) for values in zip(d_plus.tolist(), d_minus.tolist(),
+                                                            d_ma.tolist())]
+
+
 class TestMetricAxioms:
     @given(u=vec5, v=vec5, w=weights5)
     def test_symmetry(self, u, v, w):
