@@ -404,9 +404,32 @@ class ScenarioConfig:
         seconds_to_ms(self.reliability_interval_s, "reliability_interval_s")
         if not self.generators and self.csv_path is None:
             raise ConfigError("scenario needs synthetic generators or a csv path")
-        ids = {s.sensor_id for s in self.sensors}
+        if not self.services:
+            raise ConfigError("services: expected at least one service")
+
+        # refused here, naming the entry, before any stream is generated;
+        # Pipeline and generate_synthetic repeat these checks for direct callers
+        def unique(ids, path: str, what: str) -> None:
+            seen = set()
+            for i, key in enumerate(ids):
+                if key in seen:
+                    raise ConfigError(f"{path}[{i}]: duplicate {what} {key!r}")
+                seen.add(key)
+
+        unique((s.sensor_id for s in self.sensors), "sensors", "sensor id")
+        unique((s.service_id for s in self.services), "services", "service id")
+        unique((g.sensor_id for g in self.generators), "streams.synthetic",
+               "generator for sensor")
+        modality_of = {s.sensor_id: s.modality for s in self.sensors}
+        for i, gen in enumerate(self.generators):
+            path, modality = f"streams.synthetic[{i}]", modality_of.get(gen.sensor_id)
+            if modality is None:
+                raise ConfigError(f"{path}: stream for unknown sensor {gen.sensor_id!r}")
+            if gen.modality != modality:
+                raise ConfigError(f"{path}: stream for sensor {gen.sensor_id!r} is "
+                                  f"{gen.modality!r}, the sensor is {modality!r}")
         for fault in self.faults:
-            if fault.sensor_id not in ids:
+            if fault.sensor_id not in modality_of:
                 raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
             if fault.end_ms > horizon_ms:
                 raise ConfigError(

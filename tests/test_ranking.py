@@ -489,16 +489,16 @@ tied_rows = st.one_of(vec5, st.sampled_from([(0.0,) * 5, (0.5,) * 5, (1.0,) * 5,
                                              (0.2, 0.4, 0.6, 0.8, 1.0)]))
 
 
-@pytest.mark.parametrize("rank", [rank_and_select, rank_rows])
 class TestRankingMatchesComponents:
-    """The checked ranking and the pipeline's kernel each give the bits of
-    the reference components, and the order and ranks they imply."""
+    """The checked ranking gives the bits of the reference components, and
+    the order and ranks they imply; the pipeline's kernel, which ranks the
+    same rows unchecked, gives the same ranking."""
 
     # shrinking a failing 120-row cohort takes minutes; the unshrunk
     # example is reported instead
     @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(cohort=cohorts, v=vec5, w=weights5)
-    def test_records_equal_public_components_bit_for_bit(self, rank, cohort, v, w):
+    def test_records_equal_public_components_bit_for_bit(self, cohort, v, w):
         # the row-wise ranking of a cohort gives the bits of 1-D sums per
         # sensor and of each row ranked alone; the cohort means use Python's
         # left-to-right sum and the combination math.hypot
@@ -511,8 +511,11 @@ class TestRankingMatchesComponents:
         sum_m, sum_a = left_to_right(d_ms), left_to_right(d_as)
         assert (xi_m, xi_a) == (n / sum_m if sum_m > 0 else 1.0,
                                 n / sum_a if sum_a > 0 else 1.0)
-        assert rank(ids, np.array(cohort), profile) == reference_ranking(ids, cohort, v, w)
+        ranking = rank_and_select(ids, np.array(cohort), profile)
+        assert ranking == reference_ranking(ids, cohort, v, w)
+        assert rank_rows(ids, cohort, profile) == ranking
 
+    @pytest.mark.parametrize("rank", [rank_and_select, rank_rows])
     @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(cohort=st.lists(tied_rows, min_size=1, max_size=60), v=vec5, w=weights5)
     def test_equal_distances_keep_id_order(self, rank, cohort, v, w):
@@ -522,17 +525,19 @@ class TestRankingMatchesComponents:
 
     @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(cohort=cohorts, v=vec5, w=weights5)
-    def test_components_equal_the_numpy_kernel_bit_for_bit(self, rank, cohort, v, w):
+    def test_components_equal_the_numpy_kernel_bit_for_bit(self, cohort, v, w):
         # the rows go in as tuples of Python floats, as the pipeline passes them
         ids = tuple(f"s{i:03d}" for i in range(len(cohort)))
         profile = QosProfile(service_id="svc", utopia=v, weights=w)
-        _, ranked = rank(ids, list(cohort), profile)
+        ranking = rank_and_select(ids, list(cohort), profile)
+        _, ranked = ranking
         _, d_ms, d_as, d_mas, _ = zip(*ranked)
         d_m, d_a = numpy_row_distances(np.array(cohort), np.array(profile.utopia),
                                        np.array(profile.weights))
         assert hexes(d_ms) == hexes(d_m)
         assert hexes(d_as) == hexes(d_a)
         assert all(type(x) is float for x in d_ms + d_as + d_mas)
+        assert rank_rows(ids, cohort, profile) == ranking
 
 
 @pytest.mark.parametrize("rank", [rank_and_select, topsis_select])
