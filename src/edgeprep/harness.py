@@ -38,7 +38,9 @@ from .model import (
     SensorStream,
     StaticAttr,
     positive_finite,
+    require_declared,
     require_id,
+    require_unique,
     seconds_to_ms,
 )
 from .pipeline import FeatureVector, Mode, Pipeline, ServiceSpec, TraceRow
@@ -251,14 +253,14 @@ def inject_faults(
 ) -> dict[str, SensorStream]:
     """Apply faults in list order; deterministic under the seed.
 
-    A faulted value that leaves the float range raises :class:`ConfigError`
-    naming the fault as ``scenario.faults[i]``, its place in the list.
+    A fault whose sensor has no stream, or whose faulted value leaves the
+    float range, raises :class:`ConfigError` at ``scenario.faults[i]``.
     """
     out = dict(streams)
     for idx, fault in enumerate(faults):
         stream = out.get(fault.sensor_id)
         if stream is None:
-            raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
+            raise ConfigError(f"scenario.faults[{idx}]: sensor {fault.sensor_id!r} has no stream")
         if fault.kind in (FaultKind.SPIKE, FaultKind.DROPOUT):  # stuck_at and drift draw nothing
             import numpy as np
             rng = np.random.default_rng([seed, idx])
@@ -345,10 +347,9 @@ class GeneratorSpec:
 def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, SensorStream]:
     """Materialize generator specs into streams; deterministic under seed."""
     import numpy as np  # here, not at the top: a run over CSV input draws nothing
+    require_unique((spec.sensor_id for spec in specs), "specs", "generator for sensor")
     streams: dict[str, SensorStream] = {}
     for spec in specs:
-        if spec.sensor_id in streams:
-            raise ConfigError(f"duplicate generator for sensor {spec.sensor_id!r}")
         rng = np.random.default_rng([seed, zlib.crc32(spec.sensor_id.encode())])
         start_ms, period_ms = spec.start_ms, spec.period_ms
         count = spec.duration_ms // period_ms
@@ -398,43 +399,31 @@ class ScenarioConfig:
     voting: VotingConfig = field(default_factory=VotingConfig)
     kalman: KalmanConfig = field(default_factory=KalmanConfig)
     reliability_interval_s: float = 10.0
+    horizon_ms: int = field(init=False)  # duration_s in exact milliseconds
 
     def __post_init__(self) -> None:
-        horizon_ms = seconds_to_ms(self.duration_s, "duration_s")
+        self.horizon_ms = seconds_to_ms(self.duration_s, "duration_s")
         seconds_to_ms(self.reliability_interval_s, "reliability_interval_s")
         if not self.generators and self.csv_path is None:
             raise ConfigError("scenario needs synthetic generators or a csv path")
         if not self.services:
-            raise ConfigError("services: expected at least one service")
-
-        # refused here, naming the entry, before any stream is generated;
-        # Pipeline and generate_synthetic repeat these checks for direct callers
-        def unique(ids, path: str, what: str) -> None:
-            seen = set()
-            for i, key in enumerate(ids):
-                if key in seen:
-                    raise ConfigError(f"{path}[{i}]: duplicate {what} {key!r}")
-                seen.add(key)
-
-        unique((s.sensor_id for s in self.sensors), "sensors", "sensor id")
-        unique((s.service_id for s in self.services), "services", "service id")
-        unique((g.sensor_id for g in self.generators), "streams.synthetic",
-               "generator for sensor")
-        modality_of = {s.sensor_id: s.modality for s in self.sensors}
+            raise ConfigError("scenario.services: expected at least one service")
+        # refused here, naming the entry, before any stream is generated
+        require_unique((s.sensor_id for s in self.sensors), "scenario.sensors", "sensor id")
+        require_unique((s.service_id for s in self.services), "scenario.services", "service id")
+        require_unique((g.sensor_id for g in self.generators), "scenario.streams.synthetic",
+                       "generator for sensor")
+        declared = {s.sensor_id: s for s in self.sensors}
         for i, gen in enumerate(self.generators):
-            path, modality = f"streams.synthetic[{i}]", modality_of.get(gen.sensor_id)
-            if modality is None:
-                raise ConfigError(f"{path}: stream for unknown sensor {gen.sensor_id!r}")
-            if gen.modality != modality:
-                raise ConfigError(f"{path}: stream for sensor {gen.sensor_id!r} is "
-                                  f"{gen.modality!r}, the sensor is {modality!r}")
-        for fault in self.faults:
-            if fault.sensor_id not in modality_of:
-                raise ConfigError(f"fault references unknown sensor {fault.sensor_id!r}")
-            if fault.end_ms > horizon_ms:
-                raise ConfigError(
-                    f"fault on {fault.sensor_id!r} ends after the scenario horizon"
-                )
+            require_declared(declared, gen.sensor_id, gen.modality,
+                             f"scenario.streams.synthetic[{i}]")
+        for i, fault in enumerate(self.faults):
+            if fault.sensor_id not in declared:
+                raise ConfigError(f"scenario.faults[{i}]: fault references unknown sensor "
+                                  f"{fault.sensor_id!r}")
+            if fault.end_ms > self.horizon_ms:
+                raise ConfigError(f"scenario.faults[{i}]: fault on {fault.sensor_id!r} "
+                                  f"ends after the scenario horizon")
 
 
 def _mapping(raw, path: str, known=None) -> Mapping:
@@ -490,7 +479,8 @@ def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
     Keys are the init fields :func:`_reader` can read, and those of
     ``derived``: ``{key: (field or fields, read(value, key_path))}``.  Fields
     that ``derived`` or the caller's ``given`` set are not keys.  Absent keys
-    take the dataclass's defaults; anything else wrong raises ConfigError.
+    take the dataclass's defaults; anything else wrong raises ConfigError at
+    ``path``, or at the key path under it that the refusal already names.
     """
     keys = {k: ((f,) if isinstance(f, str) else f, read)
             for k, (f, read) in (derived or {}).items()}
@@ -512,7 +502,8 @@ def _build(cls, raw, path: str, derived: Mapping | None = None, **given):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        message = str(exc) if str(exc).startswith((f"{path}.", f"{path}[")) else f"{path}: {exc}"
+        raise ConfigError(message) from exc
 
 
 def _static_attrs(value, path: str) -> dict[str, StaticAttr]:
@@ -600,7 +591,9 @@ def parse_synth_spec(raw: Mapping) -> tuple[list[GeneratorSpec], int]:
     ``duration_s`` is the generators' default duration."""
     _mapping(raw, "spec", ("seed", "duration_s", "generators"))
     seed = _scalar(int, raw.get("seed", ScenarioConfig.seed), "spec.seed")
-    return _generators(raw.get("generators", []), "spec.generators", raw), seed
+    generators = _generators(raw.get("generators", []), "spec.generators", raw)
+    require_unique((g.sensor_id for g in generators), "spec.generators", "generator for sensor")
+    return generators, seed
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -680,6 +673,9 @@ def run_scenario(
     seed = cfg.seed if seed is None else seed
     if cfg.csv_path is not None:
         streams = ingest_csv(cfg.csv_path)
+        declared = {s.sensor_id: s for s in cfg.sensors}
+        for sid, stream in streams.items():
+            require_declared(declared, sid, stream.modality, cfg.csv_path)
     else:
         streams = generate_synthetic(cfg.generators, seed)
     streams = inject_faults(streams, cfg.faults, seed)
@@ -692,12 +688,11 @@ def run_scenario(
         mode=mode,
         reliability_interval_s=cfg.reliability_interval_s,
     )
-    horizon_ms = seconds_to_ms(cfg.duration_s)
     features: list[FeatureVector] = []
     trace: list[TraceRow] = []
     errors: list[tuple[int, str, str]] = []
     started = time.perf_counter()
-    for t_ms in range(pipeline.tick_ms, horizon_ms + 1, pipeline.tick_ms):
+    for t_ms in range(pipeline.tick_ms, cfg.horizon_ms + 1, pipeline.tick_ms):
         result = pipeline.run_cycle(t_ms)
         for service_id in sorted(result.features):
             features.append(result.features[service_id])

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -78,6 +78,26 @@ def require_id(name: str, text: str) -> None:
         text.encode("utf-8")
     except UnicodeEncodeError:
         raise ConfigError(f"{name} {text!r} cannot be written as UTF-8") from None
+
+
+def require_unique(ids: Iterable[str], path: str, what: str) -> None:
+    """Raise :class:`ConfigError` at ``path[i]`` when the ``i``-th id repeats an earlier one."""
+    seen = set()
+    for i, key in enumerate(ids):
+        if key in seen:
+            raise ConfigError(f"{path}[{i}]: duplicate {what} {key!r}")
+        seen.add(key)
+
+
+def require_declared(sensors: Mapping[str, SensorSpec], sensor_id: str, modality: Modality,
+                     path: str) -> None:
+    """Raise :class:`ConfigError` at ``path`` unless ``sensors[sensor_id]`` has ``modality``."""
+    spec = sensors.get(sensor_id)
+    if spec is None:
+        raise ConfigError(f"{path}: stream for unknown sensor {sensor_id!r}")
+    if modality != spec.modality:
+        raise ConfigError(f"{path}: stream for sensor {sensor_id!r} is {modality!r}, "
+                          f"the sensor is {spec.modality!r}")
 
 
 Modality.TEMPERATURE = Modality("temperature")

@@ -39,6 +39,8 @@ from .model import (
     QosProfile,
     SensorSpec,
     SensorStream,
+    require_declared,
+    require_unique,
     seconds_to_ms,
 )
 from .ranking import Ranking, rank_rows, topsis_select
@@ -425,25 +427,13 @@ class Pipeline:
                                                      "reliability_interval_s")
         self.counters = Counters()
 
-        specs: dict[str, SensorSpec] = {}
-        for spec in sensors:
-            if spec.sensor_id in specs:
-                raise ConfigError(f"duplicate sensor id {spec.sensor_id!r}")
-            specs[spec.sensor_id] = spec
+        require_unique((spec.sensor_id for spec in sensors), "sensors", "sensor id")
+        require_unique((svc.service_id for svc in services), "services", "service id")
+        specs = {spec.sensor_id: spec for spec in sensors}
         for sid, stream in streams.items():
-            spec = specs.get(sid)
-            if spec is None:
-                raise ConfigError(f"stream for unknown sensor {sid!r}")
-            if stream.modality != spec.modality:
-                raise ConfigError(f"stream for sensor {sid!r} is {stream.modality!r}, "
-                                  f"the sensor is {spec.modality!r}")
+            require_declared(specs, sid, stream.modality, f"streams[{sid!r}]")
         self.streams = dict(streams)
-
-        # sorted, so a repeated id follows its twin
         self.services = sorted(services, key=lambda s: s.service_id)
-        for before, svc in zip(self.services, self.services[1:]):
-            if before.service_id == svc.service_id:
-                raise ConfigError(f"duplicate service id {svc.service_id!r}")
 
         # cohorts: modality -> specs, restricted to modalities in use
         needed = {mk for svc in self.services for mk in svc.qos.modality_needs}

@@ -396,6 +396,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             GeneratorSpec(sensor_id="s1", modality="temperature", period_s=0.0)
 
+    def test_a_repeated_generator_names_its_argument_entry(self):
+        specs = [GeneratorSpec(sid, "temperature") for sid in ("s1", "s2", "s1")]
+        with pytest.raises(ConfigError) as err:
+            generate_synthetic(specs, seed=1)
+        assert str(err.value) == "specs[2]: duplicate generator for sensor 's1'"
+
     def test_ramp_slope(self):
         spec = GeneratorSpec(sensor_id="s1", modality="temperature", base="ramp", level=1.0,
                              slope_per_s=2.0, period_s=1.0, duration_s=5.0)
@@ -896,9 +902,17 @@ CLI_CASES = [
             ("granularity_s: 1\n", "granularity_s: 0.0005\n"), "scenario.services[0]: "),
     CliCase("nan_kalman_noise", "run", 2, ("measurement_noise: 0.1", "measurement_noise: .nan"),
             "scenario.kalman: "),
+    # a CSV stream is checked against the sensors where the file is read, naming it
     CliCase("csv_stream_of_another_modality", "run", 2, None,
-            "stream for sensor 't1' is 'co2', the sensor is 'temperature'",
+            "streams.csv: stream for sensor 't1' is 'co2', the sensor is 'temperature'",
             csv=lambda _: CSV_ROW("1000,t1,co2,22.0")),
+    CliCase("csv_stream_for_an_undeclared_sensor", "run", 2, None,
+            "streams.csv: stream for unknown sensor 'zz'",
+            csv=lambda text: text + "1000,zz,motion,1.0\n"),
+    CliCase("fault_on_a_sensor_without_a_stream", "run", 2, None,
+            "scenario.faults[0]: sensor 't3' has no stream\n", "fault_scenario",
+            csv=lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                     if ",t3," not in line)),
     CliCase("fault_parameter_its_kind_does_not_read", "run", 2,
             ("kind: stuck_at,", "kind: stuck_at, slope_per_s: 0.5,"),
             "scenario.faults[0]: 'stuck_at' does not read slope_per_s\n", "fault_scenario"),
@@ -937,22 +951,31 @@ CLI_CASES = [
             "scenario.streams.synthetic[3]: sensor id must be non-empty\n"),
     # entries that refer to one another are checked before any stream is generated
     CliCase("duplicate_sensor", "compare", 2, lambda doc: doc["sensors"].append(doc["sensors"][0]),
-            "scenario: sensors[7]: duplicate sensor id 'm1'\n"),
+            "scenario.sensors[7]: duplicate sensor id 'm1'\n"),
     CliCase("duplicate_service", "compare", 2,
             lambda doc: doc["services"].append(doc["services"][0]),
-            "scenario: services[2]: duplicate service id 'occupancy'\n"),
+            "scenario.services[2]: duplicate service id 'occupancy'\n"),
     CliCase("duplicate_generator", "compare", 2,
             lambda doc: doc["streams"]["synthetic"].append(doc["streams"]["synthetic"][0]),
-            "scenario: streams.synthetic[7]: duplicate generator for sensor 'm1'\n"),
+            "scenario.streams.synthetic[7]: duplicate generator for sensor 'm1'\n"),
     CliCase("generator_for_an_undeclared_sensor", "compare", 2,
             put("streams", "synthetic", 0, "sensor_id", value="zz"),
-            "scenario: streams.synthetic[0]: stream for unknown sensor 'zz'\n"),
+            "scenario.streams.synthetic[0]: stream for unknown sensor 'zz'\n"),
     CliCase("generator_of_another_modality", "compare", 2,
             put("streams", "synthetic", 0, "modality", value="co2"),
-            "scenario: streams.synthetic[0]: "
+            "scenario.streams.synthetic[0]: "
             "stream for sensor 'm1' is 'co2', the sensor is 'motion'\n"),
+    CliCase("fault_on_an_undeclared_sensor", "compare", 2,
+            put("faults", 1, "sensor_id", value="zz"),
+            "scenario.faults[1]: fault references unknown sensor 'zz'\n", "fault_scenario"),
+    CliCase("fault_beyond_the_horizon", "compare", 2, put("faults", 1, "end_s", value=500),
+            "scenario.faults[1]: fault on 't7' ends after the scenario horizon\n",
+            "fault_scenario"),
     CliCase("no_services", "run", 2, put("services", value=[]),
-            "scenario: services: expected at least one service\n"),
+            "scenario.services: expected at least one service\n"),
+    CliCase("synth_duplicate_generator", "synth", 2,
+            lambda doc: doc["streams"]["synthetic"].append(doc["streams"]["synthetic"][0]),
+            "spec.generators[7]: duplicate generator for sensor 'm1'\n"),
     CliCase("synth_duration_s_beyond_milliseconds", "synth", 2, put("duration_s", value=1e308),
             "spec.generators[0]: generator duration_s must be finite in milliseconds, "
             "got 1e+308\n"),
@@ -1006,6 +1029,8 @@ class TestCli:
         argv, out = write_case(case, tmp_path)
         assert main(argv) == case.status
         got = capsys.readouterr()
+        # one key-path form: scenario.sensors[7], never scenario: sensors[7]
+        assert not re.search(r"\b(scenario|spec): [\w.]+\[", got.err + got.out)
         if case.status == 2:
             assert got.err.startswith("edgeprep: error: ") and got.err.count("\n") == 1
             if case.error.endswith("\n"):

@@ -474,17 +474,21 @@ class TestPipeline:
         assert len(r_sel.features["svc"].provenance) < len(r_all.features["svc"].provenance)
         assert fused_all.counters.points_processed > selective.counters.points_processed
 
-    def test_unknown_stream_rejected(self):
-        sensors = [make_spec("t1")]
-        streams = synth_streams({"t1": ("temperature", 20.0), "tX": ("temperature", 1.0)})
-        with pytest.raises(ConfigError):
-            Pipeline(sensors, [simple_service()], streams)
-
-    def test_stream_of_another_modality_rejected(self):
+    @pytest.mark.parametrize("sensors, services, streams, message", [
+        (("t1", "t2", "t1"), ("svc",), {}, "sensors[2]: duplicate sensor id 't1'"),
+        (("t1",), ("svc", "svc"), {}, "services[1]: duplicate service id 'svc'"),
+        (("t1",), ("svc",), {"t1": "temperature", "tX": "temperature"},
+         "streams['tX']: stream for unknown sensor 'tX'"),
         # a CSV row may label t1's stream co2 while its sensor is temperature
-        streams = synth_streams({"t1": ("co2", 22.0)})
-        with pytest.raises(ConfigError, match="'t1' is 'co2', the sensor is 'temperature'"):
-            Pipeline([make_spec("t1")], [simple_service()], streams)
+        (("t1",), ("svc",), {"t1": "co2"},
+         "streams['t1']: stream for sensor 't1' is 'co2', the sensor is 'temperature'"),
+    ], ids=["repeated_sensor", "repeated_service", "unknown_stream", "stream_of_another_modality"])
+    def test_direct_caller_refusal_names_its_argument(self, sensors, services, streams, message):
+        streams = synth_streams({sid: (modality, 20.0) for sid, modality in streams.items()})
+        with pytest.raises(ConfigError) as err:
+            Pipeline([make_spec(sid) for sid in sensors], [simple_service(s) for s in services],
+                     streams)
+        assert str(err.value) == message
 
     def test_a_custom_label_is_matched_in_any_case(self):
         # the sensor, its stream, the service's need and its feature id
