@@ -19,13 +19,12 @@ import math
 import operator
 import time
 import zlib
+from array import array
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
-
-import yaml
 
 from .fusion import KalmanConfig
 from .model import (
@@ -80,17 +79,21 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
 
     One pass reads each row straight into its sensor's columns (modality,
     timestamps, values and line numbers, in line order), so no record per
-    row outlives its line.  Rows may come in any order, fields may carry
-    surrounding whitespace, a sensor's rows may spell its modality in any
-    case (``CO2``, ``co2``), and a UTF-8 byte-order mark is skipped.  A
-    sensor whose timestamps already increase is taken as it is; only
-    otherwise are its rows stably sorted by timestamp, and a repeated
-    timestamp names both of its lines.  Every bad row fails as
-    ``path:line``.
+    row outlives its line.  Line numbers are kept as a machine-integer
+    column, not as Python ints.  A row whose timestamp text repeats the
+    previous row's reuses that row's parsed int, so the sensors sampled at
+    one instant of a file in (timestamp, sensor id) order share one int
+    object.  Rows may come in any order, fields may carry surrounding
+    whitespace, a sensor's rows may spell its modality in any case
+    (``CO2``, ``co2``), and a UTF-8 byte-order mark is skipped.  A sensor
+    whose timestamps already increase is taken as it is; only otherwise are
+    its rows stably sorted by timestamp, and a repeated timestamp names both
+    of its lines.  Every bad row fails as ``path:line``.
     """
     path = Path(path)
     # sensor id -> (modality label, timestamps, values, line numbers)
-    columns: dict[str, tuple[str, list[int], list[float], list[int]]] = {}
+    columns: dict[str, tuple[str, list[int], list[float], array]] = {}
+    ts_text, ts = None, 0  # the last timestamp text parsed, and its int
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -108,7 +111,8 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                     continue
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}") from None
             try:
-                ts = int(ts_raw.strip())
+                if ts_raw != ts_text:
+                    ts_text, ts = ts_raw, int(ts_raw.strip())
                 value = float(val_raw.strip())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
@@ -123,7 +127,7 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                 raise ValueError(f"{path}:{lineno}: empty {empty} in row {row!r}")
             column = columns.get(sid)
             if column is None:
-                column = columns[sid] = (modality, [], [], [])
+                column = columns[sid] = (modality, [], [], array("L"))
             elif column[0] != modality and Modality(column[0]) != Modality(modality):
                 raise ValueError(
                     f"{path}:{lineno}: sensor {sid!r} switches modality "
@@ -598,6 +602,7 @@ def parse_synth_spec(raw: Mapping) -> tuple[list[GeneratorSpec], int]:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load a YAML scenario config."""
+    import yaml  # here, not at the top: a run over a built config reads no YAML
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
@@ -671,6 +676,12 @@ def run_scenario(
     """Execute the pipeline over the scenario horizon in one mode."""
     mode = cfg.mode if mode is None else mode
     seed = cfg.seed if seed is None else seed
+    return _run_mode(cfg, _scenario_streams(cfg, seed), mode, seed, out_dir)
+
+
+def _scenario_streams(cfg: ScenarioConfig, seed: int) -> dict[str, SensorStream]:
+    """The streams every mode of a run reads: the CSV's, each checked against
+    its declared sensor, or the generators' draws, with the faults applied."""
     if cfg.csv_path is not None:
         streams = ingest_csv(cfg.csv_path)
         declared = {s.sensor_id: s for s in cfg.sensors}
@@ -678,7 +689,17 @@ def run_scenario(
             require_declared(declared, sid, stream.modality, cfg.csv_path)
     else:
         streams = generate_synthetic(cfg.generators, seed)
-    streams = inject_faults(streams, cfg.faults, seed)
+    return inject_faults(streams, cfg.faults, seed)
+
+
+def _run_mode(
+    cfg: ScenarioConfig,
+    streams: Mapping[str, SensorStream],
+    mode: Mode,
+    seed: int,
+    out_dir: str | Path | None,
+) -> ScenarioReport:
+    """Run the pipeline over ``streams`` for the scenario horizon in ``mode``."""
     pipeline = Pipeline(
         cfg.sensors,
         cfg.services,
@@ -818,14 +839,19 @@ class ComparisonReport:
 
 
 def compare_modes(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ComparisonReport:
-    """Run every mode on identical inputs and seed; collect exact counts."""
+    """Run every mode on identical inputs and seed; collect exact counts.
+
+    The inputs are read, checked and faulted once, so a refusal of them
+    raises here; a failure inside one mode's run is reported for that mode.
+    """
     out_dir = Path(out_dir) if out_dir is not None else None
+    streams = _scenario_streams(cfg, cfg.seed)
     reports: dict[str, ScenarioReport] = {}
     failures: dict[str, str] = {}
     for mode in Mode:
         sub = out_dir / mode.value if out_dir is not None else None
         try:
-            reports[mode.value] = run_scenario(cfg, out_dir=sub, mode=mode)
+            reports[mode.value] = _run_mode(cfg, streams, mode, cfg.seed, sub)
         except Exception as exc:  # partial comparison is still useful
             failures[mode.value] = f"{type(exc).__name__}: {exc}"
     identical: bool | None = None

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import os
 import re
@@ -105,6 +106,8 @@ class TestIngestCsv:
         ("1e3,s1,co2,22.0", "malformed row ['1e3', 's1', 'co2', '22.0']"),
         ("1000,s1,co2, nan ", "non-finite value 'nan'"),
         (" -5 ,s1,co2,22.0", "negative timestamp -5"),
+        # the rows of one instant share one parse, refused at the first
+        (" -5 ,s1,co2,22.0\n -5 ,s2,co2,22.0\n -5 ,s3,co2,22.0", "negative timestamp -5"),
         ("-5,,co2,inf", "non-finite value 'inf'"),
         ("-5,,co2,22.0", "negative timestamp -5"),
         ("x,,co2,22.0", "malformed row ['x', '', 'co2', '22.0']"),
@@ -114,6 +117,26 @@ class TestIngestCsv:
         path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
                                     f"1000,s1,co2,20.5\n\n{row}\n2000,s1,co2,1.0\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+            ingest_csv(path)
+
+    def test_one_instant_reads_alike_in_time_order_and_sensor_order(self, tmp_path):
+        rows = ["1000,s1,co2,1.0", " 1000 ,s2,co2,2.0", "2000,s1,co2,3.0", "2000,s2,co2,4.0"]
+        header = "timestamp_ms,sensor_id,modality,value\n"
+        by_time = ingest_csv(self.write(tmp_path, header + "\n".join(rows)))
+        by_sensor = ingest_csv(self.write(tmp_path, header + "\n".join(rows[0::2] + rows[1::2])))
+        assert by_time == by_sensor == {
+            "s1": SensorStream("s1", "co2", (1000, 2000), (1.0, 3.0)),
+            "s2": SensorStream("s2", "co2", (1000, 2000), (2.0, 4.0)),
+        }
+        # rows of one instant that spell it alike share one parsed int
+        assert by_time["s1"].timestamps_ms[1] is by_time["s2"].timestamps_ms[1]
+
+    def test_a_repeat_among_rows_of_one_instant_names_both_lines(self, tmp_path):
+        path = self.write(tmp_path, "timestamp_ms,sensor_id,modality,value\n"
+                                    "1000,s1,co2,1.0\n1000,s2,co2,2.0\n1000,s1,co2,3.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: duplicate or non-increasing timestamp 1000 for sensor 's1' "
+                f"(previous at line 2)")):
             ingest_csv(path)
 
     def test_modality_switch_rejected(self, tmp_path):
@@ -854,6 +877,18 @@ def mixed_case(csv_text):
     return text
 
 
+def without_t3(csv_text):
+    """``csv_text`` without the rows of sensor ``t3``."""
+    return "".join(line for line in csv_text.splitlines(keepends=True) if ",t3," not in line)
+
+
+def huge_readings(csv_text):
+    """``csv_text`` with every reading 1.7e308: each is finite, but the exact
+    sum of a window of them is not, so every mode fails while it runs."""
+    header, *rows = csv_text.splitlines(keepends=True)
+    return header + "".join(row.rsplit(",", 1)[0] + ",1.7e308\n" for row in rows)
+
+
 class CliCase(NamedTuple):
     """One CLI run on a config in ``configs/`` after one edit, and its outcome.
 
@@ -910,9 +945,7 @@ CLI_CASES = [
             "streams.csv: stream for unknown sensor 'zz'",
             csv=lambda text: text + "1000,zz,motion,1.0\n"),
     CliCase("fault_on_a_sensor_without_a_stream", "run", 2, None,
-            "scenario.faults[0]: sensor 't3' has no stream\n", "fault_scenario",
-            csv=lambda text: "".join(line for line in text.splitlines(keepends=True)
-                                     if ",t3," not in line)),
+            "scenario.faults[0]: sensor 't3' has no stream\n", "fault_scenario", csv=without_t3),
     CliCase("fault_parameter_its_kind_does_not_read", "run", 2,
             ("kind: stuck_at,", "kind: stuck_at, slope_per_s: 0.5,"),
             "scenario.faults[0]: 'stuck_at' does not read slope_per_s\n", "fault_scenario"),
@@ -988,8 +1021,14 @@ CLI_CASES = [
     CliCase("synth_sensor_id_utf8_cannot_write", "synth", 2,
             put("streams", "synthetic", 0, "sensor_id", value="s\ud800"),
             "spec.generators[0]: sensor id 's\\ud800' cannot be written as UTF-8\n"),
-    CliCase("compare_exits_1_when_every_mode_fails", "compare", 1, None, ":2: malformed row",
+    # compare reads, checks and faults its inputs once: a refusal of them is
+    # one error, not one FAILED line per mode
+    CliCase("compare_fault_on_a_sensor_without_a_stream", "compare", 2, None,
+            "scenario.faults[0]: sensor 't3' has no stream\n", "fault_scenario", csv=without_t3),
+    CliCase("compare_malformed_csv_row", "compare", 2, None, ":2: malformed row",
             csv=lambda _: CSV_ROW("1000,m1,motion,abc")),
+    CliCase("compare_exits_1_when_every_mode_fails", "compare", 1, None,
+            "OverflowError: intermediate overflow in fsum", csv=huge_readings),
     # a CSV exported with a UTF-8 byte-order mark is read like one without
     CliCase("csv_with_byte_order_mark", "run", 0, None, csv=lambda text: "\ufeff" + text),
     # one modality spelt in several cases on one sensor's rows is one modality
@@ -1204,6 +1243,15 @@ class TestCompareModes:
         assert comparison.features_identical is True
 
 
+def probe(script, *args):
+    """The last line that ``script`` prints when a fresh interpreter runs it
+    on ``args``, with ``src`` on its path; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 #: runs the CLI on a config and reports its exit status and whether numpy is loaded
 NUMPY_PROBE = """
 import sys
@@ -1211,6 +1259,26 @@ from edgeprep.cli import main
 status = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(status, "numpy" in sys.modules)
 """
+
+#: with PyYAML blocked, runs a scenario given as JSON over its CSV, and reports
+#: its activations and whether numpy is loaded
+YAML_FREE_PROBE = """
+import json, sys
+sys.modules["yaml"] = None  # any import of PyYAML now fails
+from edgeprep.harness import parse_scenario, run_scenario
+print(run_scenario(parse_scenario(json.loads(sys.argv[1]))).activations, "numpy" in sys.modules)
+"""
+
+
+def test_a_run_over_csv_loads_no_yaml(tmp_path):
+    # ingest_csv and a Pipeline over a config built in memory, as the benchmark runs
+    doc = yaml.safe_load((ROOT / "configs" / "two_service.yaml").read_text(encoding="utf-8"))
+    path = tmp_path / "streams.csv"
+    write_streams_csv(generate_synthetic(*parse_synth_spec(synth_spec(doc))), path)
+    del doc["streams"]["synthetic"]
+    doc["streams"]["csv"] = str(path)
+    report = run_scenario(parse_scenario(doc))
+    assert probe(YAML_FREE_PROBE, json.dumps(doc)) == f"{report.activations} False"
 
 
 class TestNumpyLoadsOnlyWhereAStreamDraws:
@@ -1237,8 +1305,5 @@ class TestNumpyLoadsOnlyWhereAStreamDraws:
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
         out = tmp_path / "out"
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        probe = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(scenario), str(out)],
-                               env=env, capture_output=True, text=True, check=True)
-        assert probe.stdout.splitlines()[-1] == f"0 {loaded}"
+        assert probe(NUMPY_PROBE, scenario, out) == f"0 {loaded}"
         assert (out / "selection_trace.csv").exists()
