@@ -83,7 +83,9 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
     column, not as Python ints.  A row whose timestamp text repeats the
     previous row's reuses that row's parsed int, so the sensors sampled at
     one instant of a file in (timestamp, sensor id) order share one int
-    object.  Rows may come in any order, fields may carry surrounding
+    object.  A timestamp is an ASCII integer and a value an ASCII float:
+    a ``_`` or a non-ASCII character in either is a malformed row.  Rows
+    may come in any order, fields may carry surrounding
     whitespace, a sensor's rows may spell its modality in any case
     (``CO2``, ``co2``), and a UTF-8 byte-order mark is skipped.  A sensor
     whose timestamps already increase is taken as it is; only otherwise are
@@ -110,16 +112,28 @@ def ingest_csv(path: str | Path) -> dict[str, SensorStream]:
                 if not row:
                     continue
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}") from None
+            # float() and int() also read what no CSV number holds: a '_'
+            # between digits and non-ASCII digits
+            text = val_raw.strip()
             try:
-                if ts_raw != ts_text:
-                    ts_text, ts = ts_raw, int(ts_raw.strip())
-                value = float(val_raw.strip())
+                if "_" in text or not text.isascii():
+                    raise ValueError
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
             if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {val_raw.strip()!r}")
-            if ts < 0:
-                raise ValueError(f"{path}:{lineno}: negative timestamp {ts}")
+                raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+            if ts_raw != ts_text:
+                text = ts_raw.strip()
+                try:
+                    if "_" in text or not text.isascii():
+                        raise ValueError
+                    ts = int(text)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
+                if ts < 0:
+                    raise ValueError(f"{path}:{lineno}: negative timestamp {ts}")
+                ts_text = ts_raw
             sid = sid.strip()
             modality = modality.strip()
             if not sid or not modality:

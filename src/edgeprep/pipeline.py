@@ -30,6 +30,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fusion import FusedStream, KalmanConfig, fuse_window
@@ -43,7 +44,7 @@ from .model import (
     require_unique,
     seconds_to_ms,
 )
-from .ranking import Ranking, rank_rows, topsis_select
+from .ranking import Ranking, Terms, rank_terms, static_terms, topsis_select
 from .reliability import ReliabilityState, close_interval
 from .voting import VotingConfig, vote
 
@@ -54,9 +55,11 @@ from .voting import VotingConfig, vote
 # there.  The cycle looks up close_interval (one call per close, every
 # state at once) and compute_feature (one call per feature) by those names
 # at each call, so the wrappers see them.  It calls the kernels vote,
-# rank_rows and fuse_window instead of the public chains, which stay bound
+# rank_terms and fuse_window instead of the public chains, which stay bound
 # here until the benchmark traces stages (ROADMAP items 2 and 3); only the
-# temporal associate remains, kept for the tracer.
+# temporal associate remains, kept for the tracer.  A vote bisects each
+# stream's timestamps itself: latest_in is wrapped, but the cycle no longer
+# calls it, so the benchmark's model.latest_in.calls reads 0.
 from .fusion import align, kalman_fuse_streams  # noqa: F401
 from .ranking import rank_and_select  # noqa: F401
 from .voting import (  # noqa: F401
@@ -343,6 +346,11 @@ class Counters:
     points_processed: int = 0
 
 
+#: a sensor state's alpha, and its beta by each ``QosProfile.beta_source``
+_ALPHA = attrgetter("alpha")
+_BETA = {"interval": attrgetter("rel.beta"), "cumulative": attrgetter("rel.beta_cumulative")}
+
+
 class _SensorDyn:
     """Mutable per-sensor dynamic state, owned by the pipeline, beside the
     sensor's fixed static scores: together, its ranking row."""
@@ -364,13 +372,17 @@ class _Need:
     service's zone, and ``sources`` their states, in that order.
     ``profile`` numbers the ranking profile (scope, live ids, utopia,
     weights, beta source): services with one profile share one ranking per
-    cycle.  ``fixed`` is the TOPSIS baseline's ranking, made once.
+    cycle, and one ``terms``, the :func:`static_terms` of the live sensors
+    under the profile.  ``beta`` reads a state's beta of the profile's
+    source.  ``fixed`` is the TOPSIS baseline's ranking, made once.
     """
 
     modality: Modality
     live: tuple[str, ...]
     sources: tuple[_SensorDyn, ...]
     profile: int
+    terms: Terms
+    beta: Callable[[_SensorDyn], float]
     fixed: Ranking | None
 
 
@@ -449,7 +461,7 @@ class Pipeline:
 
         # the ranking kernel trusts its rows: SensorSpec refuses a raw value
         # whose score would leave [0, 1], beta lies in [0, 1] by its formula,
-        # alpha is checked where a ranking reads it (see _rows), and every
+        # alpha is checked where a ranking reads it (see _select), and every
         # cohort's ids ascend, unique, by the duplicate check and the sort
         # above
         # interval lengths are measured in expected-sample units so a fully
@@ -463,13 +475,15 @@ class Pipeline:
                                                        spec.static_scores)
 
         # cohort maintenance, which only the two selecting modes run: per
-        # cohort in modality order, its granularity and the (stream, state)
-        # pair of each sensor with a stream, ids ascending; and every
-        # reliability state, closed in one call
+        # cohort in modality order, its granularity and the (timestamps,
+        # values, state) of each sensor with a stream, ids ascending; and
+        # every reliability state, closed in one call
         maintained = mode in (Mode.UNIFIED, Mode.PER_SERVICE)
-        self._votes: list[tuple[int, list[tuple[SensorStream, _SensorDyn]]]] = [
-            (granularity_ms[mk], [(self.streams[spec.sensor_id], self._dyn[spec.sensor_id])
-                                  for spec in cohorts[mk] if spec.sensor_id in self.streams])
+        self._votes: list[tuple[int, list[tuple[Sequence[int], Sequence[float],
+                                                _SensorDyn]]]] = [
+            (granularity_ms[mk], [(stream.timestamps_ms, stream.values, self._dyn[spec.sensor_id])
+                                  for spec in cohorts[mk]
+                                  if (stream := self.streams.get(spec.sensor_id)) is not None])
             for mk in sorted(cohorts)
         ] if maintained else []
         self._reliability: list[ReliabilityState] = (
@@ -479,7 +493,8 @@ class Pipeline:
         # service's work, its own id in per-service mode, every service
         # (None) otherwise
         self._caches: dict[str | None, FeatureCache] = {}
-        profiles: dict[tuple, int] = {}
+        # ranking profile -> its number and terms
+        profiles: dict[tuple, tuple[int, Terms]] = {}
         windows: dict[tuple, int] = {}
         self._plans: list[_Plan] = []
         for svc in self.services:
@@ -493,12 +508,16 @@ class Pipeline:
                              if len(self.streams.get(spec.sensor_id, ())) > 0
                              and (svc.zone is None or spec.zone == svc.zone))
                 sources = tuple(self._dyn[sid] for sid in live)
-                profile = profiles.setdefault(
-                    (scope, live, qos.utopia, qos.weights, qos.beta_source), len(profiles))
+                key = (scope, live, qos.utopia, qos.weights, qos.beta_source)
+                if key not in profiles:
+                    profiles[key] = (len(profiles),
+                                     static_terms([dyn.static for dyn in sources], qos))
                 fixed = None
                 if mode is Mode.TOPSIS_BASELINE and live:
-                    fixed = topsis_select(live, self._rows(sources, "interval"), qos)
-                needs.append(_Need(mk, live, sources, profile, fixed))
+                    fixed = topsis_select(
+                        live, [(dyn.alpha, dyn.rel.beta) + dyn.static for dyn in sources], qos)
+                needs.append(_Need(mk, live, sources, *profiles[key], _BETA[qos.beta_source],
+                                   fixed))
             starved = [need.modality for need in needs if not need.live]
             left_ms, right_ms = svc.k_l * svc.delta_ms, svc.k_r * svc.delta_ms
             self._plans.append(_Plan(
@@ -523,21 +542,7 @@ class Pipeline:
         self.tick_ms = math.gcd(self.reliability_interval_ms, *granularity_ms.values(),
                                 *(svc.period_ms for svc in self.services))
 
-    # -- state assembly ----------------------------------------------------
-
-    @staticmethod
-    def _rows(sources: Sequence[_SensorDyn], beta_source: str) -> list[tuple[float, ...]]:
-        """The ranking rows of ``sources``, one tuple of five floats each."""
-        if beta_source == "cumulative":
-            rows = [(dyn.alpha, dyn.rel.beta_cumulative) + dyn.static for dyn in sources]
-        else:
-            rows = [(dyn.alpha, dyn.rel.beta) + dyn.static for dyn in sources]
-        # alpha is in [0, 1] unless a vote's Kalman estimate went through inf
-        # to NaN; a later vote may replace it, so only a ranking refuses it
-        for row in rows:
-            if row[0] != row[0]:
-                raise ValueError("state entries must lie in [0, 1]")
-        return rows
+    # -- feature caches ----------------------------------------------------
 
     def caches(self) -> list[FeatureCache]:
         return list(self._caches.values())
@@ -556,16 +561,18 @@ class Pipeline:
 
     # -- cohort maintenance --------------------------------------------------
 
-    def _vote(self, voters: Sequence[tuple[SensorStream, _SensorDyn]], granularity_ms: int,
-              t_ms: int) -> None:
+    def _vote(self, voters: Sequence[tuple[Sequence[int], Sequence[float], _SensorDyn]],
+              granularity_ms: int, t_ms: int) -> None:
         start_ms = t_ms - granularity_ms
         present: list[_SensorDyn] = []
         raw: list[float] = []
-        for stream, dyn in voters:
-            latest = stream.latest_in(start_ms, t_ms)
-            if latest is not None:
+        # each voter's reading is its latest sample in ]start, t], as
+        # SensorStream.latest_in finds it
+        for ts, values, dyn in voters:
+            hi = bisect_right(ts, t_ms)
+            if hi and ts[hi - 1] > start_ms:
                 present.append(dyn)
-                raw.append(latest[1])
+                raw.append(values[hi - 1])
         self.counters.votes += 1
         if len(present) >= 2:
             # the readings ascend by id and SensorStream validated them; the
@@ -605,14 +612,22 @@ class Pipeline:
             # the whole order is ranked once and each service takes its prefix
             ranking = self._cycle_memo.get(need.profile)
             if ranking is None:
-                ranking = self._cycle_memo[need.profile] = rank_rows(
-                    need.live, self._rows(need.sources, qos.beta_source), qos)
+                alphas = list(map(_ALPHA, need.sources))
+                # alpha is in [0, 1] unless a vote's Kalman estimate went
+                # through inf to NaN; a later vote may replace it, so only a
+                # ranking refuses it
+                if any(map(math.isnan, alphas)):
+                    raise ValueError("state entries must lie in [0, 1]")
+                ranking = self._cycle_memo[need.profile] = rank_terms(
+                    need.live, alphas, list(map(need.beta, need.sources)), need.terms)
             order, ranked = ranking
         # the service cuts its own prefix; a count beyond the cohort keeps all
         count = qos.select_count
         service_id = qos.service_id
-        trace.extend(TraceRow(t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count)
-                     for sid, d_m, d_a, d_ma, rank in ranked)
+        # tuple.__new__ is what TraceRow's own __new__ calls, without its frame
+        new = tuple.__new__
+        trace.extend([new(TraceRow, (t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count))
+                      for sid, d_m, d_a, d_ma, rank in ranked])
         return order[:count]
 
     def _fuse(

@@ -10,8 +10,11 @@ baseline, runs on the same float rows.
 
 Every ranking has one shape, :data:`Ranking`: the ids in rank order, and
 one :data:`RankedRow` per sensor in id order.  :func:`rank_and_select` and
-:func:`topsis_select` check a cohort they are given; :func:`rank_rows`,
-the pipeline's kernel, ranks rows the pipeline built and validated itself.
+:func:`topsis_select` check a cohort they are given; :func:`rank_rows`
+ranks trusted rows.  The distance arithmetic has one definition, in two
+parts: :func:`static_terms` forms, once per cohort and profile, every
+product that the three static scores fix, and :func:`rank_terms`, the
+pipeline's kernel, adds each sensor's α and β terms to them.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ __all__ = [
     "RankedRow",
     "Ranking",
     "Rows",
+    "Terms",
     "scaling_coefficients",
     "rank_and_select",
     "rank_rows",
+    "rank_terms",
+    "static_terms",
     "topsis_select",
 ]
 
@@ -47,6 +53,13 @@ Ranking = tuple[tuple[str, ...], list[RankedRow]]
 
 #: a cohort's attribute rows: five floats per sensor id, in ATTRIBUTE_NAMES order
 Rows = Sequence[Sequence[float]]
+
+#: what a profile's utopia ``v`` and weights ``w`` fix of a cohort's
+#: distances: the scalars ``(v0, v1, w0, w1, b0, b1, bb)``, with ``b = w v``
+#: and ``bb`` the sum of the five ``b * b``, and for each sensor, in id
+#: order, the nine products of its static scores ``a2..a4``:
+#: ``w_i (a_i - v_i)^2``, then ``(w_i a_i)^2``, then ``w_i a_i b_i``
+Terms = tuple[tuple[float, ...], list[tuple[float, ...]]]
 
 
 def scaling_coefficients(d_ms: Sequence[float], d_as: Sequence[float]) -> tuple[float, float]:
@@ -104,31 +117,53 @@ def _ranked(sensor_ids: Sequence[str], d_ms: Sequence[float], d_as: Sequence[flo
             list(zip(sensor_ids, d_ms, d_as, d_mas, ranks)))
 
 
-def _distances(rows: Rows, qos: QosProfile) -> tuple[list[float], list[float], list[float]]:
-    """``d_m``, ``d_a`` and ``d_ma`` of each row of five floats in [0, 1]."""
+def static_terms(statics: Rows, qos: QosProfile) -> Terms:
+    """The :data:`Terms` that ``qos`` fixes for a cohort whose rows of three
+    static scores in [0, 1] are ``statics``: every product that the
+    distances form from a static score, computed once for every ranking of
+    the cohort under ``qos``."""
     # QosProfile has validated both rows: every w, v and a is >= 0, so the
     # absolute values in d_a are the products themselves
     v0, v1, v2, v3, v4 = qos.utopia
     w0, w1, w2, w3, w4 = qos.weights
     b0, b1, b2, b3, b4 = w0 * v0, w1 * v1, w2 * v2, w3 * v3, w4 * v4
     bb = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
+    rows = []
+    for a2, a3, a4 in statics:
+        t2, t3, t4 = a2 - v2, a3 - v3, a4 - v4
+        c2, c3, c4 = w2 * a2, w3 * a3, w4 * a4
+        rows.append((w2 * (t2 * t2), w3 * (t3 * t3), w4 * (t4 * t4),
+                     c2 * c2, c3 * c3, c4 * c4, c2 * b2, c3 * b3, c4 * b4))
+    return (v0, v1, w0, w1, b0, b1, bb), rows
+
+
+def rank_terms(sensor_ids: Sequence[str], alphas: Sequence[float], betas: Sequence[float],
+               terms: Terms) -> Ranking:
+    """The ranking of trusted rows given as their dynamic columns, α and β
+    in [0, 1], and the :func:`static_terms` of their static scores: the
+    cycle's kernel.
+
+    Each sum adds the same five terms in the same order as
+    :func:`rank_and_select` documents, so the two give the same bits.
+    Nothing is re-checked.
+    """
+    (v0, v1, w0, w1, b0, b1, bb), rows = terms
     sqrt = math.sqrt
     d_ms: list[float] = []
     d_as: list[float] = []
-    for a0, a1, a2, a3, a4 in rows:
-        t0, t1, t2, t3, t4 = a0 - v0, a1 - v1, a2 - v2, a3 - v3, a4 - v4
-        d_ms.append(sqrt(w0 * (t0 * t0) + w1 * (t1 * t1) + w2 * (t2 * t2)
-                         + w3 * (t3 * t3) + w4 * (t4 * t4)))
-        c0, c1, c2, c3, c4 = w0 * a0, w1 * a1, w2 * a2, w3 * a3, w4 * a4
-        denom = sqrt((c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4) * bb)
+    for a0, a1, (m2, m3, m4, n2, n3, n4, p2, p3, p4) in zip(alphas, betas, rows):
+        t0, t1 = a0 - v0, a1 - v1
+        d_ms.append(sqrt(w0 * (t0 * t0) + w1 * (t1 * t1) + m2 + m3 + m4))
+        c0, c1 = w0 * a0, w1 * a1
+        denom = sqrt((c0 * c0 + c1 * c1 + n2 + n3 + n4) * bb)
         if denom == 0.0:
             d_as.append(1.0)  # a zero-norm weighted vector is maximally dissimilar
             continue
-        d_a = 1.0 - (c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3 + c4 * b4) / denom
+        d_a = 1.0 - (c0 * b0 + c1 * b1 + p2 + p3 + p4) / denom
         d_as.append(0.0 if d_a < 0.0 else 1.0 if d_a > 1.0 else d_a)
     xi_m, xi_a = scaling_coefficients(d_ms, d_as)
     d_mas = [math.hypot(xi_m * d_m, xi_a * d_a) for d_m, d_a in zip(d_ms, d_as)]
-    return d_ms, d_as, d_mas
+    return _ranked(sensor_ids, d_ms, d_as, d_mas)
 
 
 def rank_rows(sensor_ids: Sequence[str], rows: Rows, qos: QosProfile) -> Ranking:
@@ -136,10 +171,10 @@ def rank_rows(sensor_ids: Sequence[str], rows: Rows, qos: QosProfile) -> Ranking
     cohort it has checked.
 
     ``rows`` holds one row of five floats in [0, 1] per id of the strictly
-    ascending ``sensor_ids``, as the pipeline builds them; nothing is
-    re-checked.
+    ascending ``sensor_ids``; nothing is re-checked.
     """
-    return _ranked(sensor_ids, *_distances(rows, qos))
+    return rank_terms(sensor_ids, [row[0] for row in rows], [row[1] for row in rows],
+                      static_terms([row[2:] for row in rows], qos))
 
 
 def rank_and_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) -> Ranking:

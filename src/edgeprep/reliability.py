@@ -46,10 +46,15 @@ def poisson_weight(mean: float, n: int) -> float:
         raise ValueError("mean must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _poisson(mean, n, math.lgamma(n + 1))
+
+
+def _poisson(mean: float, n: int, log_n_factorial: float) -> float:
+    """:func:`poisson_weight` of a checked ``mean`` and ``n``, given
+    ``lgamma(n + 1)``."""
     if mean == 0.0:
         return 0.0
-    log_p = n * math.log(mean) - math.lgamma(n + 1) - mean
-    return math.exp(log_p)
+    return math.exp(n * math.log(mean) - log_n_factorial - mean)
 
 
 def interval_reliability(q: int, n_expected: int, t: float) -> float:
@@ -109,10 +114,11 @@ class ReliabilityState:
     ``beta_cumulative``.  Passing the expected sampling interval as the unit
     makes a fully consistent sensor land exactly on the distribution mode,
     keeping the weight monotone in q for any cadence.  ``n_expected`` and
-    ``seconds_per_unit`` are read-only.
+    ``seconds_per_unit`` are read-only, and ``lgamma(n_expected + 1)`` is
+    fixed with them for every close.
     """
 
-    __slots__ = ("_n_expected", "_seconds_per_unit", "q",
+    __slots__ = ("_n_expected", "_seconds_per_unit", "_log_n_factorial", "q",
                  "lambda_history", "beta", "beta_cumulative", "rate_integral")
 
     def __init__(self, n_expected: int, seconds_per_unit: float = 1.0):
@@ -121,6 +127,7 @@ class ReliabilityState:
         positive_finite("seconds_per_unit", seconds_per_unit)
         self._n_expected = n_expected
         self._seconds_per_unit = seconds_per_unit
+        self._log_n_factorial = math.lgamma(n_expected + 1)
         self.q = 0
         self.lambda_history: list[tuple[int, int, float]] = []
         self.beta = 1.0
@@ -157,9 +164,10 @@ def close_interval(states: Sequence[ReliabilityState], start_ms: int, end_ms: in
     lams = [compute_lambda(state.q, state._n_expected) for state in states]
     seconds = (end_ms - start_ms) / 1000.0
     for state, lam in zip(states, lams):
-        length = seconds / state._seconds_per_unit
-        state.beta = poisson_weight(lam * length, state._n_expected)
-        state.rate_integral += lam * length
+        mean = lam * (seconds / state._seconds_per_unit)
+        n, log_n_factorial = state._n_expected, state._log_n_factorial
+        state.beta = _poisson(mean, n, log_n_factorial)
+        state.rate_integral += mean
         state.lambda_history.append((start_ms, end_ms, lam))
-        state.beta_cumulative = poisson_weight(state.rate_integral, state._n_expected)
+        state.beta_cumulative = _poisson(state.rate_integral, n, log_n_factorial)
         state.q = 0

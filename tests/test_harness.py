@@ -111,6 +111,13 @@ class TestIngestCsv:
         ("-5,,co2,inf", "non-finite value 'inf'"),
         ("-5,,co2,22.0", "negative timestamp -5"),
         ("x,,co2,22.0", "malformed row ['x', '', 'co2', '22.0']"),
+        # int() and float() read Python literals that are no CSV number:
+        # digits grouped by '_' and non-ASCII digits
+        ("1_000,s2,co2,22.0", "malformed row ['1_000', 's2', 'co2', '22.0']"),
+        ("3000,s2,co2, 4_00.5 ", "malformed row ['3000', 's2', 'co2', ' 4_00.5 ']"),
+        ("\uff12\uff10\uff10\uff10,s2,co2,22.0",
+         "malformed row ['\uff12\uff10\uff10\uff10', 's2', 'co2', '22.0']"),
+        ("3000,s2,co2, \uff14.5", "malformed row ['3000', 's2', 'co2', ' \uff14.5']"),
         ("3000, s1 , humidity ,22.0", "sensor 's1' switches modality 'co2' -> 'humidity'"),
     ])
     def test_each_bad_row_fails_with_its_line_and_reason(self, tmp_path, row, message):

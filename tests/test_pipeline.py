@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from edgeprep.fusion import FusedStream
@@ -15,10 +15,12 @@ from edgeprep.pipeline import (
     Mode,
     Pipeline,
     ServiceSpec,
+    TraceRow,
     associate,
     build_feature_registry,
     compute_feature,
 )
+from edgeprep.ranking import rank_and_select
 import edgeprep.pipeline as pipeline_module
 import edgeprep.reliability as reliability_module
 from edgeprep.reliability import compute_lambda, interval_reliability
@@ -384,6 +386,19 @@ class TestPipeline:
         assert {sid: pipeline._dyn[sid].rel.q for sid in levels} == {
             sid: int(sid in optimal.sensor_ids) for sid in levels}
 
+    @pytest.mark.parametrize("t3_ms, votes", [(1000, False), (1001, True), (2000, True),
+                                              (2001, False)])
+    def test_a_vote_reads_each_sensor_latest_sample_in_its_interval(self, t3_ms, votes):
+        # the vote at 2 s reads ]1 s, 2 s] at the cohort's 1 s granularity;
+        # t3 reports once, far from the others, and only a vote that reads
+        # it changes its alpha
+        streams = {sid: SensorStream(sid, Modality.TEMPERATURE, (1000, 2000), (20.0, level))
+                   for sid, level in (("t1", 20.0), ("t2", 20.5))}
+        streams["t3"] = SensorStream("t3", Modality.TEMPERATURE, (t3_ms,), (90.0,))
+        pipeline = Pipeline([make_spec(sid) for sid in streams], [simple_service()], streams)
+        pipeline.run_cycle(2000)
+        assert (pipeline._dyn["t3"].alpha != 1.0) is votes
+
     def test_points_processed_counts_the_window_not_the_tolerance(self):
         # window ]3 s, 5 s] with a 2 s tolerance: six samples are aligned,
         # the two inside the window are counted
@@ -600,7 +615,7 @@ class TestPipeline:
         assert {r.sensor_id for r in result.trace} == {"t1"}
 
     def test_ranking_is_called_once_per_cohort_and_profile_per_cycle(self, monkeypatch):
-        # the cycle ranks through the module-level rank_rows, ids first and
+        # the cycle ranks through the module-level rank_terms, ids first and
         # positionally, so a bypass or a second call shows here.  Zone
         # scoping splits the temperature cohort, so both temperature cohorts
         # are ranked.
@@ -616,7 +631,7 @@ class TestPipeline:
                     simple_service("lab", ("temperature",), period_s=2.0, zone="lab")]
         live = {("all", "motion"): ("m1", "m2"), ("all", "temperature"): ("t1", "t2", "t3"),
                 ("lab", "temperature"): ("t1", "t2")}
-        calls = counted(monkeypatch, "rank_rows")
+        calls = counted(monkeypatch, "rank_terms")
         pipeline = Pipeline(sensors, services, streams, mode=Mode.UNIFIED)
         expected = []
         for t_ms in range(1000, 10_001, 1000):
@@ -660,7 +675,7 @@ class TestSharedWork:
             self, monkeypatch, mode, ranks_per_cycle):
         services = [temperature_service("one"), temperature_service("three", select_count=3)]
         with monkeypatch.context() as patch:
-            calls = counted(patch, "rank_rows")
+            calls = counted(patch, "rank_terms")
             _, shared = self.run(services, mode)
         # both services are due from t = 2 s
         assert len(calls) == 9 * ranks_per_cycle
@@ -680,9 +695,51 @@ class TestSharedWork:
         other = temperature_service("other")
         other = replace(other, qos=replace(other.qos, **profile))
         with monkeypatch.context() as patch:
-            calls = counted(patch, "rank_rows")
+            calls = counted(patch, "rank_terms")
             self.run([temperature_service("default"), other], Mode.UNIFIED, cycles=[4000])
         assert len(calls) == 2
+
+    unit = st.floats(min_value=0.0, max_value=1.0)
+
+    # shrinking a failing pipeline takes minutes; the unshrunk example is
+    # reported instead
+    @settings(deadline=None, max_examples=60,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(states=st.lists(st.tuples(unit, unit, unit), min_size=4, max_size=4),
+           raws=st.lists(st.tuples(*[st.floats(min_value=0.0, max_value=100.0)] * 3),
+                         min_size=4, max_size=4),
+           utopia=st.tuples(*[unit] * 5),
+           weights=st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=0.0,
+                                                                  max_value=10.0))] * 5
+                             ).filter(lambda w: sum(w) > 0),
+           beta_source=st.sampled_from(["interval", "cumulative"]),
+           count=st.integers(min_value=1, max_value=5))
+    def test_the_cycle_ranks_its_states_as_rank_and_select_ranks_their_rows(
+            self, states, raws, utopia, weights, beta_source, count):
+        # the static terms are fixed at construction; alpha and the beta of
+        # the profile's source are read from the states at each ranking
+        sensors = [make_spec(f"t{i}", resolution=res, response=resp, sensing_range=rng)
+                   for i, (res, resp, rng) in enumerate(raws, start=1)]
+        svc = temperature_service("svc", select_count=count)
+        svc = replace(svc, qos=replace(svc.qos, utopia=utopia, weights=weights,
+                                       beta_source=beta_source))
+        pipeline = Pipeline(sensors, [svc], self.streams)
+        plan = pipeline._plans[0]
+        need = plan.needs[0]
+        rows = []
+        for sid, (alpha, beta, beta_cumulative) in zip(need.live, states):
+            dyn = pipeline._dyn[sid]
+            dyn.alpha, dyn.rel.beta, dyn.rel.beta_cumulative = alpha, beta, beta_cumulative
+            rows.append((alpha, beta if beta_source == "interval" else beta_cumulative)
+                        + dyn.static)
+        trace = []
+        selected = pipeline._select(plan, need, 4000, trace)
+        order, ranked = rank_and_select(need.live, rows, svc.qos)
+        assert selected == order[:count]
+        assert all(type(row) is TraceRow for row in trace)
+        assert [(*row[:3], *map(float.hex, row[3:6]), *row[6:]) for row in trace] == [
+            (4000, "svc", sid, d_m.hex(), d_a.hex(), d_ma.hex(), rank, rank <= count)
+            for sid, d_m, d_a, d_ma, rank in ranked]
 
     @pytest.mark.parametrize("mode, fusions", [(Mode.UNIFIED, 1), (Mode.PER_SERVICE, 2)])
     def test_equal_windows_and_sources_are_fused_once(self, monkeypatch, mode, fusions):

@@ -13,7 +13,14 @@ from edgeprep.model import (
     SensorSpec,
     static_score,
 )
-from edgeprep.ranking import rank_and_select, rank_rows, scaling_coefficients, topsis_select
+from edgeprep.ranking import (
+    rank_and_select,
+    rank_rows,
+    rank_terms,
+    scaling_coefficients,
+    static_terms,
+    topsis_select,
+)
 from conftest import cohort_of, make_spec, make_state, record_of, row_components
 
 
@@ -538,6 +545,42 @@ class TestRankingMatchesComponents:
         assert hexes(d_as) == hexes(d_a)
         assert all(type(x) is float for x in d_ms + d_as + d_mas)
         assert rank_rows(ids, cohort, profile) == ranking
+
+
+#: weights a QosProfile accepts, each entry 0 about half the time
+sparse_weights5 = st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))]
+                            * 5).filter(lambda w: sum(w) > 0)
+
+
+class TestRankRowsKernel:
+    """The cycle's kernel ranks the α and β of a cohort against the terms
+    fixed once for its static scores and profile, and gives the ranking
+    that :func:`rank_and_select` gives the whole rows, bit for bit; both
+    give the bits of the reference components."""
+
+    # shrinking a failing 120-row cohort takes minutes; the unshrunk
+    # example is reported instead
+    @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(states=st.integers(min_value=1, max_value=120).flatmap(
+               lambda n: st.lists(st.tuples(unit, unit, unit, unit, unit, unit),
+                                  min_size=n, max_size=n)),
+           v=vec5, w=sparse_weights5, beta_source=st.sampled_from(["interval", "cumulative"]))
+    def test_terms_fixed_once_give_the_bits_of_rank_and_select(self, states, v, w, beta_source):
+        # each state is (alpha, beta, beta_cumulative) and three static scores
+        ids = tuple(f"s{i:03d}" for i in range(len(states)))
+        profile = QosProfile(service_id="svc", utopia=v, weights=w, beta_source=beta_source)
+        column = 1 if beta_source == "interval" else 2
+        terms = static_terms([state[3:] for state in states], profile)
+        order, ranked = rank_terms(ids, [state[0] for state in states],
+                                   [state[column] for state in states], terms)
+        rows = [(state[0], state[column]) + state[3:] for state in states]
+        for expected_order, expected in (rank_and_select(ids, rows, profile),
+                                         reference_ranking(ids, rows, v, w)):
+            assert order == expected_order
+            assert len(ranked) == len(expected)
+            for (sid, d_m, d_a, d_ma, rank), want in zip(ranked, expected):
+                assert (sid, d_m.hex(), d_a.hex(), d_ma.hex(), rank) == (
+                    want[0], want[1].hex(), want[2].hex(), want[3].hex(), want[4])
 
 
 @pytest.mark.parametrize("rank", [rank_and_select, topsis_select])

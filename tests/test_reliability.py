@@ -208,6 +208,34 @@ class TestCloseInterval:
             assert 0.0 <= state.beta <= 1.0
             assert 0.0 <= state.beta_cumulative <= 1.0
 
+    @given(
+        n=st.integers(min_value=1, max_value=10_000),
+        seconds_per_unit=st.floats(min_value=1e-3, max_value=1e3),
+        start=st.integers(min_value=0, max_value=10**6),
+        # each piece's q and length as shares of n and of n units, so that
+        # the weights land near the Poisson mode, not where they underflow
+        pieces=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                      st.floats(min_value=0.5, max_value=1.5)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_a_close_gives_the_bits_of_the_public_weights(self, n, seconds_per_unit, start,
+                                                          pieces):
+        # a close reads the lgamma(n + 1) its state fixed when it was built
+        state = ReliabilityState(n, seconds_per_unit)
+        t_ms = start
+        for q_share, units in pieces:
+            q = round(q_share * n)
+            length_ms = max(1, round(units * n * seconds_per_unit * 1000))
+            state.q = q
+            t_ms += length_ms
+            close_interval([state], t_ms - length_ms, t_ms)
+            length = length_ms / 1000.0 / seconds_per_unit
+            assert state.beta.hex() == interval_reliability(q, n, length).hex()
+            assert state.beta_cumulative.hex() == cumulative_reliability(
+                state.lambda_history, n, start, t_ms, seconds_per_unit).hex()
+
     def test_rejects_non_forward_close(self):
         state = ReliabilityState(2)
         with pytest.raises(ValueError):
