@@ -25,6 +25,7 @@ from .harness import (
     generate_synthetic,
     load_scenario,
     parse_synth_spec,
+    read_seed,
     render_report,
     run_scenario,
     write_streams_csv,
@@ -77,7 +78,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         cfg = load_scenario(args.config)
         mode = Mode(args.mode) if args.mode else None
-        report = run_scenario(cfg, out_dir=args.out, mode=mode, seed=args.seed)
+        seed = None if args.seed is None else read_seed(args.seed, "--seed")
+        report = run_scenario(cfg, out_dir=args.out, mode=mode, seed=seed)
         sys.stdout.write(render_report(report))
         sys.stdout.write(
             f"wall clock: {report.wall_clock_s:.3f}s total, "

@@ -17,6 +17,7 @@ import enum
 import json
 import math
 import operator
+import random
 import time
 import zlib
 from array import array
@@ -60,6 +61,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "parse_synth_spec",
+    "read_seed",
     "run_scenario",
     "compare_modes",
     "render_report",
@@ -264,6 +266,13 @@ class FaultSpec:
         return self.start_ms < t_ms <= self.end_ms
 
 
+def read_seed(value, path: str) -> int:
+    """``value`` read as a seed, an int >= 0: ``random.Random`` takes an int's absolute value."""
+    if (seed := _scalar(int, value, path)) < 0:
+        raise ConfigError(f"{path}: must be >= 0, got {seed}")
+    return seed
+
+
 def inject_faults(
     streams: Mapping[str, SensorStream],
     faults: Sequence[FaultSpec],
@@ -279,9 +288,7 @@ def inject_faults(
         stream = out.get(fault.sensor_id)
         if stream is None:
             raise ConfigError(f"scenario.faults[{idx}]: sensor {fault.sensor_id!r} has no stream")
-        if fault.kind in (FaultKind.SPIKE, FaultKind.DROPOUT):  # stuck_at and drift draw nothing
-            import numpy as np
-            rng = np.random.default_rng([seed, idx])
+        rng = random.Random((seed << 32) | idx)
         timestamps: list[int] = []
         values: list[float] = []
         for t_ms, value in zip(stream.timestamps_ms, stream.values):
@@ -364,11 +371,10 @@ class GeneratorSpec:
 
 def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, SensorStream]:
     """Materialize generator specs into streams; deterministic under seed."""
-    import numpy as np  # here, not at the top: a run over CSV input draws nothing
     require_unique((spec.sensor_id for spec in specs), "specs", "generator for sensor")
     streams: dict[str, SensorStream] = {}
     for spec in specs:
-        rng = np.random.default_rng([seed, zlib.crc32(spec.sensor_id.encode())])
+        rng = random.Random((seed << 32) | zlib.crc32(spec.sensor_id.encode()))
         start_ms, period_ms = spec.start_ms, spec.period_ms
         count = spec.duration_ms // period_ms
         timestamps = tuple(start_ms + k * period_ms for k in range(1, count + 1))
@@ -384,8 +390,9 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
             else:  # ramp
                 value = spec.level + spec.slope_per_s * elapsed_s
             if spec.noise_std > 0:
-                # on Python floats an overflow gives inf without numpy's warning
-                value += spec.noise_std * float(rng.standard_normal())
+                # Box–Muller over two random() draws; 1 - u lies in ]0, 1], so log never sees 0
+                value += spec.noise_std * (math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                                           * math.cos(2.0 * math.pi * rng.random()))
             if not math.isfinite(value):
                 raise ConfigError(
                     f"generator {spec.sensor_id!r} overflows: value {value!r} at {t_ms} ms "
@@ -420,6 +427,7 @@ class ScenarioConfig:
     horizon_ms: int = field(init=False)  # duration_s in exact milliseconds
 
     def __post_init__(self) -> None:
+        read_seed(self.seed, "scenario.seed")
         self.horizon_ms = seconds_to_ms(self.duration_s, "duration_s")
         seconds_to_ms(self.reliability_interval_s, "reliability_interval_s")
         if not self.generators and self.csv_path is None:
@@ -608,7 +616,7 @@ def parse_synth_spec(raw: Mapping) -> tuple[list[GeneratorSpec], int]:
     """Generators and seed of a ``synth`` spec ``{seed, duration_s, generators}``;
     ``duration_s`` is the generators' default duration."""
     _mapping(raw, "spec", ("seed", "duration_s", "generators"))
-    seed = _scalar(int, raw.get("seed", ScenarioConfig.seed), "spec.seed")
+    seed = read_seed(raw.get("seed", ScenarioConfig.seed), "spec.seed")
     generators = _generators(raw.get("generators", []), "spec.generators", raw)
     require_unique((g.sensor_id for g in generators), "spec.generators", "generator for sensor")
     return generators, seed

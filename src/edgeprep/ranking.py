@@ -10,11 +10,11 @@ baseline, runs on the same float rows.
 
 Every ranking has one shape, :data:`Ranking`: the ids in rank order, and
 one :data:`RankedRow` per sensor in id order.  :func:`rank_and_select` and
-:func:`topsis_select` check a cohort they are given; :func:`rank_rows`
-ranks trusted rows.  The distance arithmetic has one definition, in two
-parts: :func:`static_terms` forms, once per cohort and profile, every
-product that the three static scores fix, and :func:`rank_terms`, the
-pipeline's kernel, adds each sensor's α and β terms to them.
+:func:`topsis_select` check a cohort they are given.  The distance
+arithmetic has one definition, in two parts: :func:`static_terms` forms,
+once per cohort and profile, every product that the three static scores
+fix, and :func:`rank_terms`, the pipeline's kernel, adds each sensor's α
+and β terms to them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "Terms",
     "scaling_coefficients",
     "rank_and_select",
-    "rank_rows",
     "rank_terms",
     "static_terms",
     "topsis_select",
@@ -166,17 +165,6 @@ def rank_terms(sensor_ids: Sequence[str], alphas: Sequence[float], betas: Sequen
     return _ranked(sensor_ids, d_ms, d_as, d_mas)
 
 
-def rank_rows(sensor_ids: Sequence[str], rows: Rows, qos: QosProfile) -> Ranking:
-    """The ranking of trusted rows, as :func:`rank_and_select` ranks a
-    cohort it has checked.
-
-    ``rows`` holds one row of five floats in [0, 1] per id of the strictly
-    ascending ``sensor_ids``; nothing is re-checked.
-    """
-    return rank_terms(sensor_ids, [row[0] for row in rows], [row[1] for row in rows],
-                      static_terms([row[2:] for row in rows], qos))
-
-
 def rank_and_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) -> Ranking:
     """Order a cohort by direction-aware distance to the service utopia.
 
@@ -193,7 +181,9 @@ def rank_and_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) ->
     row of five, and squares are products, as numpy squares.  ``d_ma`` is
     ``hypot(xi_m d_m, xi_a d_a)`` with :func:`scaling_coefficients`.
     """
-    return rank_rows(sensor_ids, _checked_cohort(sensor_ids, states), qos)
+    rows = _checked_cohort(sensor_ids, states)
+    return rank_terms(sensor_ids, [row[0] for row in rows], [row[1] for row in rows],
+                      static_terms([row[2:] for row in rows], qos))
 
 
 def topsis_select(sensor_ids: Sequence[str], states: Rows, qos: QosProfile) -> Ranking:

@@ -1013,6 +1013,12 @@ CLI_CASES = [
             "fault_scenario"),
     CliCase("no_services", "run", 2, put("services", value=[]),
             "scenario.services: expected at least one service\n"),
+    # random.Random seeds with an int's absolute value: a negative seed
+    # would repeat another seed's draws
+    CliCase("negative_seed", "run", 2, ("seed: 7", "seed: -1"),
+            "scenario.seed: must be >= 0, got -1\n"),
+    CliCase("synth_negative_seed", "synth", 2, put("seed", value=-1),
+            "spec.seed: must be >= 0, got -1\n"),
     CliCase("synth_duplicate_generator", "synth", 2,
             lambda doc: doc["streams"]["synthetic"].append(doc["streams"]["synthetic"][0]),
             "spec.generators[7]: duplicate generator for sensor 'm1'\n"),
@@ -1101,6 +1107,14 @@ class TestCli:
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (2, "edgeprep: error: " + case.error)
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(ROOT / "configs" / "two_service.yaml"),
+                "--seed", "-3", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "edgeprep: error: --seed: must be >= 0, got -3\n"
         assert not out.exists()
 
     def test_missing_config_is_a_one_line_error(self, tmp_path, capsys):
@@ -1259,21 +1273,22 @@ def probe(script, *args):
     return proc.stdout.splitlines()[-1]
 
 
-#: runs the CLI on a config and reports its exit status and whether numpy is loaded
-NUMPY_PROBE = """
-import sys
+#: with numpy blocked, runs the CLI on each argv of a JSON list and prints
+#: their exit statuses
+NUMPY_FREE_PROBE = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
 from edgeprep.cli import main
-status = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(status, "numpy" in sys.modules)
+print(*(main(argv) for argv in json.loads(sys.argv[1])))
 """
 
-#: with PyYAML blocked, runs a scenario given as JSON over its CSV, and reports
-#: its activations and whether numpy is loaded
+#: with PyYAML and numpy blocked, runs a scenario given as JSON over its CSV,
+#: and reports its activations
 YAML_FREE_PROBE = """
 import json, sys
-sys.modules["yaml"] = None  # any import of PyYAML now fails
+sys.modules["yaml"] = sys.modules["numpy"] = None  # any import of either now fails
 from edgeprep.harness import parse_scenario, run_scenario
-print(run_scenario(parse_scenario(json.loads(sys.argv[1]))).activations, "numpy" in sys.modules)
+print(run_scenario(parse_scenario(json.loads(sys.argv[1]))).activations)
 """
 
 
@@ -1285,21 +1300,21 @@ def test_a_run_over_csv_loads_no_yaml(tmp_path):
     del doc["streams"]["synthetic"]
     doc["streams"]["csv"] = str(path)
     report = run_scenario(parse_scenario(doc))
-    assert probe(YAML_FREE_PROBE, json.dumps(doc)) == f"{report.activations} False"
+    assert probe(YAML_FREE_PROBE, json.dumps(doc)) == str(report.activations)
 
 
 class TestNumpyLoadsOnlyWhereAStreamDraws:
-    """A run over CSV input imports numpy only for a fault that draws from it."""
+    """A run over CSV input imports numpy nowhere, not even for a fault that draws."""
 
     SPIKE = {"sensor_id": "t3", "kind": "spike", "magnitude": 5.0, "rate": 0.2,
              "start_s": 60, "end_s": 180}
 
-    @pytest.mark.parametrize("config, faults, loaded", [
-        ("two_service", [], False),
-        ("fault_scenario", None, False),  # its own stuck_at and drift faults
-        ("fault_scenario", [SPIKE], True),
+    @pytest.mark.parametrize("config, faults", [
+        ("two_service", []),
+        ("fault_scenario", None),  # its own stuck_at and drift faults
+        ("fault_scenario", [SPIKE]),
     ], ids=["no-faults", "stuck_at-and-drift", "spike"])
-    def test_csv_run(self, tmp_path, config, faults, loaded):
+    def test_csv_run(self, tmp_path, config, faults):
         doc = yaml.safe_load((ROOT / "configs" / f"{config}.yaml").read_text(encoding="utf-8"))
         spec = tmp_path / "spec.yaml"
         spec.write_text(yaml.safe_dump(synth_spec(doc)), encoding="utf-8")
@@ -1312,5 +1327,30 @@ class TestNumpyLoadsOnlyWhereAStreamDraws:
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
         out = tmp_path / "out"
-        assert probe(NUMPY_PROBE, scenario, out) == f"0 {loaded}"
+        argvs = [["run", "--config", str(scenario), "--out", str(out)]]
+        assert probe(NUMPY_FREE_PROBE, json.dumps(argvs)) == "0"
         assert (out / "selection_trace.csv").exists()
+
+
+def test_no_run_loads_numpy(tmp_path):
+    # run, compare and synth on both canned configs, and a run whose faults draw
+    argvs = []
+    for config in ("two_service", "fault_scenario"):
+        scenario = ROOT / "configs" / f"{config}.yaml"
+        doc = yaml.safe_load(scenario.read_text(encoding="utf-8"))
+        spec = tmp_path / f"{config}_spec.yaml"
+        spec.write_text(yaml.safe_dump(synth_spec(doc)), encoding="utf-8")
+        argvs += [["run", "--config", scenario, "--out", tmp_path / config / "run"],
+                  ["compare", "--config", scenario, "--out", tmp_path / config / "compare"],
+                  ["synth", "--spec", spec, "--out", tmp_path / config / "streams.csv"]]
+    # the fault scenario with a spike and a dropout in place of its own faults
+    doc["faults"] = [{"sensor_id": "t3", "kind": "spike", "magnitude": 5.0, "rate": 0.2,
+                      "start_s": 60, "end_s": 180},
+                     {"sensor_id": "t7", "kind": "dropout", "probability": 0.3,
+                      "start_s": 90, "end_s": 210}]
+    scenario = tmp_path / "drawing_faults.yaml"
+    scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    argvs.append(["run", "--config", scenario, "--out", tmp_path / "drawing_faults"])
+    argvs = [[str(arg) for arg in argv] for argv in argvs]
+    assert probe(NUMPY_FREE_PROBE, json.dumps(argvs)) == " ".join(["0"] * len(argvs))
+    assert (tmp_path / "drawing_faults" / "selection_trace.csv").exists()

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -191,18 +191,23 @@ class TestCloseInterval:
     @given(
         n=st.integers(min_value=1, max_value=10_000),
         seconds_per_unit=st.floats(min_value=1e-3, max_value=1e3),
+        # each piece's q and length as shares of n and of n units, as below,
+        # so that the bound is checked on weights that have not underflowed
         pieces=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=20_000),
-                      st.integers(min_value=1, max_value=10**9)),
+            st.tuples(st.floats(min_value=0.0, max_value=2.0),
+                      st.floats(min_value=0.5, max_value=1.5)),
             min_size=1, max_size=40,
         ),
     )
+    # one close at the Poisson mode, q = n over n units: both weights near 0.056
+    @example(n=50, seconds_per_unit=1.0, pieces=[(1.0, 1.0)])
     def test_both_weights_lie_in_the_unit_interval(self, n, seconds_per_unit, pieces):
         # the ranking reads beta as an attribute in [0, 1] and checks it nowhere
         state = ReliabilityState(n, seconds_per_unit)
         t_ms = 0
-        for q, length_ms in pieces:
-            state.q = q
+        for q_share, units in pieces:
+            state.q = round(q_share * n)
+            length_ms = max(1, round(units * n * seconds_per_unit * 1000))
             t_ms += length_ms
             close_interval([state], t_ms - length_ms, t_ms)
             assert 0.0 <= state.beta <= 1.0
