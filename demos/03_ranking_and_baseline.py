@@ -7,19 +7,17 @@ ever sees the attribute snapshot, its choice cannot react to the dynamic
 scores changing.
 """
 
-import numpy as np
-
 from edgeprep.model import QosProfile
 from edgeprep.ranking import rank_and_select, topsis_select
 
 # a cohort is its ascending sensor ids plus one attribute row per id
 sensor_ids = ("accurate_but_flaky", "balanced", "steady_but_coarse")
-states = np.array([
+states = [
     # alpha beta  gamma eps  kappa
     [0.98, 0.30, 0.8, 0.7, 0.9],
     [0.85, 0.80, 0.7, 0.7, 0.8],
     [0.75, 0.95, 0.5, 0.6, 0.8],
-])
+]
 
 
 def show(title, ranking, qos):

@@ -6,9 +6,10 @@ healthy, then with one stream reporting a constant offset, which visibly
 drags the fused estimate away from the majority.
 """
 
-import numpy as np
+import math
+import random
 
-from edgeprep.fusion import KalmanConfig, align, kalman_fuse_streams
+from edgeprep.fusion import AlignedGrid, KalmanConfig, align, kalman_fuse_streams
 from edgeprep.model import Modality, SensorStream
 
 print("-- alignment --")
@@ -21,24 +22,31 @@ for tick, value in zip(grid.ticks_ms, grid.values[0]):
     print(f"  t={tick:>5} ms  value={value:.3f}  ({origin})")
 
 print("\n-- fusion, all healthy --")
-rng = np.random.default_rng(1)
+rng = random.Random(1)
+
+
+def normal(std):
+    """One Gaussian draw by Box–Muller over two random() draws, as the
+    harness's generators draw their noise."""
+    return std * (math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+                  * math.cos(2.0 * math.pi * rng.random()))
+
+
 ticks = tuple(range(1000, 31_000, 1000))
 healthy = {
-    sid: 21.0 + rng.normal(0.0, 0.05, len(ticks))
+    sid: [21.0 + normal(0.05) for _ in ticks]
     for sid in ("a", "b", "c")
 }
-from edgeprep.fusion import AlignedGrid
-
 grid = AlignedGrid(ticks_ms=ticks, sensor_ids=("a", "b", "c"),
-                   values=np.array([healthy[s] for s in ("a", "b", "c")]))
+                   values=[healthy[s] for s in ("a", "b", "c")])
 fused = kalman_fuse_streams(grid, KalmanConfig())
 print(f"  final fused value: {fused.values[-1]:.3f} (all streams near 21.0)")
 
 print("\n-- fusion, one faulty stream at +4 --")
 faulty = dict(healthy)
-faulty["c"] = healthy["c"] + 4.0
+faulty["c"] = [value + 4.0 for value in healthy["c"]]
 grid = AlignedGrid(ticks_ms=ticks, sensor_ids=("a", "b", "c"),
-                   values=np.array([faulty[s] for s in ("a", "b", "c")]))
+                   values=[faulty[s] for s in ("a", "b", "c")])
 fused = kalman_fuse_streams(grid, KalmanConfig())
 print(f"  final fused value: {fused.values[-1]:.3f} "
       "(dragged off the majority by the faulty stream)")

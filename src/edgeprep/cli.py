@@ -100,7 +100,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     # synth
     with open(args.spec, encoding="utf-8") as fh:
         generators, seed = parse_synth_spec(yaml.safe_load(fh))
-    streams = generate_synthetic(generators, seed)
+    streams = generate_synthetic(generators, seed, "spec.generators")
     write_streams_csv(streams, args.out)
     points = sum(len(s) for s in streams.values())
     sys.stdout.write(f"wrote {points} points for {len(streams)} sensors to {args.out}\n")

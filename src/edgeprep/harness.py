@@ -21,6 +21,7 @@ import random
 import time
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
@@ -369,11 +370,13 @@ class GeneratorSpec:
         positive_finite("wavelength_s", self.wavelength_s)
 
 
-def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, SensorStream]:
-    """Materialize generator specs into streams; deterministic under seed."""
-    require_unique((spec.sensor_id for spec in specs), "specs", "generator for sensor")
+def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int,
+                       path: str = "specs") -> dict[str, SensorStream]:
+    """Materialize generator specs into streams; deterministic under seed.
+    A repeated sensor or an overflow raises ConfigError at ``path[i]``."""
+    require_unique((spec.sensor_id for spec in specs), path, "generator for sensor")
     streams: dict[str, SensorStream] = {}
-    for spec in specs:
+    for i, spec in enumerate(specs):
         rng = random.Random((seed << 32) | zlib.crc32(spec.sensor_id.encode()))
         start_ms, period_ms = spec.start_ms, spec.period_ms
         count = spec.duration_ms // period_ms
@@ -395,8 +398,8 @@ def generate_synthetic(specs: Sequence[GeneratorSpec], seed: int) -> dict[str, S
                                            * math.cos(2.0 * math.pi * rng.random()))
             if not math.isfinite(value):
                 raise ConfigError(
-                    f"generator {spec.sensor_id!r} overflows: value {value!r} at {t_ms} ms "
-                    f"from level={spec.level!r}, amplitude={spec.amplitude!r}, "
+                    f"{path}[{i}]: generator {spec.sensor_id!r} overflows: value {value!r} "
+                    f"at {t_ms} ms from level={spec.level!r}, amplitude={spec.amplitude!r}, "
                     f"slope_per_s={spec.slope_per_s!r}, noise_std={spec.noise_std!r}"
                 )
             values.append(value)
@@ -668,25 +671,12 @@ def _feature_line(fv: FeatureVector) -> str:
         {
             "t_ms": fv.t_ms,
             "service_id": fv.service_id,
-            "components": {k: fv.components[k] for k in sorted(fv.components)},
+            "components": fv.components,
             "provenance": list(fv.provenance),
             "missing": list(fv.missing),
         },
         sort_keys=True,
     )
-
-
-def _trace_line(row: TraceRow) -> list:
-    return [
-        row.t_ms,
-        row.service_id,
-        row.sensor_id,
-        repr(row.d_m),
-        repr(row.d_a),
-        repr(row.d_ma),
-        row.rank,
-        int(row.selected),
-    ]
 
 
 def run_scenario(
@@ -710,7 +700,7 @@ def _scenario_streams(cfg: ScenarioConfig, seed: int) -> dict[str, SensorStream]
         for sid, stream in streams.items():
             require_declared(declared, sid, stream.modality, cfg.csv_path)
     else:
-        streams = generate_synthetic(cfg.generators, seed)
+        streams = generate_synthetic(cfg.generators, seed, "scenario.streams.synthetic")
     return inject_faults(streams, cfg.faults, seed)
 
 
@@ -737,17 +727,11 @@ def _run_mode(
     started = time.perf_counter()
     for t_ms in range(pipeline.tick_ms, cfg.horizon_ms + 1, pipeline.tick_ms):
         result = pipeline.run_cycle(t_ms)
-        for service_id in sorted(result.features):
-            features.append(result.features[service_id])
+        features.extend(result.features.values())
         trace.extend(result.trace)
-        for service_id in sorted(result.errors):
-            errors.append((t_ms, service_id, result.errors[service_id]))
+        errors.extend((t_ms, *error) for error in result.errors.items())
     wall = time.perf_counter() - started
 
-    selection_counts: dict[str, int] = {}
-    for row in trace:
-        if row.selected:
-            selection_counts[row.sensor_id] = selection_counts.get(row.sensor_id, 0) + 1
     # a row inside several of its sensor's fault windows counts once
     faults_of: dict[str, list[FaultSpec]] = {}
     for fault in cfg.faults:
@@ -768,7 +752,7 @@ def _run_mode(
         cache_hits=pipeline.cache_hits,
         distinct_feature_keys=pipeline.distinct_feature_keys,
         points_processed=pipeline.counters.points_processed,
-        selection_counts=selection_counts,
+        selection_counts=dict(Counter(row.sensor_id for row in trace if row.selected)),
         fault_avoidance=fault_avoidance,
         errors=errors,
         features=features,
@@ -786,8 +770,8 @@ def _write_outputs(report: ScenarioReport, out_dir: Path) -> None:
     with trace_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row in report.trace:
-            writer.writerow(_trace_line(row))
+        # csv writes a float by its repr, so a read-back gives its bits
+        writer.writerows((*row[:-1], int(row.selected)) for row in report.trace)
     by_service: dict[str, list[FeatureVector]] = {}
     for fv in report.features:
         by_service.setdefault(fv.service_id, []).append(fv)

@@ -334,6 +334,10 @@ class TraceRow(NamedTuple):
 
 @dataclass
 class CycleResult:
+    """One cycle's output.  Due services run in service-id order, so
+    ``features`` and ``errors``, keyed by service id, hold their entries in
+    that order, and ``trace`` holds each activation's rows in turn."""
+
     features: dict[str, FeatureVector] = field(default_factory=dict)
     trace: list[TraceRow] = field(default_factory=list)
     errors: dict[str, str] = field(default_factory=dict)
@@ -352,16 +356,18 @@ _BETA = {"interval": attrgetter("rel.beta"), "cumulative": attrgetter("rel.beta_
 
 
 class _SensorDyn:
-    """Mutable per-sensor dynamic state, owned by the pipeline, beside the
-    sensor's fixed static scores: together, its ranking row."""
+    """Mutable per-sensor dynamic state, owned by the pipeline: what a
+    ranking reads beside the sensor's static scores."""
 
-    __slots__ = ("alpha", "rel", "static")
+    __slots__ = ("alpha", "rel")
 
-    def __init__(self, n_expected: int, seconds_per_unit: float,
-                 static: tuple[float, float, float]):
+    def __init__(self, n_expected: int, seconds_per_unit: float):
         self.alpha = 1.0
         self.rel = ReliabilityState(n_expected, seconds_per_unit)
-        self.static = static
+
+
+#: a cohort member with a stream, as a vote reads it
+_Voter = tuple[Sequence[int], Sequence[float], _SensorDyn]
 
 
 @dataclass(eq=False, slots=True)
@@ -374,7 +380,10 @@ class _Need:
     weights, beta source): services with one profile share one ranking per
     cycle, and one ``terms``, the :func:`static_terms` of the live sensors
     under the profile.  ``beta`` reads a state's beta of the profile's
-    source.  ``fixed`` is the TOPSIS baseline's ranking, made once.
+    source.  ``fixed`` is the ranking of a mode that does not rank each
+    cycle, made once: the TOPSIS baseline's, or, with selection off, the
+    live ids without trace rows.  The service takes ``count`` of the order:
+    its ``select_count``, or every live sensor with selection off.
     """
 
     modality: Modality
@@ -384,6 +393,7 @@ class _Need:
     terms: Terms
     beta: Callable[[_SensorDyn], float]
     fixed: Ranking | None
+    count: int
 
 
 @dataclass(eq=False, slots=True)
@@ -441,51 +451,41 @@ class Pipeline:
 
         require_unique((spec.sensor_id for spec in sensors), "sensors", "sensor id")
         require_unique((svc.service_id for svc in services), "services", "service id")
-        specs = {spec.sensor_id: spec for spec in sensors}
+        specs = {spec.sensor_id: spec for spec in sorted(sensors, key=attrgetter("sensor_id"))}
         for sid, stream in streams.items():
             require_declared(specs, sid, stream.modality, f"streams[{sid!r}]")
         self.streams = dict(streams)
         self.services = sorted(services, key=lambda s: s.service_id)
 
-        # cohorts: modality -> specs, restricted to modalities in use
-        needed = {mk for svc in self.services for mk in svc.qos.modality_needs}
-        cohorts: dict[Modality, list[SensorSpec]] = {}
-        for spec in sorted(specs.values(), key=lambda s: s.sensor_id):
-            if spec.modality in needed:
-                cohorts.setdefault(spec.modality, []).append(spec)
-        granularity_ms: dict[Modality, int] = {
-            mk: min(svc.qos.granularity_ms for svc in self.services
-                    if mk in svc.qos.modality_needs)
-            for mk in sorted(cohorts)
-        }
-
-        # the ranking kernel trusts its rows: SensorSpec refuses a raw value
-        # whose score would leave [0, 1], beta lies in [0, 1] by its formula,
-        # alpha is checked where a ranking reads it (see _select), and every
-        # cohort's ids ascend, unique, by the duplicate check and the sort
-        # above
-        # interval lengths are measured in expected-sample units so a fully
-        # consistent sensor sits on the Poisson mode at any cadence
-        self._dyn: dict[str, _SensorDyn] = {}
-        for mk, cohort in cohorts.items():
-            gran_ms = granularity_ms[mk]
-            n_expected = max(1, self.reliability_interval_ms // gran_ms)
-            for spec in cohort:
-                self._dyn[spec.sensor_id] = _SensorDyn(n_expected, gran_ms / 1000.0,
-                                                       spec.static_scores)
-
-        # cohort maintenance, which only the two selecting modes run: per
-        # cohort in modality order, its granularity and the (timestamps,
-        # values, state) of each sensor with a stream, ids ascending; and
-        # every reliability state, closed in one call
+        # one pass per cohort, in modality order: its sensors, ids ascending,
+        # its granularity, their states and, in the two selecting modes, its
+        # voters; a modality no sensor measures has no cohort.  Interval
+        # lengths are in expected-sample units, so a fully consistent sensor
+        # sits on the Poisson mode at any cadence.  The ranking kernel trusts
+        # its rows: SensorSpec refuses a raw value whose score would leave
+        # [0, 1], beta lies in [0, 1] by its formula, alpha is checked where a
+        # ranking reads it (see _select), and every cohort's ids ascend,
+        # unique, by the duplicate check and the sort
         maintained = mode in (Mode.UNIFIED, Mode.PER_SERVICE)
-        self._votes: list[tuple[int, list[tuple[Sequence[int], Sequence[float],
-                                                _SensorDyn]]]] = [
-            (granularity_ms[mk], [(stream.timestamps_ms, stream.values, self._dyn[spec.sensor_id])
-                                  for spec in cohorts[mk]
-                                  if (stream := self.streams.get(spec.sensor_id)) is not None])
-            for mk in sorted(cohorts)
-        ] if maintained else []
+        self._dyn: dict[str, _SensorDyn] = {}
+        self._votes: list[tuple[Modality, int, list[_Voter]]] = []
+        granularities = []
+        for mk in sorted({mk for svc in self.services for mk in svc.qos.modality_needs}):
+            cohort = [sid for sid, spec in specs.items() if spec.modality == mk]
+            if not cohort:
+                continue
+            gran_ms = min(svc.qos.granularity_ms for svc in self.services
+                          if mk in svc.qos.modality_needs)
+            n_expected = max(1, self.reliability_interval_ms // gran_ms)
+            voters = []
+            for sid in cohort:
+                dyn = self._dyn[sid] = _SensorDyn(n_expected, gran_ms / 1000.0)
+                if (stream := self.streams.get(sid)) is not None:
+                    voters.append((stream.timestamps_ms, stream.values, dyn))
+            granularities.append(gran_ms)
+            if maintained:
+                self._votes.append((mk, gran_ms, voters))
+        # every reliability state, closed in one call
         self._reliability: list[ReliabilityState] = (
             [dyn.rel for dyn in self._dyn.values()] if maintained else [])
 
@@ -504,20 +504,22 @@ class Pipeline:
             for mk in qos.modality_needs:
                 # the sensors with data in the service's zone; streams and
                 # zones are fixed
-                live = tuple(spec.sensor_id for spec in cohorts.get(mk, [])
-                             if len(self.streams.get(spec.sensor_id, ())) > 0
+                live = tuple(sid for sid, spec in specs.items()
+                             if spec.modality == mk and len(self.streams.get(sid, ())) > 0
                              and (svc.zone is None or spec.zone == svc.zone))
                 sources = tuple(self._dyn[sid] for sid in live)
+                static = [specs[sid].static_scores for sid in live]
                 key = (scope, live, qos.utopia, qos.weights, qos.beta_source)
                 if key not in profiles:
-                    profiles[key] = (len(profiles),
-                                     static_terms([dyn.static for dyn in sources], qos))
-                fixed = None
-                if mode is Mode.TOPSIS_BASELINE and live:
-                    fixed = topsis_select(
-                        live, [(dyn.alpha, dyn.rel.beta) + dyn.static for dyn in sources], qos)
+                    profiles[key] = (len(profiles), static_terms(static, qos))
+                fixed, count = None, qos.select_count
+                if mode is Mode.NO_SELECTION_FUSED:
+                    fixed, count = (live, []), len(live)
+                elif mode is Mode.TOPSIS_BASELINE and live:
+                    fixed = topsis_select(live, [(dyn.alpha, dyn.rel.beta) + row
+                                                 for dyn, row in zip(sources, static)], qos)
                 needs.append(_Need(mk, live, sources, *profiles[key], _BETA[qos.beta_source],
-                                   fixed))
+                                   fixed, count))
             starved = [need.modality for need in needs if not need.live]
             left_ms, right_ms = svc.k_l * svc.delta_ms, svc.k_r * svc.delta_ms
             self._plans.append(_Plan(
@@ -539,7 +541,7 @@ class Pipeline:
         # keyed by profile number, fused windows by (window number, sources)
         self._cycle_memo: dict[int | tuple, object] = {}
 
-        self.tick_ms = math.gcd(self.reliability_interval_ms, *granularity_ms.values(),
+        self.tick_ms = math.gcd(self.reliability_interval_ms, *granularities,
                                 *(svc.period_ms for svc in self.services))
 
     # -- feature caches ----------------------------------------------------
@@ -561,8 +563,8 @@ class Pipeline:
 
     # -- cohort maintenance --------------------------------------------------
 
-    def _vote(self, voters: Sequence[tuple[Sequence[int], Sequence[float], _SensorDyn]],
-              granularity_ms: int, t_ms: int) -> None:
+    def _vote(self, modality: Modality, voters: Sequence[_Voter], granularity_ms: int,
+              t_ms: int) -> None:
         start_ms = t_ms - granularity_ms
         present: list[_SensorDyn] = []
         raw: list[float] = []
@@ -576,8 +578,13 @@ class Pipeline:
         self.counters.votes += 1
         if len(present) >= 2:
             # the readings ascend by id and SensorStream validated them; the
-            # optimal set's size is clamped to the sensors actually reporting
-            alphas, top = vote(raw, self.voting, self.kalman)
+            # optimal set's size is clamped to the sensors actually reporting;
+            # finite readings near the float range can overflow an exact sum
+            try:
+                alphas, top = vote(raw, self.voting, self.kalman)
+            except OverflowError as exc:
+                raise OverflowError(
+                    f"vote of modality {modality!r} overflows at {t_ms} ms: {exc}") from None
             for dyn, alpha in zip(present, alphas):
                 dyn.alpha = alpha
             present = [present[i] for i in top]
@@ -603,9 +610,6 @@ class Pipeline:
                 ) -> tuple[str, ...]:
         """The sensors ``need`` selects at ``t_ms``; their ranking rows are
         appended to ``trace``."""
-        if self.mode is Mode.NO_SELECTION_FUSED:
-            return need.live
-        qos = plan.spec.qos
         if need.fixed is not None:
             order, ranked = need.fixed
         else:
@@ -622,8 +626,8 @@ class Pipeline:
                     need.live, alphas, list(map(need.beta, need.sources)), need.terms)
             order, ranked = ranking
         # the service cuts its own prefix; a count beyond the cohort keeps all
-        count = qos.select_count
-        service_id = qos.service_id
+        count = need.count
+        service_id = plan.spec.service_id
         # tuple.__new__ is what TraceRow's own __new__ calls, without its frame
         new = tuple.__new__
         trace.extend([new(TraceRow, (t_ms, service_id, sid, d_m, d_a, d_ma, rank, rank <= count))
@@ -678,7 +682,15 @@ class Pipeline:
         missing: list[str] = []
         svc = plan.spec
         for fn in svc.feature_functions:
-            value = compute_feature(fn, t_a_ms, t_b_ms, data, plan.cache)
+            # finite readings near the float range can take a fused value, a
+            # statistic or its exact sum beyond it; JSON holds no such value
+            try:
+                value = compute_feature(fn, t_a_ms, t_b_ms, data, plan.cache)
+                if value is not None and not math.isfinite(value):
+                    raise OverflowError(f"value {value!r}")
+            except OverflowError as exc:
+                raise OverflowError(f"service {svc.service_id!r} feature {fn.fid!r} "
+                                    f"overflows at {t_ms} ms: {exc}") from None
             if value is None:
                 missing.append(fn.fid)
             else:
@@ -704,9 +716,9 @@ class Pipeline:
         self._cycle_memo.clear()
         self.counters.cycles += 1
         if t_ms > 0:
-            for granularity_ms, voters in self._votes:
+            for modality, granularity_ms, voters in self._votes:
                 if t_ms % granularity_ms == 0:
-                    self._vote(voters, granularity_ms, t_ms)
+                    self._vote(modality, voters, granularity_ms, t_ms)
             if self._reliability and t_ms % self.reliability_interval_ms == 0:
                 self._close_reliability(t_ms)
         result = CycleResult()

@@ -1,3 +1,5 @@
+import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,6 +71,26 @@ def writable_as_utf8(text):
 def exact_sum(values):
     """The sum of ``values`` in rational arithmetic, rounded once to a float."""
     return float(sum(map(Fraction, values), Fraction(0)))
+
+
+#: far beyond a float's 17 significant digits: a reference computed at this
+#: precision and rounded once lies within half an ulp, and 1e-49 relative,
+#: of the exact value
+REFERENCE = Context(prec=50)
+
+
+def exp_reference(x):
+    """``exp(x)`` at 50 digits, rounded once to a float."""
+    with localcontext(REFERENCE):
+        return float(Decimal(x).exp())
+
+
+def poisson_pmf(k, mean):
+    """The Poisson pmf ``mean**k * exp(-mean) / k!`` at 50 digits, rounded
+    once to a float."""
+    with localcontext(REFERENCE):
+        mu = Decimal(mean)
+        return float(mu ** k * (-mu).exp() / math.factorial(k))
 
 
 #: finite floats from about 1e-30 to 1e30 in size, either sign, and both zeros

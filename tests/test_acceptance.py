@@ -3,8 +3,8 @@
 Each test covers one acceptance criterion end to end at its stated
 tolerance and prints one PASS line on success (run with ``pytest -v -s``
 for per-criterion output).  Expected values come from independent oracles:
-the worked-example tables for the voting chain, scipy's Poisson pmf for
-reliability, brute-force arithmetic for ranking and fusion, and invocation
+the worked-example tables for the voting chain, the Poisson pmf at 50
+digits for reliability, brute-force arithmetic for ranking and fusion, and invocation
 counting for the unified-preprocessing claims.
 """
 
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from edgeprep.fusion import AlignedGrid, KalmanConfig, interpolate, kalman_fuse_streams
 from edgeprep.harness import (
@@ -45,7 +44,14 @@ from edgeprep.voting import (
     normalize,
     select_optimal,
 )
-from conftest import RELIABILITY_FIRST, load_config, make_spec, record_of, row_components
+from conftest import (
+    RELIABILITY_FIRST,
+    load_config,
+    make_spec,
+    poisson_pmf,
+    record_of,
+    row_components,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,7 +142,7 @@ def test_c3_poisson_reliability():
     assert compute_lambda(8, 5) == 1.0
     assert interval_reliability(0, 4, 10.0) == 0.0
 
-    oracle = float(stats.poisson.pmf(5, 0.5 * 10.0))
+    oracle = poisson_pmf(5, 0.5 * 10.0)
     assert poisson_weight(0.5 * 10.0, 5) == pytest.approx(oracle, abs=1e-9)
 
     lam = compute_lambda(1, 2)

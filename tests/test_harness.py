@@ -481,7 +481,8 @@ class TestGenerateSynthetic:
     ])
     def test_values_that_overflow_name_the_generator(self, base, params):
         spec = GeneratorSpec(sensor_id="t1", modality="temperature", base=base, **params)
-        with pytest.raises(ConfigError, match=r"generator 't1' overflows: value -?inf at \d+ ms "
+        with pytest.raises(ConfigError, match=r"^specs\[0\]: generator 't1' overflows: "
+                                              r"value -?inf at \d+ ms "
                                               r"from level=.*, amplitude=.*, slope_per_s=.*, "
                                               r"noise_std="):
             generate_synthetic([spec], seed=1)
@@ -850,8 +851,10 @@ class TestConfigsAndDocs:
     @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                              ids=lambda p: p.name[:2])
     def test_demo_prints_its_expected_output(self, demo):
+        # with numpy blocked: no demo needs it
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True)
+        run = subprocess.run([sys.executable, "-c", NUMPY_FREE_DEMO, str(demo)], cwd=ROOT,
+                             env=env, capture_output=True)
         assert run.returncode == 0, run.stderr.decode()
         assert run.stdout == (ROOT / "demos" / "expected" / f"{demo.name[:2]}.txt").read_bytes()
 
@@ -894,6 +897,24 @@ def huge_readings(csv_text):
     sum of a window of them is not, so every mode fails while it runs."""
     header, *rows = csv_text.splitlines(keepends=True)
     return header + "".join(row.rsplit(",", 1)[0] + ",1.7e308\n" for row in rows)
+
+
+def co2_at_1e308(doc):
+    """Both CO2 generators at level 1e308: two readings whose exact sum, in
+    the first vote, leaves the float range."""
+    for gen in doc["streams"]["synthetic"][5:7]:
+        gen["level"] = 1e308
+
+
+def opposed_temperatures(doc):
+    """Temperature generators constant at 9e307 and -9e307, both selected:
+    the Kalman update's ``z - state`` leaves the float range, and the fused
+    window holds inf and NaN."""
+    for gen, level in zip(doc["streams"]["synthetic"][3:5], (9e307, -9e307)):
+        del gen["amplitude"], gen["wavelength_s"]
+        gen.update(base="constant", level=level, noise_std=0)
+    for svc in doc["services"]:
+        svc["select_count"] = 2
 
 
 class CliCase(NamedTuple):
@@ -962,7 +983,20 @@ CLI_CASES = [
     CliCase("nan_noise", "run", 2, put("streams", "synthetic", 3, "noise_std", value=math.nan),
             "scenario.streams.synthetic[3]: "),
     CliCase("noise_that_overflows", "run", 2,
-            put("streams", "synthetic", 3, "noise_std", value=1e308), "generator 't1' overflows"),
+            put("streams", "synthetic", 3, "noise_std", value=1e308),
+            "scenario.streams.synthetic[3]: generator 't1' overflows: value -inf at 8000 ms "
+            "from level=22.0, amplitude=0.5, slope_per_s=0.0, noise_std=1e+308\n"),
+    CliCase("synth_noise_that_overflows", "synth", 2,
+            put("streams", "synthetic", 3, "noise_std", value=1e308),
+            "spec.generators[3]: generator 't1' overflows: value -inf at 8000 ms "
+            "from level=22.0, amplitude=0.5, slope_per_s=0.0, noise_std=1e+308\n"),
+    # finite readings near the float range can take a vote's exact sum, a
+    # fused value or a feature beyond it: the run names where, and writes no
+    # feature that JSON cannot hold
+    CliCase("vote_that_overflows", "run", 2, co2_at_1e308,
+            "vote of modality 'co2' overflows at 1000 ms: intermediate overflow in fsum\n"),
+    CliCase("fused_value_that_overflows", "run", 2, opposed_temperatures,
+            "service 'airquality' feature 'temperature_mean' overflows at 5000 ms: value nan\n"),
     CliCase("blank_modality", "run", 2, ("modality: motion\n", 'modality: " "\n'),
             "scenario.sensors[0].modality: "),
     CliCase("generator_without_modality", "run", 2, ("m1, modality: motion, ", "m1, "),
@@ -1041,7 +1075,7 @@ CLI_CASES = [
     CliCase("compare_malformed_csv_row", "compare", 2, None, ":2: malformed row",
             csv=lambda _: CSV_ROW("1000,m1,motion,abc")),
     CliCase("compare_exits_1_when_every_mode_fails", "compare", 1, None,
-            "OverflowError: intermediate overflow in fsum", csv=huge_readings),
+            " ms: intermediate overflow in fsum)", csv=huge_readings),
     # a CSV exported with a UTF-8 byte-order mark is read like one without
     CliCase("csv_with_byte_order_mark", "run", 0, None, csv=lambda text: "\ufeff" + text),
     # one modality spelt in several cases on one sensor's rows is one modality
@@ -1164,8 +1198,8 @@ class TestCli:
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("edgeprep: error: ") and "overflow" in err
-        assert err.count("\n") == 1
+        assert err == ("edgeprep: error: service 'svc' feature 'temperature_mean' overflows "
+                       "at 2000 ms: intermediate overflow in fsum\n")
 
 
 class TestRunScenario:
@@ -1280,6 +1314,13 @@ import json, sys
 sys.modules["numpy"] = None  # any import of numpy now fails
 from edgeprep.cli import main
 print(*(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+#: with numpy blocked, runs the demo script at the path it is given
+NUMPY_FREE_DEMO = """
+import runpy, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+runpy.run_path(sys.argv[1], run_name="__main__")
 """
 
 #: with PyYAML and numpy blocked, runs a scenario given as JSON over its CSV,

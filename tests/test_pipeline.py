@@ -726,12 +726,13 @@ class TestSharedWork:
         pipeline = Pipeline(sensors, [svc], self.streams)
         plan = pipeline._plans[0]
         need = plan.needs[0]
+        specs = {spec.sensor_id: spec for spec in sensors}
         rows = []
         for sid, (alpha, beta, beta_cumulative) in zip(need.live, states):
             dyn = pipeline._dyn[sid]
             dyn.alpha, dyn.rel.beta, dyn.rel.beta_cumulative = alpha, beta, beta_cumulative
             rows.append((alpha, beta if beta_source == "interval" else beta_cumulative)
-                        + dyn.static)
+                        + specs[sid].static_scores)
         trace = []
         selected = pipeline._select(plan, need, 4000, trace)
         order, ranked = rank_and_select(need.live, rows, svc.qos)

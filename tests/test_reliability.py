@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy import stats
 
 from edgeprep.reliability import (
     ReliabilityState,
@@ -13,6 +12,7 @@ from edgeprep.reliability import (
     interval_reliability,
     poisson_weight,
 )
+from conftest import poisson_pmf
 
 
 def bits(state):
@@ -45,10 +45,10 @@ class TestIntervalReliability:
     def test_matches_independent_poisson_pmf(self):
         # rate 0.5 over 10 s with 5 expected values: pmf at k=5, mean 5
         got = poisson_weight(0.5 * 10.0, 5)
-        assert got == pytest.approx(stats.poisson.pmf(5, 5.0), abs=1e-9)
+        assert got == pytest.approx(poisson_pmf(5, 5.0), abs=1e-9)
         # the same weight through the counting interface
         assert interval_reliability(1, 2, 5.0) == pytest.approx(
-            stats.poisson.pmf(2, 2.5), abs=1e-9
+            poisson_pmf(2, 2.5), abs=1e-9
         )
 
     def test_rejects_non_positive_duration(self):
@@ -95,7 +95,7 @@ class TestCumulativeReliability:
         # rate 1 over n seconds: weight is the Poisson pmf at its mode
         for n in (1, 4, 9):
             got = cumulative_reliability([(0, n * 1000, 1.0)], n, 0, n * 1000)
-            assert got == pytest.approx(stats.poisson.pmf(n, n), abs=1e-12)
+            assert got == pytest.approx(poisson_pmf(n, n), abs=1e-12)
 
     def test_zero_rate_throughout(self):
         assert cumulative_reliability([(0, 5000, 0.0), (5000, 9000, 0.0)], 3, 0, 9000) == 0.0

@@ -20,7 +20,7 @@ from edgeprep.voting import (
     MembershipMatrix,
     NormalizedMeasurements,
 )
-from conftest import exact_sum, mixed_magnitudes
+from conftest import exact_sum, exp_reference, mixed_magnitudes
 
 # Worked example shared by several tests: one far-off reading among a tight
 # cluster, already standardized.
@@ -101,10 +101,8 @@ class TestMembershipMatrix:
         assert m.rows == [[1.0] * 3] * 3
 
     def test_two_point_value_against_high_precision_oracle(self):
-        import mpmath
-
         m = membership_matrix(norm_from([0.0, 2.0]), VotingConfig(p=2, c=2))
-        oracle = float(mpmath.exp(-2))
+        oracle = exp_reference(-2)
         assert m.rows[0][1] == pytest.approx(0.1353352832366127, abs=1e-15)
         assert m.rows[0][1] == pytest.approx(oracle, abs=1e-15)
 
@@ -180,12 +178,10 @@ class TestAssignAccuracy:
         assert alphas == {"x1": 1.0, "x2": 1.0, "x3": 1.0}
 
     def test_unit_residual(self):
-        import mpmath
-
         optimal = select_optimal((2.0, 2.0), normalize(with_ids([3.0, 3.0])), VotingConfig(k=2))
         alphas = assign_accuracy(normalize([("x1", 3.0), ("x2", 4.0)]), optimal)
         assert alphas["x2"] == pytest.approx(0.36787944117144233, abs=1e-15)
-        assert alphas["x2"] == pytest.approx(float(mpmath.exp(-1)), abs=1e-15)
+        assert alphas["x2"] == pytest.approx(exp_reference(-1), abs=1e-15)
 
     def test_outlier_two_units_from_consensus(self):
         # brute-force filter oracle: identical inputs keep the state exactly
